@@ -8,15 +8,19 @@ out of the Logistic Regression model.
 
 Performance notes
 -----------------
-Perturbation explainers call ``predict_proba`` hundreds of times per
-explained record, and feature extraction dominates that cost.  Two
-mitigations keep the whole benchmark CPU-friendly:
+Training extracts features for every labelled pair, and perturbation
+explainers call ``predict_proba`` hundreds of times per explained record.
+Every entry point goes through one computation,
+:meth:`PairFeatureExtractor._features`, which keeps this CPU-friendly:
 
+* feature groups are memoized on ``(attribute, left, right)``; each call
+  dedups its triples first, and perturbations of *other* attributes then
+  hit the memo;
 * character-level measures (Levenshtein, Jaro-Winkler) operate on a
   length-capped prefix of the value — entity-identity signal concentrates
-  at the front of names/titles;
-* per-attribute feature vectors are memoized on ``(attribute, left,
-  right)``; perturbations of *other* attributes then hit the cache.
+  at the front of names/titles — so the misses of every attribute share
+  one padded batch: a single call of the numpy kernels in
+  :mod:`repro.text.batch_similarity`, bit-identical to the scalar measures.
 """
 
 from __future__ import annotations
@@ -31,14 +35,9 @@ from repro.data.schema import PairSchema
 from repro.text.batch_similarity import char_similarities_batch
 from repro.text.normalize import normalize_value
 from repro.text.similarity import (
-    dice_coefficient,
     exact_match,
-    jaccard_similarity,
-    jaro_winkler_similarity,
-    levenshtein_similarity,
     monge_elkan_similarity,
     numeric_similarity,
-    overlap_coefficient,
 )
 
 
@@ -80,8 +79,8 @@ class PairFeatureExtractor:
         if self.config.use_monge_elkan:
             self._measures.append("monge_elkan")
         self._cache: dict[tuple[str, str, str], np.ndarray] = {}
-        # Raw value → normalized value memo for the columnar path (the
-        # same value recurs across combinations, rows and batches).
+        # Raw value → normalized value memo (the same value recurs across
+        # attributes, combinations, rows and batches).
         self._norm_cache: dict[str, str] = {}
 
     @property
@@ -124,70 +123,24 @@ class PairFeatureExtractor:
         state["_norm_cache"] = {}
         return state
 
-    def _attribute_features(self, attribute: str, left: str, right: str) -> np.ndarray:
-        key = (attribute, left, right)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        left_norm = normalize_value(left)
-        right_norm = normalize_value(right)
-        if not left_norm and not right_norm:
-            # Missing on both sides carries no match evidence.  Magellan's
-            # extractor emits NaN here (imputed to 0); emitting zeros keeps
-            # "nothing vs nothing" from looking like a perfect match.
-            features = np.zeros(len(self._measures), dtype=np.float64)
-            if len(self._cache) >= self.config.cache_size:
-                self._cache.clear()
-            self._cache[key] = features
-            return features
-        left_tokens = left_norm.split(" ") if left_norm else []
-        right_tokens = right_norm.split(" ") if right_norm else []
-        cap = self.config.char_cap
-        left_capped = left_norm[:cap]
-        right_capped = right_norm[:cap]
-        values = [
-            jaccard_similarity(left_tokens, right_tokens),
-            overlap_coefficient(left_tokens, right_tokens),
-            dice_coefficient(left_tokens, right_tokens),
-            levenshtein_similarity(left_capped, right_capped),
-            jaro_winkler_similarity(left_capped, right_capped),
-            numeric_similarity(left_norm, right_norm),
-            exact_match(left_norm, right_norm),
-        ]
-        if self.config.use_monge_elkan:
-            token_cap = self.config.monge_elkan_token_cap
-            values.append(
-                monge_elkan_similarity(
-                    left_tokens[:token_cap], right_tokens[:token_cap]
-                )
-            )
-        features = np.array(values, dtype=np.float64)
-        if not np.isfinite(features).all():
-            # A measure leaked NaN/inf (e.g. a pathological value no guard
-            # anticipated).  predict_proba must stay finite for any mask.
-            features = np.nan_to_num(features, nan=0.0, posinf=1.0, neginf=0.0)
-        if len(self._cache) >= self.config.cache_size:
-            self._cache.clear()
-        self._cache[key] = features
-        return features
+    def _features(self, triples: Sequence[tuple[str, str, str]]) -> np.ndarray:
+        """Feature rows of distinct ``(attribute, left, right)`` triples.
 
-    def _attribute_features_many(
-        self, attribute: str, combos: list[tuple[str, str]]
-    ) -> np.ndarray:
-        """Feature rows for distinct ``(left, right)`` value combinations.
-
-        The columnar fast path of :meth:`_attribute_features`: cache hits
-        are gathered first; the remaining combinations normalize each
-        distinct raw value once and run the quadratic character measures
-        through the batched kernels (:mod:`repro.text.batch_similarity`),
-        which are bit-identical to the scalar ones.  Every row — and every
-        cache entry written — is exactly what the scalar method produces.
+        The extractor's one feature computation.  Memo hits are gathered
+        first.  The misses normalize each distinct raw value once, and the
+        quadratic character measures of every attribute's live triples run
+        in **one** :func:`char_similarities_batch` call: every string is
+        capped at ``char_cap``, so a single padded batch serves them all.
+        The batched kernels are bit-identical to the scalar measures in
+        :mod:`repro.text.similarity`, so every row — and every memo entry
+        written — equals the scalar per-pair recipe bit for bit.
         """
         width = len(self._measures)
-        rows = np.empty((len(combos), width), dtype=np.float64)
+        rows = np.empty((len(triples), width), dtype=np.float64)
+        cache = self._cache
         missing: list[int] = []
-        for index, (left, right) in enumerate(combos):
-            cached = self._cache.get((attribute, left, right))
+        for index, triple in enumerate(triples):
+            cached = cache.get(triple)
             if cached is not None:
                 rows[index] = cached
             else:
@@ -199,7 +152,7 @@ class PairFeatureExtractor:
         token_sets: dict[str, frozenset[str]] = {}
         token_lists: dict[str, list[str]] = {}
         for index in missing:
-            for value in combos[index]:
+            for value in triples[index][1:]:
                 if value not in normalized:
                     norm = norm_cache.get(value)
                     if norm is None:
@@ -213,27 +166,32 @@ class PairFeatureExtractor:
 
         def store(index: int, features: np.ndarray) -> None:
             rows[index] = features
-            if len(self._cache) >= self.config.cache_size:
-                self._cache.clear()
-            self._cache[(attribute,) + combos[index]] = features
+            if len(cache) >= self.config.cache_size:
+                cache.clear()
+            cache[triples[index]] = features
 
+        # Missing on both sides carries no match evidence.  Magellan's
+        # extractor emits NaN here (imputed to 0); emitting zeros keeps
+        # "nothing vs nothing" from looking like a perfect match.
+        zeros = np.zeros(width, dtype=np.float64)
         live: list[int] = []
         for index in missing:
-            left, right = combos[index]
-            if not normalized[left] and not normalized[right]:
-                store(index, np.zeros(width, dtype=np.float64))
-            else:
+            _, left, right = triples[index]
+            if normalized[left] or normalized[right]:
                 live.append(index)
+            else:
+                store(index, zeros)
         if not live:
             return rows
         cap = self.config.char_cap
-        levenshtein_block, jaro_winkler_block = char_similarities_batch(
-            [normalized[combos[i][0]][:cap] for i in live],
-            [normalized[combos[i][1]][:cap] for i in live],
+        levenshtein, jaro_winkler = char_similarities_batch(
+            [normalized[triples[index][1]][:cap] for index in live],
+            [normalized[triples[index][2]][:cap] for index in live],
         )
         token_cap = self.config.monge_elkan_token_cap
-        for position, index in enumerate(live):
-            left, right = combos[index]
+        other: list[tuple[float, ...]] = []
+        for index in live:
+            _, left, right = triples[index]
             left_norm, right_norm = normalized[left], normalized[right]
             set_left, set_right = token_sets[left], token_sets[right]
             # Inlined jaccard / overlap / dice sharing one intersection:
@@ -252,81 +210,96 @@ class PairFeatureExtractor:
                     else 0.0
                 )
                 dice = 2.0 * intersection / (n_left + n_right)
-            values = [
+            values = (
                 jaccard,
                 overlap,
                 dice,
-                levenshtein_block[position],
-                jaro_winkler_block[position],
                 numeric_similarity(left_norm, right_norm),
                 exact_match(left_norm, right_norm),
-            ]
+            )
             if self.config.use_monge_elkan:
-                values.append(
+                values += (
                     monge_elkan_similarity(
                         token_lists[left][:token_cap],
                         token_lists[right][:token_cap],
-                    )
+                    ),
                 )
-            features = np.array(values, dtype=np.float64)
-            if not np.isfinite(features).all():
-                features = np.nan_to_num(
-                    features, nan=0.0, posinf=1.0, neginf=0.0
-                )
-            store(index, features)
+            other.append(values)
+        scalar = np.array(other, dtype=np.float64)
+        block = np.column_stack(
+            (scalar[:, :3], levenshtein, jaro_winkler, scalar[:, 3:])
+        )
+        if not np.isfinite(block).all():
+            # A measure leaked NaN/inf (e.g. a pathological value no guard
+            # anticipated).  predict_proba must stay finite for any mask.
+            block = np.nan_to_num(block, nan=0.0, posinf=1.0, neginf=0.0)
+        for position, index in enumerate(live):
+            store(index, block[position])
         return rows
 
     def transform_pair(self, pair: RecordPair) -> np.ndarray:
         """Feature vector of one pair, shape ``(n_features,)``."""
-        chunks = [
-            self._attribute_features(
-                attribute, pair.left[attribute], pair.right[attribute]
-            )
-            for attribute in self.schema.attributes
-        ]
-        return np.concatenate(chunks)
+        return self.transform([pair])[0]
 
     def transform(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        """Feature matrix, shape ``(len(pairs), n_features)``."""
-        if not pairs:
-            return np.empty((0, self.n_features), dtype=np.float64)
-        return np.vstack([self.transform_pair(pair) for pair in pairs])
+        """Feature matrix, shape ``(len(pairs), n_features)``.
+
+        Each pair contributes one ``(attribute, left, right)`` triple per
+        attribute; a dict dedups them, :meth:`_features` computes each
+        distinct triple once, and the rows are gathered back.
+        """
+        attributes = self.schema.attributes
+        positions: dict[tuple[str, str, str], int] = {}
+        codes = np.fromiter(
+            (
+                positions.setdefault(
+                    (attribute, pair.left[attribute], pair.right[attribute]),
+                    len(positions),
+                )
+                for pair in pairs
+                for attribute in attributes
+            ),
+            dtype=np.intp,
+            count=len(pairs) * len(attributes),
+        )
+        block = self._features(list(positions))
+        return block[codes].reshape(len(pairs), self.n_features)
 
     def transform_columnar(self, batch) -> np.ndarray:
         """Feature matrix of a :class:`~repro.core.columnar.ColumnarPairBatch`.
 
-        Per attribute, features are computed once per **distinct** (left,
-        right) value combination — found by uniquing the batch's integer
-        index codes, never by touching the strings row-wise — and gathered
-        back onto the full row set.  Each distinct combination goes through
-        :meth:`_attribute_features` (the same scalar code, the same memo
-        cache, the same float64 values as the per-pair path), so row *i* of
-        the result is bit-identical to ``transform_pair`` of row *i*'s
-        materialized pair.
+        Per attribute, the distinct (left, right) value combinations are
+        found by uniquing the batch's integer index codes — never by
+        touching the strings row-wise.  All attributes' distinct triples go
+        through :meth:`_features` together (the same memo, the same single
+        kernel call as :meth:`transform`) and are gathered back onto the
+        full row set, so row *i* of the result is bit-identical to
+        ``transform_pair`` of row *i*'s materialized pair.
         """
-        if batch.schema.attributes != self.schema.attributes:
+        attributes = self.schema.attributes
+        if batch.schema.attributes != attributes:
             raise ValueError(
                 f"batch schema {batch.schema.attributes} does not match "
-                f"extractor schema {self.schema.attributes}"
+                f"extractor schema {attributes}"
             )
-        width = len(self._measures)
-        out = np.empty((batch.n_rows, self.n_features), dtype=np.float64)
-        if batch.n_rows == 0:
-            return out
-        for position, attribute in enumerate(self.schema.attributes):
+        codes = np.empty((batch.n_rows, len(attributes)), dtype=np.intp)
+        triples: list[tuple[str, str, str]] = []
+        for position, attribute in enumerate(attributes):
             left = batch.columns[("left", attribute)]
             right = batch.columns[("right", attribute)]
-            codes = left.index * len(right.values) + right.index
             _, first, inverse = np.unique(
-                codes, return_index=True, return_inverse=True
+                left.index * len(right.values) + right.index,
+                return_index=True,
+                return_inverse=True,
             )
-            combos = [
+            codes[:, position] = inverse.reshape(-1) + len(triples)
+            triples.extend(
                 (
+                    attribute,
                     left.values[left.index[representative]],
                     right.values[right.index[representative]],
                 )
                 for representative in first
-            ]
-            block = self._attribute_features_many(attribute, combos)
-            out[:, position * width : (position + 1) * width] = block[inverse]
-        return out
+            )
+        block = self._features(triples)
+        return block[codes].reshape(batch.n_rows, self.n_features)

@@ -38,11 +38,11 @@ def _encode(values: list[str], pad: np.uint32) -> tuple[np.ndarray, np.ndarray]:
     )
     width = int(lengths.max()) if len(values) else 0
     codes = np.full((len(values), width), pad, dtype=np.uint32)
-    for row, value in enumerate(values):
-        if value:
-            codes[row, : len(value)] = np.frombuffer(
-                value.encode("utf-32-le"), dtype=np.uint32
-            )
+    # One encode of the concatenation; a row-major boolean scatter lays
+    # each string's codepoints into the leading cells of its row.
+    codes[np.arange(width) < lengths[:, None]] = np.frombuffer(
+        "".join(values).encode("utf-32-le"), dtype=np.uint32
+    )
     return codes, lengths
 
 

@@ -1,11 +1,20 @@
 """Tests for the per-attribute feature extractor."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from repro.core.columnar import ColumnarPairBatch, ValueColumn
+from repro.core.serialize import matcher_fingerprint
 from repro.data.records import RecordPair
 from repro.data.schema import PairSchema
+from repro.data.synthetic.magellan import load_dataset
+from repro.matchers.boosting import GradientBoostedStumpsMatcher
 from repro.matchers.features import BASE_MEASURES, FeatureConfig, PairFeatureExtractor
+from repro.matchers.logistic import LogisticRegressionMatcher
+from repro.matchers.neural import MLPMatcher
+from tests.matchers.feature_reference import reference_matrix
 
 
 @pytest.fixture()
@@ -107,14 +116,169 @@ class TestValues:
         assert np.all(features >= 0.0)
         assert np.all(features <= 1.0)
 
-    def test_matrix_matches_single_rows(self, extractor, schema):
-        pairs = [
-            make_pair(schema, "a b", "a c"),
-            make_pair(schema, "x", "y"),
+#: Value pool for the parity fuzz: empties, numerics that parse to
+#: non-finite floats, non-ASCII and non-BMP text, and tokens that build
+#: values far longer than ``char_cap``.
+TOKENS = [
+    "sony", "kamera", "camera", "dslr-a200w", "10.5", "12", "0", "-3",
+    "nan", "NaN", "inf", "-inf", "1e400", "café", "crème", "naïve",
+    "水", "欧ラ", "😀", "𠀋", "𝔘𝔫𝔦", "black/white", "#1", "", " ",
+    "a" * 40, "supercalifragilisticexpialidocious",
+]
+SPECIAL_VALUES = ["", " ", "nan", " NaN ", "inf", "-inf", "1e400", "😀𠀋"]
+
+
+def random_value(rng):
+    if rng.random() < 0.2:
+        return str(rng.choice(SPECIAL_VALUES))
+    n_tokens = int(rng.integers(0, 7))
+    return " ".join(str(token) for token in rng.choice(TOKENS, size=n_tokens))
+
+
+def random_pairs(schema, seed, count=80):
+    rng = np.random.default_rng(seed)
+    pool = [random_value(rng) for _ in range(24)]
+    pairs = []
+    for _ in range(count):
+        # Draw from a small pool so triples repeat within one batch.
+        left = {a: str(rng.choice(pool)) for a in schema.attributes}
+        right = {a: str(rng.choice(pool)) for a in schema.attributes}
+        pairs.append(RecordPair(schema, left, right))
+    return pairs
+
+
+def columnar_batch(pairs):
+    """The pairs as one columnar batch (distinct values per cell)."""
+    columns = {}
+    for side in ("left", "right"):
+        for attribute in pairs[0].schema.attributes:
+            cells = [pair.entity(side)[attribute] for pair in pairs]
+            values = sorted(set(cells))
+            lookup = {value: code for code, value in enumerate(values)}
+            index = np.array([lookup[cell] for cell in cells], dtype=np.intp)
+            columns[(side, attribute)] = ValueColumn(values, index)
+    return ColumnarPairBatch(pairs[0], columns, len(pairs))
+
+
+PARITY_CONFIGS = {
+    "default": FeatureConfig(),
+    "monge_elkan": FeatureConfig(use_monge_elkan=True),
+    "evicting": FeatureConfig(cache_size=2),
+    "short_cap": FeatureConfig(char_cap=5),
+}
+
+
+class TestReferenceParity:
+    """Every transform entry point equals the scalar reference bit for bit."""
+
+    @pytest.fixture(params=sorted(PARITY_CONFIGS))
+    def config(self, request):
+        return PARITY_CONFIGS[request.param]
+
+    @pytest.fixture()
+    def wide_schema(self):
+        return PairSchema(("title", "brand", "price"))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_transform(self, config, wide_schema, seed):
+        pairs = random_pairs(wide_schema, seed)
+        expected = reference_matrix(config, pairs)
+        extractor = PairFeatureExtractor(wide_schema, config)
+        assert extractor.transform(pairs).tobytes() == expected.tobytes()
+        # A second pass is served (at least partly) from the memo.
+        assert extractor.transform(pairs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_transform_pair(self, config, wide_schema, seed):
+        pairs = random_pairs(wide_schema, seed, count=30)
+        expected = reference_matrix(config, pairs)
+        extractor = PairFeatureExtractor(wide_schema, config)
+        for row, pair in zip(expected, pairs):
+            features = extractor.transform_pair(pair)
+            assert features.shape == (extractor.n_features,)
+            assert features.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_transform_columnar(self, config, wide_schema, seed):
+        pairs = random_pairs(wide_schema, seed)
+        expected = reference_matrix(config, pairs)
+        extractor = PairFeatureExtractor(wide_schema, config)
+        batch = columnar_batch(pairs)
+        assert extractor.transform_columnar(batch).tobytes() == expected.tobytes()
+        # Mixing entry points on one warm memo changes nothing.
+        assert extractor.transform(pairs).tobytes() == expected.tobytes()
+        assert extractor.transform_columnar(batch).tobytes() == expected.tobytes()
+
+    def test_edge_values(self, config, schema):
+        long_value = "abcdefghij " * 8
+        cases = [
+            ("", ""), ("", "x"), (" ", "  "), ("nan", "NaN"), ("nan", "5"),
+            (" NaN ", "nan"), ("inf", "inf"), ("-inf", "1e400"), ("inf", "3"),
+            ("café crème", "cafe creme"), ("😀 𠀋", "😀 𠀌"), ("𝔘𝔫𝔦", "uni"),
+            (long_value, long_value + "x"), (long_value, "abcdefghij"),
         ]
-        matrix = extractor.transform(pairs)
-        for row, pair in zip(matrix, pairs):
-            assert np.array_equal(row, extractor.transform_pair(pair))
+        pairs = [
+            make_pair(schema, left, right, right, left) for left, right in cases
+        ]
+        expected = reference_matrix(config, pairs)
+        extractor = PairFeatureExtractor(schema, config)
+        assert extractor.transform(pairs).tobytes() == expected.tobytes()
+        fresh = PairFeatureExtractor(schema, config)
+        batch = columnar_batch(pairs)
+        assert fresh.transform_columnar(batch).tobytes() == expected.tobytes()
+        assert np.isfinite(expected).all()
+
+    def test_columnar_schema_mismatch_rejected(self, extractor, wide_schema):
+        batch = columnar_batch(random_pairs(wide_schema, 0, count=3))
+        with pytest.raises(ValueError):
+            extractor.transform_columnar(batch)
+
+
+#: ``matcher_fingerprint`` of the benchmark harness's model (logistic
+#: regression on S-WA, seed 0, 2000 pairs), recorded before the feature
+#: extractor was batched.  Training features must never drift from it.
+SWA_LOGISTIC_FINGERPRINT = (
+    "fe2d75f6a36b10a6841998ca582e1b74ab5e53a4d8159bdba4e6416805e5d87d"
+)
+
+
+def learned_arrays(matcher):
+    """The learned parameters of a fitted matcher, as raw bytes."""
+    if isinstance(matcher, GradientBoostedStumpsMatcher):
+        stumps = np.array(
+            [astuple(stump) for stump in matcher.stumps_], dtype=np.float64
+        )
+        return [np.float64(matcher.prior_).tobytes(), stumps.tobytes()]
+    if isinstance(matcher, MLPMatcher):
+        return [array.tobytes() for array in matcher._weights + matcher._biases]
+    return [matcher.coef_.tobytes(), np.float64(matcher.intercept_).tobytes()]
+
+
+class TestTrainedModels:
+    def test_harness_model_fingerprint_is_pinned(self):
+        dataset = load_dataset("S-WA", seed=0, size_cap=2000)
+        matcher = LogisticRegressionMatcher().fit(dataset)
+        assert matcher_fingerprint(matcher) == SWA_LOGISTIC_FINGERPRINT
+
+    @pytest.mark.parametrize(
+        "make_matcher",
+        [
+            lambda: LogisticRegressionMatcher(),
+            lambda: GradientBoostedStumpsMatcher(n_stumps=15),
+            lambda: MLPMatcher(epochs=30),
+        ],
+        ids=["logistic", "boosting", "mlp"],
+    )
+    def test_fit_equals_fit_on_reference_features(self, make_matcher, monkeypatch):
+        dataset = load_dataset("S-BR", seed=0, size_cap=160)
+        fitted = make_matcher().fit(dataset)
+        monkeypatch.setattr(
+            PairFeatureExtractor,
+            "transform",
+            lambda self, pairs: reference_matrix(self.config, pairs),
+        )
+        reference = make_matcher().fit(dataset)
+        assert learned_arrays(fitted) == learned_arrays(reference)
 
 
 class TestCache:
