@@ -64,9 +64,7 @@ def main() -> None:
     print(f"    left .beer_name: {example_pair.left['beer_name']!r}  (frozen)")
 
     # --- 4. Dataset reconstruction -----------------------------------------
-    predict_masks = DatasetReconstructor(matcher, reconstructor).predict_masks_fn(
-        instance
-    )
+    predict_masks = DatasetReconstructor(matcher).predict_masks_fn(instance)
     probabilities = predict_masks(masks)
     print(f"\n[4] dataset reconstruction: model probabilities for every mask")
     print(f"    p(original augmented record) = {probabilities[0]:.3f}, "

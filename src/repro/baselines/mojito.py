@@ -13,6 +13,11 @@ their interpretable features and reconstruction differ:
   side's value.  The fitted attribute weight is then distributed equally
   over the attribute's constituent tokens — exactly the atomic-attribute
   behaviour the paper contrasts with Landmark Explanation.
+
+Each explainer turns its masks into a columnar batch
+(:mod:`repro.core.columnar`) and scores it through a
+:class:`~repro.core.engine.PredictionEngine` — the shared one when given,
+a transparent :data:`~repro.core.engine.ENGINE_OFF` engine otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.columnar import (
-    ColumnarPairBatch,
     mojito_attr_drop_batch,
     mojito_copy_batch,
     mojito_drop_batch,
@@ -34,7 +38,7 @@ from repro.core.explanation import (
 from repro.data.records import RecordPair
 from repro.exceptions import ConfigurationError, ExplanationError
 from repro.explainers.base import Explanation
-from repro.core.engine import PredictionEngine
+from repro.core.engine import ENGINE_OFF, PredictionEngine
 from repro.explainers.lime_text import LimeConfig, LimeTextExplainer
 from repro.matchers.base import EntityMatcher
 from repro.text.tokenize import PrefixedToken, Tokenizer
@@ -65,27 +69,6 @@ def _pair_rng(seed: int, method: str, pair_id: int) -> np.random.Generator:
         [seed & 0xFFFFFFFF, _METHOD_TAGS[method], pair_id & 0xFFFFFFFF]
     )
     return np.random.default_rng(sequence)
-
-
-def _predict_batch(
-    engine: PredictionEngine | None,
-    matcher: EntityMatcher,
-    batch: ColumnarPairBatch,
-) -> np.ndarray:
-    """Score a columnar perturbation batch through the best available path.
-
-    Engine present → :meth:`~repro.core.engine.PredictionEngine.
-    predict_columnar` (dedup/cache accounting identical to the old
-    per-pair route; the engine materializes pairs itself when
-    ``vectorize`` is off).  Engineless → the matcher's columnar entry
-    point when it has one, else the rebuilt pairs.  All four routes are
-    bit-identical.
-    """
-    if engine is not None:
-        return engine.predict_columnar(batch)
-    if getattr(matcher, "supports_columnar", False):
-        return matcher.predict_proba_columnar(batch)
-    return matcher.predict_proba(batch.pairs())
 
 
 @dataclass(frozen=True)
@@ -132,7 +115,9 @@ class MojitoDropExplainer:
         self.tokenizer = tokenizer or Tokenizer()
         self.explainer = LimeTextExplainer(lime_config)
         self.seed = seed
-        self.engine = engine
+        self.engine = (
+            engine if engine is not None else PredictionEngine(matcher, ENGINE_OFF)
+        )
 
     def _pair_tokens(self, pair: RecordPair) -> list[tuple[str, PrefixedToken]]:
         """All (side, token) of the record, left side first."""
@@ -141,24 +126,6 @@ class MojitoDropExplainer:
             for token in self.tokenizer.tokenize_entity(pair.entity(side)):
                 tokens.append((side, token))
         return tokens
-
-    def _rebuild(
-        self,
-        pair: RecordPair,
-        tokens: list[tuple[str, PrefixedToken]],
-        mask: np.ndarray,
-    ) -> RecordPair:
-        kept_by_side: dict[str, list[PrefixedToken]] = {side: [] for side in _SIDES}
-        for (side, token), bit in zip(tokens, mask):
-            if bit:
-                kept_by_side[side].append(token)
-        result = pair
-        for side in _SIDES:
-            entity = pair.schema.conform(
-                self.tokenizer.detokenize(kept_by_side[side])
-            )
-            result = result.with_side(side, entity)
-        return result
 
     def explain(self, pair: RecordPair) -> PairExplanation:
         tokens = self._pair_tokens(pair)
@@ -170,7 +137,7 @@ class MojitoDropExplainer:
 
         def predict_masks(masks: np.ndarray) -> np.ndarray:
             batch = mojito_drop_batch(pair, tokens, np.asarray(masks))
-            return _predict_batch(self.engine, self.matcher, batch)
+            return self.engine.predict_columnar(batch)
 
         rng = _pair_rng(self.seed, self.method, pair.pair_id)
         explanation = self.explainer.explain(feature_names, predict_masks, rng=rng)
@@ -217,7 +184,9 @@ class MojitoAttributeDropExplainer:
         self.tokenizer = tokenizer or Tokenizer()
         self.explainer = LimeTextExplainer(lime_config)
         self.seed = seed
-        self.engine = engine
+        self.engine = (
+            engine if engine is not None else PredictionEngine(matcher, ENGINE_OFF)
+        )
 
     def _cells(self, pair: RecordPair) -> list[tuple[str, str]]:
         """Non-empty (side, attribute) cells, left side first."""
@@ -228,15 +197,6 @@ class MojitoAttributeDropExplainer:
                     cells.append((side, attribute))
         return cells
 
-    def _rebuild(
-        self, pair: RecordPair, cells: list[tuple[str, str]], mask: np.ndarray
-    ) -> RecordPair:
-        entities = {side: dict(pair.entity(side)) for side in _SIDES}
-        for (side, attribute), bit in zip(cells, mask):
-            if not bit:
-                entities[side][attribute] = ""
-        return pair.with_left(entities["left"]).with_right(entities["right"])
-
     def explain(self, pair: RecordPair) -> PairExplanation:
         cells = self._cells(pair)
         if not cells:
@@ -245,7 +205,7 @@ class MojitoAttributeDropExplainer:
 
         def predict_masks(masks: np.ndarray) -> np.ndarray:
             batch = mojito_attr_drop_batch(pair, cells, np.asarray(masks))
-            return _predict_batch(self.engine, self.matcher, batch)
+            return self.engine.predict_columnar(batch)
 
         rng = _pair_rng(self.seed, self.method, pair.pair_id)
         explanation = self.explainer.explain(feature_names, predict_masks, rng=rng)
@@ -306,26 +266,20 @@ class MojitoCopyExplainer:
         self.explainer = LimeTextExplainer(lime_config)
         self.copy_from = copy_from
         self.seed = seed
-        self.engine = engine
+        self.engine = (
+            engine if engine is not None else PredictionEngine(matcher, ENGINE_OFF)
+        )
 
     @property
     def copy_to(self) -> str:
         return "right" if self.copy_from == "left" else "left"
-
-    def _rebuild(self, pair: RecordPair, mask: np.ndarray) -> RecordPair:
-        target = dict(pair.entity(self.copy_to))
-        source = pair.entity(self.copy_from)
-        for attribute, bit in zip(pair.schema.attributes, mask):
-            if not bit:
-                target[attribute] = source[attribute]
-        return pair.with_side(self.copy_to, target)
 
     def explain(self, pair: RecordPair) -> PairExplanation:
         attributes = pair.schema.attributes
 
         def predict_masks(masks: np.ndarray) -> np.ndarray:
             batch = mojito_copy_batch(pair, self.copy_from, np.asarray(masks))
-            return _predict_batch(self.engine, self.matcher, batch)
+            return self.engine.predict_columnar(batch)
 
         rng = _pair_rng(self.seed, self.method, pair.pair_id)
         explanation = self.explainer.explain(attributes, predict_masks, rng=rng)

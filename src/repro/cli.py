@@ -102,12 +102,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="disable the prediction cache (results are identical either way)",
     )
-    parser.add_argument(
-        "--no-vectorize", action="store_true",
-        help="disable columnar mask application and batch-matrix matcher "
-             "calls, falling back to per-pair rebuilds (results are "
-             "bit-identical either way)",
-    )
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -668,7 +662,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         EngineConfig(
             cache=not args.no_cache,
             n_jobs=args.n_jobs,
-            vectorize=not args.no_vectorize,
         ),
         metrics=registry,
     )
@@ -718,7 +711,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             get_preset(args.preset),
             engine_n_jobs=args.n_jobs,
             engine_cache=not args.no_cache,
-            engine_vectorize=not args.no_vectorize,
             guard_max_retries=args.max_retries,
             guard_call_timeout=args.call_timeout,
         )
@@ -869,7 +861,6 @@ def _build_service(args: argparse.Namespace, dataset):
     engine_config = EngineConfig(
         cache=not args.no_cache,
         n_jobs=args.n_jobs,
-        vectorize=not args.no_vectorize,
         max_retries=args.max_retries,
         call_timeout=args.call_timeout,
     )
@@ -1230,7 +1221,6 @@ def _cmd_bulk(args: argparse.Namespace) -> int:
         engine_config=EngineConfig(
             cache=not args.no_cache,
             n_jobs=args.n_jobs,
-            vectorize=not args.no_vectorize,
             max_retries=args.max_retries,
             call_timeout=args.call_timeout,
         ),

@@ -51,7 +51,6 @@ class ExperimentConfig:
     engine_cache: bool = True
     engine_batch_size: int = 512
     engine_n_jobs: int = 1
-    engine_vectorize: bool = True
     #: Matcher-guard knobs (see :mod:`repro.core.guard`).  With the
     #: defaults the guard is a pass-through; retries/timeouts never change
     #: successful results, only whether transient faults kill the run.
@@ -109,7 +108,6 @@ class ExperimentConfig:
             cache=self.engine_cache,
             batch_size=self.engine_batch_size,
             n_jobs=self.engine_n_jobs,
-            vectorize=self.engine_vectorize,
             max_retries=self.guard_max_retries,
             call_timeout=self.guard_call_timeout,
             trip_after=self.guard_trip_after,

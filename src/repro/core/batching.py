@@ -6,7 +6,7 @@ batch.  :class:`CrossRequestBatcher` sits between the prediction engine's
 miss sets and its matcher execution: submissions from different threads
 are buffered for up to a small time window (or until a row budget fills)
 and flushed as **one merged matcher batch**, amortizing per-call overhead
-and letting vectorized matchers run at full width.
+and letting columnar matchers run at full width.
 
 Scheduling semantics (leader/follower):
 
@@ -59,16 +59,15 @@ class _Slot:
 class CrossRequestBatcher:
     """Coalesces concurrent matcher submissions into merged batches.
 
-    *execute_pairs* / *execute_columnar* run one merged batch through the
-    engine's chunked + guarded execution path.  *observe_wait* and
+    *execute* runs one merged batch — a pair list or a columnar batch —
+    through the engine's chunked + guarded execution path.  *observe_wait* and
     *count_merge* are optional metric hooks: seconds a slot spent
     buffered, and flushes that merged more than one submission.
     """
 
     def __init__(
         self,
-        execute_pairs: Callable[[list], np.ndarray],
-        execute_columnar: Callable[[ColumnarPairBatch], np.ndarray],
+        execute: Callable[[list | ColumnarPairBatch], np.ndarray],
         window_seconds: float,
         max_rows: int,
         observe_wait: Callable[[float], None] | None = None,
@@ -83,8 +82,7 @@ class CrossRequestBatcher:
             raise ConfigurationError(f"max_rows must be >= 1, got {max_rows}")
         self.window_seconds = window_seconds
         self.max_rows = max_rows
-        self._execute_pairs = execute_pairs
-        self._execute_columnar = execute_columnar
+        self._execute = execute
         self._observe_wait = observe_wait
         self._count_merge = count_merge
         self._clock = clock
@@ -139,11 +137,6 @@ class CrossRequestBatcher:
             self._pending_rows = 0
         self._flush(bucket)
 
-    def _execute(self, payload) -> np.ndarray:
-        if isinstance(payload, ColumnarPairBatch):
-            return self._execute_columnar(payload)
-        return self._execute_pairs(payload)
-
     def _flush(self, bucket: list[_Slot]) -> None:
         """Execute the merged bucket and scatter results to every slot."""
         now = self._clock()
@@ -163,12 +156,12 @@ class CrossRequestBatcher:
                 merged: list = []
                 for s in pair_slots:
                     merged.extend(s.payload)
-                self._scatter(pair_slots, self._execute_pairs(merged))
+                self._scatter(pair_slots, self._execute(merged))
             if col_slots:
                 merged_batch = ColumnarPairBatch.concat(
                     [s.payload for s in col_slots]
                 )
-                self._scatter(col_slots, self._execute_columnar(merged_batch))
+                self._scatter(col_slots, self._execute(merged_batch))
         except BaseException as error:  # noqa: BLE001 - relayed to waiters
             # A merged failure (guard trip, leader deadline, matcher
             # fault) fails every submission still waiting on this flush.

@@ -7,7 +7,7 @@ matcher saw it.  A :class:`ColumnarPairBatch` replaces that loop with a
 columnar representation: for every *(side, attribute)* cell it stores the
 small list of **candidate values** the perturbation can produce plus one
 integer index per mask row.  Applying a mask matrix then costs one
-vectorized unique per attribute instead of ``n_samples`` object rebuilds,
+numpy unique per attribute instead of ``n_samples`` object rebuilds,
 and feature extraction downstream runs once per *distinct* (left, right)
 value combination and gathers.
 
@@ -111,9 +111,9 @@ class ColumnarPairBatch:
     def value_rows(self, side: str) -> list[tuple[str, ...]]:
         """Per-row value tuples of one side, in schema attribute order.
 
-        These are exactly the tuples
-        :meth:`repro.core.reconstruction.PairReconstructor.varying_values`
-        would produce row by row, so they slot straight into the engine's
+        These are exactly the value tuples of the pairs
+        :meth:`repro.core.reconstruction.PairReconstructor.rebuild` would
+        produce row by row, so they slot straight into the engine's
         content fingerprints.
         """
         cols = self.side_columns(side)

@@ -42,6 +42,7 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -58,7 +59,6 @@ from repro.exceptions import ConfigurationError, ExplanationError
 from repro.matchers.base import EntityMatcher
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace
-from repro.text.tokenize import Tokenizer
 
 #: Raw counter field names (everything in :class:`EngineStats` that can be
 #: summed across engines / worker processes).
@@ -195,21 +195,14 @@ class EngineConfig:
     persists across landmark sides, methods and evaluation stages;
     ``batch_size`` chunks matcher calls and ``n_jobs > 1`` runs the chunks
     on a thread pool (expensive matchers release the GIL in their numpy
-    kernels; anything that goes wrong falls back to serial execution).
+    kernels).  A chunk that fails on the pool fails the call exactly as it
+    would serially; retries are the guard's job, never the pool's.
 
     The ``max_retries`` / ``call_timeout`` / ``trip_after`` / ``cooldown``
     / ``backoff`` / ``guard_seed`` fields configure the
     :class:`~repro.core.guard.MatcherGuard` every matcher chunk goes
     through; with the defaults (no retries, no timeout) the guard is a
     plain pass-through and runs are bit-identical to unguarded ones.
-
-    ``vectorize`` (default on) applies perturbation masks as columnar
-    batches — one vectorized rebuild per instance instead of a Python
-    loop per mask row — and, for matchers with ``supports_columnar``,
-    scores cache-miss sets through ``predict_proba_columnar``.  Results
-    are bit-identical either way (the columnar path re-encodes the same
-    strings and the same float64 features); the flag exists for A/B
-    benchmarking and as an escape hatch.
     """
 
     dedup: bool = True
@@ -217,7 +210,6 @@ class EngineConfig:
     cache_size: int = 100_000
     batch_size: int = 512
     n_jobs: int = 1
-    vectorize: bool = True
     max_retries: int = 0
     call_timeout: float | None = None
     trip_after: int = 5
@@ -453,20 +445,14 @@ class PredictionEngine:
         self,
         matcher,
         config: EngineConfig | None = None,
-        tokenizer: Tokenizer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        # Imported here: reconstruction builds engines by default, so a
-        # module-level import would be circular.
-        from repro.core.reconstruction import PairReconstructor
-
         backend = as_backend(matcher)
         self.backend = backend
         # Matcher-typed view: the real matcher in-process (identical to
         # the pre-backend engine), a non-trainable proxy for remote.
         self.matcher = backend.as_matcher()
         self.config = config or EngineConfig()
-        self.reconstructor = PairReconstructor(tokenizer=tokenizer)
         # *metrics* is the registry this engine's instruments live in —
         # pass the service's (or runner's) registry to surface engine
         # accounting on its /metrics endpoint and metrics.json.
@@ -512,8 +498,7 @@ class PredictionEngine:
         """
         instruments = self._instruments
         self._batcher = CrossRequestBatcher(
-            execute_pairs=self._execute_pairs,
-            execute_columnar=self._execute_columnar,
+            execute=self._execute,
             window_seconds=window_seconds,
             max_rows=max_rows,
             observe_wait=instruments.batch_wait_seconds.observe,
@@ -545,12 +530,11 @@ class PredictionEngine:
             return np.empty(0, dtype=np.float64)
         if not self.config.dedup and not self.config.cache:
             self._instruments.calls_issued.inc(len(pairs))
-            return self._predict_batches(pairs)
+            return self._predict(pairs)
         entries = self._group(pair_fingerprint(pair) for pair in pairs)
 
         def predict_misses(miss_keys, miss_slots):
-            miss_pairs = [pairs[slots[0]] for slots in miss_slots]
-            return self._predict_batches(miss_pairs)
+            return self._predict([pairs[slots[0]] for slots in miss_slots])
 
         return self._resolve(entries, len(pairs), predict_misses)
 
@@ -559,74 +543,24 @@ class PredictionEngine:
     ) -> np.ndarray:
         """Probabilities for every perturbation mask of one instance.
 
-        Mask rows are grouped by the *rebuilt varying entity* they produce
-        — this catches identical rows and rows that differ only on tokens
-        whose removal does not change the rebuilt value (duplicate words,
-        already-covered injections).  Pairs are only materialized for
-        groups that miss the cache.
-
-        With ``config.vectorize`` (the default) the mask matrix is applied
-        as one columnar rebuild (:func:`~repro.core.columnar.
-        landmark_batch`) instead of a Python loop per row, and miss sets
-        reach vectorizing matchers through ``predict_proba_columnar``;
-        keys, accounting and probabilities are bit-identical either way.
+        The mask matrix is applied as one columnar rebuild
+        (:func:`~repro.core.columnar.landmark_batch`); its rows are then
+        deduplicated by the content of the rebuilt pair — identical rows,
+        and rows that differ only on tokens whose removal does not change
+        the rebuilt value (duplicate words, already-covered injections),
+        cost one prediction — and miss sets reach the matcher as columnar
+        batches (see :meth:`predict_columnar`).
         """
         masks = np.asarray(masks)
         n_masks = masks.shape[0]
         self._instruments.requested.inc(n_masks)
         if n_masks == 0:
             return np.empty(0, dtype=np.float64)
-        if self.config.vectorize:
-            started = time.perf_counter()
-            with trace.span("reconstruction", n_masks=n_masks):
-                batch = landmark_batch(instance, masks)
-            self._instruments.rebuild_seconds.observe(
-                time.perf_counter() - started
-            )
-            return self._answer_columnar(batch, n_masks)
-        if not self.config.dedup and not self.config.cache:
-            started = time.perf_counter()
-            with trace.span("reconstruction", n_masks=n_masks):
-                rebuilt = self.reconstructor.rebuild_many(instance, masks)
-            self.metrics.bulk(
-                (
-                    (self._instruments.rebuild_seconds,
-                     time.perf_counter() - started),
-                    (self._instruments.calls_issued, n_masks),
-                )
-            )
-            return self._predict_batches(rebuilt)
-
         started = time.perf_counter()
-        rebuild_span = trace.span("reconstruction", n_masks=n_masks)
-        attributes = instance.pair.schema.attributes
-        landmark_values = tuple(
-            instance.landmark_entity[attribute] for attribute in attributes
-        )
-        varying_side = instance.varying_side
-        keys: list[PairKey] = []
-        values_of: dict[PairKey, tuple[str, ...]] = {}
-        with rebuild_span:
-            for row in masks:
-                values = self.reconstructor.varying_values(instance, row)
-                if varying_side == "left":
-                    key = (attributes, values, landmark_values)
-                else:
-                    key = (attributes, landmark_values, values)
-                keys.append(key)
-                values_of[key] = values
+        with trace.span("reconstruction", n_masks=n_masks):
+            batch = landmark_batch(instance, masks)
         self._instruments.rebuild_seconds.observe(time.perf_counter() - started)
-
-        def predict_misses(miss_keys, miss_slots):
-            miss_pairs = [
-                instance.pair.with_side(
-                    varying_side, dict(zip(attributes, values_of[key]))
-                )
-                for key in miss_keys
-            ]
-            return self._predict_batches(miss_pairs)
-
-        return self._resolve(self._group(keys), n_masks, predict_misses)
+        return self._answer_columnar(batch, n_masks)
 
     def predict_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
         """Probabilities for a columnar perturbation batch.
@@ -681,32 +615,20 @@ class PredictionEngine:
     def _answer_columnar(
         self, batch: ColumnarPairBatch, n_requests: int
     ) -> np.ndarray:
-        """Dedup/cache resolution of a columnar batch (requested counted).
-
-        With ``vectorize`` off (a directly handed-in batch on a
-        non-vectorizing engine), miss rows are materialized as pairs and
-        follow the per-pair path — accounting and results are identical.
-        """
-        config = self.config
-        if not config.dedup and not config.cache:
+        """Dedup/cache resolution of a columnar batch (requested counted)."""
+        if not self.config.dedup and not self.config.cache:
             self._instruments.calls_issued.inc(n_requests)
-            if config.vectorize:
-                return self._predict_columnar(batch)
-            return self._predict_batches(batch.pairs())
+            return self._predict(batch)
         attributes = batch.schema.attributes
-        left_rows = batch.value_rows("left")
-        right_rows = batch.value_rows("right")
         keys: list[PairKey] = [
             (attributes, left, right)
-            for left, right in zip(left_rows, right_rows)
+            for left, right in zip(
+                batch.value_rows("left"), batch.value_rows("right")
+            )
         ]
 
         def predict_misses(miss_keys, miss_slots):
-            rows = [slots[0] for slots in miss_slots]
-            sub = batch.take(rows)
-            if config.vectorize:
-                return self._predict_columnar(sub)
-            return self._predict_batches(sub.pairs())
+            return self._predict(batch.take([slots[0] for slots in miss_slots]))
 
         return self._resolve(self._group(keys), n_requests, predict_misses)
 
@@ -764,132 +686,74 @@ class PredictionEngine:
                 instruments.cache_entries.set(size)
         return out
 
-    def _predict_batches(self, pairs: list[RecordPair]) -> np.ndarray:
-        """Matcher execution for a pair list, via the batcher when attached."""
+    def _predict(self, payload: list[RecordPair] | ColumnarPairBatch) -> np.ndarray:
+        """Matcher execution for a miss set, via the batcher when attached."""
         if self._batcher is not None:
-            return self._batcher.submit(list(pairs))
-        return self._execute_pairs(pairs)
+            return self._batcher.submit(payload)
+        return self._execute(payload)
 
-    def _predict_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
-        """Matcher execution for a columnar batch, via the batcher when
-        attached."""
-        if self._batcher is not None:
-            return self._batcher.submit(batch)
-        return self._execute_columnar(batch)
+    def _execute(self, payload: list[RecordPair] | ColumnarPairBatch) -> np.ndarray:
+        """Chunked, guarded (optionally thread-parallel) matcher execution.
 
-    def _execute_pairs(self, pairs: list[RecordPair]) -> np.ndarray:
-        """Chunked (optionally thread-parallel) matcher execution.
+        *payload* is a pair list or a columnar batch; the two differ only
+        in how a chunk is cut and which backend call scores it.
 
         Polls the ambient request scope (:func:`repro.core.deadline.
         checkpoint`) between chunks: a request whose deadline passed or
         whose waiters cancelled aborts at the next chunk boundary instead
         of paying for the rest of the batch.  The poll is a no-op outside
-        a serving scope and never changes results.
+        a serving scope and never changes results.  With ``n_jobs > 1`` a
+        failing chunk propagates from the pool exactly as it would from
+        the serial loop.
         """
-        config = self.config
-        chunk_size = self._chunk_size
-        started = time.perf_counter()
-        checkpoint("prediction")
-        chunks = [
-            pairs[offset : offset + chunk_size]
-            for offset in range(0, len(pairs), chunk_size)
-        ]
-        instruments = self._instruments
-        instruments.batches.inc(len(chunks))
-        for chunk in chunks:
-            instruments.batch_width.observe(len(chunk))
-        with trace.span("prediction", n_pairs=len(pairs), n_batches=len(chunks)):
-            results: list[np.ndarray] | None = None
-            if config.n_jobs > 1 and len(chunks) > 1:
-                try:
-                    from concurrent.futures import ThreadPoolExecutor
+        if isinstance(payload, ColumnarPairBatch) and not self._supports_columnar:
+            # The one per-pair fallback: test doubles, wrappers and the
+            # token-level matchers only implement predict_proba.
+            payload = payload.pairs()
+        if isinstance(payload, ColumnarPairBatch):
+            n_rows, cut = payload.n_rows, payload.slice_rows
+            score = self.backend.predict_proba_columnar
+        else:
+            n_rows, score = len(payload), self.backend.predict_proba
 
-                    workers = min(config.n_jobs, len(chunks))
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(self.guard.call, chunks))
-                except Exception:
-                    if self.guard.config.active:
-                        # With an active guard a parallel failure is a real
-                        # matcher fault (retries exhausted / circuit open),
-                        # not a pool problem — re-raising it serially would
-                        # just hammer the matcher again.
-                        raise
-                    results = None  # pragma: no cover - defensive serial fallback
-            if results is None:
-                results = []
-                for index, chunk in enumerate(chunks):
-                    if index:
-                        checkpoint("prediction")
-                    results.append(self.guard.call(chunk))
-        for chunk, result in zip(chunks, results):
-            if np.shape(result) != (len(chunk),):
-                raise ExplanationError(
-                    f"matcher returned probabilities of shape "
-                    f"{np.shape(result)} for {len(chunk)} pairs; expected "
-                    f"({len(chunk)},)"
-                )
-        instruments.predict_seconds.observe(time.perf_counter() - started)
-        if len(results) == 1:
-            return np.asarray(results[0], dtype=np.float64)
-        return np.concatenate(
-            [np.asarray(result, dtype=np.float64) for result in results]
-        )
+            def cut(start: int, stop: int) -> list[RecordPair]:
+                return payload[start:stop]
 
-    def _execute_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
-        """Chunked columnar matcher execution (same policies as pairs).
-
-        Falls back to the per-pair path for matchers without columnar
-        support — test doubles, wrappers and the token-level matchers keep
-        their exact pre-vectorization call patterns.
-        """
-        if not self._supports_columnar:
-            return self._execute_pairs(batch.pairs())
-        if batch.n_rows == 0:
+        if n_rows == 0:
             return np.empty(0, dtype=np.float64)
-        config = self.config
         chunk_size = self._chunk_size
         started = time.perf_counter()
         checkpoint("prediction")
-        chunks = [
-            batch.slice_rows(offset, offset + chunk_size)
-            for offset in range(0, batch.n_rows, chunk_size)
+        bounds = [
+            (start, min(start + chunk_size, n_rows))
+            for start in range(0, n_rows, chunk_size)
         ]
         instruments = self._instruments
-        instruments.batches.inc(len(chunks))
-        for chunk in chunks:
-            instruments.batch_width.observe(chunk.n_rows)
-        predict_fn = self.backend.predict_proba_columnar
+        instruments.batches.inc(len(bounds))
+        for start, stop in bounds:
+            instruments.batch_width.observe(stop - start)
 
-        def call(chunk: ColumnarPairBatch) -> np.ndarray:
-            return self.guard.call_with(predict_fn, chunk, chunk.n_rows)
+        def call(bound: tuple[int, int]) -> np.ndarray:
+            start, stop = bound
+            return self.guard.call_with(score, cut(start, stop), stop - start)
 
-        with trace.span(
-            "prediction", n_pairs=batch.n_rows, n_batches=len(chunks)
-        ):
-            results: list[np.ndarray] | None = None
-            if config.n_jobs > 1 and len(chunks) > 1:
-                try:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    workers = min(config.n_jobs, len(chunks))
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(call, chunks))
-                except Exception:
-                    if self.guard.config.active:
-                        raise
-                    results = None  # pragma: no cover - defensive serial fallback
-            if results is None:
+        with trace.span("prediction", n_pairs=n_rows, n_batches=len(bounds)):
+            if self.config.n_jobs > 1 and len(bounds) > 1:
+                workers = min(self.config.n_jobs, len(bounds))
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    results = list(pool.map(call, bounds))
+            else:
                 results = []
-                for index, chunk in enumerate(chunks):
+                for index, bound in enumerate(bounds):
                     if index:
                         checkpoint("prediction")
-                    results.append(call(chunk))
-        for chunk, result in zip(chunks, results):
-            if np.shape(result) != (chunk.n_rows,):
+                    results.append(call(bound))
+        for (start, stop), result in zip(bounds, results):
+            if np.shape(result) != (stop - start,):
                 raise ExplanationError(
                     f"matcher returned probabilities of shape "
-                    f"{np.shape(result)} for {chunk.n_rows} rows; expected "
-                    f"({chunk.n_rows},)"
+                    f"{np.shape(result)} for {stop - start} rows; expected "
+                    f"({stop - start},)"
                 )
         instruments.predict_seconds.observe(time.perf_counter() - started)
         if len(results) == 1:

@@ -25,7 +25,7 @@ from repro.core.generation import (
     GENERATION_SINGLE,
     LandmarkGenerator,
 )
-from repro.core.reconstruction import DatasetReconstructor, PairReconstructor
+from repro.core.reconstruction import DatasetReconstructor
 from repro.data.records import RecordPair
 from repro.exceptions import ConfigurationError, ExplanationError
 from repro.explainers.lime_text import LimeConfig, LimeTextExplainer
@@ -58,13 +58,15 @@ class LandmarkExplainer:
         when omitted, a LIME explainer configured by *lime_config* is used
         — the paper's coupling.
 
-        *engine* is the batched prediction engine the pipeline sends its
-        model calls through.  When omitted a default engine (dedup + LRU
-        cache, serial execution) is created; pass an explicit
-        :class:`~repro.core.engine.PredictionEngine` to share one cache
-        across explainers, or one configured with
-        :data:`~repro.core.engine.ENGINE_OFF` to predict every mask
-        directly.  Engine settings never change the produced weights.
+        *engine* is the batched prediction engine every model call goes
+        through: mask matrices are applied as columnar batches and scored
+        by the engine's one chunked, guarded executor.  When omitted a
+        default engine (dedup + LRU cache, serial execution) is created;
+        pass an explicit :class:`~repro.core.engine.PredictionEngine` to
+        share one cache across explainers, or one configured with
+        :data:`~repro.core.engine.ENGINE_OFF` to send every mask row to
+        the matcher uncached.  Engine settings never change the produced
+        weights.
         """
         if not 0.0 < threshold < 1.0:
             raise ConfigurationError(f"threshold must be in (0, 1), got {threshold}")
@@ -78,12 +80,9 @@ class LandmarkExplainer:
         self.generator = LandmarkGenerator(
             tokenizer=self.tokenizer, injection_fraction=injection_fraction
         )
-        self.reconstructor = PairReconstructor(tokenizer=self.tokenizer)
-        self.engine = engine if engine is not None else PredictionEngine(
-            matcher, tokenizer=self.tokenizer
-        )
+        self.engine = engine if engine is not None else PredictionEngine(matcher)
         self.dataset_reconstructor = DatasetReconstructor(
-            matcher, self.reconstructor, engine=self.engine
+            matcher, engine=self.engine
         )
         self.explainer = explainer if explainer is not None else LimeTextExplainer(
             lime_config

@@ -7,18 +7,19 @@ and re-joined with the untouched landmark entity.
 
 *Dataset reconstruction* labels every rebuilt pair with the black-box EM
 model, producing the (mask, probability) training set of the surrogate.
+It always runs through the prediction engine, whose columnar path
+(:func:`~repro.core.columnar.landmark_batch`) applies a whole mask matrix
+at once; :meth:`PairReconstructor.rebuild` is the per-mask definition
+that path reproduces.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.engine import PredictionEngine
-
+from repro.core.engine import ENGINE_OFF, PredictionEngine
 from repro.core.generation import GeneratedInstance
 from repro.data.records import RecordPair
 from repro.matchers.base import EntityMatcher
@@ -39,80 +40,47 @@ class PairReconstructor:
         Mask bit *i* keeps token *i* of the varying entity; the landmark
         entity is copied through unchanged.  Attributes whose tokens were
         all dropped become empty strings (the schema is always complete).
-
-        Delegates to :meth:`varying_values` so the pair-building and
-        fingerprinting paths can never silently diverge.
-        """
-        values = self.varying_values(instance, mask)
-        varying_entity = dict(zip(instance.pair.schema.attributes, values))
-        return instance.pair.with_side(instance.varying_side, varying_entity)
-
-    def varying_values(
-        self, instance: GeneratedInstance, mask: Sequence[int] | np.ndarray
-    ) -> tuple[str, ...]:
-        """The rebuilt varying entity's values, in schema attribute order.
-
-        This is :meth:`rebuild` without materializing a
-        :class:`~repro.data.records.RecordPair` — the prediction engine
-        fingerprints masks with it and only builds pairs on cache misses.
         """
         if len(mask) != len(instance.tokens):
             raise ValueError(
                 f"mask length {len(mask)} != token count {len(instance.tokens)}"
             )
-        kept = [
-            token
-            for token, bit in zip(instance.tokens, mask)
-            if bit
-        ]
+        kept = [token for token, bit in zip(instance.tokens, mask) if bit]
         entity = instance.pair.schema.conform(self.tokenizer.detokenize(kept))
-        return tuple(
-            entity[attribute] for attribute in instance.pair.schema.attributes
-        )
-
-    def rebuild_many(
-        self, instance: GeneratedInstance, masks: np.ndarray
-    ) -> list[RecordPair]:
-        """Rebuild one pair per mask row."""
-        return [self.rebuild(instance, row) for row in masks]
+        return instance.pair.with_side(instance.varying_side, entity)
 
 
 class DatasetReconstructor:
-    """Adapts (matcher, reconstructor) into the explainer's mask-predict fn.
+    """Adapts a matcher into the explainer's mask-predict fn.
 
-    When an *engine* (:class:`~repro.core.engine.PredictionEngine`) is
-    attached, mask batches route through its dedup + cache + batching layer;
-    otherwise every mask is rebuilt and predicted directly.  Both paths
-    return bit-identical probabilities.
+    Mask batches always route through a
+    :class:`~repro.core.engine.PredictionEngine` — its dedup + cache +
+    batching layer when one is given, a transparent
+    :data:`~repro.core.engine.ENGINE_OFF` engine (every mask row sent to
+    the matcher, nothing cached) otherwise.  Engine settings never change the
+    returned probabilities.
     """
 
     def __init__(
         self,
         matcher: EntityMatcher,
-        reconstructor: PairReconstructor | None = None,
-        engine: "PredictionEngine | None" = None,
+        engine: PredictionEngine | None = None,
     ) -> None:
         self.matcher = matcher
-        self.reconstructor = reconstructor or PairReconstructor()
-        self.engine = engine
+        self.engine = (
+            engine if engine is not None else PredictionEngine(matcher, ENGINE_OFF)
+        )
 
     @property
     def stats(self):
-        """Engine counters, or ``None`` on the direct path."""
-        return self.engine.stats if self.engine is not None else None
+        """Counters of the engine the masks are predicted through."""
+        return self.engine.stats
 
     def predict_masks_fn(self, instance: GeneratedInstance):
         """A ``masks → probabilities`` closure for one generated instance."""
-        if self.engine is not None:
-            engine = self.engine
-
-            def predict_masks(masks: np.ndarray) -> np.ndarray:
-                return engine.predict_instance(instance, masks)
-
-            return predict_masks
+        engine = self.engine
 
         def predict_masks(masks: np.ndarray) -> np.ndarray:
-            pairs = self.reconstructor.rebuild_many(instance, masks)
-            return self.matcher.predict_proba(pairs)
+            return engine.predict_instance(instance, masks)
 
         return predict_masks

@@ -99,9 +99,7 @@ def result_from_dict(payload: dict) -> BenchmarkResult:
             f"unsupported result format version {version!r}; "
             f"expected {FORMAT_VERSION}"
         )
-    config_payload = dict(payload["config"])
-    config_payload["methods"] = tuple(config_payload["methods"])
-    config = ExperimentConfig(**config_payload)
+    config = _config_from_payload(payload["config"])
     result = BenchmarkResult(config=config)
     for code, dataset_payload in payload["datasets"].items():
         quality_payload = dataset_payload.get("matcher_quality")
@@ -174,6 +172,9 @@ def _config_payload(config: ExperimentConfig) -> dict:
 def _config_from_payload(payload: dict) -> ExperimentConfig:
     payload = dict(payload)
     payload["methods"] = tuple(payload["methods"])
+    # Retired engine knob: results and checkpoints written while the
+    # per-row prediction path existed still carry it.
+    payload.pop("engine_vectorize", None)
     return ExperimentConfig(**payload)
 
 

@@ -46,7 +46,7 @@ def _missing_rows(
 ) -> list[np.ndarray]:
     """*count* not-yet-seen masks (≥ 1 removal), in rng-shuffled order.
 
-    The candidate block is built with one vectorized bit-unpack over the
+    The candidate block is built with one numpy bit-unpack over the
     unseen patterns instead of ``2^d`` per-bit Python generators; candidate
     order (ascending pattern) and rng consumption (one full-length
     permutation) are unchanged, so sampled masks are bit-identical to the

@@ -10,7 +10,7 @@ relies on:
   can always be reassembled into well-formed entities.
 * :mod:`repro.text.similarity` — from-scratch string similarity measures
   (Levenshtein, Jaro, Jaro-Winkler, Jaccard, overlap, Monge-Elkan, ...).
-* :mod:`repro.text.batch_similarity` — numpy-vectorized batch kernels for
+* :mod:`repro.text.batch_similarity` — numpy batch kernels for
   the quadratic character measures, bit-identical to the scalar ones.
 * :mod:`repro.text.vectorize` — a small TF-IDF vectorizer with cosine
   similarity, used by the feature extractor and by hard-negative mining in

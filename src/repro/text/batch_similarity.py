@@ -51,7 +51,7 @@ def levenshtein_distance_batch(
 ) -> np.ndarray:
     """Edit distance per pair, shape ``(len(a_values),)`` of int64.
 
-    Row-vectorized form of the classic two-row DP.  The insertion
+    Array form (all rows at once) of the classic two-row DP.  The insertion
     dependency (``current[j-1] + 1``) is a min-plus prefix scan, computed
     with the ``cummin(base - j) + j`` identity so each outer iteration is
     a handful of numpy calls over the whole batch.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.mojito import MojitoCopyExplainer, MojitoDropExplainer
+from repro.core.columnar import mojito_copy_batch
 from repro.exceptions import ConfigurationError, ExplanationError
 from repro.explainers.lime_text import LimeConfig
 
@@ -93,9 +94,10 @@ class TestMojitoCopy:
         explainer = MojitoCopyExplainer(
             beer_matcher, lime_config, copy_from="left", seed=0
         )
-        rebuilt = explainer._rebuild(
-            non_match_pair, np.zeros(len(non_match_pair.schema), dtype=np.int8)
-        )
+        masks = np.zeros((1, len(non_match_pair.schema)), dtype=np.int8)
+        (rebuilt,) = mojito_copy_batch(
+            non_match_pair, explainer.copy_from, masks
+        ).pairs()
         assert dict(rebuilt.right) == dict(non_match_pair.left)
         assert dict(rebuilt.left) == dict(non_match_pair.left)
 
@@ -104,10 +106,12 @@ class TestMojitoCopy:
             beer_matcher, lime_config, copy_from="right", seed=0
         )
         assert explainer.copy_to == "left"
-        rebuilt = explainer._rebuild(
-            non_match_pair, np.zeros(len(non_match_pair.schema), dtype=np.int8)
-        )
+        masks = np.zeros((1, len(non_match_pair.schema)), dtype=np.int8)
+        (rebuilt,) = mojito_copy_batch(
+            non_match_pair, explainer.copy_from, masks
+        ).pairs()
         assert dict(rebuilt.left) == dict(non_match_pair.right)
+        assert dict(rebuilt.right) == dict(non_match_pair.right)
 
     def test_invalid_direction(self, beer_matcher, lime_config):
         with pytest.raises(ConfigurationError):

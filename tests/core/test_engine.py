@@ -26,6 +26,7 @@ from repro.core.landmark import LandmarkExplainer
 from repro.data.records import RecordPair
 from repro.exceptions import ConfigurationError
 from repro.explainers.lime_text import LimeConfig
+from repro.testing.faults import FlakyMatcher, MatcherFault
 
 
 class CountingMatcher:
@@ -139,6 +140,23 @@ class TestPredictPairs:
             EngineConfig(dedup=False, cache=False, batch_size=8, n_jobs=4),
         ).predict_pairs(pairs)
         assert np.array_equal(serial, threaded)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_chunk_failure_propagates_without_hidden_retry(
+        self, beer_matcher, beer_dataset, n_jobs
+    ):
+        # Retries belong to the matcher guard (inactive here): a failing
+        # chunk fails the call on the thread pool exactly as it does
+        # serially, and no chunk is ever scored a second time.
+        flaky = FlakyMatcher(beer_matcher, fail_rate=0.0, fail_first=1)
+        engine = PredictionEngine(
+            flaky,
+            EngineConfig(batch_size=8, n_jobs=n_jobs, dedup=False, cache=False),
+        )
+        with pytest.raises(MatcherFault):
+            engine.predict_pairs(list(beer_dataset)[:32])
+        assert flaky.calls <= 4
+        assert engine.stats.guard_retries == 0
 
     def test_lru_eviction_bounds_cache(self, beer_matcher, beer_dataset):
         engine = PredictionEngine(beer_matcher, EngineConfig(cache_size=5))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import ENGINE_OFF
 from repro.core.generation import (
     GENERATION_DOUBLE,
     GENERATION_SINGLE,
@@ -70,14 +71,6 @@ class TestPairReconstructor:
         with pytest.raises(ValueError):
             reconstructor.rebuild(instance, [1, 0])
 
-    def test_rebuild_many(self, generator, reconstructor, toy_pair):
-        instance = generator.generate(toy_pair, "left", GENERATION_SINGLE)
-        masks = np.ones((4, len(instance.tokens)), dtype=np.int8)
-        masks[1:, 0] = 0
-        rebuilt = reconstructor.rebuild_many(instance, masks)
-        assert len(rebuilt) == 4
-        assert dict(rebuilt[0].right) == dict(toy_pair.right)
-
     def test_label_and_id_preserved(self, generator, reconstructor, toy_pair):
         instance = generator.generate(toy_pair, "left", GENERATION_SINGLE)
         rebuilt = reconstructor.rebuild(instance, [0] * len(instance.tokens))
@@ -99,3 +92,8 @@ class TestDatasetReconstructor:
         assert np.all((probabilities >= 0) & (probabilities <= 1))
         # Row 0 is the unperturbed pair.
         assert probabilities[0] == pytest.approx(beer_matcher.predict_one(pair))
+
+    def test_engineless_means_engine_off(self, beer_matcher):
+        reconstructor = DatasetReconstructor(beer_matcher)
+        assert reconstructor.engine.config == ENGINE_OFF
+        assert reconstructor.stats.requested == 0

@@ -1,10 +1,13 @@
-"""Bit-identity of the columnar hot path against the per-pair path.
+"""Bit-identity of the columnar mask path against the per-row reference.
 
-The vectorized perturbation → reconstruction → predict pipeline promises
-*identical* explanation weights — same float64 bits — no matter how the
-work is batched: vectorization on or off, any engine chunk size, one
-request at a time or N coalesced through the service's cross-request
-batch scheduler.  These tests pin that contract.
+Perturbation masks become probabilities along one path: a columnar batch
+(:func:`~repro.core.columnar.landmark_batch` / ``mojito_*_batch``) → the
+prediction engine's dedup and cache → one chunked, guarded executor.
+These tests pin that path to the per-row recipe in
+``tests/core/mask_reference.py`` — the same pairs row for row, the same
+float64 probabilities and explanation weights — and pin the weights
+against engine chunk size, dedup/cache settings, and N requests coalesced
+through the service's cross-request batch scheduler.
 """
 
 from __future__ import annotations
@@ -12,22 +15,62 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import ServiceConfig
-from repro.core.engine import EngineConfig, PredictionEngine
-from repro.core.landmark import LandmarkExplainer
 from repro.baselines.mojito import (
     MojitoAttributeDropExplainer,
     MojitoCopyExplainer,
     MojitoDropExplainer,
+    _pair_rng,
 )
+from repro.config import ServiceConfig
+from repro.core.columnar import (
+    _PACK_LIMIT,
+    landmark_batch,
+    mojito_attr_drop_batch,
+    mojito_copy_batch,
+    mojito_drop_batch,
+)
+from repro.core.engine import ENGINE_OFF, EngineConfig, PredictionEngine
+from repro.core.generation import (
+    GENERATION_DOUBLE,
+    GENERATION_SINGLE,
+    LandmarkGenerator,
+)
+from repro.core.landmark import LandmarkExplainer
+from repro.core.reconstruction import PairReconstructor
 from repro.data.records import NON_MATCH, RecordPair
 from repro.data.schema import PairSchema
 from repro.explainers.lime_text import LimeConfig
 from repro.service.request import ExplainRequest
 from repro.service.service import ExplanationService, duals_from_result
+from tests.core.mask_reference import (
+    landmark_probabilities,
+    mojito_attr_drop_pair,
+    mojito_copy_pair,
+    mojito_drop_pair,
+    pair_content,
+)
+
+ENGINE_CONFIGS = {
+    "default": EngineConfig(),
+    "off": ENGINE_OFF,
+    "chunked": EngineConfig(batch_size=7),
+}
 
 
-def landmark_weights(matcher, pair, engine_config, samples=48):
+class _ReferenceReconstructor:
+    """Stands in for a ``DatasetReconstructor``: per-row reference masks."""
+
+    def __init__(self, matcher) -> None:
+        self.matcher = matcher
+
+    def predict_masks_fn(self, instance):
+        def predict_masks(masks):
+            return landmark_probabilities(self.matcher, instance, masks)
+
+        return predict_masks
+
+
+def landmark_weights(matcher, pair, engine_config=None, samples=48, reference=False):
     engine = PredictionEngine(matcher, engine_config)
     explainer = LandmarkExplainer(
         matcher,
@@ -35,6 +78,8 @@ def landmark_weights(matcher, pair, engine_config, samples=48):
         lime_config=LimeConfig(n_samples=samples, seed=0),
         seed=0,
     )
+    if reference:
+        explainer.dataset_reconstructor = _ReferenceReconstructor(matcher)
     dual = explainer.explain(pair)
     return tuple(
         (entry.key, entry.weight) for entry in dual.combined().entries
@@ -54,29 +99,193 @@ def dual_cells(payload):
     )
 
 
+def seeded_masks(n_features: int, seed: int = 0, n_rows: int = 40) -> np.ndarray:
+    """Random keep-masks plus the rows the batch builders special-case:
+    all ones, all zeros, an exact duplicate, and one near-duplicate per
+    feature (row 2 with that one bit flipped), so rows that differ in a
+    single token of a wide attribute must stay distinct."""
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, 2, size=(n_rows, n_features)).astype(np.int8)
+    masks[0] = 1
+    masks[1] = 0
+    masks[3] = masks[2]
+    near = np.repeat(masks[2:3], n_features, axis=0)
+    near[np.arange(n_features), np.arange(n_features)] ^= 1
+    return np.concatenate([masks, near])
+
+
+def beer_pair(matcher, left: dict, right: dict) -> RecordPair:
+    schema = PairSchema(matcher.extractor.schema.attributes)
+    return RecordPair(schema=schema, left=left, right=right, label=NON_MATCH)
+
+
+@pytest.fixture()
+def duplicate_words_pair(beer_matcher):
+    return beer_pair(
+        beer_matcher,
+        {"beer_name": "pale ale pale ale", "brew_factory_name": "ale ale",
+         "style": "ale", "abv": "5.0"},
+        {"beer_name": "ale pale", "brew_factory_name": "pale brewing",
+         "style": "pale ale", "abv": "5.0"},
+    )
+
+
+@pytest.fixture()
+def wide_pair(beer_matcher):
+    # One attribute wider than _PACK_LIMIT tokens (the row-wise unique
+    # branch of the batch builders), with repeated words in it.
+    words = [f"w{i % 50}" for i in range(_PACK_LIMIT + 8)]
+    return beer_pair(
+        beer_matcher,
+        {"beer_name": " ".join(words), "brew_factory_name": "raven brewing",
+         "style": "amber ale", "abv": "11.8"},
+        {"beer_name": "w1 w2 w3", "brew_factory_name": "raven",
+         "style": "ale", "abv": "11.8"},
+    )
+
+
+class TestLandmarkMaskReference:
+    """``landmark_batch`` and ``predict_instance`` against the recipe."""
+
+    def instances(self, pairs):
+        generator = LandmarkGenerator()
+        for pair in pairs:
+            for side in ("left", "right"):
+                for generation in (GENERATION_SINGLE, GENERATION_DOUBLE):
+                    yield generator.generate(pair, side, generation)
+
+    @pytest.fixture()
+    def all_instances(self, non_match_pair, duplicate_words_pair, wide_pair):
+        instances = list(
+            self.instances([non_match_pair, duplicate_words_pair, wide_pair])
+        )
+        assert any(instance.n_injected for instance in instances)
+        assert any(len(instance.tokens) > _PACK_LIMIT for instance in instances)
+        return instances
+
+    def test_batch_rows_equal_rebuilt_pairs(self, all_instances):
+        reconstructor = PairReconstructor()
+        for seed, instance in enumerate(all_instances):
+            masks = seeded_masks(len(instance.tokens), seed)
+            columnar = landmark_batch(instance, masks).pairs()
+            reference = [reconstructor.rebuild(instance, row) for row in masks]
+            assert [pair_content(p) for p in columnar] == [
+                pair_content(p) for p in reference
+            ]
+
+    @pytest.mark.parametrize("config", sorted(ENGINE_CONFIGS))
+    def test_predict_instance_is_byte_equal(
+        self, beer_matcher, all_instances, config
+    ):
+        engine = PredictionEngine(beer_matcher, ENGINE_CONFIGS[config])
+        for seed, instance in enumerate(all_instances):
+            masks = seeded_masks(len(instance.tokens), seed)
+            got = engine.predict_instance(instance, masks)
+            want = landmark_probabilities(beer_matcher, instance, masks)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_predict_columnar_is_byte_equal(self, beer_matcher, all_instances):
+        engine = PredictionEngine(beer_matcher)
+        for seed, instance in enumerate(all_instances):
+            masks = seeded_masks(len(instance.tokens), seed)
+            got = engine.predict_columnar(landmark_batch(instance, masks))
+            want = landmark_probabilities(beer_matcher, instance, masks)
+            assert got.tobytes() == want.tobytes()
+
+
+def _mojito_cases(matcher, pair):
+    """``(name, batch, reference pairs)`` for every Mojito batch builder."""
+    tokens = MojitoDropExplainer(matcher)._pair_tokens(pair)
+    masks = seeded_masks(len(tokens), seed=1)
+    yield (
+        "drop",
+        mojito_drop_batch(pair, tokens, masks),
+        [mojito_drop_pair(pair, tokens, row) for row in masks],
+    )
+    cells = MojitoAttributeDropExplainer(matcher)._cells(pair)
+    masks = seeded_masks(len(cells), seed=2)
+    yield (
+        "attr_drop",
+        mojito_attr_drop_batch(pair, cells, masks),
+        [mojito_attr_drop_pair(pair, cells, row) for row in masks],
+    )
+    masks = seeded_masks(len(pair.schema), seed=3)
+    for copy_from in ("left", "right"):
+        yield (
+            f"copy_from_{copy_from}",
+            mojito_copy_batch(pair, copy_from, masks),
+            [mojito_copy_pair(pair, copy_from, row) for row in masks],
+        )
+
+
+class TestMojitoMaskReference:
+    """``mojito_*_batch`` and ``predict_columnar`` against the recipes."""
+
+    @pytest.fixture()
+    def pairs(self, non_match_pair, duplicate_words_pair, wide_pair):
+        return [non_match_pair, duplicate_words_pair, wide_pair]
+
+    def test_batch_rows_equal_rebuilt_pairs(self, beer_matcher, pairs):
+        for pair in pairs:
+            for name, batch, reference in _mojito_cases(beer_matcher, pair):
+                assert [pair_content(p) for p in batch.pairs()] == [
+                    pair_content(p) for p in reference
+                ], name
+
+    @pytest.mark.parametrize("config", sorted(ENGINE_CONFIGS))
+    def test_predict_columnar_is_byte_equal(self, beer_matcher, pairs, config):
+        engine = PredictionEngine(beer_matcher, ENGINE_CONFIGS[config])
+        for pair in pairs:
+            for name, batch, reference in _mojito_cases(beer_matcher, pair):
+                got = engine.predict_columnar(batch)
+                want = beer_matcher.predict_proba(reference)
+                assert got.tobytes() == want.tobytes(), name
+
+
+def _mojito_reference_weights(explainer, matcher, pair) -> np.ndarray:
+    """Surrogate weights of *explainer* on *pair*, masks scored per row."""
+    if isinstance(explainer, MojitoDropExplainer):
+        tokens = explainer._pair_tokens(pair)
+        names = tuple(f"{side}.{token.prefixed}" for side, token in tokens)
+
+        def rebuild(row):
+            return mojito_drop_pair(pair, tokens, row)
+    elif isinstance(explainer, MojitoAttributeDropExplainer):
+        cells = explainer._cells(pair)
+        names = tuple(f"{side}.{attribute}" for side, attribute in cells)
+
+        def rebuild(row):
+            return mojito_attr_drop_pair(pair, cells, row)
+    else:
+        names = pair.schema.attributes
+
+        def rebuild(row):
+            return mojito_copy_pair(pair, explainer.copy_from, row)
+
+    def predict_masks(masks):
+        return matcher.predict_proba([rebuild(row) for row in masks])
+
+    rng = _pair_rng(explainer.seed, explainer.method, pair.pair_id)
+    return explainer.explainer.explain(names, predict_masks, rng=rng).weights
+
+
 class TestEngineParity:
     def test_vectorized_weights_equal_per_pair_weights(
         self, beer_matcher, non_match_pair
     ):
-        off = landmark_weights(
-            beer_matcher, non_match_pair, EngineConfig(vectorize=False)
-        )
-        on = landmark_weights(
-            beer_matcher, non_match_pair, EngineConfig(vectorize=True)
-        )
-        assert off == on
+        reference = landmark_weights(beer_matcher, non_match_pair, reference=True)
+        assert landmark_weights(beer_matcher, non_match_pair) == reference
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 4096])
     def test_weights_invariant_to_chunk_size(
         self, beer_matcher, non_match_pair, batch_size
     ):
-        reference = landmark_weights(
-            beer_matcher, non_match_pair, EngineConfig(vectorize=True)
-        )
+        reference = landmark_weights(beer_matcher, non_match_pair)
         chunked = landmark_weights(
             beer_matcher,
             non_match_pair,
-            EngineConfig(vectorize=True, batch_size=batch_size),
+            EngineConfig(batch_size=batch_size),
         )
         assert reference == chunked
 
@@ -84,13 +293,11 @@ class TestEngineParity:
     def test_weights_invariant_to_dedup_and_cache(
         self, beer_matcher, non_match_pair, dedup, cache
     ):
-        reference = landmark_weights(
-            beer_matcher, non_match_pair, EngineConfig(vectorize=True)
-        )
+        reference = landmark_weights(beer_matcher, non_match_pair)
         other = landmark_weights(
             beer_matcher,
             non_match_pair,
-            EngineConfig(vectorize=True, dedup=dedup, cache=cache),
+            EngineConfig(dedup=dedup, cache=cache),
         )
         assert reference == other
 
@@ -99,22 +306,19 @@ class TestEngineParity:
         [MojitoDropExplainer, MojitoAttributeDropExplainer, MojitoCopyExplainer],
     )
     def test_mojito_weights_equal_across_paths(
-        self, beer_matcher, beer_dataset, factory, non_match_pair
+        self, beer_matcher, factory, non_match_pair
     ):
         config = LimeConfig(n_samples=32, seed=0)
-
-        def weights(vectorize):
-            engine = PredictionEngine(
-                beer_matcher, EngineConfig(vectorize=vectorize)
-            )
-            explainer = factory(beer_matcher, config, seed=0, engine=engine)
-            record = explainer.explain(non_match_pair)
-            return tuple(
-                (entry.key, entry.weight)
-                for entry in record.token_weights.entries
-            )
-
-        assert weights(False) == weights(True)
+        engineless = factory(beer_matcher, config, seed=0)
+        shared = factory(
+            beer_matcher, config, seed=0, engine=PredictionEngine(beer_matcher)
+        )
+        reference = _mojito_reference_weights(
+            engineless, beer_matcher, non_match_pair
+        )
+        for explainer in (engineless, shared):
+            weights = explainer.explain(non_match_pair).explanation.weights
+            assert weights.tobytes() == reference.tobytes()
 
     def test_capacity_branch_beyond_62_tokens(self, beer_matcher):
         # n_features > 62 drops sample_masks into the unbounded-capacity
@@ -128,13 +332,10 @@ class TestEngineParity:
         pair = RecordPair(
             schema=schema, left=wide, right=narrow, label=NON_MATCH
         )
-        off = landmark_weights(
-            beer_matcher, pair, EngineConfig(vectorize=False), samples=24
+        reference = landmark_weights(
+            beer_matcher, pair, samples=24, reference=True
         )
-        on = landmark_weights(
-            beer_matcher, pair, EngineConfig(vectorize=True), samples=24
-        )
-        assert off == on
+        assert landmark_weights(beer_matcher, pair, samples=24) == reference
 
 
 class TestServiceParity:

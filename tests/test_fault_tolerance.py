@@ -472,6 +472,45 @@ class TestCheckpointResume:
         assert list(resumed.datasets) == ["S-BR"]
         assert _comparable(resumed) == _comparable(first)
 
+    def test_checkpoint_with_retired_vectorize_key_resumes(self, tmp_path):
+        # Checkpoints written while EngineConfig had a ``vectorize`` knob
+        # carry ``engine_vectorize`` in their config header.
+        run_dir = tmp_path / "run"
+        baseline = ExperimentRunner(TINY).run(["S-BR"])
+        seen = []
+
+        def killer(code, label, method):
+            seen.append((code, label, method))
+            if len(seen) == 2:
+                raise _Killed()
+
+        with pytest.raises(_Killed):
+            ExperimentRunner(TINY, on_cell=killer).run(
+                ["S-BR"], run_dir=str(run_dir)
+            )
+        journal = run_dir / CHECKPOINT_NAME
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["config"]["engine_vectorize"] = False
+        lines[0] = json.dumps(header)
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        state = load_checkpoint(run_dir, expected_config=TINY)
+        assert state.config == TINY
+        assert state.n_cells() == 2
+        resumed = ExperimentRunner(state.config).run(
+            ["S-BR"], run_dir=str(run_dir), resume=True
+        )
+        assert _comparable(resumed) == _comparable(baseline)
+
+    def test_result_with_retired_vectorize_key_loads(self):
+        result = ExperimentRunner(TINY).run(["S-BR"])
+        payload = json.loads(json.dumps(result_to_dict(result)))
+        payload["config"]["engine_vectorize"] = False
+        restored = result_from_dict(payload)
+        assert restored.config == TINY
+        assert _comparable(restored) == _comparable(result)
+
     def test_resume_without_run_dir_raises(self):
         with pytest.raises(CheckpointError, match="run_dir"):
             ExperimentRunner(TINY).run(["S-BR"], resume=True)
