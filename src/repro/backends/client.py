@@ -40,20 +40,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import exceptions
 from repro.backends.base import BackendCapabilities, MatcherBackend, PROTOCOL_VERSION
 from repro.backends.protocol import read_frame, send_frame
 from repro.core.deadline import active_scope, checkpoint
 from repro.core.guard import GuardConfig, GuardStats, MatcherGuard
 from repro.exceptions import (
+    BackendError,
     BackendProtocolError,
     BackendUnavailableError,
     ConfigurationError,
     MatcherTimeoutError,
     MatcherUnavailableError,
     ReproError,
+    error_from_code,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, StatsInstruments
 
 __all__ = ["RemoteBackendConfig", "RemoteBackend", "parse_address"]
 
@@ -228,6 +229,7 @@ class _BackendInstruments:
         instance = registry.next_instance("backend")
         labels = {"component": "backend", "instance": instance,
                   "address": address}
+        self.labels = labels
         self.inflight = registry.gauge(
             "repro_backend_inflight",
             "Wire requests currently awaiting a response", **labels,
@@ -271,15 +273,17 @@ class RemoteBackend(MatcherBackend):
     ) -> None:
         self.address = parse_address(address)
         self.config = config or RemoteBackendConfig()
-        registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
+        registry = metrics if metrics is not None else MetricsRegistry()
         self._instruments = _BackendInstruments(
             registry, "%s:%d" % self.address
         )
-        self.guard_stats = GuardStats()
+        # Guard retries and trips export under the backend's own labels.
         self._guard = MatcherGuard(
             self._roundtrip,
             config=self.config.guard_config(),
-            stats=self.guard_stats,
+            instruments=StatsInstruments(
+                registry, GuardStats, **self._instruments.labels
+            ),
         )
         self._conn_lock = threading.Lock()
         self._conn: _Connection | None = None
@@ -287,6 +291,11 @@ class RemoteBackend(MatcherBackend):
         self._ever_connected = False
         self._reconnects = 0
         self._closed = False
+
+    @property
+    def guard_stats(self) -> GuardStats:
+        """Retry / timeout / breaker counters of this client's guard."""
+        return self._guard.stats
 
     # -- MatcherBackend surface ----------------------------------------
 
@@ -544,7 +553,7 @@ class RemoteBackend(MatcherBackend):
             raise pending.error
         message = pending.message or {}
         if not message.get("ok"):
-            raise _rebuild_server_error(
+            raise _server_error(
                 message.get("code"), message.get("error", "backend error")
             )
         result = message.get("result")
@@ -552,18 +561,13 @@ class RemoteBackend(MatcherBackend):
         return array
 
 
-def _rebuild_server_error(code, message) -> Exception:
-    """Reconstruct a taxonomy error the server reported by wire code."""
+def _server_error(code, message) -> ReproError:
+    """The taxonomy error the matcher server reported by wire code.
+
+    Unknown and ``internal`` codes surface as :class:`BackendError`.
+    """
     text = f"matcher server: {message}"
-    if isinstance(code, str):
-        for name in exceptions.__all__:
-            candidate = getattr(exceptions, name, None)
-            if (isinstance(candidate, type)
-                    and issubclass(candidate, ReproError)
-                    and getattr(candidate, "code", None) == code
-                    and candidate.code != ReproError.code):
-                try:
-                    return candidate(text)
-                except TypeError:  # pragma: no cover - exotic signature
-                    break
-    return exceptions.BackendError(text)
+    error = error_from_code(code, text)
+    if error is None or type(error) is ReproError:
+        return BackendError(text)
+    return error

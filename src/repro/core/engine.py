@@ -29,11 +29,12 @@ Observability
 Engine accounting lives in :class:`~repro.obs.metrics.MetricsRegistry`
 instruments labeled ``component="engine"`` (counters for the dedup/cache
 bookkeeping, ``repro_stage_seconds`` histograms for the rebuild and
-predict stages, a cache-size gauge); :class:`EngineStats` is a plain
-snapshot view over them, taken atomically so concurrent workers can
-never observe mixed counter generations.  The rebuild and matcher-call
-sections also open ``reconstruction`` / ``prediction`` trace spans (see
-:mod:`repro.obs.tracing`) — no-ops unless ``--trace`` is on.
+predict stages, a cache-size gauge), all declared by the fields of
+:class:`EngineStats` — a plain snapshot over them, taken atomically so
+concurrent workers can never observe mixed counter generations.  The
+rebuild and matcher-call sections also open ``reconstruction`` /
+``prediction`` trace spans (see :mod:`repro.obs.tracing`) — no-ops
+unless ``--trace`` is on.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from collections import OrderedDict
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -53,35 +54,31 @@ from repro.core.batching import CrossRequestBatcher
 from repro.core.columnar import ColumnarPairBatch, landmark_batch
 from repro.core.deadline import checkpoint
 from repro.core.generation import GeneratedInstance
-from repro.core.guard import GUARD_COUNTER_FIELDS, GuardConfig, MatcherGuard
+from repro.core.guard import GuardConfig, GuardStats, MatcherGuard
 from repro.data.records import EMDataset, RecordPair
 from repro.exceptions import ConfigurationError, ExplanationError
 from repro.matchers.base import EntityMatcher
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    GAUGE,
+    HISTOGRAM,
+    Metric,
+    MetricsRegistry,
+    StatsInstruments,
+    same_stat,
+    stat,
+)
 from repro.obs.tracing import trace
-
-#: Raw counter field names (everything in :class:`EngineStats` that can be
-#: summed across engines / worker processes).
-_COUNTER_FIELDS = (
-    "requested",
-    "calls_issued",
-    "dedup_saved",
-    "cache_hits",
-    "cache_misses",
-    "batches",
-    "rebuild_seconds",
-    "predict_seconds",
-) + GUARD_COUNTER_FIELDS
-
 
 @dataclass
 class EngineStats:
     """Counter snapshot of one :class:`PredictionEngine`.
 
-    Since the observability refactor the live counters are
-    :mod:`repro.obs.metrics` instruments; an ``EngineStats`` is the
-    plain-dataclass view over them that run JSON, checkpoints and the
-    table footers consume (``engine.stats`` takes one atomically).
+    Each field declares the instrument it reads (see
+    :class:`~repro.obs.metrics.StatsInstruments`): counters labeled
+    ``component="engine"``, and the ``repro_stage_seconds`` histograms
+    whose sums are the ``*_seconds`` fields.  ``engine.stats`` takes a
+    snapshot atomically; run JSON, checkpoints and the table footers
+    consume it.
 
     The accounting invariant — checked by the test suite — is::
 
@@ -91,30 +88,75 @@ class EngineStats:
 
     #: Predictions requested through any engine entry point (one per mask
     #: row / pair, before any deduplication).
-    requested: int = 0
-    #: Predictions actually forwarded to the matcher.
-    calls_issued: int = 0
-    #: Requests answered by another identical request in the same batch.
-    dedup_saved: int = 0
-    #: Unique requests answered from the LRU cache.
-    cache_hits: int = 0
+    requested: int = stat(
+        "repro_engine_requests_total",
+        "Predictions requested through any engine entry point",
+    )
+    calls_issued: int = stat(
+        "repro_engine_calls_issued_total",
+        "Predictions actually forwarded to the matcher",
+    )
+    dedup_saved: int = stat(
+        "repro_engine_dedup_saved_total",
+        "Requests answered by an identical request in the same batch",
+    )
+    cache_hits: int = stat(
+        "repro_engine_cache_hits_total",
+        "Unique requests answered from the LRU cache",
+    )
     #: Unique requests that missed the cache (cache enabled only).
-    cache_misses: int = 0
-    #: Matcher invocations (chunks sent to ``predict_proba``).
-    batches: int = 0
+    cache_misses: int = stat(
+        "repro_engine_cache_misses_total",
+        "Unique requests that missed the cache",
+    )
+    batches: int = stat(
+        "repro_engine_batches_total",
+        "Chunks sent to the matcher's predict_proba",
+    )
     #: Wall time spent rebuilding pairs from masks.
-    rebuild_seconds: float = 0.0
+    rebuild_seconds: float = stat(
+        "repro_stage_seconds", "Wall time per pipeline stage",
+        HISTOGRAM, view="sum", stage="rebuild",
+    )
     #: Wall time spent inside the matcher.
-    predict_seconds: float = 0.0
-    #: Matcher-guard counters (see :mod:`repro.core.guard`): retried
+    predict_seconds: float = stat(
+        "repro_stage_seconds", "Wall time per pipeline stage",
+        HISTOGRAM, view="sum", stage="predict",
+    )
+    #: Matcher-guard counters, declared by :class:`GuardStats`: retried
     #: attempts, timed-out attempts, failed attempts, circuit-breaker
     #: trips, fast-failed calls while open, and half-open recoveries.
-    guard_retries: int = 0
-    guard_timeouts: int = 0
-    guard_failures: int = 0
-    guard_trips: int = 0
-    guard_fast_failures: int = 0
-    guard_recoveries: int = 0
+    guard_retries: int = same_stat(GuardStats, "guard_retries")
+    guard_timeouts: int = same_stat(GuardStats, "guard_timeouts")
+    guard_failures: int = same_stat(GuardStats, "guard_failures")
+    guard_trips: int = same_stat(GuardStats, "guard_trips")
+    guard_fast_failures: int = same_stat(GuardStats, "guard_fast_failures")
+    guard_recoveries: int = same_stat(GuardStats, "guard_recoveries")
+
+    #: Batch-shape observability: exported, but not part of the
+    #: snapshot (so checkpoints and the accounting invariant ignore it).
+    registry_only: ClassVar[tuple[Metric, ...]] = (
+        Metric(
+            "repro_engine_cache_entries",
+            "Entries currently held by the prediction LRU cache",
+            GAUGE, attr="cache_entries",
+        ),
+        Metric(
+            "repro_engine_batch_width",
+            "Rows per matcher batch actually issued",
+            HISTOGRAM, attr="batch_width",
+        ),
+        Metric(
+            "repro_engine_batch_wait_seconds",
+            "Seconds a miss set waited in the cross-request batcher",
+            HISTOGRAM, attr="batch_wait_seconds",
+        ),
+        Metric(
+            "repro_engine_batch_merges_total",
+            "Cross-request flushes that merged more than one miss set",
+            attr="batch_merges",
+        ),
+    )
 
     @property
     def calls_saved(self) -> int:
@@ -135,7 +177,7 @@ class EngineStats:
     def as_dict(self) -> dict[str, float]:
         """Raw counters plus derived ratios, JSON-friendly."""
         payload: dict[str, float] = {
-            name: getattr(self, name) for name in _COUNTER_FIELDS
+            f.name: getattr(self, f.name) for f in fields(self)
         }
         payload["calls_saved"] = self.calls_saved
         payload["hit_rate"] = round(self.hit_rate, 4)
@@ -149,18 +191,15 @@ class EngineStats:
         Counters absent from *payload* (results written before the field
         existed) keep their zero defaults.
         """
-        known = {f.name for f in fields(cls)}
         return cls(
-            **{
-                k: payload[k]
-                for k in _COUNTER_FIELDS
-                if k in known and k in payload
-            }
+            **{f.name: payload[f.name] for f in fields(cls)
+               if f.name in payload}
         )
 
     def add(self, other: "EngineStats") -> "EngineStats":
         """Accumulate *other*'s counters into self (for run aggregation)."""
-        for name in _COUNTER_FIELDS:
+        for f in fields(self):
+            name = f.name
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
@@ -265,139 +304,6 @@ def pair_fingerprint(pair: RecordPair) -> PairKey:
     )
 
 
-class _EngineInstruments:
-    """The registry instruments one engine records into.
-
-    Attribute names match the :class:`EngineStats` counter fields, so
-    the guard (which writes ``guard_*``) and the snapshot code address
-    them uniformly.  All instruments carry ``component="engine"`` plus a
-    per-registry ``instance`` label so several engines can share one
-    registry (one per dataset in an experiment run) without colliding.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        instance = registry.next_instance("engine")
-        labels = {"component": "engine", "instance": instance}
-
-        def counter(name: str, help: str):
-            return registry.counter(name, help, **labels)
-
-        self.requested = counter(
-            "repro_engine_requests_total",
-            "Predictions requested through any engine entry point",
-        )
-        self.calls_issued = counter(
-            "repro_engine_calls_issued_total",
-            "Predictions actually forwarded to the matcher",
-        )
-        self.dedup_saved = counter(
-            "repro_engine_dedup_saved_total",
-            "Requests answered by an identical request in the same batch",
-        )
-        self.cache_hits = counter(
-            "repro_engine_cache_hits_total",
-            "Unique requests answered from the LRU cache",
-        )
-        self.cache_misses = counter(
-            "repro_engine_cache_misses_total",
-            "Unique requests that missed the cache",
-        )
-        self.batches = counter(
-            "repro_engine_batches_total",
-            "Chunks sent to the matcher's predict_proba",
-        )
-        self.guard_retries = counter(
-            "repro_guard_retries_total",
-            "Matcher-guard re-invocations after a failed attempt",
-        )
-        self.guard_timeouts = counter(
-            "repro_guard_timeouts_total",
-            "Matcher-guard attempts abandoned on timeout",
-        )
-        self.guard_failures = counter(
-            "repro_guard_failures_total",
-            "Matcher-guard failed attempts of any kind",
-        )
-        self.guard_trips = counter(
-            "repro_guard_trips_total",
-            "Times the matcher circuit breaker tripped open",
-        )
-        self.guard_fast_failures = counter(
-            "repro_guard_fast_failures_total",
-            "Calls rejected while the matcher circuit was open",
-        )
-        self.guard_recoveries = counter(
-            "repro_guard_recoveries_total",
-            "Half-open probes that closed the matcher circuit",
-        )
-        self.rebuild_seconds = registry.histogram(
-            "repro_stage_seconds",
-            "Wall time per pipeline stage",
-            stage="rebuild", **labels,
-        )
-        self.predict_seconds = registry.histogram(
-            "repro_stage_seconds",
-            "Wall time per pipeline stage",
-            stage="predict", **labels,
-        )
-        self.cache_entries = registry.gauge(
-            "repro_engine_cache_entries",
-            "Entries currently held by the prediction LRU cache",
-            **labels,
-        )
-        # Batch-shape observability (registry-only; not part of the
-        # EngineStats counter snapshot, so checkpoint compatibility and
-        # the accounting invariant are untouched).
-        self.batch_width = registry.histogram(
-            "repro_engine_batch_width",
-            "Rows per matcher batch actually issued",
-            **labels,
-        )
-        self.batch_wait_seconds = registry.histogram(
-            "repro_engine_batch_wait_seconds",
-            "Seconds a miss set waited in the cross-request batcher",
-            **labels,
-        )
-        self.batch_merges = counter(
-            "repro_engine_batch_merges_total",
-            "Cross-request flushes that merged more than one miss set",
-        )
-
-    #: Instrument attributes, in EngineStats field order (counters first,
-    #: then the two stage histograms whose sums are the *_seconds fields).
-    COUNTERS = (
-        "requested", "calls_issued", "dedup_saved", "cache_hits",
-        "cache_misses", "batches",
-    ) + GUARD_COUNTER_FIELDS
-
-    def instruments(self) -> list:
-        """All instruments backing an :class:`EngineStats`, in order."""
-        bundle = [getattr(self, name) for name in self.COUNTERS]
-        bundle += [self.rebuild_seconds, self.predict_seconds]
-        return bundle
-
-    def build(self, values: list) -> EngineStats:
-        """An :class:`EngineStats` from one :meth:`instruments` read."""
-        counters = {
-            name: int(value)
-            for name, value in zip(self.COUNTERS, values)
-        }
-        return EngineStats(
-            rebuild_seconds=values[-2]["sum"],
-            predict_seconds=values[-1]["sum"],
-            **counters,
-        )
-
-    def snapshot(self) -> EngineStats:
-        """An :class:`EngineStats` read atomically from the registry."""
-        return self.build(self.registry.read(*self.instruments()))
-
-    def drain(self) -> EngineStats:
-        """Atomic snapshot-and-zero (``PredictionEngine.reset_stats``)."""
-        return self.build(self.registry.drain(*self.instruments()))
-
-
 class _EngineMatcher(EntityMatcher):
     """An :class:`EntityMatcher` view of an engine.
 
@@ -457,14 +363,17 @@ class PredictionEngine:
         # pass the service's (or runner's) registry to surface engine
         # accounting on its /metrics endpoint and metrics.json.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._instruments = _EngineInstruments(self.metrics)
-        # The guard writes its guard_* counters straight into the same
-        # instrument bundle, so they land in the same registry (and the
-        # same run JSON) as the dedup/cache accounting.
+        self._instruments = StatsInstruments(
+            self.metrics, EngineStats, "engine"
+        )
+        # Bound under the engine's labels, the guard's counters are the
+        # engine's guard_* instruments: same registry, same run JSON.
         self.guard = MatcherGuard(
             backend.predict_proba,
             config=self.config.guard_config(),
-            stats=self._instruments,
+            instruments=StatsInstruments(
+                self.metrics, GuardStats, **self._instruments.labels
+            ),
         )
         self._cache: OrderedDict[PairKey, float] = OrderedDict()
         # Protects the LRU cache; counters live in the metrics registry

@@ -38,22 +38,8 @@ from repro.exceptions import (
     MatcherTimeoutError,
     MatcherUnavailableError,
 )
+from repro.obs.metrics import MetricsRegistry, StatsInstruments, stat
 from repro.obs.tracing import trace
-
-#: Counter attribute names a guard increments on its stats object.  The
-#: stats object is duck-typed: each attribute may be a plain integer
-#: (:class:`GuardStats`) or a :class:`repro.obs.metrics.Counter`
-#: instrument (the engine's registry-backed bundle), so guard counters
-#: land either in a standalone dataclass or in the same metrics registry
-#: as the engine accounting.
-GUARD_COUNTER_FIELDS = (
-    "guard_retries",
-    "guard_timeouts",
-    "guard_failures",
-    "guard_trips",
-    "guard_fast_failures",
-    "guard_recoveries",
-)
 
 _CLOSED = "closed"
 _OPEN = "open"
@@ -62,20 +48,38 @@ _HALF_OPEN = "half_open"
 
 @dataclass
 class GuardStats:
-    """Standalone counter set for a guard used outside an engine."""
+    """Counter snapshot of one :class:`MatcherGuard`.
 
-    #: Re-invocations after a failed attempt.
-    guard_retries: int = 0
-    #: Attempts abandoned because they exceeded ``call_timeout``.
-    guard_timeouts: int = 0
+    Each field declares its ``repro_guard_*_total`` counter; an engine's
+    :class:`~repro.core.engine.EngineStats` embeds the same six, so a
+    guard inside an engine records into the engine's instruments.
+    """
+
+    guard_retries: int = stat(
+        "repro_guard_retries_total",
+        "Matcher-guard re-invocations after a failed attempt",
+    )
+    guard_timeouts: int = stat(
+        "repro_guard_timeouts_total",
+        "Matcher-guard attempts abandoned on timeout",
+    )
     #: Failed attempts of any kind (timeouts included).
-    guard_failures: int = 0
-    #: Times the circuit breaker tripped open.
-    guard_trips: int = 0
-    #: Calls rejected while the circuit was open.
-    guard_fast_failures: int = 0
-    #: Successful half-open probes that closed the circuit again.
-    guard_recoveries: int = 0
+    guard_failures: int = stat(
+        "repro_guard_failures_total",
+        "Matcher-guard failed attempts of any kind",
+    )
+    guard_trips: int = stat(
+        "repro_guard_trips_total",
+        "Times the matcher circuit breaker tripped open",
+    )
+    guard_fast_failures: int = stat(
+        "repro_guard_fast_failures_total",
+        "Calls rejected while the matcher circuit was open",
+    )
+    guard_recoveries: int = stat(
+        "repro_guard_recoveries_total",
+        "Half-open probes that closed the matcher circuit",
+    )
 
 
 @dataclass(frozen=True)
@@ -140,21 +144,24 @@ class MatcherGuard:
     """Retry / timeout / circuit-breaker wrapper around one callable.
 
     *predict_fn* is any ``pairs -> probabilities`` callable (typically a
-    bound ``EntityMatcher.predict_proba``).  *stats* is any object carrying
-    the :data:`GUARD_COUNTER_FIELDS` attributes — a plain
-    :class:`GuardStats`, or the engine's registry-backed instrument
-    bundle whose attributes are :class:`repro.obs.metrics.Counter`\\ s.
+    bound ``EntityMatcher.predict_proba``).  *instruments* binds
+    :class:`GuardStats` under the owner's labels (an engine's or a
+    backend's); without it the guard counts into a private registry.
     """
 
     def __init__(
         self,
         predict_fn,
         config: GuardConfig | None = None,
-        stats=None,
+        instruments: StatsInstruments | None = None,
     ) -> None:
         self.predict_fn = predict_fn
         self.config = config or GuardConfig()
-        self.stats = stats if stats is not None else GuardStats()
+        if instruments is None:
+            instruments = StatsInstruments(
+                MetricsRegistry(), GuardStats, "guard"
+            )
+        self._instruments = instruments
         self._random = random.Random(self.config.seed)
         self._lock = threading.Lock()
         self._state = _CLOSED
@@ -162,20 +169,19 @@ class MatcherGuard:
         self._cooldown_left = 0
 
     def _bump(self, field: str, amount: int = 1) -> None:
-        """Increment a stats counter, plain attribute or instrument alike.
+        """Increment the counter declared by :class:`GuardStats` *field*.
 
-        Callers hold ``self._lock``; plain-integer stats rely on that,
-        :class:`~repro.obs.metrics.Counter` instruments synchronize on
-        their registry's own lock (acquired nested, never the reverse).
+        Callers hold ``self._lock``; the counter synchronizes on its
+        registry's own lock (acquired nested, never the reverse).
         """
-        value = getattr(self.stats, field)
-        inc = getattr(value, "inc", None)
-        if inc is not None:
-            inc(amount)
-        else:
-            setattr(self.stats, field, value + amount)
+        getattr(self._instruments, field).inc(amount)
 
     # ------------------------------------------------------------------
+
+    @property
+    def stats(self) -> GuardStats:
+        """An atomic :class:`GuardStats` snapshot of this guard's counters."""
+        return self._instruments.snapshot()
 
     @property
     def state(self) -> str:

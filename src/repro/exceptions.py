@@ -69,6 +69,7 @@ __all__ = [
     "ShardFailedError",
     "HostLostError",
     "error_code",
+    "error_from_code",
     "is_retryable",
 ]
 
@@ -290,6 +291,25 @@ def error_code(error: BaseException) -> str:
     return ReproError.code
 
 
+def error_from_code(code: object, message: str) -> ReproError | None:
+    """The taxonomy error whose :func:`error_code` is *code*, or ``None``.
+
+    The inverse of :func:`error_code` across a wire: ``"internal"``
+    decodes to a plain :class:`ReproError`; an unknown code to ``None``,
+    leaving the fallback to the caller.
+    """
+    cls = _BY_CODE.get(code) if isinstance(code, str) else None
+    return None if cls is None else cls(message)
+
+
 def is_retryable(error: BaseException) -> bool:
     """Whether an identical retry of the failed request can succeed."""
     return bool(getattr(error, "retryable", False))
+
+
+#: Wire code -> taxonomy class (every code is unique).
+_BY_CODE = {
+    cls.code: cls
+    for cls in (globals()[name] for name in __all__)
+    if isinstance(cls, type) and issubclass(cls, ReproError)
+}

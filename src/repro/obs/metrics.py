@@ -29,10 +29,22 @@ Design constraints, in order:
 
 The registry is picklable (the experiment runner crosses process-pool
 boundaries); locks are dropped on serialization and rebuilt on load.
+
+Stats dataclasses declare their instruments
+--------------------------------------------
+Each component's snapshot dataclass (``EngineStats``, ``GuardStats``,
+``ServiceStats``, ``StoreStats``) is the only declaration of its
+counters: every field is made by :func:`stat` (or
+:meth:`Metric.field`) and carries the metric name, kind, help string
+and — for a field read from a histogram — the view (``sum``, ``max``
+or ``count``) it reads.  :class:`StatsInstruments` binds such a class
+to a registry under the component's labels and builds snapshots from
+one atomic read, so adding a counter is one new field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections.abc import Iterable
 
@@ -45,9 +57,10 @@ DEFAULT_BUCKETS = (
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
 )
 
-_COUNTER = "counter"
-_GAUGE = "gauge"
-_HISTOGRAM = "histogram"
+#: Instrument kinds (the :class:`MetricsRegistry` factory method names).
+COUNTER = "counter"
+GAUGE = "gauge"
+HISTOGRAM = "histogram"
 
 
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
@@ -94,7 +107,7 @@ class Instrument:
 class Counter(Instrument):
     """A monotonically increasing count."""
 
-    kind = _COUNTER
+    kind = COUNTER
 
     def __init__(self, registry, name, labels) -> None:
         super().__init__(registry, name, labels)
@@ -124,7 +137,7 @@ class Counter(Instrument):
 class Gauge(Instrument):
     """A value that can go up and down (queue depth, cache size)."""
 
-    kind = _GAUGE
+    kind = GAUGE
 
     def __init__(self, registry, name, labels) -> None:
         super().__init__(registry, name, labels)
@@ -174,7 +187,7 @@ class Histogram(Instrument):
     convenience for latency reporting.
     """
 
-    kind = _HISTOGRAM
+    kind = HISTOGRAM
 
     def __init__(self, registry, name, labels,
                  buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
@@ -285,12 +298,12 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         return self._register(
-            lambda: Counter(self, name, labels), _COUNTER, name, help, labels
+            lambda: Counter(self, name, labels), COUNTER, name, help, labels
         )
 
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
         return self._register(
-            lambda: Gauge(self, name, labels), _GAUGE, name, help, labels
+            lambda: Gauge(self, name, labels), GAUGE, name, help, labels
         )
 
     def histogram(self, name: str, help: str = "",
@@ -298,7 +311,7 @@ class MetricsRegistry:
                   **labels: str) -> Histogram:
         return self._register(
             lambda: Histogram(self, name, labels, buckets=buckets),
-            _HISTOGRAM, name, help, labels,
+            HISTOGRAM, name, help, labels,
         )
 
     def next_instance(self, component: str) -> str:
@@ -386,6 +399,107 @@ class MetricsRegistry:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
+
+
+# -- stats dataclasses as instrument declarations -----------------------
+
+#: Field-metadata keys: the :class:`Metric` a field reads and its view.
+_METRIC = "metric"
+_VIEW = "view"
+
+
+@dataclasses.dataclass(frozen=True)
+class Metric:
+    """One instrument a stats dataclass declares.
+
+    *attr* names the bound instrument on a :class:`StatsInstruments`
+    (``None``: the field's name); *labels* extend the component's.
+    """
+
+    name: str
+    help: str
+    kind: str = COUNTER
+    attr: str | None = None
+    labels: tuple[tuple[str, str], ...] = ()
+
+    def field(self, view: str | None = None):
+        """A stats field read from this instrument — from a histogram
+        through *view*: ``"sum"`` or ``"max"`` (floats) or ``"count"``."""
+        default = 0.0 if view in ("sum", "max") else 0
+        return dataclasses.field(
+            default=default, metadata={_METRIC: self, _VIEW: view}
+        )
+
+
+def stat(name: str, help: str, kind: str = COUNTER,
+         view: str | None = None, **labels: str):
+    """A stats field backed by its own instrument, named after the field."""
+    metric = Metric(name, help, kind, labels=tuple(sorted(labels.items())))
+    return metric.field(view)
+
+
+def same_stat(stats_cls: type, name: str):
+    """A field declaring the same instrument as ``stats_cls.<name>``."""
+    source = stats_cls.__dataclass_fields__[name]
+    return dataclasses.field(default=source.default, metadata=source.metadata)
+
+
+class StatsInstruments:
+    """A stats dataclass's declared instruments, bound to one registry.
+
+    Each instrument is a plain attribute (``bound.requested.inc()``) for
+    hot paths and :meth:`MetricsRegistry.bulk`.  All carry *component*,
+    an ``instance`` (from :meth:`MetricsRegistry.next_instance` unless
+    passed) and any further *labels*; binding another class under the
+    same labels returns the same instruments.  The class's
+    ``registry_only`` :class:`Metric` tuple is exported, not snapshotted.
+    """
+
+    def __init__(self, registry: MetricsRegistry, stats_cls: type,
+                 component: str, **labels: str) -> None:
+        self.registry = registry
+        self.stats_cls = stats_cls
+        if "instance" not in labels:
+            labels["instance"] = registry.next_instance(component)
+        self.labels = {"component": component, **labels}
+        fields = dataclasses.fields(stats_cls)
+        attrs = [f.metadata[_METRIC].attr or f.name for f in fields]
+        declared = dict(zip(attrs, (f.metadata[_METRIC] for f in fields)))
+        declared.update(
+            (m.attr, m) for m in getattr(stats_cls, "registry_only", ())
+        )
+        for attr, metric in declared.items():
+            if hasattr(self, attr):
+                raise ConfigurationError(f"instrument name {attr!r} is taken")
+            factory = getattr(registry, metric.kind)
+            setattr(self, attr, factory(
+                metric.name, metric.help, **self.labels, **dict(metric.labels)
+            ))
+        unique = list(dict.fromkeys(attrs))
+        self._read = [getattr(self, attr) for attr in unique]
+        self._slots = [
+            (f.name, unique.index(attr), f.metadata[_VIEW], type(f.default))
+            for f, attr in zip(fields, attrs)
+        ]
+
+    def instruments(self) -> list:
+        """The instruments backing a snapshot, in :meth:`build` order."""
+        return list(self._read)
+
+    def build(self, values: list):
+        """A snapshot from one atomic read of :meth:`instruments`."""
+        return self.stats_cls(**{
+            name: cast(values[i] if view is None else values[i][view])
+            for name, i, view, cast in self._slots
+        })
+
+    def snapshot(self):
+        """A snapshot read atomically from the registry."""
+        return self.build(self.registry.read(*self._read))
+
+    def drain(self):
+        """Atomic snapshot-and-zero of the snapshot's instruments."""
+        return self.build(self.registry.drain(*self._read))
 
 
 #: A process-wide default registry for callers that don't thread their

@@ -54,6 +54,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from repro.backends.base import InProcessBackend, MatcherBackend, as_backend
 from repro.config import ServiceConfig
@@ -69,7 +70,14 @@ from repro.exceptions import (
 )
 from repro.explainers.lime_text import LimeConfig
 from repro.matchers.base import EntityMatcher
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    GAUGE,
+    HISTOGRAM,
+    Metric,
+    MetricsRegistry,
+    StatsInstruments,
+    stat,
+)
 from repro.service.request import ExplainRequest, request_key
 from repro.service.store import ExplanationStore
 
@@ -188,45 +196,86 @@ def retry_after_hint(estimated_wait: float) -> float:
     return min(MAX_WAIT_ESTIMATE, max(0.1, estimated_wait / 2.0))
 
 
+#: The request-latency histogram: its count, sum and max are the
+#: ``computed`` / ``latency_seconds`` / ``latency_max`` fields, so a
+#: worker finishing a computation moves them together.
+_REQUEST_SECONDS = Metric(
+    "repro_service_request_seconds",
+    "Wall time of completed explanation computations",
+    HISTOGRAM, attr="request_seconds",
+)
+_QUEUE_WAIT_SECONDS = Metric(
+    "repro_service_queue_wait_seconds",
+    "Time tickets spent queued before a worker picked them up",
+    HISTOGRAM, attr="queue_wait_seconds",
+)
+
+
 @dataclass
 class ServiceStats:
     """Counter snapshot of one :class:`ExplanationService`.
 
-    The live counters are :mod:`repro.obs.metrics` instruments labeled
-    ``component="service"`` (request latency is a
-    ``repro_service_request_seconds`` histogram whose sum/max/count back
-    ``latency_seconds`` / ``latency_max`` / ``computed``; queue wait is
-    the ``repro_service_queue_wait_seconds`` histogram);
-    ``service.stats`` reads them into this plain dataclass atomically.
+    Each field declares the instrument it reads, labeled
+    ``component="service"``; ``service.stats`` reads them into this plain
+    dataclass atomically.
     """
 
-    #: Requests accepted by :meth:`ExplanationService.submit`.
-    requests: int = 0
-    #: Requests answered from the persistent store (no computation).
-    store_hits: int = 0
-    #: Requests coalesced onto an identical in-flight computation.
-    coalesced: int = 0
+    requests: int = stat(
+        "repro_service_requests_total",
+        "Requests accepted by ExplanationService.submit",
+    )
+    store_hits: int = stat(
+        "repro_service_store_hits_total",
+        "Requests answered from the persistent store",
+    )
+    coalesced: int = stat(
+        "repro_service_coalesced_total",
+        "Requests coalesced onto an in-flight computation",
+    )
     #: Requests actually computed by a worker.
-    computed: int = 0
+    computed: int = _REQUEST_SECONDS.field("count")
     #: Computations that raised (the error propagates to every waiter).
-    errors: int = 0
-    #: Non-blocking submissions rejected because the queue was full.
-    rejected: int = 0
+    errors: int = stat(
+        "repro_service_errors_total", "Computations that raised",
+    )
+    rejected: int = stat(
+        "repro_service_rejected_total",
+        "Non-blocking submissions rejected on a full queue",
+    )
     #: Submissions shed by admission control (queue depth / wait bound).
-    shed: int = 0
-    #: Tickets dropped or aborted because every waiter cancelled.
-    cancelled: int = 0
+    shed: int = stat(
+        "repro_service_shed_total", "Submissions shed by admission control",
+    )
+    cancelled: int = stat(
+        "repro_service_cancelled_total",
+        "Tickets dropped because every waiter cancelled",
+    )
     #: Tickets that blew their deadline (before or during computation).
-    deadline_exceeded: int = 0
-    #: Highest queue depth observed at submission time.
-    queue_peak: int = 0
+    deadline_exceeded: int = stat(
+        "repro_service_deadline_exceeded_total",
+        "Tickets that blew their deadline",
+    )
+    queue_peak: int = stat(
+        "repro_service_queue_peak",
+        "Highest queue depth observed at submission time",
+        GAUGE,
+    )
     #: Total and worst-case wall time of completed computations.
-    latency_seconds: float = 0.0
-    latency_max: float = 0.0
+    latency_seconds: float = _REQUEST_SECONDS.field("sum")
+    latency_max: float = _REQUEST_SECONDS.field("max")
     #: Total and worst-case time tickets spent queued before a worker
     #: picked them up (sheds excluded — they never enter the queue).
-    queue_wait_seconds: float = 0.0
-    queue_wait_max: float = 0.0
+    queue_wait_seconds: float = _QUEUE_WAIT_SECONDS.field("sum")
+    queue_wait_max: float = _QUEUE_WAIT_SECONDS.field("max")
+
+    #: Exported, but not part of the snapshot.
+    registry_only: ClassVar[tuple[Metric, ...]] = (
+        Metric(
+            "repro_service_queue_depth",
+            "Work items pending on the service queue",
+            GAUGE, attr="queue_depth",
+        ),
+    )
 
     @property
     def served_without_compute(self) -> int:
@@ -260,95 +309,6 @@ class ServiceStats:
                 f"{self.deadline_exceeded} deadline-exceeded"
             )
         return text
-
-
-#: ServiceStats plain-counter fields, in instrument order.
-_SERVICE_COUNTERS = (
-    "requests", "store_hits", "coalesced", "errors", "rejected",
-    "shed", "cancelled", "deadline_exceeded",
-)
-
-
-class _ServiceInstruments:
-    """The registry instruments one service records into.
-
-    ``computed`` / ``latency_seconds`` / ``latency_max`` all come from
-    one ``repro_service_request_seconds`` histogram (count / sum / max),
-    so a worker finishing a computation moves them together; queue wait
-    comes from the ``repro_service_queue_wait_seconds`` histogram.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        labels = {
-            "component": "service",
-            "instance": registry.next_instance("service"),
-        }
-        helps = {
-            "requests": "Requests accepted by ExplanationService.submit",
-            "store_hits": "Requests answered from the persistent store",
-            "coalesced": "Requests coalesced onto an in-flight computation",
-            "errors": "Computations that raised",
-            "rejected": "Non-blocking submissions rejected on a full queue",
-            "shed": "Submissions shed by admission control",
-            "cancelled": "Tickets dropped because every waiter cancelled",
-            "deadline_exceeded": "Tickets that blew their deadline",
-        }
-        for field_name in _SERVICE_COUNTERS:
-            setattr(
-                self,
-                field_name,
-                registry.counter(
-                    f"repro_service_{field_name}_total",
-                    helps[field_name],
-                    **labels,
-                ),
-            )
-        self.queue_depth = registry.gauge(
-            "repro_service_queue_depth",
-            "Work items pending on the service queue",
-            **labels,
-        )
-        self.queue_peak = registry.gauge(
-            "repro_service_queue_peak",
-            "Highest queue depth observed at submission time",
-            **labels,
-        )
-        self.queue_wait_seconds = registry.histogram(
-            "repro_service_queue_wait_seconds",
-            "Time tickets spent queued before a worker picked them up",
-            **labels,
-        )
-        self.request_seconds = registry.histogram(
-            "repro_service_request_seconds",
-            "Wall time of completed explanation computations",
-            **labels,
-        )
-
-    def instruments(self) -> list:
-        bundle = [getattr(self, field_name) for field_name in _SERVICE_COUNTERS]
-        bundle += [self.queue_peak, self.queue_wait_seconds, self.request_seconds]
-        return bundle
-
-    def build(self, values: list) -> ServiceStats:
-        counters = {
-            name: int(value)
-            for name, value in zip(_SERVICE_COUNTERS, values)
-        }
-        wait = values[-2]
-        histogram = values[-1]
-        return ServiceStats(
-            queue_peak=int(values[-3]),
-            computed=histogram["count"],
-            latency_seconds=histogram["sum"],
-            latency_max=histogram["max"],
-            queue_wait_seconds=wait["sum"],
-            queue_wait_max=wait["max"],
-            **counters,
-        )
-
-    def snapshot(self) -> ServiceStats:
-        return self.build(self.registry.read(*self.instruments()))
 
 
 @dataclass
@@ -425,7 +385,9 @@ class ExplanationService:
             self.fingerprint = matcher_fingerprint(self.matcher)
         else:
             self.fingerprint = self.backend.capabilities().fingerprint
-        self._instruments = _ServiceInstruments(self.metrics)
+        self._instruments = StatsInstruments(
+            self.metrics, ServiceStats, "service"
+        )
         self._queue: queue.PriorityQueue = queue.PriorityQueue(
             maxsize=self.config.queue_size
         )
@@ -630,16 +592,11 @@ class ExplanationService:
         if self.store is not None:
             bundles.append(self.store._instruments)
         if all(bundle.registry is self.metrics for bundle in bundles):
-            flat: list = []
-            slices = []
-            for bundle in bundles:
-                instruments = bundle.instruments()
-                slices.append((bundle, len(flat), len(instruments)))
-                flat.extend(instruments)
-            values = self.metrics.read(*flat)
+            reads = [bundle.instruments() for bundle in bundles]
+            values = iter(self.metrics.read(*itertools.chain(*reads)))
             snapshots = [
-                bundle.build(values[start:start + length])
-                for bundle, start, length in slices
+                bundle.build([next(values) for _ in read])
+                for bundle, read in zip(bundles, reads)
             ]
         else:  # split registries: three independently-atomic snapshots
             snapshots = [bundle.snapshot() for bundle in bundles]

@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.config import StoreConfig
 from repro.exceptions import ServiceError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, StatsInstruments, stat
 
 #: Format version stamped on every stored row; rows written by an
 #: incompatible version are treated as misses and recomputed.
@@ -77,26 +77,39 @@ CREATE INDEX IF NOT EXISTS idx_explanations_accessed
 class StoreStats:
     """Counter snapshot of one :class:`ExplanationStore`.
 
-    The live counters are :mod:`repro.obs.metrics` instruments labeled
+    Each field declares its ``repro_store_*_total`` counter, labeled
     ``component="store"``; ``store.stats`` reads them into this plain
     dataclass atomically.
     """
 
-    #: Lookups answered from a valid stored entry.
-    hits: int = 0
+    hits: int = stat(
+        "repro_store_hits_total", "Lookups answered from a valid stored entry"
+    )
     #: Lookups with no servable entry (absent, expired, corrupt or stale).
-    misses: int = 0
-    #: Entries written (inserts and overwrites).
-    puts: int = 0
-    #: Entries removed by the LRU capacity bound.
-    evictions: int = 0
-    #: Entries dropped at read time because their TTL had passed.
-    expirations: int = 0
-    #: Entries dropped because their checksum / JSON / format failed.
-    corruptions: int = 0
+    misses: int = stat(
+        "repro_store_misses_total", "Lookups with no servable entry"
+    )
+    puts: int = stat(
+        "repro_store_puts_total", "Entries written (inserts and overwrites)"
+    )
+    evictions: int = stat(
+        "repro_store_evictions_total",
+        "Entries removed by the LRU capacity bound",
+    )
+    expirations: int = stat(
+        "repro_store_expirations_total",
+        "Entries dropped at read time past their TTL",
+    )
+    corruptions: int = stat(
+        "repro_store_corruptions_total",
+        "Entries dropped on checksum/JSON/format failure",
+    )
     #: Times a systemically-corrupt database file was quarantined and
     #: the store rebuilt empty.
-    recoveries: int = 0
+    recoveries: int = stat(
+        "repro_store_recoveries_total",
+        "Corrupt database files quarantined and rebuilt",
+    )
 
     @property
     def hit_rate(self) -> float:
@@ -109,52 +122,6 @@ class StoreStats:
         }
         payload["hit_rate"] = round(self.hit_rate, 4)
         return payload
-
-
-#: StoreStats counter fields, in instrument order.
-_STORE_COUNTERS = (
-    "hits", "misses", "puts", "evictions", "expirations", "corruptions",
-    "recoveries",
-)
-
-
-class _StoreInstruments:
-    """The registry instruments one store records into."""
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        labels = {
-            "component": "store",
-            "instance": registry.next_instance("store"),
-        }
-        helps = {
-            "hits": "Lookups answered from a valid stored entry",
-            "misses": "Lookups with no servable entry",
-            "puts": "Entries written (inserts and overwrites)",
-            "evictions": "Entries removed by the LRU capacity bound",
-            "expirations": "Entries dropped at read time past their TTL",
-            "corruptions": "Entries dropped on checksum/JSON/format failure",
-            "recoveries": "Corrupt database files quarantined and rebuilt",
-        }
-        for field in _STORE_COUNTERS:
-            setattr(
-                self,
-                field,
-                registry.counter(
-                    f"repro_store_{field}_total", helps[field], **labels
-                ),
-            )
-
-    def instruments(self) -> list:
-        return [getattr(self, field) for field in _STORE_COUNTERS]
-
-    def build(self, values: list) -> StoreStats:
-        return StoreStats(
-            **{f: int(v) for f, v in zip(_STORE_COUNTERS, values)}
-        )
-
-    def snapshot(self) -> StoreStats:
-        return self.build(self.registry.read(*self.instruments()))
 
 
 def shard_store_dir(store_dir: str | Path, shard_id: int) -> Path:
@@ -212,7 +179,7 @@ class ExplanationStore:
         # in — pass the serving layer's registry so store accounting
         # shows up on its /metrics endpoint.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._instruments = _StoreInstruments(self.metrics)
+        self._instruments = StatsInstruments(self.metrics, StoreStats, "store")
         self._clock = clock
         self._lock = threading.Lock()
         #: Consecutive validation/SQLite failures; resets on any healthy

@@ -78,8 +78,11 @@ from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import (
     ConfigurationError,
     HostLostError,
+    ReproError,
     ServiceError,
+    ServiceOverloadedError,
     ShardFailedError,
+    error_from_code,
 )
 from repro.obs.export import (
     families_to_json,
@@ -597,7 +600,7 @@ class ShardedService:
             entry.future.set_result(message["result"])
         else:
             entry.future.set_exception(
-                _rebuild_error(
+                _shard_error(
                     message.get("code", "internal"),
                     message.get("error", "shard error"),
                     message.get("retry_after"),
@@ -1149,31 +1152,17 @@ class _FleetStats:
         )
 
 
-def _rebuild_error(code: str, message: str, retry_after) -> ServiceError:
-    """Reconstruct a taxonomy error from its wire form.
+def _shard_error(code: str, message: str, retry_after) -> ReproError:
+    """The taxonomy error a shard reported, rebuilt from its wire form.
 
     The HTTP layer maps errors to statuses by their ``code`` attribute,
     so the rebuilt exception only needs the right code — not the exact
     original class — to serve the same response the shard would have.
     """
-    from repro import exceptions
-
-    for name in exceptions.__all__:
-        candidate = getattr(exceptions, name)
-        if (
-            isinstance(candidate, type)
-            and issubclass(candidate, exceptions.ReproError)
-            and getattr(candidate, "code", None) == code
-        ):
-            if candidate is exceptions.ServiceOverloadedError:
-                return candidate(
-                    message,
-                    retry_after=1.0 if retry_after is None else retry_after,
-                )
-            try:
-                return candidate(message)
-            except TypeError:
-                break
-    error = ServiceError(message)
-    error.code = code
+    error = error_from_code(code, message)
+    if error is None:
+        error = ServiceError(message)
+        error.code = code
+    elif isinstance(error, ServiceOverloadedError) and retry_after is not None:
+        error.retry_after = max(0.0, float(retry_after))
     return error

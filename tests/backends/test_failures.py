@@ -22,6 +22,7 @@ from repro.exceptions import (
     MatcherTimeoutError,
     is_retryable,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.service.server import http_status_for
 from repro.testing.chaos import (
     backend_disconnect,
@@ -101,6 +102,37 @@ class TestTaxonomy:
                 backend.close()
         assert not is_retryable(info.value)
         assert http_status_for(info.value.code) == 502
+
+    def test_guard_counters_export_under_backend_labels(self):
+        registry = MetricsRegistry()
+        address = ("127.0.0.1", _free_port())
+        backend = RemoteBackend(
+            address, config=_config(max_retries=2), metrics=registry,
+        )
+        try:
+            with pytest.raises(BackendUnavailableError):
+                backend.predict_proba(["p"])
+        finally:
+            backend.close()
+        labels = {"component": "backend", "instance": "0",
+                  "address": "%s:%d" % address}
+        exported = {
+            family["name"]: value
+            for family in registry.collect()
+            if family["name"].startswith("repro_guard_")
+            for sample_labels, value in family["samples"]
+            if sample_labels == labels
+        }
+        assert exported == {
+            "repro_guard_retries_total": 2.0,
+            "repro_guard_timeouts_total": 0.0,
+            "repro_guard_failures_total": 3.0,
+            "repro_guard_trips_total": 0.0,
+            "repro_guard_fast_failures_total": 0.0,
+            "repro_guard_recoveries_total": 0.0,
+        }
+        assert backend.guard_stats.guard_retries == 2
+        assert backend.guard_stats.guard_failures == 3
 
     def test_retryable_flags_name_the_transient_layer(self):
         assert BackendUnavailableError.retryable is True
