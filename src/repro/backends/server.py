@@ -14,10 +14,9 @@ order by design, which is what lets a pipelining client keep several
 batches in flight on one connection.  A per-connection send lock keeps
 frames contiguous.
 
-A :class:`~repro.testing.chaos.BackendChaos` spec arms one network
-fault (latency on every response, a mid-frame disconnect, or a garbage
-reply) so drills and the failure-taxonomy tests exercise the *real*
-client against a *really* misbehaving server.
+The server carries no fault-injection hooks: the failure-taxonomy tests
+and drills inject faults from outside it, by killing its process or by
+putting a stream-mangling TCP proxy between it and the client.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import logging
 import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -35,7 +33,7 @@ from repro.backends.base import (
     PROTOCOL_VERSION,
     BackendCapabilities,
 )
-from repro.backends.protocol import FRAME_MAGIC, read_frame, send_frame
+from repro.backends.protocol import read_frame, send_frame
 from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import (
     BackendProtocolError,
@@ -47,37 +45,6 @@ from repro.exceptions import (
 __all__ = ["MatcherServer"]
 
 logger = logging.getLogger(__name__)
-
-
-class _ChaosState:
-    """Server-side bookkeeping for one armed :class:`BackendChaos` spec."""
-
-    def __init__(self, spec) -> None:
-        self.spec = spec
-        self._lock = threading.Lock()
-        self._served = 0
-        self._armed = spec is not None
-
-    def delay(self) -> float:
-        if self.spec is not None and self.spec.mode == "latency":
-            return self.spec.delay_seconds
-        return 0.0
-
-    def should_fire(self) -> str | None:
-        """Count one served predict request; the fault mode when it fires."""
-        spec = self.spec
-        if spec is None or spec.mode == "latency":
-            return None
-        with self._lock:
-            if not self._armed:
-                return None
-            self._served += 1
-            if self._served < spec.after_requests:
-                return None
-            self._served = 0
-            if not spec.repeat:
-                self._armed = False
-            return spec.mode
 
 
 class MatcherServer:
@@ -96,7 +63,6 @@ class MatcherServer:
         port: int = 0,
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         workers: int = 4,
-        chaos=None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -112,14 +78,12 @@ class MatcherServer:
         self._host = host
         self._port = int(port)
         self._workers = workers
-        self._chaos = _ChaosState(chaos)
         self._listener: socket.socket | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._accept_thread: threading.Thread | None = None
         self._connections: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
         self._closed = threading.Event()
-        self._served_event = threading.Event()
         self.address: tuple[str, int] | None = None
 
     # -- lifecycle ------------------------------------------------------
@@ -270,18 +234,7 @@ class MatcherServer:
                 "id": request_id, "ok": False,
                 "code": error_code(error), "error": str(error),
             }
-        delay = self._chaos.delay()
-        if delay:
-            time.sleep(delay)
-        fire = self._chaos.should_fire()
-        if fire == "disconnect":
-            self._cut_mid_frame(sock, send_lock)
-            return
-        if fire == "garbage":
-            self._send_garbage(sock, send_lock)
-            return
         self._respond(sock, send_lock, response)
-        self._served_event.set()
 
     def _score(self, message: dict) -> np.ndarray:
         if message.get("op") == "predict_columnar":
@@ -304,35 +257,11 @@ class MatcherServer:
             )
         return np.asarray(self.matcher.predict_proba(pairs), dtype=np.float64)
 
-    # -- response paths (normal and chaotic) ---------------------------
+    # -- response path --------------------------------------------------
 
     def _respond(self, sock, send_lock, response: dict) -> None:
         try:
             with send_lock:
                 send_frame(sock, response)
-        except (ConnectionError, OSError):
-            self._discard(sock)
-
-    def _cut_mid_frame(self, sock, send_lock) -> None:
-        """Write half a frame header, then tear the connection down."""
-        try:
-            with send_lock:
-                sock.sendall(FRAME_MAGIC[:2])
-                # shutdown, not just close: this connection's reader
-                # thread is blocked in recv on the same fd, and close
-                # alone defers the TCP teardown until that syscall
-                # returns — the client would hang mid-header until its
-                # call timeout instead of seeing the mid-frame EOF this
-                # fault exists to produce.
-                sock.shutdown(socket.SHUT_RDWR)
-        except (ConnectionError, OSError):
-            pass
-        self._discard(sock)
-
-    def _send_garbage(self, sock, send_lock) -> None:
-        """Answer with bytes that fail the magic check."""
-        try:
-            with send_lock:
-                sock.sendall(b"\x00GARBAGE\x00" * 4)
         except (ConnectionError, OSError):
             self._discard(sock)

@@ -248,14 +248,10 @@ class ShardConfig:
       request cannot cascade through the fleet) before failing with the
       retryable :class:`~repro.exceptions.ShardFailedError`.
 
-    ``start_method`` is the :mod:`multiprocessing` start method.  The
-    default is ``"spawn"`` on purpose: the supervisor restarts shards
-    from a thread, and forking a threaded process can inherit held locks
-    (logging, BLAS) into the child — a deadlock class this subsystem
-    exists to remove.  ``ready_timeout`` bounds how long a spawned shard
-    may take to import, load its matcher and report ready — applied
-    *per shard* from its own launch, so one slow starter cannot eat the
-    whole fleet's budget.
+    ``ready_timeout`` bounds how long a spawned shard may take to
+    import, load its matcher and report ready — applied *per shard* from
+    its own launch, so one slow starter cannot eat the whole fleet's
+    budget.
 
     The remote-fleet knobs only matter when shards live on other hosts
     (``--fleet``); the pipe path ignores them:
@@ -266,11 +262,11 @@ class ShardConfig:
     * ``host_loss_after`` consecutive failed launch cycles against the
       same address reclassify the failure from *shard crash* (keep
       reconnecting with backoff) to *host loss* — the supervisor then
-      replaces the shard id onto the next configured standby host;
-    * ``quorum`` is the minimum number of live shards for ``health()``
-      to report ok/degraded instead of 503 (``None`` = majority of the
-      fleet for remote fleets, ``1`` for pipe fleets — matching the
-      pre-fleet "any live shard serves" behaviour).
+      replaces the shard id onto the next configured standby host.
+
+    The health quorum of a remote fleet is a field of the fleet file
+    (:class:`~repro.service.transport.FleetConfig`); a pipe fleet serves
+    while any shard is live.
     """
 
     n_shards: int = 1
@@ -283,11 +279,9 @@ class ShardConfig:
     restart_backoff_max: float = 30.0
     backoff_reset_after: float = 60.0
     max_failovers: int = 1
-    start_method: str = "spawn"
     connect_timeout: float = 5.0
     connect_budget: float = 30.0
     host_loss_after: int = 3
-    quorum: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -332,11 +326,6 @@ class ShardConfig:
             raise ConfigurationError(
                 f"max_failovers must be >= 0, got {self.max_failovers}"
             )
-        if self.start_method not in ("spawn", "fork", "forkserver"):
-            raise ConfigurationError(
-                f"start_method must be spawn, fork or forkserver, "
-                f"got {self.start_method!r}"
-            )
         if self.connect_timeout <= 0:
             raise ConfigurationError(
                 f"connect_timeout must be > 0, got {self.connect_timeout}"
@@ -349,10 +338,6 @@ class ShardConfig:
         if self.host_loss_after < 1:
             raise ConfigurationError(
                 f"host_loss_after must be >= 1, got {self.host_loss_after}"
-            )
-        if self.quorum is not None and self.quorum < 1:
-            raise ConfigurationError(
-                f"quorum must be >= 1, got {self.quorum}"
             )
 
 

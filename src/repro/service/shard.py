@@ -42,10 +42,6 @@ quickly and exits, so an orphaned shard cannot hold the store partition
 open.  A *standing* shard host instead keeps its service warm across a
 lost supervisor connection, because across machines a disconnect is as
 likely a network partition as a dead supervisor.
-Chaos specs (:class:`~repro.testing.chaos.ShardChaos`) arm real
-in-process faults for the supervisor drills: ``worker_crash`` SIGKILLs
-the shard mid-request, ``heartbeat_stall`` silences heartbeats while the
-request loop keeps serving.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ import pickle
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.backends.client import RemoteBackend, RemoteBackendConfig
 from repro.config import ServiceConfig, StoreConfig
@@ -71,7 +67,6 @@ from repro.exceptions import (
 from repro.obs.metrics import MetricsRegistry
 from repro.service.service import ExplanationService, retry_after_hint
 from repro.service.store import ExplanationStore, shard_store_dir
-from repro.testing.chaos import ShardChaos, crash_self
 
 logger = logging.getLogger("repro.service.shard")
 
@@ -112,14 +107,6 @@ class ShardSpec:
     #: Expected model fingerprint; serving anything else is a startup
     #: failure, never a silent identity change.
     fingerprint: str | None = None
-    #: Armed in-process fault for supervisor drills (``None`` = healthy).
-    chaos: ShardChaos | None = None
-
-    def without_chaos(self) -> "ShardSpec":
-        """The same spec with any one-shot chaos disarmed (restarts)."""
-        if self.chaos is None or self.chaos.repeat:
-            return self
-        return replace(self, chaos=None)
 
 
 def build_shard_service(
@@ -255,8 +242,6 @@ class _ShardWorker:
         self.service = service
         self.on_disconnect = on_disconnect
         self._send_lock = threading.Lock()
-        self._started_at = time.monotonic()
-        self._requests_admitted = 0
         #: Parent correlation id → inner request key, for cancels.
         self._keys: dict[int, str] = {}
         self._keys_lock = threading.Lock()
@@ -273,16 +258,7 @@ class _ShardWorker:
                 return False
 
     def _heartbeat_loop(self) -> None:
-        chaos = self.spec.chaos
         while not self._stop_heartbeat.wait(self.spec.heartbeat_interval):
-            if (
-                chaos is not None
-                and chaos.mode == "heartbeat_stall"
-                and time.monotonic() - self._started_at >= chaos.after_seconds
-            ):
-                # The wedge drill: the process lives, requests still
-                # flow, but the supervisor hears nothing.
-                continue
             status, health = self.service.health()
             self._send(
                 {
@@ -314,16 +290,6 @@ class _ShardWorker:
         self._send(message)
 
     def _handle_request(self, rid: int, request) -> None:
-        chaos = self.spec.chaos
-        self._requests_admitted += 1
-        if (
-            chaos is not None
-            and chaos.mode == "worker_crash"
-            and self._requests_admitted >= chaos.after_requests
-        ):
-            # Mid-request: the parent has committed this request to us
-            # and will only see the pipe die.  Exactly an OOM kill.
-            crash_self()
         try:
             future = self.service.submit(request, block=False)
         except ServiceOverloadedError as error:

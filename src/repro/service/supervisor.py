@@ -19,7 +19,9 @@ pipe EOF) and wedging (no heartbeat for ``heartbeat_timeout`` seconds —
 the heartbeat rides the same pipe as responses, so a stalled pipe also
 counts).  A wedged shard is SIGKILLed, then both cases restart with
 capped exponential backoff (``base * 2**failures``, capped, counter
-reset after ``backoff_reset_after`` seconds of health).
+reset after ``backoff_reset_after`` seconds of health).  Tests and
+drills provoke both from outside, by signalling the pid ``health()``
+reports (``SIGKILL`` for death, ``SIGSTOP`` for a wedge).
 
 **Failover.**  Requests in flight on a dead shard are re-dispatched to
 the next live shard in the key's ring preference order, at most
@@ -99,7 +101,6 @@ from repro.service.transport import (
     ShardTransport,
     TcpShardTransport,
 )
-from repro.testing.chaos import ShardChaos
 
 __all__ = ["ShardedService"]
 
@@ -109,6 +110,11 @@ logger = logging.getLogger("repro.service.supervisor")
 _DRAIN_GRACE = 2.0
 #: How long a metrics/stats round trip may take per shard.
 _INFO_TIMEOUT = 5.0
+#: The :mod:`multiprocessing` start method for pipe shards.  ``spawn``
+#: on purpose: the supervisor restarts shards from a thread, and forking
+#: a threaded process can inherit held locks (logging, BLAS) into the
+#: child — a deadlock class this subsystem exists to remove.
+_START_METHOD = "spawn"
 
 _STARTING = "starting"
 _LIVE = "live"
@@ -202,9 +208,6 @@ class ShardedService:
     ``serve-matcher`` process, and the routing fingerprint is probed
     from its handshake up front — each shard re-verifies it at startup
     (:class:`~repro.exceptions.ArtifactMismatchError` on drift).
-    ``chaos`` maps shard ids to
-    :class:`~repro.testing.chaos.ShardChaos` specs — the fault-injection
-    hook the supervisor tests and ``scripts/shard_drill.py`` use.
 
     With a ``fleet`` config the same construction runs cross-host: no
     process is spawned; each shard id dials its standing ``serve-shard``
@@ -222,7 +225,6 @@ class ShardedService:
         store_config: StoreConfig | None = None,
         shard_config: ShardConfig | None = None,
         metrics: MetricsRegistry | None = None,
-        chaos: dict[int, ShardChaos] | None = None,
         backend_address: str | None = None,
         backend_config: RemoteBackendConfig | None = None,
         fleet: FleetConfig | None = None,
@@ -262,7 +264,7 @@ class ShardedService:
         # attribute keeps the front-end surface (precompute's store
         # check) uniform across both service flavours.
         self.store = None
-        self._ctx = multiprocessing.get_context(self.shard_config.start_method)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         self._ring = HashRing(
             range(self.shard_config.n_shards),
             virtual_nodes=self.shard_config.virtual_nodes,
@@ -313,7 +315,6 @@ class ShardedService:
         )
 
         blob = None if matcher is None else pickle.dumps(matcher)
-        chaos = chaos or {}
         fleet_by_id = (
             {} if fleet is None
             else {entry.shard_id: entry for entry in fleet.shards}
@@ -332,7 +333,6 @@ class ShardedService:
                 backend_address=backend_address,
                 backend_config=backend_config,
                 fingerprint=self.fingerprint,
-                chaos=chaos.get(shard_id),
             )
             if fleet is None:
                 transport: ShardTransport = PipeShardTransport(self._ctx)
@@ -693,9 +693,6 @@ class ShardedService:
 
     def _restart_shard(self, handle: _ShardHandle) -> None:
         with self._lock:
-            # One-shot chaos stays dead across restarts: the drill wants
-            # one crash and one recovery, not a crash loop.
-            handle.spec = handle.spec.without_chaos()
             handle.restarts += 1
         self._m_restarts.inc()
         logger.info(
@@ -871,8 +868,6 @@ class ShardedService:
         the supervisor may be the partitioned one, and serving a sliver
         of the ring as "healthy" would mask a real outage.
         """
-        if self.shard_config.quorum is not None:
-            return self.shard_config.quorum
         if self._fleet is None:
             return 1
         if self._fleet.quorum is not None:

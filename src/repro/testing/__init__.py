@@ -5,7 +5,12 @@ fault-injection smoke job and downstream users can run chaos drills
 against their own configurations.  :mod:`repro.testing.faults` injects
 matcher-side faults; :mod:`repro.testing.chaos` supplies the
 infrastructure side (damaged store files, mid-request kills, slow
-clients, overload bursts), all seeded and reproducible.
+clients, overload bursts, a stream-mangling TCP proxy), all seeded and
+reproducible.
+
+Every fault comes from outside the code under test — a wrapped matcher,
+a signal, a damaged file or a proxy on the wire — so no production
+module imports this package (``tests/test_import_boundaries.py``).
 """
 
 from repro.testing.chaos import (

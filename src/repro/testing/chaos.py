@@ -23,80 +23,50 @@ Process/network chaos:
   barrier, results and exceptions collected per slot (admission-control
   drills).
 
-Shard chaos (the supervisor's failure model): a :class:`ShardChaos` spec
-travels inside a shard's spawn arguments and arms one in-process fault:
-
-* :func:`worker_crash` — the shard SIGKILLs *itself* mid-request (after
-  admitting its N-th request, before responding), the exact window where
-  a crash strands in-flight waiters;
-* :func:`heartbeat_stall` — the shard's heartbeat thread goes silent
-  after a delay while the request loop keeps serving, the "wedged but
-  not dead" failure the supervisor must detect by missed heartbeats.
-
-Backend chaos (the remote-matcher failure model): a
-:class:`BackendChaos` spec arms the reference matcher server
-(:class:`repro.backends.server.MatcherServer`) with one network fault:
-
-* :func:`backend_latency` — every response is delayed, to exercise call
-  timeouts and the pipelining window under a slow server;
-* :func:`backend_disconnect` — after serving N requests the server cuts
-  the connection **mid-frame** (a partial header is on the wire), the
-  exact failure a crashed or OOM-killed matcher process produces;
-* :func:`backend_garbage` — after N requests the server answers with
-  bytes that are not a frame at all (bad magic), modelling a proxy
-  mix-up or a corrupted stream the client must fail fast on.
-
-Network chaos (the cross-host fleet's failure model): a
-:class:`ChaosProxy` sits between the supervisor and one ``serve-shard``
-host and mangles the TCP stream in-flight:
+Network chaos: a :class:`ChaosProxy` sits on one framed TCP link — a
+supervisor and its ``serve-shard`` host, or a
+:class:`~repro.backends.client.RemoteBackend` and its matcher server —
+and mangles the stream in-flight.  The serving modules carry no fault
+hooks of their own; every shard, backend and fleet fault is injected
+from outside the process, by a signal or by this proxy:
 
 * ``partition`` — both directions are silently dropped while the sockets
   stay established (the classic network partition: neither side sees an
   error, only silence);
 * ``slow`` — every chunk is delayed (a saturated or lossy link);
-* ``half_open`` — supervisor→shard bytes flow, shard→supervisor bytes
-  vanish (asymmetric routing failure: the shard serves into the void);
+* ``half_open`` — dialling-side bytes flow, replies vanish (asymmetric
+  routing failure: the server serves into the void);
 * ``corrupt_frame`` — one bad-magic frame is injected toward the
-  supervisor (middlebox mix-up), which must classify it as a connection
-  loss and reconnect;
-* :meth:`ChaosProxy.heal` — back to transparent forwarding; the fleet
+  dialling side (middlebox mix-up) and the connection is severed;
+* ``cut_frame`` — one reply is cut after a partial frame header and the
+  connection torn down (a crashed or OOM-killed server process);
+* :meth:`ChaosProxy.heal` — back to transparent forwarding; the link
   must reconnect and resume.
 
-Used by ``tests/service/test_lifecycle.py``, the store-recovery and
-sharded-service tests, the backend failure-taxonomy tests, the fleet
-tests, ``scripts/chaos_drill.py``, ``scripts/shard_drill.py``,
-``scripts/backend_drill.py`` and ``scripts/fleet_drill.py`` (the CI
-chaos jobs).
+Used by the store-recovery, server-hardening, backend failure-taxonomy
+and fleet tests, ``benchmarks/bench_shedding.py``, and
+``scripts/chaos_drill.py`` and ``scripts/fleet_drill.py`` (CI chaos
+jobs).
 """
 
 from __future__ import annotations
 
-import os
 import random
 import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
-    "BackendChaos",
     "ChaosProxy",
-    "ShardChaos",
     "SlowClient",
-    "backend_disconnect",
-    "backend_garbage",
-    "backend_latency",
     "chaos_rng",
-    "crash_self",
     "flip_bytes",
-    "heartbeat_stall",
     "kill_after",
     "overload_burst",
     "overwrite_with_garbage",
     "truncate_file",
-    "worker_crash",
 ]
 
 
@@ -153,155 +123,6 @@ def overwrite_with_garbage(
 ) -> None:
     """Replace *path* with *size* seeded-random bytes (not a database)."""
     Path(path).write_bytes(chaos_rng(seed).randbytes(size))
-
-
-# ---------------------------------------------------------------------------
-# Shard chaos
-# ---------------------------------------------------------------------------
-
-#: Fault modes a :class:`ShardChaos` spec can arm inside a shard process.
-SHARD_CHAOS_MODES = ("worker_crash", "heartbeat_stall")
-
-
-@dataclass(frozen=True)
-class ShardChaos:
-    """A picklable, one-shot fault armed inside a shard process.
-
-    The spec rides the shard's spawn arguments, so the fault fires in the
-    real child process under the real supervisor — no monkeypatching.
-    ``repeat=False`` (the default) makes the supervisor strip the spec
-    when it restarts the shard, so the drill observes one crash and one
-    recovery instead of a crash loop.
-    """
-
-    mode: str
-    #: ``worker_crash``: SIGKILL self upon admitting this many requests.
-    after_requests: int = 1
-    #: ``heartbeat_stall``: stop heartbeating this long after startup.
-    after_seconds: float = 0.0
-    #: Re-arm the fault in the restarted shard too (crash-loop drills).
-    repeat: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in SHARD_CHAOS_MODES:
-            raise ValueError(
-                f"mode must be one of {SHARD_CHAOS_MODES}, got {self.mode!r}"
-            )
-        if self.after_requests < 1:
-            raise ValueError(
-                f"after_requests must be >= 1, got {self.after_requests}"
-            )
-        if self.after_seconds < 0:
-            raise ValueError(
-                f"after_seconds must be >= 0, got {self.after_seconds}"
-            )
-
-
-def worker_crash(after_requests: int = 1, repeat: bool = False) -> ShardChaos:
-    """SIGKILL the shard from inside, mid-request.
-
-    Fires after the shard *admits* its ``after_requests``-th explain
-    request and before it responds — the window where the router has
-    committed the request to this shard and only supervisor failover can
-    save the waiter.
-    """
-    return ShardChaos(
-        mode="worker_crash", after_requests=after_requests, repeat=repeat
-    )
-
-
-def heartbeat_stall(after_seconds: float = 0.0, repeat: bool = False) -> ShardChaos:
-    """Silence the shard's heartbeats without killing it.
-
-    The request loop keeps answering, so only the supervisor's
-    missed-heartbeat detection — not process liveness — can catch it.
-    """
-    return ShardChaos(
-        mode="heartbeat_stall", after_seconds=after_seconds, repeat=repeat
-    )
-
-
-def crash_self() -> None:
-    """SIGKILL the calling process — an un-catchable, un-drainable death.
-
-    Used by the ``worker_crash`` mode; exposed for drills that want the
-    same semantics elsewhere.
-    """
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-# ---------------------------------------------------------------------------
-# Backend chaos
-# ---------------------------------------------------------------------------
-
-#: Fault modes a :class:`BackendChaos` spec can arm in the matcher server.
-BACKEND_CHAOS_MODES = ("latency", "disconnect", "garbage")
-
-
-@dataclass(frozen=True)
-class BackendChaos:
-    """A picklable network fault armed inside the reference matcher server.
-
-    The spec is handed to :class:`repro.backends.server.MatcherServer`
-    (or the ``serve-matcher`` CLI), so the fault fires in the real server
-    against the real client — reconnect, breaker and protocol-error
-    handling are exercised end to end, not mocked.
-
-    ``latency`` repeats on every request; ``disconnect`` and ``garbage``
-    fire once after ``after_requests`` *served* predict requests unless
-    ``repeat=True`` re-arms the counter, so a drill observes one fault
-    and one recovery instead of a fault loop.
-    """
-
-    mode: str
-    #: ``latency``: seconds each response is delayed.
-    delay_seconds: float = 0.0
-    #: ``disconnect``/``garbage``: predict requests served before firing.
-    after_requests: int = 1
-    #: Re-arm after firing (fault-loop drills).
-    repeat: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in BACKEND_CHAOS_MODES:
-            raise ValueError(
-                f"mode must be one of {BACKEND_CHAOS_MODES}, got {self.mode!r}"
-            )
-        if self.delay_seconds < 0:
-            raise ValueError(
-                f"delay_seconds must be >= 0, got {self.delay_seconds}"
-            )
-        if self.after_requests < 1:
-            raise ValueError(
-                f"after_requests must be >= 1, got {self.after_requests}"
-            )
-
-
-def backend_latency(delay_seconds: float) -> BackendChaos:
-    """Delay every matcher-server response by *delay_seconds*."""
-    return BackendChaos(mode="latency", delay_seconds=delay_seconds)
-
-
-def backend_disconnect(after_requests: int = 1, repeat: bool = False) -> BackendChaos:
-    """Cut the connection mid-frame after serving *after_requests* calls.
-
-    The server writes a *partial* frame header and hard-closes the
-    socket, stranding the client reader exactly as a crashed matcher
-    process would; the client must reconnect and retry.
-    """
-    return BackendChaos(
-        mode="disconnect", after_requests=after_requests, repeat=repeat
-    )
-
-
-def backend_garbage(after_requests: int = 1, repeat: bool = False) -> BackendChaos:
-    """Answer with non-protocol bytes after *after_requests* calls.
-
-    The client must classify this as a protocol violation (fail fast,
-    no retry burn) rather than a connection loss.
-    """
-    return BackendChaos(
-        mode="garbage", after_requests=after_requests, repeat=repeat
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +212,19 @@ class SlowClient:
 
 
 #: Stream-mangling modes a :class:`ChaosProxy` can switch between live.
-PROXY_MODES = ("forward", "partition", "slow", "half_open", "corrupt_frame")
+PROXY_MODES = (
+    "forward", "partition", "slow", "half_open", "corrupt_frame", "cut_frame",
+)
 
 
 class ChaosProxy:
-    """A mode-switchable TCP proxy between a supervisor and a shard host.
+    """A mode-switchable TCP proxy on one framed link.
 
-    Point the supervisor's fleet entry at the proxy's address and the
-    proxy at the real ``serve-shard`` port; then flip modes mid-drill::
+    The dialling side (a supervisor, or a
+    :class:`~repro.backends.client.RemoteBackend`) connects to the proxy,
+    which forwards to the real server (a ``serve-shard`` host or a
+    matcher server).  Point the fleet entry at the proxy's address and
+    the proxy at the real port; then flip modes mid-drill::
 
         proxy = ChaosProxy(shard_host, shard_port)
         host, port = proxy.start()
@@ -413,8 +239,12 @@ class ChaosProxy:
     neither endpoint gets a reset, which is what distinguishes a
     partition from a crash and forces heartbeat-based detection.
     ``corrupt_frame`` (armed via :meth:`corrupt_next_frame`) injects one
-    bad-magic frame toward the supervisor and severs that connection,
-    modelling a middlebox corrupting the stream.
+    bad-magic frame toward the dialling side and severs that connection,
+    modelling a middlebox corrupting the stream.  ``cut_frame`` (armed
+    via :meth:`cut_next_frame`) forwards only the first bytes of the next
+    reply — a partial frame header — and tears the connection down, the
+    failure a crashed or OOM-killed server process produces.  Both are
+    one-shot: after firing, the proxy forwards transparently again.
     """
 
     def __init__(
@@ -434,7 +264,7 @@ class ChaosProxy:
         self._listener.listen(8)
         self.host, self.port = self._listener.getsockname()[:2]
         self._mode = "forward"
-        self._corrupt_armed = False
+        self._one_shot_armed = False
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._sockets: list[socket.socket] = []
@@ -468,10 +298,17 @@ class ChaosProxy:
         self.set_mode("forward")
 
     def corrupt_next_frame(self) -> None:
-        """Arm a one-shot bad-magic frame toward the supervisor."""
+        """Arm a one-shot bad-magic frame toward the dialling side."""
+        self._arm_one_shot("corrupt_frame")
+
+    def cut_next_frame(self) -> None:
+        """Arm a one-shot cut of the next reply, mid frame header."""
+        self._arm_one_shot("cut_frame")
+
+    def _arm_one_shot(self, mode: str) -> None:
         with self._lock:
-            self._mode = "corrupt_frame"
-            self._corrupt_armed = True
+            self._mode = mode
+            self._one_shot_armed = True
 
     # -- lifecycle ------------------------------------------------------
 
@@ -534,10 +371,28 @@ class ChaosProxy:
                     name=f"chaos-proxy-{self.port}-{direction}",
                 ).start()
 
-    def _take_corrupt(self) -> bool:
+    def _take_one_shot(self) -> bool:
         with self._lock:
-            armed, self._corrupt_armed = self._corrupt_armed, False
+            armed, self._one_shot_armed = self._one_shot_armed, False
             return armed
+
+    @staticmethod
+    def _cut(src: socket.socket, dst: socket.socket, partial: bytes) -> None:
+        """Forward *partial* bytes of a frame, then tear the link down."""
+        try:
+            dst.sendall(partial)
+        except OSError:
+            pass
+        for sock in (dst, src):
+            try:
+                # shutdown, not just close: the opposite pump thread is
+                # blocked in recv on the same fd, and close alone defers the
+                # TCP teardown until that syscall returns — the dialling side
+                # would hang mid-header until its call timeout instead of
+                # seeing the mid-frame EOF this fault exists to produce.
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def _pump(self, src: socket.socket, dst: socket.socket, direction: str) -> None:
         while not self._stop.is_set():
@@ -556,14 +411,18 @@ class ChaosProxy:
                 self.dropped_chunks += 1
                 continue
             if mode == "corrupt_frame" and direction == "s2c":
-                if self._take_corrupt():
+                if self._take_one_shot():
                     try:
                         # A frame with a magic no sub-protocol uses: the
-                        # supervisor must treat it as a connection loss.
+                        # dialling side must reject the stream.
                         dst.sendall(b"XXXX" + (0).to_bytes(4, "big"))
                     except OSError:
                         break
                     break  # sever: the stream is garbage from here on
+            if mode == "cut_frame" and direction == "s2c":
+                if self._take_one_shot():
+                    self._cut(src, dst, data[:2])
+                    break
             if mode == "slow":
                 time.sleep(self.delay_seconds)
             try:

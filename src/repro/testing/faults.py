@@ -73,7 +73,11 @@ class _FaultyBase(EntityMatcher):
 
     def __getattr__(self, name: str):
         # Delegate everything else (attribute_weights, describe, ...) so
-        # the wrapper is a drop-in replacement inside the runner.
+        # the wrapper is a drop-in replacement inside the runner.  An
+        # instance without ``inner`` yet (mid-unpickle) delegates nothing,
+        # so wrappers cross a ``spawn`` boundary to shard processes.
+        if name == "inner":
+            raise AttributeError(name)
         return getattr(self.inner, name)
 
 

@@ -3,12 +3,15 @@
 Each transport failure mode must map to one exception class, the right
 ``retryable`` flag and the right HTTP status — timeouts are not
 connection losses are not protocol violations, because clients retry
-them differently.  The chaos modes drive the *real* client against a
-*really* misbehaving server.
+them differently.  Faults are injected from outside both ends: a
+:class:`~repro.testing.chaos.ChaosProxy` sits between the *real* client
+and the *real* server and mangles the stream, armed after the handshake
+so the fault lands on a predict response.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 
 import numpy as np
@@ -24,11 +27,7 @@ from repro.exceptions import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.service.server import http_status_for
-from repro.testing.chaos import (
-    backend_disconnect,
-    backend_garbage,
-    backend_latency,
-)
+from repro.testing.chaos import ChaosProxy
 
 from tests.backends.test_remote import RecordingMatcher
 
@@ -48,6 +47,21 @@ def _config(**overrides) -> RemoteBackendConfig:
     return RemoteBackendConfig(**base)
 
 
+@contextlib.contextmanager
+def _proxied(matcher, **proxy_options):
+    """A matcher server behind a :class:`ChaosProxy`; yields the proxy."""
+    with MatcherServer(matcher) as server:
+        with ChaosProxy(*server.address, **proxy_options) as proxy:
+            yield proxy
+
+
+def _handshaken(proxy: ChaosProxy, config: RemoteBackendConfig):
+    """A backend dialled through *proxy*, past its handshake."""
+    backend = RemoteBackend(proxy.address, config=config)
+    backend.capabilities()
+    return backend
+
+
 class TestTaxonomy:
     def test_connection_refused_is_unavailable(self):
         backend = RemoteBackend(("127.0.0.1", _free_port()), config=_config())
@@ -60,11 +74,9 @@ class TestTaxonomy:
         assert http_status_for(info.value.code) == 503
 
     def test_response_timeout_is_matcher_timeout(self):
-        chaos = backend_latency(delay_seconds=5.0)
-        with MatcherServer(RecordingMatcher(), chaos=chaos) as server:
-            backend = RemoteBackend(
-                server.address, config=_config(call_timeout=0.2),
-            )
+        with _proxied(RecordingMatcher(), delay_seconds=5.0) as proxy:
+            backend = _handshaken(proxy, _config(call_timeout=0.2))
+            proxy.set_mode("slow")
             try:
                 with pytest.raises(MatcherTimeoutError) as info:
                     backend.predict_proba(["p"])
@@ -74,10 +86,9 @@ class TestTaxonomy:
         assert http_status_for(info.value.code) == 504
 
     def test_mid_frame_disconnect_is_unavailable(self):
-        with MatcherServer(
-            RecordingMatcher(), chaos=backend_disconnect(after_requests=1),
-        ) as server:
-            backend = RemoteBackend(server.address, config=_config())
+        with _proxied(RecordingMatcher()) as proxy:
+            backend = _handshaken(proxy, _config())
+            proxy.cut_next_frame()
             try:
                 with pytest.raises(BackendUnavailableError) as info:
                     backend.predict_proba(["p"])
@@ -87,12 +98,9 @@ class TestTaxonomy:
         assert http_status_for(info.value.code) == 503
 
     def test_garbage_frame_is_protocol_error(self):
-        with MatcherServer(
-            RecordingMatcher(), chaos=backend_garbage(after_requests=1),
-        ) as server:
-            backend = RemoteBackend(
-                server.address, config=_config(max_retries=3),
-            )
+        with _proxied(RecordingMatcher()) as proxy:
+            backend = _handshaken(proxy, _config(max_retries=3))
+            proxy.corrupt_next_frame()
             try:
                 with pytest.raises(BackendProtocolError) as info:
                     backend.predict_proba(["p"])
@@ -142,13 +150,9 @@ class TestTaxonomy:
 
 class TestRecovery:
     def test_disconnect_heals_via_retry_and_reconnect(self):
-        matcher = RecordingMatcher()
-        with MatcherServer(
-            matcher, chaos=backend_disconnect(after_requests=1),
-        ) as server:
-            backend = RemoteBackend(
-                server.address, config=_config(max_retries=2),
-            )
+        with _proxied(RecordingMatcher()) as proxy:
+            backend = _handshaken(proxy, _config(max_retries=2))
+            proxy.cut_next_frame()
             try:
                 scores = backend.predict_proba(["p", "q"])
                 np.testing.assert_array_equal(

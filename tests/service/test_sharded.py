@@ -5,10 +5,17 @@ context), so each ``ShardedService`` boot costs a couple of seconds of
 child imports.  They stay cheap by sharing one trained matcher (the
 session ``beer_matcher`` fixture pickles cleanly) and tiny perturbation
 budgets.
+
+Shard faults are injected from outside, as an operator or the kernel
+would: ``SIGKILL`` on the pid that ``health()`` reports, while a request
+is in flight on a :class:`~repro.testing.faults.SlowMatcher`, or
+``SIGSTOP`` for a shard that is alive but silent.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
@@ -21,7 +28,7 @@ from repro.service import (
     ShardedService,
 )
 from repro.service.store import shard_store_dir
-from repro.testing.chaos import heartbeat_stall, worker_crash
+from repro.testing.faults import SlowMatcher
 
 SAMPLES = 24
 
@@ -49,6 +56,26 @@ def _request_for_shard(service, dataset, shard_id, **overrides):
         if service.shard_for(request) == shard_id:
             return request
     raise AssertionError(f"no record routes to shard {shard_id}")
+
+
+@pytest.fixture
+def slow_matcher(beer_matcher):
+    """Every matcher call sleeps, so a kill lands mid-request."""
+    return SlowMatcher(beer_matcher, delay=0.2)
+
+
+def _signal_shard(service, shard_id, signum=signal.SIGKILL) -> None:
+    """Send *signum* to the shard process whose pid ``health()`` reports."""
+    os.kill(service.health()[1]["shards"][str(shard_id)]["pid"], signum)
+
+
+def _router_counter(service, name: str) -> float:
+    return sum(
+        value
+        for family in service.metrics.collect()
+        if family["name"] == name
+        for _, value in family["samples"]
+    )
 
 
 def _wait_for(predicate, timeout=30.0, interval=0.05):
@@ -131,21 +158,23 @@ class TestRoutingAndStores:
 
 class TestCrashFailover:
     def test_worker_crash_fails_over_and_restarts(
-        self, beer_matcher, beer_dataset
+        self, slow_matcher, beer_dataset
     ):
         with ShardedService(
-            beer_matcher,
+            slow_matcher,
             shard_config=ShardConfig(n_shards=2, **FAST),
-            chaos={0: worker_crash(after_requests=1)},
         ) as service:
             request = _request_for_shard(service, beer_dataset, 0)
-            # The crash strands this request on shard 0; the supervisor
+            # The kill strands this request on shard 0; the supervisor
             # must fail it over to shard 1, which serves it.
-            payload = service.submit(request).result(timeout=120)
+            future = service.submit(request)
+            _signal_shard(service, 0)
+            payload = future.result(timeout=120)
             assert payload["duals"]["single"]
+            assert _router_counter(service, "repro_router_failovers") >= 1
 
-            # The supervisor restarts shard 0 (chaos disarmed) and the
-            # fleet reports healthy again.
+            # The supervisor restarts shard 0 and the fleet reports
+            # healthy again.
             assert _wait_for(
                 lambda: service.health()[1]["shards"]["0"]["state"] == "live"
             )
@@ -158,13 +187,13 @@ class TestCrashFailover:
             assert again == payload
 
     def test_failover_budget_exhausted_is_retryable_503(
-        self, beer_matcher, beer_dataset
+        self, slow_matcher, beer_dataset
     ):
-        # Both shards crash on their first admitted request and restarts
-        # are slow, so the single failover attempt also dies: the waiter
+        # Both shards die under the in-flight request and restarts are
+        # slow, so the single failover attempt also dies: the waiter
         # must get the retryable taxonomy error, never a hang.
         with ShardedService(
-            beer_matcher,
+            slow_matcher,
             shard_config=ShardConfig(
                 n_shards=2,
                 heartbeat_interval=0.05,
@@ -173,21 +202,20 @@ class TestCrashFailover:
                 restart_backoff_base=30.0,
                 max_failovers=1,
             ),
-            chaos={
-                0: worker_crash(after_requests=1),
-                1: worker_crash(after_requests=1),
-            },
         ) as service:
             request = _request(beer_dataset[0])
+            future = service.submit(request)
+            _signal_shard(service, 0)
+            _signal_shard(service, 1)
             with pytest.raises(ShardFailedError) as excinfo:
-                service.submit(request).result(timeout=120)
+                future.result(timeout=120)
             assert excinfo.value.code == "shard_failed"
 
     def test_no_live_shards_rejects_submissions_retryably(
-        self, beer_matcher, beer_dataset
+        self, slow_matcher, beer_dataset
     ):
         with ShardedService(
-            beer_matcher,
+            slow_matcher,
             shard_config=ShardConfig(
                 n_shards=1,
                 heartbeat_interval=0.05,
@@ -195,11 +223,11 @@ class TestCrashFailover:
                 check_interval=0.05,
                 restart_backoff_base=30.0,
             ),
-            chaos={0: worker_crash(after_requests=1)},
         ) as service:
-            request = _request(beer_dataset[0])
+            future = service.submit(_request(beer_dataset[0]))
+            _signal_shard(service, 0)
             with pytest.raises(ShardFailedError):
-                service.submit(request).result(timeout=120)
+                future.result(timeout=120)
             # The only shard is dead and backing off: health is a 503
             # (down, not degraded) and new submissions fail fast.
             assert _wait_for(lambda: service.health()[0] == 503)
@@ -216,10 +244,12 @@ class TestSupervision:
         with ShardedService(
             beer_matcher,
             shard_config=ShardConfig(n_shards=1, **FAST),
-            chaos={0: heartbeat_stall(after_seconds=0.0)},
         ) as service:
-            # The shard never heartbeats, so the supervisor declares it
-            # hung, kills it and restarts it without chaos.
+            # A stopped shard is alive but silent: only the missed
+            # heartbeats give it away.  The supervisor declares it hung,
+            # SIGKILLs it (which reaps a stopped process too) and
+            # restarts it.
+            _signal_shard(service, 0, signal.SIGSTOP)
             assert _wait_for(
                 lambda: service.health()[1]["shards"]["0"]["restarts"] >= 1
             )
@@ -230,10 +260,10 @@ class TestSupervision:
             assert payload["duals"]["single"]
 
     def test_one_sick_shard_reads_degraded_not_down(
-        self, beer_matcher, beer_dataset
+        self, slow_matcher, beer_dataset
     ):
         with ShardedService(
-            beer_matcher,
+            slow_matcher,
             shard_config=ShardConfig(
                 n_shards=2,
                 heartbeat_interval=0.05,
@@ -241,10 +271,11 @@ class TestSupervision:
                 check_interval=0.05,
                 restart_backoff_base=30.0,
             ),
-            chaos={0: worker_crash(after_requests=1)},
         ) as service:
             request = _request_for_shard(service, beer_dataset, 0)
-            service.submit(request).result(timeout=120)
+            future = service.submit(request)
+            _signal_shard(service, 0)
+            future.result(timeout=120)
             assert _wait_for(
                 lambda: service.health()[1]["shards"]["0"]["state"] != "live"
             )
