@@ -14,7 +14,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.evaluation.methods import ExplainedRecord
 from repro.exceptions import ConfigurationError
@@ -53,6 +52,8 @@ def attribute_correlation(
     )
     if np.ptp(model_scores) == 0.0 or np.ptp(surrogate_scores) == 0.0:
         return 0.0
+    from scipy import stats
+
     result = stats.weightedtau(model_scores, surrogate_scores)
     statistic = float(result.statistic)
     if np.isnan(statistic):

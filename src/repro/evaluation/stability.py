@@ -18,7 +18,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.explanation import PairTokenWeights
 from repro.data.records import RecordPair
@@ -64,6 +63,8 @@ def record_stability(runs: Sequence[PairTokenWeights]) -> float:
     matrix = _aligned_weight_matrix(runs)
     if matrix.shape[1] < 2:
         return 1.0
+    from scipy import stats
+
     correlations = []
     for i in range(len(runs)):
         for j in range(i + 1, len(runs)):

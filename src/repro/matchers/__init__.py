@@ -12,8 +12,14 @@ Magellan recipe).  This package provides:
 * :class:`~repro.matchers.neural.MLPMatcher` — a small numpy MLP standing in
   for the "deep" matchers (DeepMatcher/DITTO) to demonstrate that Landmark
   Explanation is model-agnostic;
+* :class:`~repro.matchers.embedding.EmbeddingMatcher` — a token-embedding
+  matcher; its pooling matrix needs scipy, imported on first use only;
+* :class:`~repro.matchers.boosting.GradientBoostedStumpsMatcher` —
+  gradient-boosted decision stumps, a non-differentiable tree model;
 * :class:`~repro.matchers.rules.RuleBasedMatcher` — an intrinsically
   interpretable threshold matcher;
+* :class:`~repro.matchers.calibration.PlattCalibrator` — Platt scaling of
+  a matcher's scores, beside :func:`tune_threshold`;
 * :mod:`~repro.matchers.evaluate` — precision / recall / F1 and reports.
 """
 

@@ -26,15 +26,18 @@ two sparse matmuls and the embedding gradient is one transposed matmul.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.data.records import EMDataset, RecordPair
 from repro.exceptions import DatasetError, ModelNotFittedError
 from repro.matchers.base import EntityMatcher
 from repro.matchers.logistic import _sigmoid
 from repro.text.normalize import tokens_of
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Vocabulary index reserved for unseen tokens.
 OOV_INDEX = 0
@@ -114,6 +117,8 @@ class EmbeddingMatcher(EntityMatcher):
                             )
                             values.append(share)
                     slot += 1
+        from scipy import sparse
+
         n_slots = len(pairs) * len(self.attributes_) * 2
         return sparse.csr_matrix(
             (values, (rows, columns)),

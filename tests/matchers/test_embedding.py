@@ -1,8 +1,14 @@
 """Tests for the token-embedding matcher."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.serialize import save_matcher
 from repro.data.splits import train_test_split
 from repro.exceptions import DatasetError, ModelNotFittedError
 from repro.matchers.embedding import EmbeddingMatcher
@@ -160,3 +166,44 @@ class TestTokenSaliency:
             )
         assert rhos
         assert float(np.mean(rhos)) > 0.1
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+PREDICT_IN_FRESH_PROCESS = """
+import sys
+
+import numpy as np
+
+from repro.core.serialize import load_matcher
+from repro.data.synthetic import load_dataset
+
+artifact, output = sys.argv[1:]
+dataset = load_dataset("S-BR", seed=0, size_cap=300)
+np.save(output, load_matcher(artifact).predict_proba(dataset.pairs))
+"""
+
+
+class TestArtifact:
+    def test_fresh_process_predicts_identically(
+        self, beer_dataset, embedding_matcher, tmp_path
+    ):
+        # The serving path imports scipy on first use, not at import
+        # time; a freshly started process must still reproduce every
+        # probability bit for bit.
+        artifact = tmp_path / "embedding.pkl"
+        output = tmp_path / "probabilities.npy"
+        save_matcher(embedding_matcher, artifact)
+        result = subprocess.run(
+            [
+                sys.executable, "-c", PREDICT_IN_FRESH_PROCESS,
+                str(artifact), str(output),
+            ],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        expected = embedding_matcher.predict_proba(beer_dataset.pairs)
+        assert np.array_equal(np.load(output), expected)

@@ -1,22 +1,38 @@
-"""Production modules never import the test doubles in ``repro.testing``.
+"""Import boundaries of ``src/repro``, checked by source walk and at run time.
 
-Fault injection lives outside the serving stack: a drill or test
-signals a process or mangles a TCP stream, and no serving module
-carries a hook for it.  This walks every module under ``src/repro``
-with :mod:`ast` and fails when one outside ``repro/testing/`` imports
-``repro.testing`` in any spelling (absolute, relative, or
-``from repro import testing``).
+Two rules:
+
+* Production modules never import the test doubles in ``repro.testing``.
+  Fault injection lives outside the serving stack: a drill or test
+  signals a process or mangles a TCP stream, and no serving module
+  carries a hook for it.
+* No module imports scipy while it is itself being imported.  scipy
+  costs about a second of every process start, and no serving path
+  calls it, so its three callers (``attribute_correlation``,
+  ``record_stability`` and ``EmbeddingMatcher._averaging_matrix``)
+  import it inside the function.  An import under ``if TYPE_CHECKING:``
+  never runs and is allowed.
+
+Both walk every module under ``src/repro`` with :mod:`ast` and check
+that every import spelling is caught.  A runtime test then imports the
+serving entry points in a fresh interpreter, computes a LIME and a SHAP
+explanation, and asserts that scipy was never loaded.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 FORBIDDEN = "repro.testing"
+DEFERRED = "scipy"
 
 
 def _module_name(path: Path) -> str:
@@ -26,11 +42,43 @@ def _module_name(path: Path) -> str:
     return ".".join(parts)
 
 
-def _imported_modules(source: str, module: str, is_package: bool) -> set[str]:
-    """Every absolute module name *source* may import, one per spelling."""
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _import_time_nodes(tree: ast.Module):
+    """Every node that runs when the module is imported.
+
+    Skips function bodies and the body of ``if TYPE_CHECKING:``; class
+    bodies and ``try`` blocks run at import time and are kept.
+    """
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.If) and _is_type_checking(child.test):
+                stack.extend(child.orelse)
+                continue
+            stack.append(child)
+
+
+def _imported_modules(
+    source: str, module: str, is_package: bool, *, import_time_only: bool = False
+) -> set[str]:
+    """Every absolute module name *source* may import, one per spelling.
+
+    With *import_time_only*, only the imports that run while the module
+    itself is imported.
+    """
     package = module if is_package else module.rpartition(".")[0]
+    tree = ast.parse(source)
     found: set[str] = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in _import_time_nodes(tree) if import_time_only else ast.walk(tree):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -50,12 +98,26 @@ def _is_forbidden(name: str) -> bool:
     return name == FORBIDDEN or name.startswith(FORBIDDEN + ".")
 
 
+def _is_deferred(name: str) -> bool:
+    return name == DEFERRED or name.startswith(DEFERRED + ".")
+
+
 def _violations(path: Path) -> list[str]:
     module = _module_name(path)
     imported = _imported_modules(
         path.read_text(encoding="utf-8"), module, path.name == "__init__.py"
     )
     return sorted(name for name in imported if _is_forbidden(name))
+
+
+def _import_time_scipy(path: Path) -> list[str]:
+    imported = _imported_modules(
+        path.read_text(encoding="utf-8"),
+        _module_name(path),
+        path.name == "__init__.py",
+        import_time_only=True,
+    )
+    return sorted(name for name in imported if _is_deferred(name))
 
 
 def test_no_production_module_imports_repro_testing():
@@ -106,3 +168,100 @@ def test_every_import_spelling_is_caught(source):
 def test_neighbouring_names_are_not_flagged(source):
     imported = _imported_modules(source, "repro.service.shard", False)
     assert not any(_is_forbidden(name) for name in imported)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    modules = sorted(PACKAGE_ROOT.rglob("*.py"))
+    assert len(modules) > 50, "the walk found too few modules"
+    offenders = {
+        str(path.relative_to(PACKAGE_ROOT.parent)): names
+        for path in modules
+        if (names := _import_time_scipy(path))
+    }
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import scipy.stats",
+        "from scipy import stats",
+        "import scipy as sp",
+        "try:\n    from scipy import sparse\nexcept ImportError:\n    pass\n",
+        "class Model:\n    from scipy import sparse\n",
+    ],
+    ids=["import-submodule", "from-package", "import-alias", "try-block", "class-body"],
+)
+def test_every_import_time_scipy_spelling_is_caught(source):
+    imported = _imported_modules(
+        source, "repro.matchers.embedding", False, import_time_only=True
+    )
+    assert any(_is_deferred(name) for name in imported)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f():\n    from scipy import sparse\n",
+        "class Model:\n    def f(self):\n        import scipy.stats\n",
+        "if TYPE_CHECKING:\n    from scipy import sparse\n",
+        "import scipyish",
+    ],
+    ids=["function-local", "method-local", "type-checking", "prefix-name"],
+)
+def test_deferred_and_neighbouring_scipy_imports_are_not_flagged(source):
+    imported = _imported_modules(
+        source, "repro.matchers.embedding", False, import_time_only=True
+    )
+    assert not any(_is_deferred(name) for name in imported)
+
+
+SERVING_PROCESS = """
+import json
+import sys
+
+import repro
+import repro.backends.server
+import repro.cli
+import repro.service.fleet
+import repro.service.server
+import repro.service.shard
+from repro.core.engine import PredictionEngine
+from repro.core.serialize import matcher_fingerprint
+from repro.matchers import LogisticRegressionMatcher
+from repro.service.request import ExplainRequest, request_key
+from repro.service.service import compute_explanation_payload
+
+dataset = repro.load_dataset("S-BR", seed=0, size_cap=60)
+matcher = LogisticRegressionMatcher().fit(dataset)
+engine = PredictionEngine(matcher)
+fingerprint = matcher_fingerprint(matcher)
+generations = {}
+for explainer in ("lime", "shap"):
+    request = ExplainRequest(
+        dataset.pairs[0], method="both", samples=32, explainer=explainer
+    )
+    key = request_key(fingerprint, request)
+    payload = compute_explanation_payload(matcher, engine, fingerprint, key, request)
+    generations[explainer] = sorted(payload["duals"])
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"generations": generations, "scipy": scipy}))
+"""
+
+
+def test_serving_process_never_loads_scipy():
+    result = subprocess.run(
+        [sys.executable, "-c", SERVING_PROCESS],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT.parent)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    # Both explainers really ran both generations, so the check covers them.
+    assert report["generations"] == {
+        "lime": ["double", "single"],
+        "shap": ["double", "single"],
+    }
+    assert report["scipy"] == []
