@@ -19,156 +19,82 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured comparison of every table.
 """
 
-from repro.backends import (
-    InProcessBackend,
-    MatcherBackend,
-    MatcherServer,
-    RemoteBackend,
-    as_backend,
-)
-from repro.baselines import MojitoCopyExplainer, MojitoDropExplainer
-from repro.blocking import BlockingReport, InvertedIndexBlocker
-from repro.config import (
-    ALL_METHODS,
-    BENCH,
-    FAST,
-    PAPER,
-    ExperimentConfig,
-    ServiceConfig,
-    StoreConfig,
-    get_preset,
-)
-from repro.core import (
-    Counterfactual,
-    DualExplanation,
-    ENGINE_OFF,
-    EngineConfig,
-    EngineStats,
-    PredictionEngine,
-    GENERATION_AUTO,
-    GENERATION_DOUBLE,
-    GENERATION_SINGLE,
-    GlobalSummary,
-    LandmarkExplainer,
-    LandmarkExplanation,
-    PairTokenWeights,
-    greedy_counterfactual,
-    load_matcher,
-    matcher_fingerprint,
-    save_matcher,
-    summarize_explanations,
-)
-from repro.data import EMDataset, PairSchema, RecordPair, read_csv, write_csv
-from repro.data.splits import sample_per_label, train_test_split
-from repro.data.synthetic import DATASET_CODES, load_benchmark, load_dataset, make_dirty
-from repro.evaluation import ExperimentRunner, FailureLedger
-from repro.exceptions import (
-    CheckpointError,
-    MatcherTimeoutError,
-    MatcherUnavailableError,
-    ReproError,
-)
-from repro.explainers import (
-    AnchorExplanation,
-    AnchorsTextExplainer,
-    Explanation,
-    KernelShapExplainer,
-    LimeConfig,
-    LimeTextExplainer,
-    anchor_for_landmark,
-)
-from repro.matchers import (
-    EmbeddingMatcher,
-    EntityMatcher,
-    GradientBoostedStumpsMatcher,
-    LogisticRegressionMatcher,
-    MLPMatcher,
-    PlattCalibrator,
-    RuleBasedMatcher,
-    evaluate_matcher,
-    tune_threshold,
-)
-from repro.service import (
-    ExplainRequest,
-    ExplanationService,
-    ExplanationStore,
-)
-from repro.text import Tokenizer
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_METHODS",
-    "AnchorExplanation",
-    "AnchorsTextExplainer",
-    "BENCH",
-    "BlockingReport",
-    "CheckpointError",
-    "Counterfactual",
-    "FailureLedger",
-    "MatcherTimeoutError",
-    "MatcherUnavailableError",
-    "DATASET_CODES",
-    "DualExplanation",
-    "EMDataset",
-    "EmbeddingMatcher",
-    "EntityMatcher",
-    "GradientBoostedStumpsMatcher",
-    "ExperimentConfig",
-    "ExperimentRunner",
-    "ExplainRequest",
-    "ExplanationService",
-    "ExplanationStore",
-    "Explanation",
-    "FAST",
-    "GENERATION_AUTO",
-    "GENERATION_DOUBLE",
-    "GENERATION_SINGLE",
-    "GlobalSummary",
-    "InProcessBackend",
-    "InvertedIndexBlocker",
-    "KernelShapExplainer",
-    "MatcherBackend",
-    "MatcherServer",
-    "RemoteBackend",
-    "ENGINE_OFF",
-    "EngineConfig",
-    "EngineStats",
-    "PredictionEngine",
-    "LandmarkExplainer",
-    "LandmarkExplanation",
-    "LimeConfig",
-    "LimeTextExplainer",
-    "LogisticRegressionMatcher",
-    "MLPMatcher",
-    "MojitoCopyExplainer",
-    "MojitoDropExplainer",
-    "PAPER",
-    "PairSchema",
-    "PlattCalibrator",
-    "PairTokenWeights",
-    "RecordPair",
-    "ReproError",
-    "RuleBasedMatcher",
-    "ServiceConfig",
-    "StoreConfig",
-    "Tokenizer",
-    "anchor_for_landmark",
-    "as_backend",
-    "evaluate_matcher",
-    "get_preset",
-    "greedy_counterfactual",
-    "load_benchmark",
-    "load_dataset",
-    "load_matcher",
-    "make_dirty",
-    "matcher_fingerprint",
-    "read_csv",
-    "sample_per_label",
-    "save_matcher",
-    "summarize_explanations",
-    "train_test_split",
-    "tune_threshold",
-    "write_csv",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ALL_METHODS": ".config",
+    "AnchorExplanation": ".explainers.anchors",
+    "AnchorsTextExplainer": ".explainers.anchors",
+    "BENCH": ".config",
+    "BlockingReport": ".blocking.index",
+    "CheckpointError": ".exceptions",
+    "Counterfactual": ".core.counterfactual",
+    "FailureLedger": ".evaluation.ledger",
+    "MatcherTimeoutError": ".exceptions",
+    "MatcherUnavailableError": ".exceptions",
+    "DATASET_CODES": ".data.synthetic.magellan",
+    "DualExplanation": ".core.explanation",
+    "EMDataset": ".data.records",
+    "EmbeddingMatcher": ".matchers.embedding",
+    "EntityMatcher": ".matchers.base",
+    "GradientBoostedStumpsMatcher": ".matchers.boosting",
+    "ExperimentConfig": ".config",
+    "ExperimentRunner": ".evaluation.runner",
+    "ExplainRequest": ".service.request",
+    "ExplanationService": ".service.service",
+    "ExplanationStore": ".service.store",
+    "Explanation": ".explainers.base",
+    "FAST": ".config",
+    "GENERATION_AUTO": ".core.landmark",
+    "GENERATION_DOUBLE": ".core.generation",
+    "GENERATION_SINGLE": ".core.generation",
+    "GlobalSummary": ".core.summarize",
+    "InProcessBackend": ".backends.base",
+    "InvertedIndexBlocker": ".blocking.index",
+    "KernelShapExplainer": ".explainers.kernel_shap",
+    "MatcherBackend": ".backends.base",
+    "MatcherServer": ".backends.server",
+    "RemoteBackend": ".backends.client",
+    "ENGINE_OFF": ".core.engine",
+    "EngineConfig": ".core.engine",
+    "EngineStats": ".core.engine",
+    "PredictionEngine": ".core.engine",
+    "LandmarkExplainer": ".core.landmark",
+    "LandmarkExplanation": ".core.explanation",
+    "LimeConfig": ".explainers.lime_text",
+    "LimeTextExplainer": ".explainers.lime_text",
+    "LogisticRegressionMatcher": ".matchers.logistic",
+    "MLPMatcher": ".matchers.neural",
+    "MojitoCopyExplainer": ".baselines.mojito",
+    "MojitoDropExplainer": ".baselines.mojito",
+    "PAPER": ".config",
+    "PairSchema": ".data.schema",
+    "PlattCalibrator": ".matchers.calibration",
+    "PairTokenWeights": ".core.explanation",
+    "RecordPair": ".data.records",
+    "ReproError": ".exceptions",
+    "RuleBasedMatcher": ".matchers.rules",
+    "ServiceConfig": ".config",
+    "StoreConfig": ".config",
+    "Tokenizer": ".text.tokenize",
+    "anchor_for_landmark": ".explainers.anchors",
+    "as_backend": ".backends.base",
+    "evaluate_matcher": ".matchers.evaluate",
+    "get_preset": ".config",
+    "greedy_counterfactual": ".core.counterfactual",
+    "load_benchmark": ".data.synthetic.magellan",
+    "load_dataset": ".data.synthetic.magellan",
+    "load_matcher": ".core.serialize",
+    "make_dirty": ".data.synthetic.dirty",
+    "matcher_fingerprint": ".core.serialize",
+    "read_csv": ".data.io",
+    "sample_per_label": ".data.splits",
+    "save_matcher": ".core.serialize",
+    "summarize_explanations": ".core.summarize",
+    "train_test_split": ".data.splits",
+    "tune_threshold": ".matchers.calibration",
+    "write_csv": ".data.io",
+})
+__all__.append("__version__")

@@ -12,32 +12,18 @@ explanations are computed.
   behind the ``serve-matcher`` CLI.
 """
 
-from repro.backends.base import (
-    DEFAULT_MAX_BATCH_SIZE,
-    PROTOCOL_VERSION,
-    BackendCapabilities,
-    BackendMatcher,
-    InProcessBackend,
-    MatcherBackend,
-    as_backend,
-)
-from repro.backends.client import (
-    RemoteBackend,
-    RemoteBackendConfig,
-    parse_address,
-)
-from repro.backends.server import MatcherServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_BATCH_SIZE",
-    "PROTOCOL_VERSION",
-    "BackendCapabilities",
-    "BackendMatcher",
-    "InProcessBackend",
-    "MatcherBackend",
-    "MatcherServer",
-    "RemoteBackend",
-    "RemoteBackendConfig",
-    "as_backend",
-    "parse_address",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DEFAULT_MAX_BATCH_SIZE": ".base",
+    "PROTOCOL_VERSION": ".base",
+    "BackendCapabilities": ".base",
+    "BackendMatcher": ".base",
+    "InProcessBackend": ".base",
+    "MatcherBackend": ".base",
+    "MatcherServer": ".server",
+    "RemoteBackend": ".client",
+    "RemoteBackendConfig": ".client",
+    "as_backend": ".base",
+    "parse_address": ".client",
+})

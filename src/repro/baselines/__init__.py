@@ -11,16 +11,11 @@
   the attribute's tokens.
 """
 
-from repro.baselines.mojito import (
-    MojitoAttributeDropExplainer,
-    MojitoCopyExplainer,
-    MojitoDropExplainer,
-    PairExplanation,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MojitoAttributeDropExplainer",
-    "MojitoCopyExplainer",
-    "MojitoDropExplainer",
-    "PairExplanation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "MojitoAttributeDropExplainer": ".mojito",
+    "MojitoCopyExplainer": ".mojito",
+    "MojitoDropExplainer": ".mojito",
+    "PairExplanation": ".mojito",
+})

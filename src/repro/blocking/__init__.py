@@ -11,6 +11,9 @@ supports the whole workflow (block → match → explain):
   pair-completeness against a gold matching.
 """
 
-from repro.blocking.index import BlockingReport, InvertedIndexBlocker
+from repro._lazy import lazy_exports
 
-__all__ = ["BlockingReport", "InvertedIndexBlocker"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BlockingReport": ".index",
+    "InvertedIndexBlocker": ".index",
+})

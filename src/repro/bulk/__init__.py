@@ -15,34 +15,20 @@ time; this package answers *"explain the whole dataset"*:
   ``precompute`` CLI command.
 """
 
-from repro.bulk.job import (
-    BULK_FORMAT_VERSION,
-    BULK_JOURNAL,
-    BULK_PRIORITY,
-    BulkJob,
-    BulkJobSpec,
-    BulkReport,
-)
-from repro.bulk.source import (
-    BlockedSource,
-    DatasetSource,
-    PairListSource,
-    select_pairs,
-)
-from repro.bulk.warm import PRECOMPUTE_JOURNAL, PrecomputeReport, precompute
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BULK_FORMAT_VERSION",
-    "BULK_JOURNAL",
-    "BULK_PRIORITY",
-    "BlockedSource",
-    "BulkJob",
-    "BulkJobSpec",
-    "BulkReport",
-    "DatasetSource",
-    "PRECOMPUTE_JOURNAL",
-    "PairListSource",
-    "PrecomputeReport",
-    "precompute",
-    "select_pairs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BULK_FORMAT_VERSION": ".job",
+    "BULK_JOURNAL": ".job",
+    "BULK_PRIORITY": ".job",
+    "BlockedSource": ".source",
+    "BulkJob": ".job",
+    "BulkJobSpec": ".job",
+    "BulkReport": ".job",
+    "DatasetSource": ".source",
+    "PRECOMPUTE_JOURNAL": ".warm",
+    "PairListSource": ".source",
+    "PrecomputeReport": ".warm",
+    "precompute": ".warm",
+    "select_pairs": ".source",
+})

@@ -61,10 +61,6 @@ from repro.data.synthetic.magellan import (
     table1_rows,
 )
 from repro.core.landmark import LandmarkExplainer
-from repro.core.summarize import summarize_explanations
-from repro.baselines.mojito import MojitoCopyExplainer, MojitoDropExplainer
-from repro.evaluation.runner import ExperimentRunner
-from repro.evaluation.tables import format_all_tables, format_table1
 from repro.exceptions import ExplanationError, ReproError
 from repro.explainers.lime_text import LimeConfig
 from repro.matchers.evaluate import evaluate_matcher
@@ -619,6 +615,8 @@ def _resolve_matcher(args: argparse.Namespace, dataset):
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
+    from repro.evaluation.tables import format_table1
+
     materialized = None
     if args.materialize or args.export_dir:
         materialized = load_benchmark(seed=args.seed, size_cap=args.size_cap)
@@ -683,6 +681,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     dual = explainer.explain(pair, generation=args.generation)
     print(dual.render(args.top))
     if args.baselines:
+        from repro.baselines.mojito import MojitoCopyExplainer, MojitoDropExplainer
+
         drop = MojitoDropExplainer(
             matcher, lime_config=lime_config, seed=args.seed, engine=engine
         )
@@ -697,6 +697,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.evaluation.runner import ExperimentRunner
+    from repro.evaluation.tables import format_all_tables
+
     if args.resume:
         # The checkpoint, not the command line, is the source of truth for
         # a resumed run's configuration: mixing presets would corrupt it.
@@ -747,6 +750,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
+    from repro.core.summarize import summarize_explanations
+
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     matcher = LogisticRegressionMatcher().fit(dataset)
     explainer = LandmarkExplainer(

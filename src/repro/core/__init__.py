@@ -21,99 +21,50 @@ The pipeline (Figure 2, bottom row):
 :class:`~repro.core.landmark.LandmarkExplainer` is the public entry point.
 """
 
-from repro.core.batching import CrossRequestBatcher
-from repro.core.columnar import (
-    ColumnarPairBatch,
-    ValueColumn,
-    landmark_batch,
-)
-from repro.core.counterfactual import (
-    Counterfactual,
-    TokenEdit,
-    greedy_counterfactual,
-)
-from repro.core.deadline import (
-    CancelToken,
-    Deadline,
-    checkpoint,
-    request_scope,
-)
-from repro.core.engine import (
-    ENGINE_OFF,
-    EngineConfig,
-    EngineStats,
-    PredictionEngine,
-)
-from repro.core.explanation import (
-    DualExplanation,
-    LandmarkExplanation,
-    PairTokenWeights,
-)
-from repro.core.guard import GuardConfig, GuardStats, MatcherGuard
-from repro.core.generation import (
-    GENERATION_DOUBLE,
-    GENERATION_SINGLE,
-    GeneratedInstance,
-    LandmarkGenerator,
-)
-from repro.core.landmark import GENERATION_AUTO, LandmarkExplainer
-from repro.core.reconstruction import DatasetReconstructor, PairReconstructor
-from repro.core.report import save_html, to_html, to_markdown
-from repro.core.serialize import (
-    dual_digest,
-    dual_from_dict,
-    dual_to_dict,
-    load_explanation,
-    load_matcher,
-    matcher_fingerprint,
-    pair_digest,
-    save_explanation,
-    save_matcher,
-)
-from repro.core.summarize import GlobalSummary, summarize_explanations
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CancelToken",
-    "ColumnarPairBatch",
-    "Counterfactual",
-    "CrossRequestBatcher",
-    "DatasetReconstructor",
-    "Deadline",
-    "DualExplanation",
-    "ENGINE_OFF",
-    "EngineConfig",
-    "EngineStats",
-    "PredictionEngine",
-    "GENERATION_AUTO",
-    "GENERATION_DOUBLE",
-    "GENERATION_SINGLE",
-    "GeneratedInstance",
-    "GlobalSummary",
-    "GuardConfig",
-    "GuardStats",
-    "MatcherGuard",
-    "LandmarkExplainer",
-    "LandmarkExplanation",
-    "LandmarkGenerator",
-    "PairReconstructor",
-    "PairTokenWeights",
-    "TokenEdit",
-    "ValueColumn",
-    "checkpoint",
-    "landmark_batch",
-    "dual_digest",
-    "dual_from_dict",
-    "dual_to_dict",
-    "greedy_counterfactual",
-    "load_explanation",
-    "load_matcher",
-    "matcher_fingerprint",
-    "pair_digest",
-    "request_scope",
-    "save_explanation",
-    "save_matcher",
-    "save_html",
-    "summarize_explanations",
-    "to_html",
-    "to_markdown",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CancelToken": ".deadline",
+    "ColumnarPairBatch": ".columnar",
+    "Counterfactual": ".counterfactual",
+    "CrossRequestBatcher": ".batching",
+    "DatasetReconstructor": ".reconstruction",
+    "Deadline": ".deadline",
+    "DualExplanation": ".explanation",
+    "ENGINE_OFF": ".engine",
+    "EngineConfig": ".engine",
+    "EngineStats": ".engine",
+    "PredictionEngine": ".engine",
+    "GENERATION_AUTO": ".landmark",
+    "GENERATION_DOUBLE": ".generation",
+    "GENERATION_SINGLE": ".generation",
+    "GeneratedInstance": ".generation",
+    "GlobalSummary": ".summarize",
+    "GuardConfig": ".guard",
+    "GuardStats": ".guard",
+    "MatcherGuard": ".guard",
+    "LandmarkExplainer": ".landmark",
+    "LandmarkExplanation": ".explanation",
+    "LandmarkGenerator": ".generation",
+    "PairReconstructor": ".reconstruction",
+    "PairTokenWeights": ".explanation",
+    "TokenEdit": ".counterfactual",
+    "ValueColumn": ".columnar",
+    "checkpoint": ".deadline",
+    "landmark_batch": ".columnar",
+    "dual_digest": ".serialize",
+    "dual_from_dict": ".serialize",
+    "dual_to_dict": ".serialize",
+    "greedy_counterfactual": ".counterfactual",
+    "load_explanation": ".serialize",
+    "load_matcher": ".serialize",
+    "matcher_fingerprint": ".serialize",
+    "pair_digest": ".serialize",
+    "request_scope": ".deadline",
+    "save_explanation": ".serialize",
+    "save_matcher": ".serialize",
+    "save_html": ".report",
+    "summarize_explanations": ".summarize",
+    "to_html": ".report",
+    "to_markdown": ".report",
+})

@@ -16,22 +16,18 @@ package gives that shape a first-class representation:
   twelve Magellan benchmark datasets of the paper's Table 1.
 """
 
-from repro.data.records import EMDataset, RecordPair
-from repro.data.schema import LEFT_PREFIX, RIGHT_PREFIX, PairSchema
-from repro.data.io import read_csv, write_csv
-from repro.data.profiling import DatasetProfile, profile_dataset
-from repro.data.splits import sample_per_label, train_test_split
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DatasetProfile",
-    "EMDataset",
-    "LEFT_PREFIX",
-    "PairSchema",
-    "RIGHT_PREFIX",
-    "RecordPair",
-    "profile_dataset",
-    "read_csv",
-    "sample_per_label",
-    "train_test_split",
-    "write_csv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DatasetProfile": ".profiling",
+    "EMDataset": ".records",
+    "LEFT_PREFIX": ".schema",
+    "PairSchema": ".schema",
+    "RIGHT_PREFIX": ".schema",
+    "RecordPair": ".records",
+    "profile_dataset": ".profiling",
+    "read_csv": ".io",
+    "sample_per_label": ".splits",
+    "train_test_split": ".splits",
+    "write_csv": ".io",
+})

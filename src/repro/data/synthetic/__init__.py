@@ -19,25 +19,16 @@ crucially — the same structural properties the experiments exercise:
 See DESIGN.md §4 for the substitution rationale.
 """
 
-from repro.data.synthetic.corruption import CorruptionConfig, corrupt_entity
-from repro.data.synthetic.dirty import make_dirty
-from repro.data.synthetic.generator import SyntheticEMGenerator
-from repro.data.synthetic.magellan import (
-    DATASET_CODES,
-    DATASET_SPECS,
-    DatasetSpec,
-    load_benchmark,
-    load_dataset,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CorruptionConfig",
-    "DATASET_CODES",
-    "DATASET_SPECS",
-    "DatasetSpec",
-    "SyntheticEMGenerator",
-    "corrupt_entity",
-    "load_benchmark",
-    "load_dataset",
-    "make_dirty",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CorruptionConfig": ".corruption",
+    "DATASET_CODES": ".magellan",
+    "DATASET_SPECS": ".magellan",
+    "DatasetSpec": ".magellan",
+    "SyntheticEMGenerator": ".generator",
+    "corrupt_entity": ".corruption",
+    "load_benchmark": ".magellan",
+    "load_dataset": ".magellan",
+    "make_dirty": ".dirty",
+})

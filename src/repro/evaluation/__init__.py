@@ -21,82 +21,47 @@
   table layouts (with failure footnotes on degraded runs).
 """
 
-from repro.evaluation.attribute_eval import attribute_correlation, attribute_eval
-from repro.evaluation.interest_eval import interest_eval
-from repro.evaluation.ledger import FailureEntry, FailureLedger
-from repro.evaluation.methods import ExplainedRecord, MethodExplainers
-from repro.evaluation.persistence import (
-    CheckpointWriter,
-    ResumeState,
-    compare_results,
-    load_checkpoint,
-    load_result,
-    save_result,
-)
-from repro.evaluation.faithfulness import (
-    FaithfulnessResult,
-    deletion_curve,
-    faithfulness_eval,
-)
-from repro.evaluation.stability import (
-    StabilityResult,
-    record_stability,
-    stability_eval,
-)
-from repro.evaluation.stats import (
-    ConfidenceInterval,
-    bootstrap_ci,
-    paired_bootstrap_pvalue,
-)
-from repro.evaluation.runner import (
-    BenchmarkResult,
-    DatasetResult,
-    ExperimentRunner,
-    MethodMetrics,
-)
-from repro.evaluation.tables import (
-    format_failures,
-    format_table1,
-    format_table2,
-    format_table3,
-    format_table4,
-    render_table,
-)
-from repro.evaluation.token_eval import TokenEvalResult, token_removal_eval
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkResult",
-    "CheckpointWriter",
-    "ConfidenceInterval",
-    "bootstrap_ci",
-    "compare_results",
-    "load_checkpoint",
-    "load_result",
-    "paired_bootstrap_pvalue",
-    "save_result",
-    "DatasetResult",
-    "ExperimentRunner",
-    "ExplainedRecord",
-    "FailureEntry",
-    "FailureLedger",
-    "FaithfulnessResult",
-    "MethodExplainers",
-    "ResumeState",
-    "deletion_curve",
-    "faithfulness_eval",
-    "MethodMetrics",
-    "StabilityResult",
-    "TokenEvalResult",
-    "record_stability",
-    "stability_eval",
-    "attribute_correlation",
-    "attribute_eval",
-    "format_failures",
-    "format_table1",
-    "format_table2",
-    "format_table3",
-    "format_table4",
-    "interest_eval",
-    "render_table",
-    "token_removal_eval",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BenchmarkResult": ".runner",
+    "CheckpointWriter": ".persistence",
+    "ConfidenceInterval": ".stats",
+    "bootstrap_ci": ".stats",
+    "compare_results": ".persistence",
+    "load_checkpoint": ".persistence",
+    "load_result": ".persistence",
+    "paired_bootstrap_pvalue": ".stats",
+    "save_result": ".persistence",
+    "DatasetResult": ".runner",
+    "ExperimentRunner": ".runner",
+    "ExplainedRecord": ".methods",
+    "FailureEntry": ".ledger",
+    "FailureLedger": ".ledger",
+    "FaithfulnessResult": ".faithfulness",
+    "MethodExplainers": ".methods",
+    "ResumeState": ".persistence",
+    "deletion_curve": ".faithfulness",
+    "faithfulness_eval": ".faithfulness",
+    "MethodMetrics": ".runner",
+    "StabilityResult": ".stability",
+    "TokenEvalResult": ".token_eval",
+    "record_stability": ".stability",
+    "stability_eval": ".stability",
+    "attribute_correlation": ".attribute_eval",
+    "attribute_eval": ".attribute_eval",
+    "format_failures": ".tables",
+    "format_table1": ".tables",
+    "format_table2": ".tables",
+    "format_table3": ".tables",
+    "format_table4": ".tables",
+    "interest_eval": ".interest_eval",
+    "render_table": ".tables",
+    "token_removal_eval": ".token_eval",
+})
+
+# These two functions share their names with the submodules that define
+# them.  Importing such a submodule sets the package attribute to the
+# module and ``__getattr__`` is never asked, so both are bound eagerly.
+from repro.evaluation.attribute_eval import attribute_eval  # noqa: E402
+from repro.evaluation.interest_eval import interest_eval  # noqa: E402

@@ -8,23 +8,15 @@ their own reconstruction logic into it, exactly as the paper's architecture
 prescribes.
 """
 
-from repro.explainers.anchors import (
-    AnchorExplanation,
-    AnchorsTextExplainer,
-    anchor_for_landmark,
-)
-from repro.explainers.base import Explanation
-from repro.explainers.kernel_shap import KernelShapExplainer
-from repro.explainers.lime_text import LimeConfig, LimeTextExplainer
-from repro.explainers.perturbation import sample_masks
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnchorExplanation",
-    "AnchorsTextExplainer",
-    "Explanation",
-    "KernelShapExplainer",
-    "LimeConfig",
-    "LimeTextExplainer",
-    "anchor_for_landmark",
-    "sample_masks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AnchorExplanation": ".anchors",
+    "AnchorsTextExplainer": ".anchors",
+    "Explanation": ".base",
+    "KernelShapExplainer": ".kernel_shap",
+    "LimeConfig": ".lime_text",
+    "LimeTextExplainer": ".lime_text",
+    "anchor_for_landmark": ".anchors",
+    "sample_masks": ".perturbation",
+})

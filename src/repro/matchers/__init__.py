@@ -23,29 +23,21 @@ Magellan recipe).  This package provides:
 * :mod:`~repro.matchers.evaluate` — precision / recall / F1 and reports.
 """
 
-from repro.matchers.base import EntityMatcher
-from repro.matchers.boosting import GradientBoostedStumpsMatcher
-from repro.matchers.calibration import PlattCalibrator, ThresholdChoice, tune_threshold
-from repro.matchers.embedding import EmbeddingMatcher
-from repro.matchers.evaluate import MatchQuality, evaluate_matcher
-from repro.matchers.features import FeatureConfig, PairFeatureExtractor
-from repro.matchers.logistic import LogisticRegressionMatcher
-from repro.matchers.neural import MLPMatcher
-from repro.matchers.rules import MatchRule, RuleBasedMatcher
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EmbeddingMatcher",
-    "EntityMatcher",
-    "FeatureConfig",
-    "GradientBoostedStumpsMatcher",
-    "LogisticRegressionMatcher",
-    "MLPMatcher",
-    "MatchQuality",
-    "MatchRule",
-    "PairFeatureExtractor",
-    "PlattCalibrator",
-    "RuleBasedMatcher",
-    "ThresholdChoice",
-    "evaluate_matcher",
-    "tune_threshold",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "EmbeddingMatcher": ".embedding",
+    "EntityMatcher": ".base",
+    "FeatureConfig": ".features",
+    "GradientBoostedStumpsMatcher": ".boosting",
+    "LogisticRegressionMatcher": ".logistic",
+    "MLPMatcher": ".neural",
+    "MatchQuality": ".evaluate",
+    "MatchRule": ".rules",
+    "PairFeatureExtractor": ".features",
+    "PlattCalibrator": ".calibration",
+    "RuleBasedMatcher": ".rules",
+    "ThresholdChoice": ".calibration",
+    "evaluate_matcher": ".evaluate",
+    "tune_threshold": ".calibration",
+})

@@ -13,46 +13,24 @@ Three pieces, all stdlib-only and all inert with respect to results:
   registry (``GET /metrics``, ``metrics.json``).
 """
 
-from repro.obs.export import (
-    METRICS_FORMAT_VERSION,
-    save_json,
-    to_json,
-    to_prometheus,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    global_registry,
-)
-from repro.obs.progress import ProgressTracker
-from repro.obs.tracing import (
-    DEFAULT_RING_SIZE,
-    TRACE_FORMAT_VERSION,
-    Span,
-    Tracer,
-    span,
-    trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_RING_SIZE",
-    "Gauge",
-    "Histogram",
-    "METRICS_FORMAT_VERSION",
-    "MetricsRegistry",
-    "ProgressTracker",
-    "Span",
-    "TRACE_FORMAT_VERSION",
-    "Tracer",
-    "global_registry",
-    "save_json",
-    "span",
-    "to_json",
-    "to_prometheus",
-    "trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Counter": ".metrics",
+    "DEFAULT_BUCKETS": ".metrics",
+    "DEFAULT_RING_SIZE": ".tracing",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "METRICS_FORMAT_VERSION": ".export",
+    "MetricsRegistry": ".metrics",
+    "ProgressTracker": ".progress",
+    "Span": ".tracing",
+    "TRACE_FORMAT_VERSION": ".tracing",
+    "Tracer": ".tracing",
+    "global_registry": ".metrics",
+    "save_json": ".export",
+    "span": ".tracing",
+    "to_json": ".export",
+    "to_prometheus": ".export",
+    "trace": ".tracing",
+})

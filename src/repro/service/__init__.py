@@ -39,78 +39,39 @@ Quickstart::
         payload = svc.explain(ExplainRequest(pair=dataset[0], method="both"))
 """
 
-from repro.config import ServiceConfig, ShardConfig, StoreConfig
-from repro.service.request import (
-    REQUEST_EXPLAINERS,
-    REQUEST_METHODS,
-    ExplainRequest,
-    request_from_payload,
-    request_key,
-)
-from repro.service.server import (
-    ERROR_STATUS,
-    PRECOMPUTE_JOURNAL,
-    PrecomputeReport,
-    handle_payload,
-    http_status_for,
-    precompute,
-    serve_http,
-    serve_stdio,
-)
-from repro.service.router import HashRing
-from repro.service.service import (
-    RESULT_FORMAT_VERSION,
-    ExplanationService,
-    ServiceStats,
-    duals_from_result,
-)
-from repro.service.shard import ShardSpec
-from repro.service.store import (
-    STORE_FORMAT_VERSION,
-    ExplanationStore,
-    StoreStats,
-    shard_store_dir,
-)
-from repro.service.fleet import ShardServer
-from repro.service.supervisor import ShardedService
-from repro.service.transport import (
-    FleetConfig,
-    FleetShard,
-    load_fleet_config,
-    parse_fleet_config,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FleetConfig",
-    "FleetShard",
-    "ShardServer",
-    "load_fleet_config",
-    "parse_fleet_config",
-    "ERROR_STATUS",
-    "ExplainRequest",
-    "ExplanationService",
-    "ExplanationStore",
-    "PrecomputeReport",
-    "PRECOMPUTE_JOURNAL",
-    "REQUEST_EXPLAINERS",
-    "REQUEST_METHODS",
-    "HashRing",
-    "RESULT_FORMAT_VERSION",
-    "STORE_FORMAT_VERSION",
-    "ServiceConfig",
-    "ServiceStats",
-    "ShardConfig",
-    "ShardSpec",
-    "ShardedService",
-    "StoreConfig",
-    "StoreStats",
-    "duals_from_result",
-    "shard_store_dir",
-    "handle_payload",
-    "http_status_for",
-    "precompute",
-    "request_from_payload",
-    "request_key",
-    "serve_http",
-    "serve_stdio",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FleetConfig": ".transport",
+    "FleetShard": ".transport",
+    "ShardServer": ".fleet",
+    "load_fleet_config": ".transport",
+    "parse_fleet_config": ".transport",
+    "ERROR_STATUS": ".server",
+    "ExplainRequest": ".request",
+    "ExplanationService": ".service",
+    "ExplanationStore": ".store",
+    "PrecomputeReport": "repro.bulk.warm",
+    "PRECOMPUTE_JOURNAL": "repro.bulk.warm",
+    "REQUEST_EXPLAINERS": ".request",
+    "REQUEST_METHODS": ".request",
+    "HashRing": ".router",
+    "RESULT_FORMAT_VERSION": ".service",
+    "STORE_FORMAT_VERSION": ".store",
+    "ServiceConfig": "repro.config",
+    "ServiceStats": ".service",
+    "ShardConfig": "repro.config",
+    "ShardSpec": ".shard",
+    "ShardedService": ".supervisor",
+    "StoreConfig": "repro.config",
+    "StoreStats": ".store",
+    "duals_from_result": ".service",
+    "shard_store_dir": ".store",
+    "handle_payload": ".server",
+    "http_status_for": ".server",
+    "precompute": "repro.bulk.warm",
+    "request_from_payload": ".request",
+    "request_key": ".request",
+    "serve_http": ".server",
+    "serve_stdio": ".server",
+})

@@ -13,15 +13,13 @@ pairs.  This package provides the pieces, all from scratch on numpy:
   selection, LIME's two classic selection strategies.
 """
 
-from repro.surrogate.kernels import cosine_distance_to_ones, exponential_kernel
-from repro.surrogate.linear_model import WeightedLasso, WeightedRidge
-from repro.surrogate.feature_selection import forward_selection, highest_weights
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WeightedLasso",
-    "WeightedRidge",
-    "cosine_distance_to_ones",
-    "exponential_kernel",
-    "forward_selection",
-    "highest_weights",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "WeightedLasso": ".linear_model",
+    "WeightedRidge": ".linear_model",
+    "cosine_distance_to_ones": ".kernels",
+    "exponential_kernel": ".kernels",
+    "forward_selection": ".feature_selection",
+    "highest_weights": ".feature_selection",
+})

@@ -13,26 +13,17 @@ a signal, a damaged file or a proxy on the wire — so no production
 module imports this package (``tests/test_import_boundaries.py``).
 """
 
-from repro.testing.chaos import (
-    SlowClient,
-    chaos_rng,
-    flip_bytes,
-    kill_after,
-    overload_burst,
-    overwrite_with_garbage,
-    truncate_file,
-)
-from repro.testing.faults import FaultSchedule, FlakyMatcher, SlowMatcher
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultSchedule",
-    "FlakyMatcher",
-    "SlowClient",
-    "SlowMatcher",
-    "chaos_rng",
-    "flip_bytes",
-    "kill_after",
-    "overload_burst",
-    "overwrite_with_garbage",
-    "truncate_file",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FaultSchedule": ".faults",
+    "FlakyMatcher": ".faults",
+    "SlowClient": ".chaos",
+    "SlowMatcher": ".faults",
+    "chaos_rng": ".chaos",
+    "flip_bytes": ".chaos",
+    "kill_after": ".chaos",
+    "overload_burst": ".chaos",
+    "overwrite_with_garbage": ".chaos",
+    "truncate_file": ".chaos",
+})

@@ -17,57 +17,30 @@ relies on:
   the synthetic data generator.
 """
 
-from repro.text.batch_similarity import (
-    char_similarities_batch,
-    jaro_winkler_similarity_batch,
-    levenshtein_distance_batch,
-    levenshtein_similarity_batch,
-)
-from repro.text.normalize import normalize_value, normalize_whitespace
-from repro.text.tokenize import (
-    PrefixedToken,
-    Tokenizer,
-    format_prefixed_token,
-    parse_prefixed_token,
-)
-from repro.text.similarity import (
-    cosine_token_similarity,
-    dice_coefficient,
-    exact_match,
-    jaccard_similarity,
-    jaro_similarity,
-    jaro_winkler_similarity,
-    levenshtein_distance,
-    levenshtein_similarity,
-    monge_elkan_similarity,
-    numeric_similarity,
-    overlap_coefficient,
-    prefix_similarity,
-)
-from repro.text.vectorize import TfidfVectorizer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PrefixedToken",
-    "TfidfVectorizer",
-    "Tokenizer",
-    "char_similarities_batch",
-    "cosine_token_similarity",
-    "dice_coefficient",
-    "exact_match",
-    "format_prefixed_token",
-    "jaccard_similarity",
-    "jaro_similarity",
-    "jaro_winkler_similarity",
-    "jaro_winkler_similarity_batch",
-    "levenshtein_distance",
-    "levenshtein_distance_batch",
-    "levenshtein_similarity",
-    "levenshtein_similarity_batch",
-    "monge_elkan_similarity",
-    "normalize_value",
-    "normalize_whitespace",
-    "numeric_similarity",
-    "overlap_coefficient",
-    "parse_prefixed_token",
-    "prefix_similarity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "PrefixedToken": ".tokenize",
+    "TfidfVectorizer": ".vectorize",
+    "Tokenizer": ".tokenize",
+    "char_similarities_batch": ".batch_similarity",
+    "cosine_token_similarity": ".similarity",
+    "dice_coefficient": ".similarity",
+    "exact_match": ".similarity",
+    "format_prefixed_token": ".tokenize",
+    "jaccard_similarity": ".similarity",
+    "jaro_similarity": ".similarity",
+    "jaro_winkler_similarity": ".similarity",
+    "jaro_winkler_similarity_batch": ".batch_similarity",
+    "levenshtein_distance": ".similarity",
+    "levenshtein_distance_batch": ".batch_similarity",
+    "levenshtein_similarity": ".similarity",
+    "levenshtein_similarity_batch": ".batch_similarity",
+    "monge_elkan_similarity": ".similarity",
+    "normalize_value": ".normalize",
+    "normalize_whitespace": ".normalize",
+    "numeric_similarity": ".similarity",
+    "overlap_coefficient": ".similarity",
+    "parse_prefixed_token": ".tokenize",
+    "prefix_similarity": ".similarity",
+})

@@ -14,9 +14,16 @@ Two rules:
   never runs and is allowed.
 
 Both walk every module under ``src/repro`` with :mod:`ast` and check
-that every import spelling is caught.  A runtime test then imports the
-serving entry points in a fresh interpreter, computes a LIME and a SHAP
-explanation, and asserts that scipy was never loaded.
+that every import spelling is caught.  A runtime test then starts a
+shard the way a spawned shard process does, in a fresh interpreter, and
+asserts a module budget: the package namespaces are lazy, so the shard
+loads none of the evaluation, bulk, baseline, blocking, synthetic-data,
+test-double or fleet-control modules.  The same interpreter then imports
+the serving entry points, computes a LIME and a SHAP explanation, and
+asserts that scipy was never loaded.  A fresh ``import repro.cli`` (the
+start of ``serve-shard`` and ``serve-matcher`` hosts) must load neither
+the experiment runner, the table renderers, the baselines nor the
+summarizer.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -216,9 +224,35 @@ def test_deferred_and_neighbouring_scipy_imports_are_not_flagged(source):
     assert not any(_is_deferred(name) for name in imported)
 
 
+SHARD_EXCLUDED = (
+    "repro.evaluation",
+    "repro.bulk",
+    "repro.baselines",
+    "repro.blocking",
+    "repro.data.synthetic",
+    "repro.testing",
+    "repro.service.supervisor",
+    "repro.service.fleet",
+    "repro.service.server",
+)
+CLI_EXCLUDED = (
+    "repro.evaluation.runner",
+    "repro.evaluation.tables",
+    "repro.baselines",
+    "repro.core.summarize",
+)
+
 SERVING_PROCESS = """
 import json
 import sys
+
+from repro.service.shard import ShardSpec, build_shard_service
+
+with open(sys.argv[1], "rb") as handle:
+    spec = ShardSpec(shard_id=0, matcher_blob=handle.read())
+shard_service, _ = build_shard_service(spec)
+shard_service.close()
+shard_modules = sorted(m for m in sys.modules if m.startswith("repro"))
 
 import repro
 import repro.backends.server
@@ -245,23 +279,51 @@ for explainer in ("lime", "shap"):
     payload = compute_explanation_payload(matcher, engine, fingerprint, key, request)
     generations[explainer] = sorted(payload["duals"])
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"generations": generations, "scipy": scipy}))
+report = {"generations": generations, "scipy": scipy, "shard": shard_modules}
+print(json.dumps(report))
+"""
+
+CLI_PROCESS = """
+import json
+import sys
+
+import repro.cli
+
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_serving_process_never_loads_scipy():
+def _run_fresh(script: str, *args: str):
     result = subprocess.run(
-        [sys.executable, "-c", SERVING_PROCESS],
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT.parent)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def _within(modules, packages) -> list[str]:
+    return sorted(
+        name for name in modules
+        if any(name == p or name.startswith(p + ".") for p in packages)
+    )
+
+
+def test_serving_process_never_loads_scipy(beer_matcher, tmp_path):
+    blob = tmp_path / "matcher.pkl"
+    blob.write_bytes(pickle.dumps(beer_matcher))
+    report = _run_fresh(SERVING_PROCESS, str(blob))
+    # A started shard holds only the serving stack.
+    assert "repro.matchers.logistic" in report["shard"]
+    assert _within(report["shard"], SHARD_EXCLUDED) == []
     # Both explainers really ran both generations, so the check covers them.
     assert report["generations"] == {
         "lime": ["double", "single"],
         "shap": ["double", "single"],
     }
     assert report["scipy"] == []
+    # ``serve-shard`` and ``serve-matcher`` hosts start through the CLI.
+    assert _within(_run_fresh(CLI_PROCESS), CLI_EXCLUDED) == []
