@@ -48,8 +48,8 @@ def _interest_at_fraction(bundle, fraction: float) -> float:
     return float(np.mean(scores))
 
 
-def test_bench_ablation_injection_fraction(benchmark, suite, output_dir):
-    bundle = suite.bundles["S-AG"]
+def test_bench_ablation_injection_fraction(benchmark, bundles, output_dir):
+    bundle = bundles["S-AG"]
 
     def sweep():
         return {

@@ -51,8 +51,8 @@ def _mae_at_width(bundle, width: float) -> float:
     return token_removal_eval(explained, bundle.matcher, seed=0).mae
 
 
-def test_bench_ablation_kernel_width(benchmark, suite, output_dir):
-    bundle = suite.bundles["S-FZ"]
+def test_bench_ablation_kernel_width(benchmark, bundles, output_dir):
+    bundle = bundles["S-FZ"]
 
     def sweep():
         return {width: _mae_at_width(bundle, width) for width in WIDTHS}

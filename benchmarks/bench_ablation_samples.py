@@ -46,8 +46,8 @@ def _accuracy_at_budget(bundle, n_samples: int) -> float:
     return token_removal_eval(explained, bundle.matcher, seed=0).accuracy
 
 
-def test_bench_ablation_sample_budget(benchmark, suite, output_dir):
-    bundle = suite.bundles["S-WA"]
+def test_bench_ablation_sample_budget(benchmark, bundles, output_dir):
+    bundle = bundles["S-WA"]
 
     def sweep():
         return {budget: _accuracy_at_budget(bundle, budget) for budget in BUDGETS}

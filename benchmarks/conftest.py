@@ -1,98 +1,51 @@
 """Shared state for the benchmark suite.
 
-Explaining records is the expensive step, so it happens once per pytest
-session in the :func:`suite` fixture; each table bench then measures *its*
-evaluation stage (the paper's Tables 2-4 all reuse the same explanations)
-and renders the corresponding table into ``benchmarks/output/``.
+The ablation benches sweep one knob of the explainer over a dataset and
+its trained matcher; :func:`bundles` builds those once per pytest
+session.  Every bench renders its table into ``benchmarks/output/``.
 
-Scale: the ``BENCH`` preset (6 records per label, 48 perturbation samples,
-500-pair datasets).  The full paper-scale protocol is
-``repro-em experiment --preset paper``.
+The paper's Tables 1-4 are not benches: ``repro-em datasets`` and
+``repro-em experiment --preset bench`` print them, and
+``tests/evaluation/test_paper_shapes.py`` asserts their shapes.
+
+Scale: the ``BENCH`` preset's 500-pair datasets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from repro.config import BENCH, ExperimentConfig, METHOD_MOJITO_COPY
-from repro.data.records import EMDataset, MATCH, NON_MATCH
-from repro.data.splits import sample_per_label
+from repro.config import BENCH
+from repro.data.records import EMDataset
 from repro.data.synthetic.magellan import DATASET_CODES, load_dataset
-from repro.evaluation.methods import ExplainedRecord, MethodExplainers
-from repro.exceptions import ExplanationError
-from repro.explainers.lime_text import LimeConfig
 from repro.matchers.logistic import LogisticRegressionMatcher
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
-#: The datasets the bench suite sweeps (all twelve of Table 1).
-BENCH_CODES = DATASET_CODES
-
 
 @dataclass
 class DatasetBundle:
-    """Everything the evaluations need for one dataset."""
+    """A benchmark dataset and the matcher trained on it."""
 
     code: str
     dataset: EMDataset
     matcher: LogisticRegressionMatcher
-    model_importance: dict[str, float]
-    explained: dict[tuple[int, str], list[ExplainedRecord]] = field(
-        default_factory=dict
+
+
+def _build_bundle(code: str) -> DatasetBundle:
+    dataset = load_dataset(code, seed=BENCH.seed, size_cap=BENCH.size_cap)
+    return DatasetBundle(
+        code=code, dataset=dataset, matcher=LogisticRegressionMatcher().fit(dataset)
     )
-
-
-@dataclass
-class Suite:
-    config: ExperimentConfig
-    bundles: dict[str, DatasetBundle]
-
-    def methods_for_label(self, label: int) -> list[str]:
-        methods = list(self.config.methods)
-        if label == MATCH and not self.config.copy_on_match:
-            methods.remove(METHOD_MOJITO_COPY)
-        return methods
-
-
-def _build_bundle(code: str, config: ExperimentConfig) -> DatasetBundle:
-    dataset = load_dataset(code, seed=config.seed, size_cap=config.size_cap)
-    matcher = LogisticRegressionMatcher().fit(dataset)
-    bundle = DatasetBundle(
-        code=code,
-        dataset=dataset,
-        matcher=matcher,
-        model_importance=matcher.attribute_weights(),
-    )
-    sample = sample_per_label(dataset, config.per_label, seed=config.seed)
-    explainers = MethodExplainers(
-        matcher,
-        lime_config=LimeConfig(n_samples=config.lime_samples, seed=config.seed),
-        seed=config.seed,
-    )
-    for label in (MATCH, NON_MATCH):
-        pairs = sample.by_label(label).pairs
-        methods = list(config.methods)
-        if label == MATCH and not config.copy_on_match:
-            methods.remove(METHOD_MOJITO_COPY)
-        for method in methods:
-            explained: list[ExplainedRecord] = []
-            for pair in pairs:
-                try:
-                    explained.append(explainers.explain(method, pair))
-                except ExplanationError:
-                    continue
-            bundle.explained[(label, method)] = explained
-    return bundle
 
 
 @pytest.fixture(scope="session")
-def suite() -> Suite:
-    """All twelve datasets, trained matchers and explanations (BENCH scale)."""
-    bundles = {code: _build_bundle(code, BENCH) for code in BENCH_CODES}
-    return Suite(config=BENCH, bundles=bundles)
+def bundles() -> dict[str, DatasetBundle]:
+    """All twelve datasets with their trained matchers (BENCH scale)."""
+    return {code: _build_bundle(code) for code in DATASET_CODES}
 
 
 @pytest.fixture(scope="session")

@@ -554,20 +554,22 @@ class RemoteBackend(MatcherBackend):
         message = pending.message or {}
         if not message.get("ok"):
             raise _server_error(
-                message.get("code"), message.get("error", "backend error")
+                message.get("code"),
+                message.get("error", "backend error"),
+                message.get("retry_after"),
             )
         result = message.get("result")
         array = np.asarray(result, dtype=np.float64)
         return array
 
 
-def _server_error(code, message) -> ReproError:
+def _server_error(code, message, retry_after=None) -> ReproError:
     """The taxonomy error the matcher server reported by wire code.
 
     Unknown and ``internal`` codes surface as :class:`BackendError`.
     """
     text = f"matcher server: {message}"
-    error = error_from_code(code, text)
+    error = error_from_code(code, text, retry_after)
     if error is None or type(error) is ReproError:
         return BackendError(text)
     return error

@@ -39,7 +39,7 @@ from repro.exceptions import (
     BackendProtocolError,
     ConfigurationError,
     ServiceError,
-    error_code,
+    error_fields,
 )
 
 __all__ = ["MatcherServer"]
@@ -201,8 +201,8 @@ class MatcherServer:
             return
         if op not in ("predict", "predict_columnar"):
             self._respond(sock, send_lock, {
-                "id": request_id, "ok": False, "code": "bad_request",
-                "error": f"unknown op {op!r}",
+                "id": request_id,
+                **error_fields(ServiceError(f"unknown op {op!r}")),
             })
             return
         assert self._pool is not None
@@ -212,12 +212,11 @@ class MatcherServer:
         client_protocol = message.get("protocol")
         if client_protocol != PROTOCOL_VERSION:
             return {
-                "id": message.get("id"), "ok": False,
-                "code": "backend_protocol",
-                "error": (
+                "id": message.get("id"),
+                **error_fields(BackendProtocolError(
                     f"client speaks protocol {client_protocol!r}, this "
                     f"server needs {PROTOCOL_VERSION}"
-                ),
+                )),
             }
         return {
             "id": message.get("id"), "ok": True,
@@ -230,10 +229,7 @@ class MatcherServer:
             result = self._score(message)
             response = {"id": request_id, "ok": True, "result": result}
         except Exception as error:  # noqa: BLE001 - relayed to the client
-            response = {
-                "id": request_id, "ok": False,
-                "code": error_code(error), "error": str(error),
-            }
+            response = {"id": request_id, **error_fields(error)}
         self._respond(sock, send_lock, response)
 
     def _score(self, message: dict) -> np.ndarray:

@@ -1106,7 +1106,7 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_precompute(args: argparse.Namespace) -> int:
-    from repro.service.server import precompute
+    from repro.bulk.warm import precompute
 
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     service, store, _ = _build_service(args, dataset)

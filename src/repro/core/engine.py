@@ -22,7 +22,7 @@ pair**, answered from an LRU cache when possible, executed in chunked
 full request.  Because every matcher in this library scores pairs
 row-independently and deterministically, the scattered probabilities are
 byte-identical to the naive path — equivalence is enforced by
-``tests/core/test_engine.py`` and ``benchmarks/bench_prediction_engine.py``.
+``tests/core/test_engine.py``, on single records and the evaluation grid.
 
 Observability
 -------------

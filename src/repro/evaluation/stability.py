@@ -4,8 +4,8 @@ Perturbation explainers are stochastic — the sampled masks differ run to
 run.  An explanation whose token ranking changes with the seed cannot be
 trusted by the user no matter how faithful its surrogate is, so stability
 is a standard complementary metric in the XAI literature (it is not in the
-paper's tables; we add it as an extension and expose it in
-``benchmarks/bench_stability.py``).
+paper's tables; we add it as an extension, checked on S-FZ by
+``tests/evaluation/test_stability.py``).
 
 Stability of one record = the mean pairwise Spearman correlation between
 the token-weight vectors produced by *n_runs* independently seeded

@@ -69,6 +69,7 @@ __all__ = [
     "ShardFailedError",
     "HostLostError",
     "error_code",
+    "error_fields",
     "error_from_code",
     "is_retryable",
 ]
@@ -291,15 +292,31 @@ def error_code(error: BaseException) -> str:
     return ReproError.code
 
 
-def error_from_code(code: object, message: str) -> ReproError | None:
+def error_fields(error: BaseException) -> dict:
+    """The fields of a failed wire response: ``ok``, ``error``, ``code``
+    and, for :class:`ServiceOverloadedError`, ``retry_after``."""
+    fields = {"ok": False, "error": str(error), "code": error_code(error)}
+    if isinstance(error, ServiceOverloadedError):
+        fields["retry_after"] = round(error.retry_after, 3)
+    return fields
+
+
+def error_from_code(
+    code: object, message: str, retry_after: float | None = None
+) -> ReproError | None:
     """The taxonomy error whose :func:`error_code` is *code*, or ``None``.
 
     The inverse of :func:`error_code` across a wire: ``"internal"``
     decodes to a plain :class:`ReproError`; an unknown code to ``None``,
-    leaving the fallback to the caller.
+    leaving the fallback to the caller.  A decoded
+    :class:`ServiceOverloadedError` keeps *retry_after* when given.
     """
     cls = _BY_CODE.get(code) if isinstance(code, str) else None
-    return None if cls is None else cls(message)
+    if cls is None:
+        return None
+    if retry_after is not None and issubclass(cls, ServiceOverloadedError):
+        return cls(message, retry_after=retry_after)
+    return cls(message)
 
 
 def is_retryable(error: BaseException) -> bool:

@@ -276,8 +276,8 @@ class EmbeddingMatcher(EntityMatcher):
         dotted with the token's embedding and scaled by the mean-pooling
         share ``1/n_tokens``.  Keys are ``(side, attribute, position)`` —
         the same addressing the explainers use — so black-box explanations
-        can be validated against the model's true internals (see
-        ``benchmarks/bench_whitebox_agreement.py``).
+        can be validated against the model's true internals (the
+        ``bench_whitebox_agreement`` ablation scores Landmark against it).
         """
         if self.vocabulary_ is None or self.embeddings_ is None:
             raise ModelNotFittedError("EmbeddingMatcher used before fit()")

@@ -1,5 +1,4 @@
-"""Front-ends of the explanation service: stdio JSONL, localhost HTTP,
-and the resumable ``precompute`` store-warmer.
+"""Front-ends of the explanation service: stdio JSONL and localhost HTTP.
 
 The wire protocol is one JSON object per request:
 
@@ -33,12 +32,7 @@ breaker or mid-restart shard reads degraded, not down — and only zero
 live shards or drain is a 503.  Load balancers and probes see a sick
 server before piling more requests onto it.
 
-:func:`precompute` warms the store for a dataset split.  Completion is
-journaled per request key through the crash-safe
-:class:`~repro.evaluation.persistence.JournalWriter` machinery (the same
-primitive behind experiment checkpoints), so a killed warming run resumes
-where it stopped: journaled keys still present in the store are skipped
-without re-entering the service.
+The resumable store-warmer, ``precompute``, lives in :mod:`repro.bulk.warm`.
 """
 
 from __future__ import annotations
@@ -49,12 +43,7 @@ import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.data.records import EMDataset
-from repro.exceptions import (
-    ReproError,
-    ServiceError,
-    ServiceOverloadedError,
-    error_code,
-)
+from repro.exceptions import ReproError, ServiceError, error_fields
 from repro.service.request import request_from_payload
 from repro.service.service import ExplanationService
 
@@ -121,15 +110,7 @@ def handle_payload(
         result = service.explain(request)
         return {"ok": True, "id": request_id, "result": result}
     except ReproError as error:
-        response = {
-            "ok": False,
-            "id": request_id,
-            "error": str(error),
-            "code": error_code(error),
-        }
-        if isinstance(error, ServiceOverloadedError):
-            response["retry_after"] = round(error.retry_after, 3)
-        return response
+        return {"id": request_id, **error_fields(error)}
 
 
 def serve_stdio(
@@ -154,11 +135,8 @@ def serve_stdio(
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as error:
-            response: dict = {
-                "ok": False,
-                "id": None,
-                "error": f"bad JSON: {error}",
-                "code": "bad_request",
+            response = {
+                "id": None, **error_fields(ServiceError(f"bad JSON: {error}"))
             }
         else:
             response = handle_payload(service, payload, dataset, defaults)
@@ -254,12 +232,7 @@ def serve_http(
                 length = int(self.headers.get("Content-Length") or 0)
             except ValueError:
                 self._respond(
-                    400,
-                    {
-                        "ok": False,
-                        "error": "invalid Content-Length header",
-                        "code": "bad_request",
-                    },
+                    400, error_fields(ServiceError("invalid Content-Length header"))
                 )
                 return
             if length > max_body_bytes:
@@ -281,12 +254,7 @@ def serve_http(
                 payload = json.loads(self.rfile.read(length) or b"{}")
             except json.JSONDecodeError as error:
                 self._respond(
-                    400,
-                    {
-                        "ok": False,
-                        "error": f"bad JSON: {error}",
-                        "code": "bad_request",
-                    },
+                    400, error_fields(ServiceError(f"bad JSON: {error}"))
                 )
                 return
             response = handle_payload(service, payload, dataset, defaults)
@@ -305,25 +273,12 @@ def serve_http(
     return ThreadingHTTPServer((host, port), Handler)
 
 
-# ---------------------------------------------------------------------------
-# Precompute (moved to repro.bulk.warm; re-exported for compatibility)
-# ---------------------------------------------------------------------------
-
-from repro.bulk.warm import (  # noqa: E402 - compatibility re-export
-    PRECOMPUTE_JOURNAL,
-    PrecomputeReport,
-    precompute,
-)
-
 __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
     "DEFAULT_READ_TIMEOUT",
     "ERROR_STATUS",
-    "PRECOMPUTE_JOURNAL",
-    "PrecomputeReport",
     "handle_payload",
     "http_status_for",
-    "precompute",
     "serve_http",
     "serve_stdio",
 ]

@@ -433,8 +433,8 @@ class ExplanationService:
         sheds the request with
         :class:`~repro.exceptions.ServiceOverloadedError` before it is
         enqueued.  With ``block=False`` a full queue raises
-        :class:`~repro.exceptions.ServiceError` (counted as rejected)
-        instead of applying backpressure.
+        :class:`~repro.exceptions.ServiceOverloadedError` (counted as
+        rejected) instead of applying backpressure.
         """
         if self._closed:
             raise ServiceError("explanation service is closed")
@@ -483,8 +483,12 @@ class ExplanationService:
                 instruments.rejected.inc()
                 self._inflight.pop(key, None)
                 self._pending -= 1
-            raise ServiceError(
-                f"service queue is full ({self.config.queue_size} pending)"
+                estimated = estimate_queue_wait(
+                    self._pending, self._latency_ema, self.live_workers()
+                )
+            raise ServiceOverloadedError(
+                f"service queue is full ({self.config.queue_size} pending)",
+                retry_after=retry_after_hint(estimated),
             ) from None
         depth = self._queue.qsize()
         instruments.queue_depth.set(depth)

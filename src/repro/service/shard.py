@@ -61,11 +61,10 @@ from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import (
     ArtifactMismatchError,
     ConfigurationError,
-    ServiceOverloadedError,
-    error_code,
+    error_fields,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.service.service import ExplanationService, retry_after_hint
+from repro.service.service import ExplanationService
 from repro.service.store import ExplanationStore, shard_store_dir
 
 logger = logging.getLogger("repro.service.shard")
@@ -278,32 +277,12 @@ class _ShardWorker:
     # -- request handling ----------------------------------------------
 
     def _respond_error(self, rid: int, error: BaseException) -> None:
-        message: dict = {
-            "kind": "response",
-            "id": rid,
-            "ok": False,
-            "error": str(error),
-            "code": error_code(error),
-        }
-        if isinstance(error, ServiceOverloadedError):
-            message["retry_after"] = round(error.retry_after, 3)
-        self._send(message)
+        self._send({"kind": "response", "id": rid, **error_fields(error)})
 
     def _handle_request(self, rid: int, request) -> None:
         try:
             future = self.service.submit(request, block=False)
-        except ServiceOverloadedError as error:
-            self._respond_error(rid, error)
-            return
         except Exception as error:  # noqa: BLE001 - relayed to the parent
-            # A full queue raises plain ServiceError before admission
-            # control would shed; over the shard boundary both mean the
-            # same thing to clients: overloaded, retry later.
-            if "queue is full" in str(error):
-                _, estimated = self.service.queue_estimate()
-                error = ServiceOverloadedError(
-                    str(error), retry_after=retry_after_hint(estimated)
-                )
             self._respond_error(rid, error)
             return
         with self._keys_lock:

@@ -82,7 +82,6 @@ from repro.exceptions import (
     HostLostError,
     ReproError,
     ServiceError,
-    ServiceOverloadedError,
     ShardFailedError,
     error_from_code,
 )
@@ -1154,10 +1153,8 @@ def _shard_error(code: str, message: str, retry_after) -> ReproError:
     so the rebuilt exception only needs the right code — not the exact
     original class — to serve the same response the shard would have.
     """
-    error = error_from_code(code, message)
+    error = error_from_code(code, message, retry_after)
     if error is None:
         error = ServiceError(message)
         error.code = code
-    elif isinstance(error, ServiceOverloadedError) and retry_after is not None:
-        error.retry_after = max(0.0, float(retry_after))
     return error

@@ -1,9 +1,9 @@
 """A small TF-IDF vectorizer with cosine similarity.
 
-scikit-learn is not a dependency of this reproduction, so the handful of
-places that need bag-of-words vectors (the TF-IDF cosine feature in
-:mod:`repro.matchers.features` and hard-negative mining in the synthetic
-data generator) use this implementation instead.
+scikit-learn is not a dependency of this reproduction, so this is a
+from-scratch implementation, exported as :class:`repro.text.TfidfVectorizer`
+for callers that want bag-of-words vectors; no module of the package
+uses it.
 
 The vectorizer follows the standard smooth-idf formulation::
 

@@ -22,8 +22,12 @@ from repro.core.engine import (
     pair_fingerprint,
 )
 from repro.core.generation import GENERATION_DOUBLE, GENERATION_SINGLE
+from repro.config import ALL_METHODS, METHOD_MOJITO_COPY
 from repro.core.landmark import LandmarkExplainer
-from repro.data.records import RecordPair
+from repro.data.records import MATCH, NON_MATCH, RecordPair
+from repro.evaluation.interest_eval import interest_eval
+from repro.evaluation.methods import MethodExplainers
+from repro.evaluation.token_eval import token_removal_eval
 from repro.exceptions import ConfigurationError
 from repro.explainers.lime_text import LimeConfig
 from repro.testing.faults import FlakyMatcher, MatcherFault
@@ -280,6 +284,72 @@ class TestAccounting:
     def test_summary_mentions_savings(self):
         stats = EngineStats(requested=10, calls_issued=5)
         assert "2.00x" in stats.summary()
+
+
+def evaluation_grid_weights(matcher, sample, engine_config):
+    """The experiment grid on *sample* (explain every record with every
+    method, then score the token-removal and interest evaluations) under
+    one engine configuration; returns ``(weights, engine)``."""
+    engine = PredictionEngine(matcher, engine_config)
+    explainers = MethodExplainers(
+        matcher, lime_config=LimeConfig(n_samples=48, seed=0), seed=0,
+        engine=engine,
+    )
+    eval_matcher = engine.as_matcher()
+    weights = {}
+    for label in (MATCH, NON_MATCH):
+        pairs = sample.by_label(label).pairs
+        for method in ALL_METHODS:
+            if method == METHOD_MOJITO_COPY and label == MATCH:
+                continue
+            explained = [explainers.explain(method, pair) for pair in pairs]
+            for record in explained:
+                weights[(record.pair.pair_id, method)] = tuple(
+                    (entry.key, entry.weight)
+                    for entry in record.token_weights.entries
+                )
+            token_removal_eval(explained, eval_matcher, seed=0)
+            interest_eval(explained, eval_matcher)
+        # The recommended ("auto") dual reuses the forced columns' rows.
+        for pair in pairs:
+            weights[(pair.pair_id, "auto")] = tuple(
+                (entry.key, entry.weight)
+                for entry in explainers.landmark.explain(pair).combined().entries
+            )
+    return weights, engine
+
+
+class TestEvaluationGridSavings:
+    """The engine's payoff on the experiment grid (S-BR, 3 records per
+    label): identical weights at a fraction of the matcher calls."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from repro.data.splits import sample_per_label
+        from repro.data.synthetic.magellan import load_dataset
+        from repro.matchers.logistic import LogisticRegressionMatcher
+
+        dataset = load_dataset("S-BR", seed=0, size_cap=300)
+        matcher = LogisticRegressionMatcher().fit(dataset)
+        sample = sample_per_label(dataset, 3, seed=0)
+        off, on = CountingMatcher(matcher), CountingMatcher(matcher)
+        off_weights, _ = evaluation_grid_weights(off, sample, ENGINE_OFF)
+        on_weights, engine = evaluation_grid_weights(on, sample, EngineConfig())
+        return off, off_weights, on, on_weights, engine.stats
+
+    def test_weights_equal_engine_off(self, runs):
+        _, off_weights, _, on_weights, _ = runs
+        assert len(off_weights) == 33
+        assert on_weights == off_weights
+
+    def test_accounting_matches_the_transparent_run(self, runs):
+        off, _, on, _, stats = runs
+        assert stats.requested == off.rows_scored
+        assert stats.calls_issued == on.rows_scored
+        assert stats.calls_issued + stats.calls_saved == stats.requested
+
+    def test_engine_saves_at_least_one_and_a_half_times(self, runs):
+        assert runs[-1].savings_factor >= 1.5
 
 
 class TestEngineMatcherAdapter:

@@ -211,9 +211,13 @@ class TestMagellan:
         dataset = load_dataset("S-DG", size_cap=150)
         assert len(dataset) == 150
 
-    def test_match_rate_close_to_spec(self):
-        dataset = load_dataset("S-IA", size_cap=500)
-        assert abs(dataset.match_rate - 0.2449) < 0.02
+    @pytest.mark.parametrize("code", DATASET_CODES)
+    def test_match_rate_close_to_spec(self, code):
+        # Table 1 at the BENCH size cap.
+        spec = DATASET_SPECS[code]
+        dataset = load_dataset(code, size_cap=500)
+        assert len(dataset) == min(spec.size, 500)
+        assert abs(dataset.match_rate - spec.match_rate) < 0.02
 
     def test_small_datasets_have_exact_size(self):
         dataset = load_dataset("S-BR")

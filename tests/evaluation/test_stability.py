@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.baselines.mojito import MojitoDropExplainer
+from repro.config import BENCH
 from repro.core.explanation import PairTokenWeights, TokenEntry
+from repro.core.landmark import LandmarkExplainer
+from repro.data.records import MATCH
+from repro.data.synthetic.magellan import load_dataset
 from repro.evaluation.stability import (
     record_stability,
     stability_eval,
 )
 from repro.exceptions import ConfigurationError
+from repro.explainers.lime_text import LimeConfig
+from repro.matchers.logistic import LogisticRegressionMatcher
 
 
 def weights_for(pair, values):
@@ -47,9 +54,6 @@ class TestStabilityEval:
     def test_landmark_explanations_are_reasonably_stable(
         self, beer_matcher, beer_dataset
     ):
-        from repro.core.landmark import LandmarkExplainer
-        from repro.explainers.lime_text import LimeConfig
-
         def explain(pair, seed):
             explainer = LandmarkExplainer(
                 beer_matcher,
@@ -79,3 +83,44 @@ class TestStabilityEval:
 
         result = stability_eval([toy_pair], explain, n_runs=2)
         assert "mean Spearman 1.000" in result.render()
+
+
+class TestFodorsZagatStability:
+    """Landmark Single against whole-pair LIME at an equal budget (S-FZ)."""
+
+    N_SAMPLES = 64
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        dataset = load_dataset("S-FZ", seed=BENCH.seed, size_cap=BENCH.size_cap)
+        matcher = LogisticRegressionMatcher().fit(dataset)
+        pairs = dataset.by_label(MATCH).pairs[:4]
+
+        def single(pair, seed):
+            explainer = LandmarkExplainer(
+                matcher,
+                lime_config=LimeConfig(n_samples=self.N_SAMPLES, seed=seed),
+                seed=seed,
+            )
+            return explainer.explain(pair, "single").combined()
+
+        def lime(pair, seed):
+            explainer = MojitoDropExplainer(
+                matcher, LimeConfig(n_samples=self.N_SAMPLES, seed=seed), seed=seed
+            )
+            return explainer.explain(pair).token_weights
+
+        return {
+            "single": stability_eval(pairs, single, n_runs=3),
+            "lime": stability_eval(pairs, lime, n_runs=3),
+        }
+
+    def test_single_is_stable(self, results):
+        assert results["single"].mean_correlation > 0.2
+
+    def test_single_is_not_much_less_stable_than_lime(self, results):
+        # Same budget, fewer perturbable tokens per fit.
+        assert (
+            results["single"].mean_correlation
+            > results["lime"].mean_correlation - 0.2
+        )

@@ -7,15 +7,10 @@ import urllib.request
 
 import pytest
 
+from repro.bulk.warm import PRECOMPUTE_JOURNAL, precompute
 from repro.exceptions import CheckpointError
 from repro.service.request import ExplainRequest
-from repro.service.server import (
-    PRECOMPUTE_JOURNAL,
-    handle_payload,
-    precompute,
-    serve_http,
-    serve_stdio,
-)
+from repro.service.server import handle_payload, serve_http, serve_stdio
 from repro.service.service import ExplanationService
 from repro.service.store import ExplanationStore
 

@@ -13,7 +13,7 @@ import pytest
 from repro.config import ServiceConfig
 from repro.core.landmark import LandmarkExplainer
 from repro.core.serialize import dual_digest, dual_to_dict
-from repro.exceptions import ReproError, ServiceError
+from repro.exceptions import ReproError, ServiceError, ServiceOverloadedError
 from repro.explainers.lime_text import LimeConfig
 from repro.service.request import ExplainRequest
 from repro.service.service import (
@@ -181,13 +181,14 @@ class TestBackpressure:
                     pair=beer_dataset[1], method="single", samples=SAMPLES
                 )
             )
-            with pytest.raises(ServiceError):
+            with pytest.raises(ServiceOverloadedError) as info:
                 service.submit(
                     ExplainRequest(
                         pair=beer_dataset[2], method="single", samples=SAMPLES
                     ),
                     block=False,
                 )
+            assert info.value.retry_after > 0
             assert service.stats.rejected == 1
             gated.release.set()
             held.result(timeout=30)

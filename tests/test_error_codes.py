@@ -2,11 +2,14 @@
 
 Errors cross process boundaries as ``(code, message)``: the matcher
 server answers the remote backend client that way, and a shard answers
-its supervisor.  :func:`repro.exceptions.error_from_code` is the one
-decoder; each caller keeps its own fallback for codes it cannot place.
+its supervisor.  :func:`repro.exceptions.error_fields` is the one
+encoder and :func:`repro.exceptions.error_from_code` the one decoder;
+each caller keeps its own fallback for codes it cannot place.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.exceptions import (
     ServiceError,
     ServiceOverloadedError,
     error_code,
+    error_fields,
     error_from_code,
 )
 from repro.service.supervisor import _shard_error
@@ -85,3 +89,47 @@ def test_supervisor_keeps_unknown_codes():
     assert type(error) is ServiceError
     assert error_code(error) == "from_the_future"
     assert type(_shard_error("internal", "boom", None)) is ReproError
+
+
+def _wire_fields(cls) -> dict:
+    """*cls* encoded for the wire, as it arrives after a JSON hop."""
+    if cls is ServiceOverloadedError:
+        error = cls("boom", retry_after=2.5)
+    else:
+        error = cls("boom")
+    return json.loads(json.dumps(error_fields(error)))
+
+
+@pytest.mark.parametrize("cls", TAXONOMY, ids=_ids)
+def test_encoder_fields(cls):
+    fields = _wire_fields(cls)
+    assert fields["ok"] is False
+    assert fields["code"] == cls.code
+    assert fields["error"] == "boom"
+    assert ("retry_after" in fields) == (cls is ServiceOverloadedError)
+
+
+@pytest.mark.parametrize("cls", TAXONOMY, ids=_ids)
+def test_encoder_round_trips_through_the_supervisor(cls):
+    fields = _wire_fields(cls)
+    error = _shard_error(
+        fields["code"], fields["error"], fields.get("retry_after")
+    )
+    assert type(error) is cls
+    assert error_code(error) == cls.code
+    if cls is ServiceOverloadedError:
+        assert error.retry_after == 2.5
+
+
+# ``internal`` (the base class) becomes BackendError on the backend
+# client by design; see test_backend_client_falls_back_to_backend_error.
+@pytest.mark.parametrize("cls", SUBCLASSES, ids=_ids)
+def test_encoder_round_trips_through_the_backend_client(cls):
+    fields = _wire_fields(cls)
+    error = _server_error(
+        fields["code"], fields["error"], fields.get("retry_after")
+    )
+    assert type(error) is cls
+    assert error_code(error) == cls.code
+    if cls is ServiceOverloadedError:
+        assert error.retry_after == 2.5

@@ -23,7 +23,8 @@ the serving entry points, computes a LIME and a SHAP explanation, and
 asserts that scipy was never loaded.  A fresh ``import repro.cli`` (the
 start of ``serve-shard`` and ``serve-matcher`` hosts) must load neither
 the experiment runner, the table renderers, the baselines nor the
-summarizer.
+summarizer, and a fresh ``import repro.service.server`` (the start of
+the ``serve`` child) no evaluation, bulk or baseline module.
 """
 
 from __future__ import annotations
@@ -292,6 +293,9 @@ import repro.cli
 print(json.dumps(sorted(sys.modules)))
 """
 
+SERVER_PROCESS = CLI_PROCESS.replace("repro.cli", "repro.service.server")
+SERVER_EXCLUDED = ("repro.evaluation", "repro.bulk", "repro.baselines")
+
 
 def _run_fresh(script: str, *args: str):
     result = subprocess.run(
@@ -327,3 +331,9 @@ def test_serving_process_never_loads_scipy(beer_matcher, tmp_path):
     assert report["scipy"] == []
     # ``serve-shard`` and ``serve-matcher`` hosts start through the CLI.
     assert _within(_run_fresh(CLI_PROCESS), CLI_EXCLUDED) == []
+
+
+def test_http_front_end_loads_no_experiment_or_bulk_module():
+    # The ``serve`` child starts by importing the front ends; precompute
+    # lives in ``repro.bulk.warm``, which pulls in the experiment runner.
+    assert _within(_run_fresh(SERVER_PROCESS), SERVER_EXCLUDED) == []
