@@ -204,17 +204,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
              "finishing queued work before cancelling it",
     )
     parser.add_argument(
-        "--batch-window-ms", type=float, default=0.0,
-        help="coalesce concurrent requests' matcher batches within this "
-             "window (0 disables cross-request batching; results are "
-             "bit-identical either way)",
-    )
-    parser.add_argument(
-        "--batch-max-size", type=int, default=1024,
-        help="flush a coalesced matcher batch once this many rows are "
-             "pending (only with --batch-window-ms > 0)",
-    )
-    parser.add_argument(
         "--shards", type=int, default=1,
         help="worker processes, each owning a matcher, a prediction "
              "engine and its own store partition, fronted by a "
@@ -860,8 +849,6 @@ def _build_service(args: argparse.Namespace, dataset):
         max_queue_wait=args.max_queue_wait,
         default_deadline=args.deadline,
         drain_timeout=args.drain_timeout,
-        batch_window_ms=args.batch_window_ms,
-        batch_max_size=args.batch_max_size,
     )
     engine_config = EngineConfig(
         cache=not args.no_cache,

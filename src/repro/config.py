@@ -153,8 +153,8 @@ class ServiceConfig:
     """Knobs of the explanation service (:mod:`repro.service`).
 
     ``n_workers`` threads drain a bounded priority queue of at most
-    ``queue_size`` pending requests; ``coalesce`` collapses duplicate
-    in-flight requests onto one computation.  None of these change a
+    ``queue_size`` pending requests; a duplicate of an in-flight request
+    always joins that request's computation.  None of these change a
     single bit of any explanation — only how requests are scheduled.
 
     The lifecycle knobs bound tail latency under overload:
@@ -165,25 +165,14 @@ class ServiceConfig:
     ``default_deadline`` applies to requests that carry none;
     ``drain_timeout`` is the budget of a graceful ``close(drain=True)``
     before still-queued work is cancelled instead of computed.
-
-    ``batch_window_ms > 0`` turns on the cross-request batch scheduler
-    (:class:`~repro.core.batching.CrossRequestBatcher`): concurrent
-    workers' cache-miss sets are buffered up to that window (or until
-    ``batch_max_size`` rows accumulate) and sent to the matcher as one
-    merged batch.  Like everything above, batching never changes a
-    result bit — every matcher scores rows independently — it only
-    trades a bounded latency for wider, fewer matcher calls.
     """
 
     n_workers: int = 2
     queue_size: int = 256
-    coalesce: bool = True
     shed_threshold: int | None = None
     max_queue_wait: float | None = None
     default_deadline: float | None = None
     drain_timeout: float = 30.0
-    batch_window_ms: float = 0.0
-    batch_max_size: int = 1024
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -210,14 +199,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"drain_timeout must be >= 0, got {self.drain_timeout}"
             )
-        if self.batch_window_ms < 0:
-            raise ConfigurationError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
-        if self.batch_max_size < 1:
-            raise ConfigurationError(
-                f"batch_max_size must be >= 1, got {self.batch_max_size}"
-            )
 
 
 @dataclass(frozen=True)
@@ -228,9 +209,9 @@ class ShardConfig:
     a matcher and (when a store directory is configured) their own SQLite
     store partition.  Requests are routed onto shards by consistent
     hashing of the content-addressed request key (``virtual_nodes``
-    positions per shard on the hash ring), so coalescing, cross-request
-    batching and store locality all survive the split.  Like every
-    scheduling knob, sharding never changes a result bit: ``n_shards=1``
+    positions per shard on the hash ring), so coalescing and store
+    locality both survive the split.  Like every scheduling knob,
+    sharding never changes a result bit: ``n_shards=1``
     routes everything through one shard whose inner loop is the exact
     single-process :class:`~repro.service.service.ExplanationService`.
 

@@ -27,7 +27,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "CancelToken": ".deadline",
     "ColumnarPairBatch": ".columnar",
     "Counterfactual": ".counterfactual",
-    "CrossRequestBatcher": ".batching",
     "DatasetReconstructor": ".reconstruction",
     "Deadline": ".deadline",
     "DualExplanation": ".explanation",

@@ -165,41 +165,6 @@ class ColumnarPairBatch:
             out.append(pair)
         return out
 
-    @staticmethod
-    def concat(batches: Sequence["ColumnarPairBatch"]) -> "ColumnarPairBatch":
-        """Stack same-schema batches row-wise (the batch scheduler's merge).
-
-        Candidate value lists are concatenated with shifted indices; no
-        cross-batch dedup is attempted — downstream feature extraction
-        uniques per (left, right) combination anyway and the per-attribute
-        memo cache absorbs repeats.
-        """
-        if not batches:
-            raise ValueError("concat needs at least one batch")
-        first = batches[0]
-        if len(batches) == 1:
-            return first
-        attributes = first.schema.attributes
-        for other in batches[1:]:
-            if other.schema.attributes != attributes:
-                raise ValueError(
-                    "cannot concat columnar batches with different schemas"
-                )
-        n_rows = sum(batch.n_rows for batch in batches)
-        columns: dict[tuple[str, str], ValueColumn] = {}
-        for key in first.columns:
-            values: list[str] = []
-            chunks: list[np.ndarray] = []
-            for batch in batches:
-                col = batch.columns[key]
-                if values:
-                    chunks.append(col.index + len(values))
-                else:
-                    chunks.append(col.index)
-                values.extend(col.values)
-            columns[key] = ValueColumn(values, np.concatenate(chunks))
-        return ColumnarPairBatch(first.template, columns, n_rows)
-
 
 # ----------------------------------------------------------------------
 # Builders

@@ -50,7 +50,6 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from repro.backends.base import InProcessBackend, as_backend
-from repro.core.batching import CrossRequestBatcher
 from repro.core.columnar import ColumnarPairBatch, landmark_batch
 from repro.core.deadline import checkpoint
 from repro.core.generation import GeneratedInstance
@@ -145,16 +144,6 @@ class EngineStats:
             "repro_engine_batch_width",
             "Rows per matcher batch actually issued",
             HISTOGRAM, attr="batch_width",
-        ),
-        Metric(
-            "repro_engine_batch_wait_seconds",
-            "Seconds a miss set waited in the cross-request batcher",
-            HISTOGRAM, attr="batch_wait_seconds",
-        ),
-        Metric(
-            "repro_engine_batch_merges_total",
-            "Cross-request flushes that merged more than one miss set",
-            attr="batch_merges",
         ),
     )
 
@@ -327,14 +316,14 @@ class _EngineMatcher(EntityMatcher):
 
 
 class PredictionEngine:
-    """Deduplicating, caching, batching front-end to one matcher backend.
+    """Deduplicating, caching, chunking front-end to one matcher backend.
 
     *matcher* may be a live :class:`EntityMatcher` (wrapped in an
     :class:`~repro.backends.base.InProcessBackend`, preserving the
     historical behaviour bit for bit) or any
     :class:`~repro.backends.base.MatcherBackend` — the engine itself
     only ever talks to the backend surface, so a remote matcher slots in
-    without the dedup/cache/batching layers noticing.  The effective
+    without the dedup/cache/chunking layers noticing.  The effective
     chunk width is ``min(config.batch_size, backend max batch)``.
 
     The engine is **thread-safe**: the serving layer's worker pool shares
@@ -392,31 +381,6 @@ class PredictionEngine:
             self._supports_columnar = capabilities.supports_columnar
             backend_max = capabilities.max_batch_size
         self._chunk_size = min(self.config.batch_size, backend_max)
-        # Optional cross-request batch scheduler (serving layer attaches
-        # one when ServiceConfig.batch_window_ms is set).
-        self._batcher: CrossRequestBatcher | None = None
-
-    def attach_batcher(self, window_seconds: float, max_rows: int) -> None:
-        """Coalesce concurrent miss sets into merged matcher batches.
-
-        Submissions from different threads within *window_seconds* (or
-        until *max_rows* rows accumulate) execute as one merged batch —
-        see :class:`~repro.core.batching.CrossRequestBatcher`.  Row
-        probabilities are bit-identical with or without merging; only
-        matcher-call shapes change.
-        """
-        instruments = self._instruments
-        self._batcher = CrossRequestBatcher(
-            execute=self._execute,
-            window_seconds=window_seconds,
-            max_rows=max_rows,
-            observe_wait=instruments.batch_wait_seconds.observe,
-            count_merge=instruments.batch_merges.inc,
-        )
-
-    def detach_batcher(self) -> None:
-        """Stop coalescing; in-flight flushes complete normally."""
-        self._batcher = None
 
     @property
     def stats(self) -> EngineStats:
@@ -439,11 +403,11 @@ class PredictionEngine:
             return np.empty(0, dtype=np.float64)
         if not self.config.dedup and not self.config.cache:
             self._instruments.calls_issued.inc(len(pairs))
-            return self._predict(pairs)
+            return self._execute(pairs)
         entries = self._group(pair_fingerprint(pair) for pair in pairs)
 
         def predict_misses(miss_keys, miss_slots):
-            return self._predict([pairs[slots[0]] for slots in miss_slots])
+            return self._execute([pairs[slots[0]] for slots in miss_slots])
 
         return self._resolve(entries, len(pairs), predict_misses)
 
@@ -527,7 +491,7 @@ class PredictionEngine:
         """Dedup/cache resolution of a columnar batch (requested counted)."""
         if not self.config.dedup and not self.config.cache:
             self._instruments.calls_issued.inc(n_requests)
-            return self._predict(batch)
+            return self._execute(batch)
         attributes = batch.schema.attributes
         keys: list[PairKey] = [
             (attributes, left, right)
@@ -537,7 +501,7 @@ class PredictionEngine:
         ]
 
         def predict_misses(miss_keys, miss_slots):
-            return self._predict(batch.take([slots[0] for slots in miss_slots]))
+            return self._execute(batch.take([slots[0] for slots in miss_slots]))
 
         return self._resolve(self._group(keys), n_requests, predict_misses)
 
@@ -594,12 +558,6 @@ class PredictionEngine:
             if config.cache:
                 instruments.cache_entries.set(size)
         return out
-
-    def _predict(self, payload: list[RecordPair] | ColumnarPairBatch) -> np.ndarray:
-        """Matcher execution for a miss set, via the batcher when attached."""
-        if self._batcher is not None:
-            return self._batcher.submit(payload)
-        return self._execute(payload)
 
     def _execute(self, payload: list[RecordPair] | ColumnarPairBatch) -> np.ndarray:
         """Chunked, guarded (optionally thread-parallel) matcher execution.

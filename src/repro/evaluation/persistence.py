@@ -330,10 +330,6 @@ def read_journal(path: str | Path) -> list[dict]:
     return events
 
 
-#: Backwards-compatible alias (pre-service releases used the private name).
-_read_journal = read_journal
-
-
 def load_checkpoint(
     run_dir: str | Path,
     expected_config: ExperimentConfig | None = None,
@@ -421,15 +417,3 @@ def save_metrics(registry, path: str | Path) -> Path:
     from repro.obs.export import save_json
 
     return save_json(registry, path)
-
-
-def load_service_stats(path: str | Path) -> dict:
-    """Read a stats JSON written by :func:`save_service_stats`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != SERVICE_STATS_FORMAT_VERSION:
-        raise DatasetError(
-            f"unsupported service stats format version {version!r}; "
-            f"expected {SERVICE_STATS_FORMAT_VERSION}"
-        )
-    return payload

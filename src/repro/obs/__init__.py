@@ -27,7 +27,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Span": ".tracing",
     "TRACE_FORMAT_VERSION": ".tracing",
     "Tracer": ".tracing",
-    "global_registry": ".metrics",
     "save_json": ".export",
     "span": ".tracing",
     "to_json": ".export",

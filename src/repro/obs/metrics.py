@@ -500,13 +500,3 @@ class StatsInstruments:
     def drain(self):
         """Atomic snapshot-and-zero of the snapshot's instruments."""
         return self.build(self.registry.drain(*self._read))
-
-
-#: A process-wide default registry for callers that don't thread their
-#: own through (CLI front-ends share it across subsystems).
-_GLOBAL = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return _GLOBAL

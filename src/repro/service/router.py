@@ -1,8 +1,8 @@
 """Consistent-hash routing of request keys onto shards.
 
 The sharded service must send equal request keys to the same shard —
-that is what keeps in-flight coalescing, cross-request batching and
-SQLite store locality working after the single process splits into N.
+that is what keeps in-flight coalescing and SQLite store locality
+working after the single process splits into N.
 A plain ``hash(key) % n`` would satisfy that only while the shard set
 never changes; every shard death or ring resize would remap almost every
 key and cold-start every partition.

@@ -370,14 +370,6 @@ class ExplanationService:
         self.engine = PredictionEngine(
             self.backend, engine_config, metrics=self.metrics
         )
-        if self.config.batch_window_ms > 0:
-            # Cross-request batching: concurrent workers' miss sets merge
-            # into one matcher batch inside the window.  Purely a call-
-            # shape optimization — results are bit-identical.
-            self.engine.attach_batcher(
-                self.config.batch_window_ms / 1000.0,
-                self.config.batch_max_size,
-            )
         # In-process the fingerprint is computed from the live object
         # (exactly as before backends existed); remote backends pin the
         # fingerprint their server advertised at handshake.
@@ -449,7 +441,7 @@ class ExplanationService:
                     future: Future = Future()
                     future.set_result(payload)
                     return future
-            if self.config.coalesce and key in self._inflight:
+            if key in self._inflight:
                 instruments.coalesced.inc()
                 ticket = self._inflight[key]
                 ticket.waiters += 1
@@ -858,10 +850,6 @@ class ExplanationService:
         return compute_explanation_payload(
             self.matcher, self.engine, self.fingerprint, key, request
         )
-
-    def _landmark_explainer(self, request: ExplainRequest) -> LandmarkExplainer:
-        """A per-request pipeline sharing the service-wide engine."""
-        return build_landmark_explainer(self.matcher, self.engine, request)
 
 
 def duals_from_result(payload: dict):

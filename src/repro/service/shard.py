@@ -5,10 +5,9 @@ stack — a guarded :class:`~repro.core.engine.PredictionEngine`, a matcher
 unpickled from the spec (or loaded from a model artifact), and its own
 SQLite store partition under the shared store directory.  The existing
 :class:`~repro.service.service.ExplanationService` *is* the shard's inner
-loop, untouched: coalescing, admission control, deadlines, cross-request
-batching and drain all work per shard exactly as they do single-process,
-which is what keeps ``--shards 1`` bit-identical to the pre-shard
-service.
+loop, untouched: coalescing, admission control, deadlines and drain all
+work per shard exactly as they do single-process, which is what keeps
+``--shards 1`` bit-identical to the pre-shard service.
 
 The shard talks to its parent over one duplex control pipe
 (:func:`multiprocessing.Pipe`) carrying small typed dict messages:

@@ -10,8 +10,8 @@ tell one process from eight.  Three cooperating pieces:
 (:func:`~repro.service.request.request_key`) and assigned to a shard by
 the consistent-hash ring (:class:`~repro.service.router.HashRing`) over
 the *live* shard set.  Equal keys land on the same shard, which is what
-lets the per-shard inner service keep coalescing duplicates, batching
-across requests and hitting its own warm store partition.
+lets the per-shard inner service keep coalescing duplicates and
+hitting its own warm store partition.
 
 **Supervisor.**  A monitor thread watches every shard for the two ways a
 process stops serving: death (``Process.is_alive()`` false, or control

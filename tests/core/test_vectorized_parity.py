@@ -6,8 +6,8 @@ prediction engine's dedup and cache → one chunked, guarded executor.
 These tests pin that path to the per-row recipe in
 ``tests/core/mask_reference.py`` — the same pairs row for row, the same
 float64 probabilities and explanation weights — and pin the weights
-against engine chunk size, dedup/cache settings, and N requests coalesced
-through the service's cross-request batch scheduler.
+against engine chunk size, dedup/cache settings, and N distinct requests
+computed concurrently by the service's worker pool.
 """
 
 from __future__ import annotations
@@ -339,26 +339,20 @@ class TestEngineParity:
 
 
 class TestServiceParity:
-    def test_coalesced_batches_equal_sequential(self, beer_matcher, beer_dataset):
+    def test_concurrent_workers_equal_sequential(self, beer_matcher, beer_dataset):
         requests = [
             ExplainRequest(pair=beer_dataset[index], samples=32, seed=0)
             for index in range(4)
         ]
         with ExplanationService(
-            beer_matcher, config=ServiceConfig(n_workers=1, coalesce=False)
+            beer_matcher, config=ServiceConfig(n_workers=1)
         ) as sequential:
             baseline = [
                 dual_cells(sequential.explain(request)) for request in requests
             ]
         with ExplanationService(
-            beer_matcher,
-            config=ServiceConfig(
-                n_workers=4,
-                coalesce=False,
-                batch_window_ms=5.0,
-                batch_max_size=4096,
-            ),
-        ) as batched:
-            futures = [batched.submit(request) for request in requests]
-            merged = [dual_cells(future.result(60)) for future in futures]
-        assert baseline == merged
+            beer_matcher, config=ServiceConfig(n_workers=4)
+        ) as concurrent:
+            futures = [concurrent.submit(request) for request in requests]
+            computed = [dual_cells(future.result(60)) for future in futures]
+        assert baseline == computed

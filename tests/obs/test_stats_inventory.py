@@ -29,10 +29,6 @@ STORE = {"component": "store", "instance": "0"}
 
 #: (name, kind, help, label sets) of every family the stack exports.
 INVENTORY = [
-    ("repro_engine_batch_merges_total", "counter",
-     "Cross-request flushes that merged more than one miss set", [ENGINE]),
-    ("repro_engine_batch_wait_seconds", "histogram",
-     "Seconds a miss set waited in the cross-request batcher", [ENGINE]),
     ("repro_engine_batch_width", "histogram",
      "Rows per matcher batch actually issued", [ENGINE]),
     ("repro_engine_batches_total", "counter",

@@ -1,5 +1,5 @@
-"""SIGTERM-style drain while a coalesced cross-request batch is in
-flight: every waiter must get a terminal response, never a hang."""
+"""SIGTERM-style drain while workers' matcher batches are in flight:
+every waiter must get a terminal response, never a hang."""
 
 from __future__ import annotations
 
@@ -35,14 +35,12 @@ class GatedMatcher:
 
 
 @pytest.fixture()
-def batching_service(beer_matcher):
+def gated_service(beer_matcher):
     gated = GatedMatcher(beer_matcher)
     service = ExplanationService(
         gated,
         config=ServiceConfig(
             n_workers=2,
-            batch_window_ms=25.0,
-            batch_max_size=4096,
             drain_timeout=60.0,
         ),
     )
@@ -59,15 +57,15 @@ def _requests(dataset, n):
 
 
 def test_drain_finishes_inflight_batch_and_resolves_all_waiters(
-    batching_service, beer_dataset
+    gated_service, beer_dataset
 ):
-    service, gated = batching_service
+    service, gated = gated_service
     first, second = _requests(beer_dataset, 2)
 
     f1 = service.submit(first)
     f2 = service.submit(second)
-    # Both workers are computing; at least one matcher batch (possibly a
-    # coalesced cross-request one) is blocked inside the gate.
+    # Both workers are computing; at least one matcher batch is blocked
+    # inside the gate.
     assert gated.entered.wait(timeout=30)
 
     done = threading.Event()
@@ -90,9 +88,9 @@ def test_drain_finishes_inflight_batch_and_resolves_all_waiters(
 
 
 def test_drain_timeout_still_terminates_every_waiter(
-    batching_service, beer_dataset
+    gated_service, beer_dataset
 ):
-    service, gated = batching_service
+    service, gated = gated_service
     futures = [service.submit(r) for r in _requests(beer_dataset, 4)]
     assert gated.entered.wait(timeout=30)
 

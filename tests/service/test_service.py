@@ -129,22 +129,6 @@ class TestCoalescing:
         assert service.stats.computed == 1
         assert all(result == results[0] for result in results)
 
-    def test_coalescing_can_be_disabled(self, beer_matcher, match_pair):
-        gated = GatedMatcher(beer_matcher)
-        request = ExplainRequest(
-            pair=match_pair, method="single", samples=SAMPLES
-        )
-        with ExplanationService(
-            gated, config=ServiceConfig(n_workers=2, coalesce=False)
-        ) as service:
-            first = service.submit(request)
-            assert gated.entered.wait(timeout=30)
-            second = service.submit(request)
-            assert second is not first
-            gated.release.set()
-            assert first.result(timeout=30) == second.result(timeout=30)
-        assert service.stats.computed == 2
-
     def test_distinct_requests_do_not_coalesce(
         self, beer_matcher, match_pair, non_match_pair
     ):
