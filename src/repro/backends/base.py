@@ -16,8 +16,10 @@ The :class:`~repro.core.engine.PredictionEngine` talks only to backends.
 Capabilities are negotiated up front — :meth:`MatcherBackend.capabilities`
 returns the model's content :func:`~repro.core.serialize.
 matcher_fingerprint` (request keys, caches and the explanation store are
-keyed by it), whether the columnar fast path exists, and the largest
-batch one call may carry (the engine clamps its chunk width to it).
+keyed by it) and the largest batch one call may carry (the engine clamps
+its chunk width to it).  How a columnar batch is scored is the matcher's
+own decision (:meth:`~repro.matchers.base.EntityMatcher.
+predict_proba_columnar`), so it is not negotiated.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Version of the backend wire protocol / capabilities contract.  A
 #: remote peer advertising a different version is an incompatible build
 #: and the handshake fails rather than limping along.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default cap on rows per backend call when the backend itself does not
 #: impose a tighter one.  Bounds a single frame's memory on both sides of
@@ -60,8 +62,6 @@ class BackendCapabilities:
 
     #: Content hash of the model (:func:`matcher_fingerprint`).
     fingerprint: str
-    #: Whether ``predict_proba_columnar`` is served.
-    supports_columnar: bool
     #: Largest row count one ``predict`` call may carry.
     max_batch_size: int
     #: Matcher class name, for logs and /healthz — never for dispatch.
@@ -81,7 +81,6 @@ class BackendCapabilities:
         """A wire-friendly view (the handshake payload)."""
         return {
             "fingerprint": self.fingerprint,
-            "supports_columnar": self.supports_columnar,
             "max_batch_size": self.max_batch_size,
             "matcher_class": self.matcher_class,
             "protocol_version": self.protocol_version,
@@ -91,7 +90,6 @@ class BackendCapabilities:
     def from_dict(cls, payload: dict) -> "BackendCapabilities":
         return cls(
             fingerprint=str(payload["fingerprint"]),
-            supports_columnar=bool(payload["supports_columnar"]),
             max_batch_size=int(payload["max_batch_size"]),
             matcher_class=str(payload.get("matcher_class", "")),
             protocol_version=int(payload.get("protocol_version", 0)),
@@ -115,14 +113,9 @@ class MatcherBackend(ABC):
     def predict_proba(self, pairs: Sequence["RecordPair"]) -> np.ndarray:
         """Match probabilities for materialized pairs."""
 
+    @abstractmethod
     def predict_proba_columnar(self, batch: "ColumnarPairBatch") -> np.ndarray:
-        """Match probabilities for a columnar perturbation batch.
-
-        Only valid when ``capabilities().supports_columnar`` is true.
-        """
-        raise BackendError(
-            f"{type(self).__name__} does not serve columnar prediction"
-        )
+        """Match probabilities for a columnar perturbation batch."""
 
     def health(self) -> dict:
         """Liveness view for /healthz: at least ``{"available": bool}``."""
@@ -153,7 +146,8 @@ class InProcessBackend(MatcherBackend):
 
     Duck-typed on purpose: test doubles and counting/fault-injection
     shims that only implement ``predict_proba`` wrap exactly like real
-    matchers, mirroring the engine's historical tolerance.
+    matchers, mirroring the engine's historical tolerance; their columnar
+    batches are materialized, as :class:`EntityMatcher`'s default does.
     """
 
     def __init__(
@@ -178,9 +172,6 @@ class InProcessBackend(MatcherBackend):
 
             self._capabilities = BackendCapabilities(
                 fingerprint=matcher_fingerprint(self.matcher),
-                supports_columnar=bool(
-                    getattr(self.matcher, "supports_columnar", False)
-                ),
                 max_batch_size=self.max_batch_size,
                 matcher_class=type(self.matcher).__name__,
             )
@@ -190,7 +181,10 @@ class InProcessBackend(MatcherBackend):
         return self.matcher.predict_proba(pairs)
 
     def predict_proba_columnar(self, batch: "ColumnarPairBatch") -> np.ndarray:
-        return self.matcher.predict_proba_columnar(batch)
+        columnar = getattr(self.matcher, "predict_proba_columnar", None)
+        if columnar is None:
+            return self.matcher.predict_proba(batch.pairs())
+        return columnar(batch)
 
     def as_matcher(self) -> EntityMatcher:
         return self.matcher
@@ -207,10 +201,6 @@ class BackendMatcher(EntityMatcher):
 
     def __init__(self, backend: MatcherBackend) -> None:
         self._backend = backend
-
-    @property
-    def supports_columnar(self) -> bool:  # type: ignore[override]
-        return self._backend.capabilities().supports_columnar
 
     def fit(self, dataset) -> "BackendMatcher":
         raise BackendError(

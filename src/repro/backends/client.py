@@ -5,7 +5,7 @@
 :class:`~repro.backends.base.MatcherBackend` surface to the engine.
 
 **Pipelining.**  One TCP connection carries many in-flight batches at
-once: a large ``predict_proba`` call is split into server-sized chunks
+once: a large pair list or columnar batch is split into server-sized chunks
 that are *all written immediately* (bounded by ``max_in_flight`` window
 slots), and concurrent service workers share the same connection the
 same way.  A dedicated reader thread resolves responses **out of order**
@@ -103,10 +103,6 @@ class RemoteBackendConfig:
     max_retries: int = 2
     #: Window: wire requests in flight on the connection at once.
     max_in_flight: int = 8
-    #: Rows per wire request; 0 = the server's advertised max batch.
-    #: Splitting below the server max is what turns one big call into
-    #: multiple pipelined frames.
-    pipeline_chunk_size: int = 0
     #: Consecutive failed round-trips that trip the breaker.
     trip_after: int = 5
     #: Fast-failed calls while open before a half-open probe.
@@ -128,11 +124,6 @@ class RemoteBackendConfig:
         if self.max_in_flight < 1:
             raise ConfigurationError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}"
-            )
-        if self.pipeline_chunk_size < 0:
-            raise ConfigurationError(
-                f"pipeline_chunk_size must be >= 0, got "
-                f"{self.pipeline_chunk_size}"
             )
 
     def guard_config(self) -> GuardConfig:
@@ -371,14 +362,9 @@ class RemoteBackend(MatcherBackend):
         if op == "capabilities":
             return conn
         timeout_at = self._timeout_at()
-        if op == "predict":
-            chunks = self._split(body, conn.capabilities)
-            requests = [("predict", chunk, len(chunk)) for chunk in chunks]
-        else:
-            requests = [("predict_columnar", body, body.n_rows)]
         try:
-            issued = [self._submit(conn, kind, chunk, rows, timeout_at)
-                      for kind, chunk, rows in requests]
+            issued = [self._submit(conn, op, chunk, timeout_at)
+                      for chunk in self._split(body, conn.capabilities)]
             parts = [self._await(conn, pending, timeout_at)
                      for pending in issued]
         except (ConnectionError, OSError) as error:
@@ -493,13 +479,20 @@ class RemoteBackend(MatcherBackend):
 
     # -- request plumbing ----------------------------------------------
 
-    def _split(self, pairs: list, capabilities: BackendCapabilities) -> list:
+    @staticmethod
+    def _split(body, capabilities: BackendCapabilities) -> list:
+        """Server-sized chunks of a pair list or a columnar batch.
+
+        The server refuses a frame above its advertised max of either kind.
+        """
         chunk = capabilities.max_batch_size
-        if self.config.pipeline_chunk_size:
-            chunk = min(chunk, self.config.pipeline_chunk_size)
-        if len(pairs) <= chunk:
-            return [pairs]
-        return [pairs[i:i + chunk] for i in range(0, len(pairs), chunk)]
+        if isinstance(body, list):
+            n_rows, cut = len(body), lambda i: body[i:i + chunk]
+        else:
+            n_rows, cut = body.n_rows, lambda i: body.slice_rows(i, i + chunk)
+        if n_rows <= chunk:
+            return [body]
+        return [cut(i) for i in range(0, n_rows, chunk)]
 
     def _timeout_at(self) -> float | None:
         timeout = self.config.call_timeout
@@ -512,7 +505,7 @@ class RemoteBackend(MatcherBackend):
                 at = ambient if at is None else min(at, ambient)
         return at
 
-    def _submit(self, conn: _Connection, op: str, body, rows: int,
+    def _submit(self, conn: _Connection, op: str, body,
                 timeout_at: float | None) -> _Pending:
         # A window slot bounds in-flight frames; waiting for one polls
         # the scope so cancellation/deadline interrupts the backpressure.
@@ -527,13 +520,15 @@ class RemoteBackend(MatcherBackend):
                 )
         try:
             request_id, pending = conn.register(time.monotonic())
-            key = "batch" if op == "predict_columnar" else "pairs"
+            columnar = op == "predict_columnar"
+            key = "batch" if columnar else "pairs"
             with conn.send_lock:
                 send_frame(conn.sock, {"op": op, "id": request_id, key: body})
         except BaseException:
             conn.window.release()
             raise
         self._instruments.requests.inc()
+        rows = body.n_rows if columnar else len(body)
         self._instruments.batch_width.observe(float(rows))
         self._instruments.inflight.inc()
         return pending

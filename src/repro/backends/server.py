@@ -31,10 +31,9 @@ import numpy as np
 from repro.backends.base import (
     DEFAULT_MAX_BATCH_SIZE,
     PROTOCOL_VERSION,
-    BackendCapabilities,
+    InProcessBackend,
 )
 from repro.backends.protocol import read_frame, send_frame
-from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import (
     BackendProtocolError,
     ConfigurationError,
@@ -66,15 +65,8 @@ class MatcherServer:
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.matcher = matcher
-        self.capabilities = BackendCapabilities(
-            fingerprint=matcher_fingerprint(matcher),
-            supports_columnar=bool(
-                getattr(matcher, "supports_columnar", False)
-            ),
-            max_batch_size=int(max_batch_size),
-            matcher_class=type(matcher).__name__,
-        )
+        self._backend = InProcessBackend(matcher, max_batch_size)
+        self.capabilities = self._backend.capabilities()
         self._host = host
         self._port = int(port)
         self._workers = workers
@@ -234,24 +226,19 @@ class MatcherServer:
 
     def _score(self, message: dict) -> np.ndarray:
         if message.get("op") == "predict_columnar":
-            if not self.capabilities.supports_columnar:
-                raise ServiceError(
-                    f"{self.capabilities.matcher_class} does not serve "
-                    f"columnar prediction"
-                )
-            return np.asarray(
-                self.matcher.predict_proba_columnar(message["batch"]),
-                dtype=np.float64,
-            )
-        pairs = message.get("pairs")
-        if not isinstance(pairs, list):
-            raise ServiceError("predict needs a list of pairs")
-        if len(pairs) > self.capabilities.max_batch_size:
+            batch = message["batch"]
+            rows, score = batch.n_rows, self._backend.predict_proba_columnar
+        else:
+            batch = message.get("pairs")
+            if not isinstance(batch, list):
+                raise ServiceError("predict needs a list of pairs")
+            rows, score = len(batch), self._backend.predict_proba
+        if rows > self.capabilities.max_batch_size:
             raise ServiceError(
-                f"batch of {len(pairs)} exceeds the advertised max of "
+                f"batch of {rows} exceeds the advertised max of "
                 f"{self.capabilities.max_batch_size}"
             )
-        return np.asarray(self.matcher.predict_proba(pairs), dtype=np.float64)
+        return np.asarray(score(batch), dtype=np.float64)
 
     # -- response path --------------------------------------------------
 

@@ -146,8 +146,9 @@ class ColumnarPairBatch:
     def pairs(self) -> list[RecordPair]:
         """Materialize one :class:`RecordPair` per row (fallback path).
 
-        Used when the matcher cannot consume columnar batches; content is
-        identical to the per-pair rebuild the batch replaced.
+        Used by matchers without a native columnar kernel (the default
+        ``EntityMatcher.predict_proba_columnar``); content is identical
+        to the per-pair rebuild the batch replaced.
         """
         attributes = self.schema.attributes
         template = self.template

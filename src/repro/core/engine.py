@@ -372,14 +372,9 @@ class PredictionEngine:
             # No capabilities() call here: it would fingerprint the
             # matcher, which may not be trained yet (the _EngineMatcher
             # adapter fits through the engine in eval flows).
-            self._supports_columnar = bool(
-                getattr(backend.matcher, "supports_columnar", False)
-            )
             backend_max = backend.max_batch_size
         else:
-            capabilities = backend.capabilities()
-            self._supports_columnar = capabilities.supports_columnar
-            backend_max = capabilities.max_batch_size
+            backend_max = backend.capabilities().max_batch_size
         self._chunk_size = min(self.config.batch_size, backend_max)
 
     @property
@@ -441,8 +436,8 @@ class PredictionEngine:
         The baselines' entry point: rows are fingerprinted by content
         (the same :data:`PairKey` tuples as :meth:`predict_pairs`, so the
         cache interoperates across methods), deduplicated, and miss sets
-        are scored columnar when the matcher supports it — materialized
-        as pairs otherwise.
+        go to the backend's ``predict_proba_columnar`` (the matcher
+        decides whether to materialize them as pairs).
         """
         n_rows = batch.n_rows
         self._instruments.requested.inc(n_rows)
@@ -573,10 +568,6 @@ class PredictionEngine:
         failing chunk propagates from the pool exactly as it would from
         the serial loop.
         """
-        if isinstance(payload, ColumnarPairBatch) and not self._supports_columnar:
-            # The one per-pair fallback: test doubles, wrappers and the
-            # token-level matchers only implement predict_proba.
-            payload = payload.pairs()
         if isinstance(payload, ColumnarPairBatch):
             n_rows, cut = payload.n_rows, payload.slice_rows
             score = self.backend.predict_proba_columnar

@@ -26,14 +26,6 @@ DEFAULT_THRESHOLD = 0.5
 class EntityMatcher(ABC):
     """Abstract base class of every EM model."""
 
-    #: Whether :meth:`predict_proba_columnar` is implemented.  Matchers
-    #: that can score a perturbation batch straight from its columnar
-    #: form (without materializing pairs) set this to True; callers fall
-    #: back to :meth:`predict_proba` otherwise.  Wrappers (test doubles,
-    #: counting/fault-injection shims) inherit the False default, which
-    #: safely routes them through the per-pair path.
-    supports_columnar: bool = False
-
     @abstractmethod
     def fit(self, dataset: EMDataset) -> "EntityMatcher":
         """Train on a labelled dataset and return self."""
@@ -49,12 +41,12 @@ class EntityMatcher(ABC):
         ``(batch.n_rows,)`` — with one hard extra requirement: row *i*'s
         probability must be **bit-identical** to what ``predict_proba``
         would return for the materialized pair of row *i*, whatever batch
-        it rides in (the prediction engine's equivalence bar).  Only
-        matchers with ``supports_columnar = True`` implement this.
+        it rides in (the prediction engine's equivalence bar).  This
+        default materializes the rows and calls ``predict_proba``, which
+        meets the contract by construction; matchers with a native
+        columnar kernel override it.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support columnar prediction"
-        )
+        return self.predict_proba(batch.pairs())
 
     def predict(
         self,

@@ -50,8 +50,6 @@ class Stump:
 class GradientBoostedStumpsMatcher(EntityMatcher):
     """Boosted-stump classifier on per-attribute similarity features."""
 
-    supports_columnar = True
-
     def __init__(
         self,
         n_stumps: int = 80,

@@ -36,8 +36,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class LogisticRegressionMatcher(EntityMatcher):
     """Logistic regression over per-attribute similarity features."""
 
-    supports_columnar = True
-
     def __init__(
         self,
         l2: float = 10.0,

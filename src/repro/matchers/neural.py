@@ -26,8 +26,6 @@ from repro.matchers.logistic import _sigmoid
 class MLPMatcher(EntityMatcher):
     """Feed-forward network: features → hidden tanh layers → sigmoid."""
 
-    supports_columnar = True
-
     def __init__(
         self,
         hidden_sizes: tuple[int, ...] = (32, 16),

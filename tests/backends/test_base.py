@@ -22,7 +22,6 @@ class TestBackendCapabilities:
     def test_round_trips_through_dict(self):
         caps = BackendCapabilities(
             fingerprint="abc123",
-            supports_columnar=True,
             max_batch_size=256,
             matcher_class="LogisticRegressionMatcher",
         )
@@ -30,20 +29,14 @@ class TestBackendCapabilities:
 
     def test_requires_fingerprint(self):
         with pytest.raises(ConfigurationError, match="fingerprint"):
-            BackendCapabilities(
-                fingerprint="", supports_columnar=False, max_batch_size=1
-            )
+            BackendCapabilities(fingerprint="", max_batch_size=1)
 
     def test_requires_positive_batch(self):
         with pytest.raises(ConfigurationError, match="max_batch_size"):
-            BackendCapabilities(
-                fingerprint="x", supports_columnar=False, max_batch_size=0
-            )
+            BackendCapabilities(fingerprint="x", max_batch_size=0)
 
     def test_protocol_version_defaults_current(self):
-        caps = BackendCapabilities(
-            fingerprint="x", supports_columnar=False, max_batch_size=1
-        )
+        caps = BackendCapabilities(fingerprint="x", max_batch_size=1)
         assert caps.protocol_version == PROTOCOL_VERSION
 
 
@@ -60,9 +53,6 @@ class TestInProcessBackend:
         assert caps.fingerprint == matcher_fingerprint(beer_matcher)
         assert caps.matcher_class == type(beer_matcher).__name__
         assert caps.max_batch_size == DEFAULT_MAX_BATCH_SIZE
-        assert caps.supports_columnar == bool(
-            getattr(beer_matcher, "supports_columnar", False)
-        )
 
     def test_as_matcher_returns_the_raw_object(self, beer_matcher):
         assert InProcessBackend(beer_matcher).as_matcher() is beer_matcher

@@ -63,13 +63,7 @@ class TestExplanationParity:
         with MatcherServer(matcher, workers=2) as server:
             backend = RemoteBackend(server.address, config=CONFIG)
             try:
-                # The proxy advertises exactly the matcher's columnar
-                # support, so both sides take the same prediction path.
-                proxy = backend.as_matcher()
-                assert proxy.supports_columnar == bool(
-                    getattr(matcher, "supports_columnar", False)
-                )
-                remote = _explain(proxy, match_pair)
+                remote = _explain(backend.as_matcher(), match_pair)
             finally:
                 backend.close()
         for side in ("left_landmark", "right_landmark"):

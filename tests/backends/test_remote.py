@@ -89,7 +89,6 @@ class TestHandshake:
         server, backend = served
         caps = backend.capabilities()
         assert caps.fingerprint == matcher_fingerprint(beer_matcher)
-        assert caps.supports_columnar is True
         assert caps.max_batch_size == DEFAULT_MAX_BATCH_SIZE
         assert caps.matcher_class == type(beer_matcher).__name__
 
@@ -177,18 +176,21 @@ class TestPipelining:
         )
         np.testing.assert_array_equal(scores, expected)
 
-    def test_pipeline_chunk_size_caps_below_server_max(self):
+    def test_columnar_calls_split_at_the_server_max(self, match_pair):
         matcher = RecordingMatcher()
-        config = RemoteBackendConfig(
-            connect_timeout=2.0, call_timeout=10.0, pipeline_chunk_size=5,
-        )
-        with MatcherServer(matcher, max_batch_size=64) as server:
-            backend = RemoteBackend(server.address, config=config)
+        with MatcherServer(matcher, max_batch_size=5, workers=2) as server:
+            backend = RemoteBackend(server.address, config=FAST_CONFIG)
             try:
-                backend.predict_proba([f"p{i}" for i in range(12)])
+                scores = backend.predict_proba_columnar(
+                    _constant_batch(match_pair, 12)
+                )
             finally:
                 backend.close()
         assert sorted(matcher.batches) == [2, 5, 5]
+        expected = np.concatenate(
+            [np.linspace(0.0, 1.0, n) for n in (5, 5, 2)]
+        )
+        np.testing.assert_array_equal(scores, expected)
 
     def test_concurrent_callers_share_one_connection(self, served,
                                                      beer_matcher,
@@ -249,6 +251,21 @@ class TestServerSurface:
         assert "exceeds the advertised max" in reply["error"]
         assert matcher.batches == []  # never reached the model
 
+    def test_oversized_columnar_batch_is_refused(self, match_pair):
+        matcher = RecordingMatcher()
+        with MatcherServer(matcher, max_batch_size=4) as server:
+            sock, send_frame, read_frame = self._dial(server)
+            try:
+                send_frame(sock, {"op": "predict_columnar", "id": 1,
+                                  "batch": _constant_batch(match_pair, 9)})
+                reply = read_frame(sock)
+            finally:
+                sock.close()
+        assert reply["ok"] is False
+        assert reply["code"] == "bad_request"
+        assert "exceeds the advertised max" in reply["error"]
+        assert matcher.batches == []  # never reached the model
+
     def test_ping_pongs(self, served):
         server, _ = served
         sock, send_frame, read_frame = self._dial(server)
@@ -270,7 +287,8 @@ class TestServerSurface:
         assert reply["ok"] is False
         assert reply["code"] == "bad_request"
 
-    def test_stale_protocol_hello_is_refused(self, served):
+    @pytest.mark.parametrize("protocol", [0, 1])
+    def test_stale_protocol_hello_is_refused(self, served, protocol):
         import socket as socket_module
 
         from repro.backends.protocol import read_frame, send_frame
@@ -278,23 +296,23 @@ class TestServerSurface:
         server, _ = served
         sock = socket_module.create_connection(server.address, timeout=5.0)
         try:
-            send_frame(sock, {"op": "hello", "id": 0, "protocol": 0})
+            send_frame(sock, {"op": "hello", "id": 0, "protocol": protocol})
             reply = read_frame(sock)
         finally:
             sock.close()
         assert reply["ok"] is False
         assert reply["code"] == "backend_protocol"
 
-    def test_columnar_refused_without_support(self, match_pair):
+    def test_per_pair_matcher_serves_columnar(self, match_pair):
         matcher = RecordingMatcher()  # no predict_proba_columnar
         with MatcherServer(matcher) as server:
             backend = RemoteBackend(server.address, config=FAST_CONFIG)
             try:
-                from repro.exceptions import ServiceError
-
-                with pytest.raises(ServiceError, match="columnar"):
-                    backend.predict_proba_columnar(
-                        _constant_batch(match_pair, 3)
-                    )
+                scores = backend.predict_proba_columnar(
+                    _constant_batch(match_pair, 3)
+                )
             finally:
                 backend.close()
+        assert scores.shape == (3,)
+        np.testing.assert_array_equal(scores, np.linspace(0.0, 1.0, 3))
+        assert matcher.batches == [3]  # one materialized batch

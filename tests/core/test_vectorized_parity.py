@@ -42,6 +42,7 @@ from repro.data.schema import PairSchema
 from repro.explainers.lime_text import LimeConfig
 from repro.service.request import ExplainRequest
 from repro.service.service import ExplanationService, duals_from_result
+from tests.backends.test_parity import MATCHER_TYPES
 from tests.core.mask_reference import (
     landmark_probabilities,
     mojito_attr_drop_pair,
@@ -119,6 +120,15 @@ def beer_pair(matcher, left: dict, right: dict) -> RecordPair:
     return RecordPair(schema=schema, left=left, right=right, label=NON_MATCH)
 
 
+@pytest.fixture(scope="module")
+def fitted_matchers(beer_dataset):
+    """Every matcher type of the backend parity suite, fitted on S-BR."""
+    return {
+        name: matcher_type().fit(beer_dataset)
+        for name, matcher_type in MATCHER_TYPES.items()
+    }
+
+
 @pytest.fixture()
 def duplicate_words_pair(beer_matcher):
     return beer_pair(
@@ -185,12 +195,18 @@ class TestLandmarkMaskReference:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
-    def test_predict_columnar_is_byte_equal(self, beer_matcher, all_instances):
-        engine = PredictionEngine(beer_matcher)
+    @pytest.mark.parametrize("name", sorted(MATCHER_TYPES))
+    def test_predict_columnar_is_byte_equal(
+        self, fitted_matchers, all_instances, name
+    ):
+        # Native kernels (logistic, MLP, boosted) and the materializing
+        # EntityMatcher default (rules, embedding) alike.
+        matcher = fitted_matchers[name]
+        engine = PredictionEngine(matcher)
         for seed, instance in enumerate(all_instances):
             masks = seeded_masks(len(instance.tokens), seed)
             got = engine.predict_columnar(landmark_batch(instance, masks))
-            want = landmark_probabilities(beer_matcher, instance, masks)
+            want = landmark_probabilities(matcher, instance, masks)
             assert got.tobytes() == want.tobytes()
 
 
