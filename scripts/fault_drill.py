@@ -22,7 +22,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.config import ExperimentConfig, METHOD_LIME, METHOD_SINGLE
+from repro.config import (
+    METHOD_LIME,
+    METHOD_SINGLE,
+    EngineConfig,
+    ExperimentConfig,
+    GuardConfig,
+)
 from repro.evaluation.persistence import load_checkpoint, result_to_dict
 from repro.evaluation.runner import ExperimentRunner
 from repro.matchers.logistic import LogisticRegressionMatcher
@@ -62,7 +68,8 @@ def main() -> int:
 
     print("[2/3] 20%-flaky matcher behind the guard")
     flaky_config = dataclasses.replace(
-        CONFIG, guard_max_retries=3, guard_backoff=0.0
+        CONFIG,
+        engine=EngineConfig(guard=GuardConfig(max_retries=3, backoff=0.0)),
     )
     flaky = ExperimentRunner(
         flaky_config,

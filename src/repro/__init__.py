@@ -57,8 +57,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "MatcherBackend": ".backends.base",
     "MatcherServer": ".backends.server",
     "RemoteBackend": ".backends.client",
-    "ENGINE_OFF": ".core.engine",
-    "EngineConfig": ".core.engine",
+    "ENGINE_OFF": ".config",
+    "EngineConfig": ".config",
     "EngineStats": ".core.engine",
     "PredictionEngine": ".core.engine",
     "LandmarkExplainer": ".core.landmark",

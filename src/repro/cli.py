@@ -32,6 +32,17 @@ Sub-commands:
   deduplicate against the explanation store, fold every explanation into
   a streaming global aggregation report, and journal completed chunks so
   ``--resume`` reproduces an uninterrupted run byte-for-byte.
+* ``counterfactual`` — search the minimal token edits that flip one
+  record's prediction.
+* ``report`` — write one record's explanation as an HTML or markdown
+  report.
+* ``profile`` — print a dataset's token-overlap profile.
+* ``compare`` — diff two saved experiment runs.
+* ``selftest`` — a ~10 s end-to-end installation check.
+
+Every flag that sets a config field is declared once, on that field in
+:mod:`repro.config`: :func:`~repro.config.add_config_arguments` builds it
+and :func:`~repro.config.config_from_namespace` reads it back.
 
 ``train``, ``explain``, ``serve`` and ``precompute`` accept
 ``--model-dir``: trained matchers are persisted there as fingerprinted
@@ -50,8 +61,17 @@ import os
 import sys
 from pathlib import Path
 
-from repro.config import get_preset
-from repro.core.engine import EngineConfig, PredictionEngine
+from repro.config import (
+    EngineConfig,
+    GuardConfig,
+    ServiceConfig,
+    ShardConfig,
+    StoreConfig,
+    add_config_arguments,
+    config_from_namespace,
+    get_preset,
+)
+from repro.core.engine import PredictionEngine
 from repro.data.io import write_csv
 from repro.data.splits import sample_per_label
 from repro.data.synthetic.magellan import (
@@ -86,17 +106,6 @@ def _add_common_dataset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--size-cap", type=int, default=None, help="cap the generated dataset size"
-    )
-
-
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--n-jobs", type=int, default=1,
-        help="threads per prediction batch (model calls run in parallel)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the prediction cache (results are identical either way)",
     )
 
 
@@ -136,7 +145,10 @@ def _obs_finish(args: argparse.Namespace, registry,
         print(f"wrote {metrics_path}", file=sys.stderr)
 
 
-def _add_model_dir_argument(parser: argparse.ArgumentParser) -> None:
+def _add_matcher_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--matcher", default="logistic", choices=sorted(_MATCHERS)
+    )
     parser.add_argument(
         "--model-dir", type=Path, default=None,
         help="persist/load trained matchers as fingerprinted artifacts "
@@ -145,28 +157,10 @@ def _add_model_dir_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--matcher", default="logistic", choices=sorted(_MATCHERS)
-    )
-    _add_model_dir_argument(parser)
+    _add_matcher_arguments(parser)
     parser.add_argument(
         "--store-dir", type=Path, default=None,
         help="directory of the persistent explanation store",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, help="explanation worker threads"
-    )
-    parser.add_argument(
-        "--queue-size", type=int, default=256,
-        help="bound of the pending-request priority queue",
-    )
-    parser.add_argument(
-        "--store-max-entries", type=int, default=10_000,
-        help="LRU capacity of the explanation store",
-    )
-    parser.add_argument(
-        "--store-ttl", type=float, default=None,
-        help="expire stored explanations older than this many seconds",
     )
     parser.add_argument(
         "--samples", type=int, default=128,
@@ -175,79 +169,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--explainer", default="lime", choices=("lime", "shap"),
         help="default generic explainer per request",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=0,
-        help="retry failing matcher calls up to N times (guard)",
-    )
-    parser.add_argument(
-        "--call-timeout", type=float, default=None,
-        help="abandon a matcher call after this many seconds (guard)",
-    )
-    parser.add_argument(
-        "--shed-threshold", type=int, default=None,
-        help="shed new requests (HTTP 429) once this many are queued",
-    )
-    parser.add_argument(
-        "--max-queue-wait", type=float, default=None,
-        help="shed new requests once the estimated queue wait exceeds "
-             "this many seconds",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=None,
-        help="default per-request latency budget in seconds; a request "
-             "past its deadline aborts between matcher chunks",
-    )
-    parser.add_argument(
-        "--drain-timeout", type=float, default=30.0,
-        help="seconds a graceful shutdown (SIGTERM / close) may spend "
-             "finishing queued work before cancelling it",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes, each owning a matcher, a prediction "
-             "engine and its own store partition, fronted by a "
-             "consistent-hash router and a supervising shard manager; "
-             "1 (the default) keeps the single-process service, "
-             "bit-identical to previous releases",
-    )
-    parser.add_argument(
-        "--virtual-nodes", type=int, default=64,
-        help="ring positions per shard on the consistent-hash router "
-             "(only with --shards > 1)",
-    )
-    parser.add_argument(
-        "--heartbeat-interval", type=float, default=0.5,
-        help="seconds between shard liveness heartbeats",
-    )
-    parser.add_argument(
-        "--heartbeat-timeout", type=float, default=5.0,
-        help="a shard silent this long is declared hung and restarted",
-    )
-    parser.add_argument(
-        "--restart-backoff", type=float, default=0.5,
-        help="base seconds of the capped exponential backoff between "
-             "shard restarts",
-    )
-    parser.add_argument(
-        "--max-failovers", type=int, default=1,
-        help="times an in-flight request may fail over to another shard "
-             "after a crash before returning a retryable 503",
-    )
-    parser.add_argument(
-        "--connect-timeout", type=float, default=5.0,
-        help="per-attempt TCP dial timeout to a fleet shard host "
-             "(only with --fleet)",
-    )
-    parser.add_argument(
-        "--connect-budget", type=float, default=30.0,
-        help="total seconds of dial-with-retry per launch cycle before "
-             "it counts as a failed connect (only with --fleet)",
-    )
-    parser.add_argument(
-        "--host-loss-after", type=int, default=3,
-        help="consecutive failed connect cycles before a fleet host is "
-             "declared lost and replaced by a standby (only with --fleet)",
     )
     parser.add_argument(
         "--backend", default=None, metavar="HOST:PORT",
@@ -261,9 +182,12 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         help="run the shards on standing serve-shard hosts described by "
              "this fleet file ({\"shards\": [{\"id\", \"host\", \"port\"}], "
              "\"standbys\": [...], \"quorum\": N}) instead of spawning "
-             "local processes; the file's shard count overrides --shards",
+             "local processes; the file, not a flag, sets the shard count",
     )
-    _add_engine_arguments(parser)
+    add_config_arguments(
+        parser, ServiceConfig, ShardConfig, StoreConfig, EngineConfig,
+        GuardConfig,
+    )
     _add_obs_arguments(parser)
 
 
@@ -283,16 +207,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     train = subparsers.add_parser("train", help="train and evaluate a matcher")
     _add_common_dataset_arguments(train)
-    train.add_argument("--matcher", default="logistic", choices=sorted(_MATCHERS))
+    _add_matcher_arguments(train)
     train.add_argument("--threshold", type=float, default=0.5)
-    _add_model_dir_argument(train)
 
     explain = subparsers.add_parser("explain", help="explain one record")
     _add_common_dataset_arguments(explain)
-    explain.add_argument(
-        "--matcher", default="logistic", choices=sorted(_MATCHERS)
-    )
-    _add_model_dir_argument(explain)
+    _add_matcher_arguments(explain)
     explain.add_argument("--record", type=int, default=0, help="record index")
     explain.add_argument(
         "--generation", default="auto", choices=("auto", "single", "double")
@@ -306,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--baselines", action="store_true", help="also run LIME drop / Mojito copy"
     )
-    _add_engine_arguments(explain)
+    add_config_arguments(explain, EngineConfig)
     _add_obs_arguments(explain)
 
     experiment = subparsers.add_parser("experiment", help="run Tables 2-4")
@@ -330,15 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resume the run checkpointed in --run-dir (config is read "
              "from the checkpoint; completed cells are skipped)",
     )
-    experiment.add_argument(
-        "--max-retries", type=int, default=0,
-        help="retry failing matcher calls up to N times (guard)",
-    )
-    experiment.add_argument(
-        "--call-timeout", type=float, default=None,
-        help="abandon a matcher call after this many seconds (guard)",
-    )
-    _add_engine_arguments(experiment)
+    add_config_arguments(experiment, EngineConfig, GuardConfig)
     _add_obs_arguments(experiment)
 
     serve = subparsers.add_parser(
@@ -356,10 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="standalone matcher server shared by service shards",
     )
     _add_common_dataset_arguments(serve_matcher)
-    serve_matcher.add_argument(
-        "--matcher", default="logistic", choices=sorted(_MATCHERS)
-    )
-    _add_model_dir_argument(serve_matcher)
+    _add_matcher_arguments(serve_matcher)
     serve_matcher.add_argument(
         "--host", default="127.0.0.1", help="bind address"
     )
@@ -393,14 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="host-local directory for this shard's store partition "
              "(default: serve without a persistent store)",
     )
-    serve_shard.add_argument(
-        "--store-max-entries", type=int, default=10_000,
-        help="LRU capacity of the store partition",
-    )
-    serve_shard.add_argument(
-        "--store-ttl", type=float, default=None,
-        help="seconds before a stored explanation expires",
-    )
+    add_config_arguments(serve_shard, StoreConfig)
 
     precompute = subparsers.add_parser(
         "precompute", help="warm the explanation store for a dataset split"
@@ -433,10 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "benchmark; ill-formed rows are ledgered per record and "
              "skipped, never fatal",
     )
-    bulk.add_argument(
-        "--matcher", default="logistic", choices=sorted(_MATCHERS)
-    )
-    _add_model_dir_argument(bulk)
+    _add_matcher_arguments(bulk)
     bulk.add_argument(
         "--source", default="rows", choices=("rows", "block"),
         help="'rows' explains the dataset's own pairs; 'block' re-blocks "
@@ -490,18 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store-dir", type=Path, default=None,
         help="deduplicate against (and warm) this explanation store",
     )
-    bulk.add_argument("--store-max-entries", type=int, default=10_000)
-    bulk.add_argument("--store-ttl", type=float, default=None)
-    bulk.add_argument(
-        "--max-retries", type=int, default=0,
-        help="retry failing matcher calls up to N times (guard)",
-    )
-    bulk.add_argument(
-        "--call-timeout", type=float, default=None,
-        help="abandon a matcher call after this many seconds (guard)",
-    )
     bulk.add_argument("--top", type=int, default=15)
-    _add_engine_arguments(bulk)
+    add_config_arguments(bulk, StoreConfig, EngineConfig, GuardConfig)
     _add_obs_arguments(bulk)
 
     selftest = subparsers.add_parser(
@@ -636,6 +525,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    engine_config = config_from_namespace(EngineConfig, args)
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     if not 0 <= args.record < len(dataset):
         print(f"record index {args.record} out of range 0..{len(dataset) - 1}")
@@ -644,14 +534,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     matcher = _resolve_matcher(args, dataset)
     lime_config = LimeConfig(n_samples=args.samples, seed=args.seed)
     registry = _obs_registry(args)
-    engine = PredictionEngine(
-        matcher,
-        EngineConfig(
-            cache=not args.no_cache,
-            n_jobs=args.n_jobs,
-        ),
-        metrics=registry,
-    )
+    engine = PredictionEngine(matcher, engine_config, metrics=registry)
     print(pair.describe())
     print(f"model match probability: {matcher.predict_one(pair):.3f}")
     if args.explainer == "shap":
@@ -701,10 +584,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     else:
         config = dataclasses.replace(
             get_preset(args.preset),
-            engine_n_jobs=args.n_jobs,
-            engine_cache=not args.no_cache,
-            guard_max_retries=args.max_retries,
-            guard_call_timeout=args.call_timeout,
+            engine=config_from_namespace(EngineConfig, args),
         )
     registry = _obs_registry(args)
     runner = ExperimentRunner(config, metrics=registry)
@@ -826,52 +706,40 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_service(args: argparse.Namespace, dataset):
-    """Assemble (service, store, defaults) from the shared service flags.
+def _build_service(args: argparse.Namespace):
+    """Assemble (service, store, dataset, defaults) from the service flags.
 
-    ``--shards N`` with N > 1 builds the multi-process
+    Every config is built from the flags before any data is loaded, so an
+    invalid value fails with its :class:`~repro.exceptions.ConfigurationError`
+    before a dataset is generated or a matcher trained.  More than one
+    shard (or ``--fleet``) builds the multi-process
     :class:`~repro.service.supervisor.ShardedService`; each shard then
     owns its own store partition, so the returned ``store`` is ``None``
     (shutdown is entirely ``service.close()``'s job).
     """
-    from repro.config import ServiceConfig, ShardConfig, StoreConfig
     from repro.service import ExplanationService, ExplanationStore
 
-    backend_address = getattr(args, "backend", None)
+    service_config = config_from_namespace(ServiceConfig, args)
+    shard_config = config_from_namespace(ShardConfig, args)
+    store_config = config_from_namespace(StoreConfig, args)
+    engine_config = config_from_namespace(EngineConfig, args)
+    fleet = None
+    if args.fleet is not None:
+        from repro.service import load_fleet_config
+
+        fleet = load_fleet_config(args.fleet)
+    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     # Backend mode trains nothing: the model lives in the serve-matcher
     # process and its handshake fingerprint keys every request.
-    matcher = None if backend_address else _resolve_matcher(args, dataset)
+    matcher = None if args.backend else _resolve_matcher(args, dataset)
     registry = _obs_registry(args)
-    service_config = ServiceConfig(
-        n_workers=args.workers,
-        queue_size=args.queue_size,
-        shed_threshold=args.shed_threshold,
-        max_queue_wait=args.max_queue_wait,
-        default_deadline=args.deadline,
-        drain_timeout=args.drain_timeout,
-    )
-    engine_config = EngineConfig(
-        cache=not args.no_cache,
-        n_jobs=args.n_jobs,
-        max_retries=args.max_retries,
-        call_timeout=args.call_timeout,
-    )
-    store_config = StoreConfig(
-        max_entries=args.store_max_entries,
-        ttl_seconds=args.store_ttl,
-    )
     defaults = {
         "method": "both",
         "samples": args.samples,
         "explainer": args.explainer,
         "seed": args.seed,
     }
-    fleet = None
-    if getattr(args, "fleet", None) is not None:
-        from repro.service import load_fleet_config
-
-        fleet = load_fleet_config(args.fleet)
-    if fleet is not None or getattr(args, "shards", 1) > 1:
+    if fleet is not None or shard_config.n_shards > 1:
         from repro.service import ShardedService
 
         service = ShardedService(
@@ -879,35 +747,21 @@ def _build_service(args: argparse.Namespace, dataset):
             store_dir=args.store_dir,
             config=service_config,
             engine_config=engine_config,
-            store_config=store_config if args.store_dir is not None else None,
-            shard_config=ShardConfig(
-                n_shards=max(args.shards, 1),
-                virtual_nodes=args.virtual_nodes,
-                heartbeat_interval=args.heartbeat_interval,
-                heartbeat_timeout=args.heartbeat_timeout,
-                restart_backoff_base=args.restart_backoff,
-                max_failovers=args.max_failovers,
-                connect_timeout=args.connect_timeout,
-                connect_budget=args.connect_budget,
-                host_loss_after=args.host_loss_after,
-            ),
+            store_config=store_config,
+            shard_config=shard_config,
             metrics=registry,
-            backend_address=backend_address,
+            backend_address=args.backend,
             fleet=fleet,
         )
-        return service, None, defaults
+        return service, None, dataset, defaults
     store = None
     if args.store_dir is not None:
-        store = ExplanationStore(
-            args.store_dir,
-            store_config,
-            metrics=registry,
-        )
+        store = ExplanationStore(args.store_dir, store_config, metrics=registry)
     source = matcher
-    if backend_address is not None:
+    if args.backend is not None:
         from repro.backends import RemoteBackend
 
-        source = RemoteBackend(backend_address, metrics=registry)
+        source = RemoteBackend(args.backend, metrics=registry)
     service = ExplanationService(
         source,
         store=store,
@@ -915,7 +769,7 @@ def _build_service(args: argparse.Namespace, dataset):
         engine_config=engine_config,
         metrics=registry,
     )
-    return service, store, defaults
+    return service, store, dataset, defaults
 
 
 def _write_service_stats(service, store_dir: Path | None) -> None:
@@ -953,8 +807,7 @@ def _install_drain_handler() -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import serve_http, serve_stdio
 
-    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
-    service, store, defaults = _build_service(args, dataset)
+    service, store, dataset, defaults = _build_service(args)
     _install_drain_handler()
     try:
         if args.http:
@@ -1062,20 +915,13 @@ def _cmd_serve_matcher(args: argparse.Namespace) -> int:
 
 def _cmd_serve_shard(args: argparse.Namespace) -> int:
     """Run one standing shard host for a ``--fleet`` supervisor."""
-    from repro.config import StoreConfig
     from repro.service import ShardServer
 
-    store_config = None
-    if args.store_dir is not None:
-        store_config = StoreConfig(
-            max_entries=args.store_max_entries,
-            ttl_seconds=args.store_ttl,
-        )
     server = ShardServer(
         host=args.host,
         port=args.port,
         store_dir=args.store_dir,
-        store_config=store_config,
+        store_config=config_from_namespace(StoreConfig, args),
     )
     print(
         f"serving shard on {server.host}:{server.port} (pid {os.getpid()})",
@@ -1095,8 +941,7 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
 def _cmd_precompute(args: argparse.Namespace) -> int:
     from repro.bulk.warm import precompute
 
-    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
-    service, store, _ = _build_service(args, dataset)
+    service, store, dataset, _ = _build_service(args)
     try:
         report = precompute(
             service,
@@ -1134,7 +979,6 @@ def _cmd_bulk(args: argparse.Namespace) -> int:
         DatasetSource,
         PairListSource,
     )
-    from repro.config import StoreConfig
     from repro.data.io import read_csv
     from repro.evaluation.ledger import (
         KIND_SKIPPED,
@@ -1146,6 +990,8 @@ def _cmd_bulk(args: argparse.Namespace) -> int:
     if args.resume and args.run_dir is None:
         print("error: --resume requires --run-dir", file=sys.stderr)
         return 2
+    store_config = config_from_namespace(StoreConfig, args)
+    engine_config = config_from_namespace(EngineConfig, args)
 
     input_ledger = FailureLedger()
     if args.input is not None:
@@ -1190,14 +1036,7 @@ def _cmd_bulk(args: argparse.Namespace) -> int:
 
     store = None
     if args.store_dir is not None:
-        store = ExplanationStore(
-            args.store_dir,
-            StoreConfig(
-                max_entries=args.store_max_entries,
-                ttl_seconds=args.store_ttl,
-            ),
-            metrics=registry,
-        )
+        store = ExplanationStore(args.store_dir, store_config, metrics=registry)
     job = BulkJob(
         matcher,
         source,
@@ -1210,12 +1049,7 @@ def _cmd_bulk(args: argparse.Namespace) -> int:
         ),
         store=store,
         run_dir=args.run_dir,
-        engine_config=EngineConfig(
-            cache=not args.no_cache,
-            n_jobs=args.n_jobs,
-            max_retries=args.max_retries,
-            call_timeout=args.call_timeout,
-        ),
+        engine_config=engine_config,
         metrics=registry,
     )
     try:

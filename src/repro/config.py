@@ -1,17 +1,24 @@
-"""Experiment presets.
+"""Experiment presets and the configuration of every subsystem.
 
 The paper ran on a GPU VM with 100 records per label and full dataset
 sizes.  On a plain CPU the same protocol is available as the ``paper``
 preset; day-to-day runs and the benchmark suite use the ``fast`` preset,
 which shrinks the sampled records, the perturbation budget and the dataset
 sizes while keeping every qualitative shape of the results.
+
+Every option is declared once, on its config field: a field operators set
+from the command line carries its flag and help text (:func:`option`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from repro.exceptions import ConfigurationError
+
+if typing.TYPE_CHECKING:
+    import argparse
 
 #: Method identifiers used across the evaluation harness and tables.
 METHOD_SINGLE = "single"
@@ -25,6 +32,125 @@ PAPER_METHODS = (METHOD_SINGLE, METHOD_DOUBLE, METHOD_LIME, METHOD_MOJITO_COPY)
 #: Everything the harness can evaluate (attribute-granular drop is an
 #: extra Mojito mode the paper mentions but does not tabulate).
 ALL_METHODS = PAPER_METHODS + (METHOD_MOJITO_ATTR_DROP,)
+
+
+def option(default, flag: str, help: str):
+    """A config field an operator sets on the command line with *flag*.
+
+    The flag and its help text live on the field, so the option is
+    declared once: :func:`add_config_arguments` builds the flag and
+    :func:`config_from_namespace` reads it back.
+    """
+    return field(default=default, metadata={"flag": flag, "help": help})
+
+
+@dataclass(frozen=True)
+class GuardConfig:
+    """Knobs of the matcher guard (:mod:`repro.core.guard`).
+
+    The guard is *inactive* — a plain pass-through — unless ``max_retries``
+    is positive or ``call_timeout`` is set.
+    """
+
+    max_retries: int = option(
+        0, "--max-retries", "retry failing matcher calls up to N times (guard)"
+    )
+    call_timeout: float | None = option(
+        None, "--call-timeout",
+        "abandon a matcher call after this many seconds (guard)",
+    )
+    #: Consecutive failed attempts that trip the circuit open.
+    trip_after: int = 5
+    #: Guarded calls rejected fast while open, before a half-open probe.
+    cooldown: int = 8
+    #: Base backoff delay in seconds; attempt *k* waits up to
+    #: ``backoff * 2**k`` (jittered, capped at ``backoff_max``).
+    backoff: float = 0.05
+    #: Upper bound on a single backoff sleep.
+    backoff_max: float = 2.0
+    #: Seed of the jitter stream (independent of every science RNG).
+    seed: int = 0
+    #: Engage the breaker/accounting even with no retries and no timeout.
+    #: The remote backend client sets this: a transport can fail on its
+    #: own (connection refused, peer gone), so the breaker must observe
+    #: failures even when the caller asked for zero retries — unlike the
+    #: in-process case, where an inactive guard is a pure pass-through.
+    always_active: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigurationError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.call_timeout is not None and self.call_timeout <= 0:
+            raise ConfigurationError(
+                f"call_timeout must be > 0, got {self.call_timeout}"
+            )
+        if self.trip_after < 1:
+            raise ConfigurationError(
+                f"trip_after must be >= 1, got {self.trip_after}"
+            )
+        if self.cooldown < 0:
+            raise ConfigurationError(f"cooldown must be >= 0, got {self.cooldown}")
+        if self.backoff < 0 or self.backoff_max < 0:
+            raise ConfigurationError("backoff delays must be >= 0")
+
+    @property
+    def active(self) -> bool:
+        """Whether any guarding (vs plain pass-through) is requested."""
+        return (
+            self.always_active
+            or self.max_retries > 0
+            or self.call_timeout is not None
+        )
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Knobs of the prediction engine (:mod:`repro.core.engine`).
+
+    ``dedup`` collapses identical rebuilt pairs inside one request;
+    ``cache`` keeps an LRU of ``cache_size`` pair fingerprints that
+    persists across landmark sides, methods and evaluation stages;
+    ``batch_size`` chunks matcher calls and ``n_jobs > 1`` runs the chunks
+    on a thread pool (expensive matchers release the GIL in their numpy
+    kernels).  A chunk that fails on the pool fails the call exactly as it
+    would serially; retries are the guard's job, never the pool's.
+
+    Every matcher chunk goes through a
+    :class:`~repro.core.guard.MatcherGuard` configured by ``guard``; with
+    its defaults (no retries, no timeout) the guard is a plain
+    pass-through and runs are bit-identical to unguarded ones.
+    """
+
+    dedup: bool = True
+    cache: bool = option(
+        True, "--no-cache",
+        "disable the prediction cache (results are identical either way)",
+    )
+    cache_size: int = 100_000
+    batch_size: int = 512
+    n_jobs: int = option(
+        1, "--n-jobs",
+        "threads per prediction batch (model calls run in parallel)",
+    )
+    guard: GuardConfig = field(default_factory=GuardConfig)
+
+    def __post_init__(self) -> None:
+        if self.cache_size < 1:
+            raise ConfigurationError(
+                f"cache_size must be >= 1, got {self.cache_size}"
+            )
+        if self.batch_size < 1:
+            raise ConfigurationError(
+                f"batch_size must be >= 1, got {self.batch_size}"
+            )
+        if self.n_jobs < 1:
+            raise ConfigurationError(f"n_jobs must be >= 1, got {self.n_jobs}")
+
+
+#: A fully transparent engine: every request goes straight to the matcher.
+ENGINE_OFF = EngineConfig(dedup=False, cache=False)
 
 
 @dataclass(frozen=True)
@@ -45,20 +171,10 @@ class ExperimentConfig:
     #: Also compute the (extension) deletion-curve faithfulness gain per
     #: cell.  Costs ~40 extra model calls per explained record.
     faithfulness: bool = False
-    #: Prediction-engine knobs (see :mod:`repro.core.engine`).  The engine
-    #: never changes results — only how many matcher calls are spent.
-    engine_dedup: bool = True
-    engine_cache: bool = True
-    engine_batch_size: int = 512
-    engine_n_jobs: int = 1
-    #: Matcher-guard knobs (see :mod:`repro.core.guard`).  With the
-    #: defaults the guard is a pass-through; retries/timeouts never change
-    #: successful results, only whether transient faults kill the run.
-    guard_max_retries: int = 0
-    guard_call_timeout: float | None = None
-    guard_trip_after: int = 5
-    guard_cooldown: int = 8
-    guard_backoff: float = 0.05
+    #: Prediction engine and matcher guard.  Neither changes a result —
+    #: the engine only saves matcher calls, and retries/timeouts only
+    #: decide whether transient faults kill the run.
+    engine: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
         if self.per_label < 1:
@@ -74,47 +190,6 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigurationError(f"unknown methods: {unknown}")
-        if self.engine_batch_size < 1:
-            raise ConfigurationError(
-                f"engine_batch_size must be >= 1, got {self.engine_batch_size}"
-            )
-        if self.engine_n_jobs < 1:
-            raise ConfigurationError(
-                f"engine_n_jobs must be >= 1, got {self.engine_n_jobs}"
-            )
-        if self.guard_max_retries < 0:
-            raise ConfigurationError(
-                f"guard_max_retries must be >= 0, got {self.guard_max_retries}"
-            )
-        if self.guard_call_timeout is not None and self.guard_call_timeout <= 0:
-            raise ConfigurationError(
-                f"guard_call_timeout must be > 0, got {self.guard_call_timeout}"
-            )
-        if self.guard_trip_after < 1:
-            raise ConfigurationError(
-                f"guard_trip_after must be >= 1, got {self.guard_trip_after}"
-            )
-        if self.guard_cooldown < 0 or self.guard_backoff < 0:
-            raise ConfigurationError(
-                "guard_cooldown and guard_backoff must be >= 0"
-            )
-
-    def engine_config(self):
-        """The :class:`repro.core.engine.EngineConfig` this run asks for."""
-        from repro.core.engine import EngineConfig
-
-        return EngineConfig(
-            dedup=self.engine_dedup,
-            cache=self.engine_cache,
-            batch_size=self.engine_batch_size,
-            n_jobs=self.engine_n_jobs,
-            max_retries=self.guard_max_retries,
-            call_timeout=self.guard_call_timeout,
-            trip_after=self.guard_trip_after,
-            cooldown=self.guard_cooldown,
-            backoff=self.guard_backoff,
-            guard_seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -126,8 +201,13 @@ class StoreConfig:
     read time (``None`` = never).
     """
 
-    max_entries: int = 10_000
-    ttl_seconds: float | None = None
+    max_entries: int = option(
+        10_000, "--store-max-entries", "LRU capacity of the explanation store"
+    )
+    ttl_seconds: float | None = option(
+        None, "--store-ttl",
+        "expire stored explanations older than this many seconds",
+    )
     #: Consecutive failed reads (checksum / JSON / SQLite errors) that
     #: mark the backing file systemically corrupt: the store quarantines
     #: it to ``*.corrupt-<ts>`` and rebuilds empty instead of failing.
@@ -157,22 +237,35 @@ class ServiceConfig:
     always joins that request's computation.  None of these change a
     single bit of any explanation — only how requests are scheduled.
 
-    The lifecycle knobs bound tail latency under overload:
-    ``shed_threshold`` / ``max_queue_wait`` are the admission-control
-    limits (queue depth, estimated queue wait in seconds) above which
-    ``submit`` rejects with
-    :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 429);
-    ``default_deadline`` applies to requests that carry none;
-    ``drain_timeout`` is the budget of a graceful ``close(drain=True)``
-    before still-queued work is cancelled instead of computed.
+    The lifecycle knobs bound tail latency under overload: past either
+    admission limit (``shed_threshold``, ``max_queue_wait``) ``submit``
+    rejects with :class:`~repro.exceptions.ServiceOverloadedError`, and
+    ``drain_timeout`` bounds a graceful ``close(drain=True)``.
     """
 
-    n_workers: int = 2
-    queue_size: int = 256
-    shed_threshold: int | None = None
-    max_queue_wait: float | None = None
-    default_deadline: float | None = None
-    drain_timeout: float = 30.0
+    n_workers: int = option(2, "--workers", "explanation worker threads")
+    queue_size: int = option(
+        256, "--queue-size", "bound of the pending-request priority queue"
+    )
+    shed_threshold: int | None = option(
+        None, "--shed-threshold",
+        "shed new requests (HTTP 429) once this many are queued",
+    )
+    max_queue_wait: float | None = option(
+        None, "--max-queue-wait",
+        "shed new requests once the estimated queue wait exceeds this many "
+        "seconds",
+    )
+    default_deadline: float | None = option(
+        None, "--deadline",
+        "default per-request latency budget in seconds; a request past its "
+        "deadline aborts between matcher chunks",
+    )
+    drain_timeout: float = option(
+        30.0, "--drain-timeout",
+        "seconds a graceful shutdown (SIGTERM / close) may spend finishing "
+        "queued work before cancelling it",
+    )
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -250,19 +343,54 @@ class ShardConfig:
     while any shard is live.
     """
 
-    n_shards: int = 1
-    virtual_nodes: int = 64
-    heartbeat_interval: float = 0.5
-    heartbeat_timeout: float = 5.0
+    n_shards: int = option(
+        1, "--shards",
+        "worker processes, each owning a matcher, a prediction engine and "
+        "its own store partition, fronted by a consistent-hash router and "
+        "a supervising shard manager; 1 (the default) keeps the "
+        "single-process service, bit-identical to previous releases",
+    )
+    virtual_nodes: int = option(
+        64, "--virtual-nodes",
+        "ring positions per shard on the consistent-hash router "
+        "(only with --shards > 1)",
+    )
+    heartbeat_interval: float = option(
+        0.5, "--heartbeat-interval", "seconds between shard liveness heartbeats"
+    )
+    heartbeat_timeout: float = option(
+        5.0, "--heartbeat-timeout",
+        "a shard silent this long is declared hung and restarted",
+    )
     check_interval: float = 0.25
     ready_timeout: float = 120.0
-    restart_backoff_base: float = 0.5
+    restart_backoff_base: float = option(
+        0.5, "--restart-backoff",
+        "base seconds of the capped exponential backoff between shard "
+        "restarts",
+    )
     restart_backoff_max: float = 30.0
     backoff_reset_after: float = 60.0
-    max_failovers: int = 1
-    connect_timeout: float = 5.0
-    connect_budget: float = 30.0
-    host_loss_after: int = 3
+    max_failovers: int = option(
+        1, "--max-failovers",
+        "times an in-flight request may fail over to another shard after a "
+        "crash before returning a retryable 503",
+    )
+    connect_timeout: float = option(
+        5.0, "--connect-timeout",
+        "per-attempt TCP dial timeout to a fleet shard host (only with "
+        "--fleet)",
+    )
+    connect_budget: float = option(
+        30.0, "--connect-budget",
+        "total seconds of dial-with-retry per launch cycle before it counts "
+        "as a failed connect (only with --fleet)",
+    )
+    host_loss_after: int = option(
+        3, "--host-loss-after",
+        "consecutive failed connect cycles before a fleet host is declared "
+        "lost and replaced by a standby (only with --fleet)",
+    )
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -359,3 +487,52 @@ def get_preset(name: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"unknown preset {name!r}; available: {', '.join(PRESETS)}"
         ) from exc
+
+
+def add_config_arguments(
+    parser: argparse.ArgumentParser, *config_classes: type
+) -> None:
+    """Add the flag of every :func:`option` field of *config_classes*.
+
+    A ``bool`` field becomes a switch that flips its default; any other
+    field takes one value of its annotated type (``X | None`` takes an
+    ``X``).  Each flag stores under its field's name, where
+    :func:`config_from_namespace` reads it back.
+    """
+    for cls in config_classes:
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if "flag" not in f.metadata:
+                continue
+            flag = f.metadata["flag"]
+            if isinstance(f.default, bool):
+                kwargs = {"action": "store_false" if f.default else "store_true"}
+            else:
+                hint = hints[f.name]
+                kwargs = {
+                    "type": next(
+                        t for t in typing.get_args(hint) or (hint,)
+                        if t is not type(None)
+                    ),
+                    "metavar": flag.lstrip("-").replace("-", "_").upper(),
+                }
+            parser.add_argument(
+                flag, dest=f.name, default=f.default,
+                help=f.metadata["help"], **kwargs,
+            )
+
+
+def config_from_namespace(cls: type, args: argparse.Namespace):
+    """Build *cls* from the flags :func:`add_config_arguments` parsed.
+
+    A nested config field is built the same way.  A field whose flag the
+    sub-command does not offer keeps its default, so every field still
+    has exactly one default: its declaration.
+    """
+    values = {}
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            values[f.name] = config_from_namespace(f.default_factory, args)
+        elif "flag" in f.metadata and hasattr(args, f.name):
+            values[f.name] = getattr(args, f.name)
+    return cls(**values)

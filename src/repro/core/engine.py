@@ -50,12 +50,13 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from repro.backends.base import InProcessBackend, as_backend
+from repro.config import ENGINE_OFF, EngineConfig  # noqa: F401 - re-exported
 from repro.core.columnar import ColumnarPairBatch, landmark_batch
 from repro.core.deadline import checkpoint
 from repro.core.generation import GeneratedInstance
-from repro.core.guard import GuardConfig, GuardStats, MatcherGuard
+from repro.core.guard import GuardStats, MatcherGuard
 from repro.data.records import EMDataset, RecordPair
-from repro.exceptions import ConfigurationError, ExplanationError
+from repro.exceptions import ExplanationError
 from repro.matchers.base import EntityMatcher
 from repro.obs.metrics import (
     GAUGE,
@@ -214,66 +215,6 @@ class EngineStats:
         return text
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Knobs of the prediction engine.
-
-    ``dedup`` collapses identical rebuilt pairs inside one request;
-    ``cache`` keeps an LRU of ``cache_size`` pair fingerprints that
-    persists across landmark sides, methods and evaluation stages;
-    ``batch_size`` chunks matcher calls and ``n_jobs > 1`` runs the chunks
-    on a thread pool (expensive matchers release the GIL in their numpy
-    kernels).  A chunk that fails on the pool fails the call exactly as it
-    would serially; retries are the guard's job, never the pool's.
-
-    The ``max_retries`` / ``call_timeout`` / ``trip_after`` / ``cooldown``
-    / ``backoff`` / ``guard_seed`` fields configure the
-    :class:`~repro.core.guard.MatcherGuard` every matcher chunk goes
-    through; with the defaults (no retries, no timeout) the guard is a
-    plain pass-through and runs are bit-identical to unguarded ones.
-    """
-
-    dedup: bool = True
-    cache: bool = True
-    cache_size: int = 100_000
-    batch_size: int = 512
-    n_jobs: int = 1
-    max_retries: int = 0
-    call_timeout: float | None = None
-    trip_after: int = 5
-    cooldown: int = 8
-    backoff: float = 0.05
-    guard_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.cache_size < 1:
-            raise ConfigurationError(
-                f"cache_size must be >= 1, got {self.cache_size}"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.n_jobs < 1:
-            raise ConfigurationError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        # Delegate guard-field validation (raises ConfigurationError).
-        self.guard_config()
-
-    def guard_config(self) -> GuardConfig:
-        """The :class:`~repro.core.guard.GuardConfig` these knobs ask for."""
-        return GuardConfig(
-            max_retries=self.max_retries,
-            call_timeout=self.call_timeout,
-            trip_after=self.trip_after,
-            cooldown=self.cooldown,
-            backoff=self.backoff,
-            seed=self.guard_seed,
-        )
-
-
-#: A fully transparent engine: every request goes straight to the matcher.
-ENGINE_OFF = EngineConfig(dedup=False, cache=False)
-
 #: Cache key of one pair: schema attributes + both value tuples.
 PairKey = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 
@@ -359,7 +300,7 @@ class PredictionEngine:
         # engine's guard_* instruments: same registry, same run JSON.
         self.guard = MatcherGuard(
             backend.predict_proba,
-            config=self.config.guard_config(),
+            config=self.config.guard,
             instruments=StatsInstruments(
                 self.metrics, GuardStats, **self._instruments.labels
             ),

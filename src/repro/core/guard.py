@@ -32,12 +32,9 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.config import GuardConfig
 from repro.core.deadline import active_scope, checkpoint
-from repro.exceptions import (
-    ConfigurationError,
-    MatcherTimeoutError,
-    MatcherUnavailableError,
-)
+from repro.exceptions import MatcherTimeoutError, MatcherUnavailableError
 from repro.obs.metrics import MetricsRegistry, StatsInstruments, stat
 from repro.obs.tracing import trace
 
@@ -80,64 +77,6 @@ class GuardStats:
         "repro_guard_recoveries_total",
         "Half-open probes that closed the matcher circuit",
     )
-
-
-@dataclass(frozen=True)
-class GuardConfig:
-    """Knobs of the matcher guard.
-
-    The guard is *inactive* — a plain pass-through — unless ``max_retries``
-    is positive or ``call_timeout`` is set.
-    """
-
-    #: Re-invocations allowed after a failed attempt (0 = fail on first).
-    max_retries: int = 0
-    #: Seconds one matcher call may take; ``None`` disables the timeout.
-    call_timeout: float | None = None
-    #: Consecutive failed attempts that trip the circuit open.
-    trip_after: int = 5
-    #: Guarded calls rejected fast while open, before a half-open probe.
-    cooldown: int = 8
-    #: Base backoff delay in seconds; attempt *k* waits up to
-    #: ``backoff * 2**k`` (jittered, capped at ``backoff_max``).
-    backoff: float = 0.05
-    #: Upper bound on a single backoff sleep.
-    backoff_max: float = 2.0
-    #: Seed of the jitter stream (independent of every science RNG).
-    seed: int = 0
-    #: Engage the breaker/accounting even with no retries and no timeout.
-    #: The remote backend client sets this: a transport can fail on its
-    #: own (connection refused, peer gone), so the breaker must observe
-    #: failures even when the caller asked for zero retries — unlike the
-    #: in-process case, where an inactive guard is a pure pass-through.
-    always_active: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.call_timeout is not None and self.call_timeout <= 0:
-            raise ConfigurationError(
-                f"call_timeout must be > 0, got {self.call_timeout}"
-            )
-        if self.trip_after < 1:
-            raise ConfigurationError(
-                f"trip_after must be >= 1, got {self.trip_after}"
-            )
-        if self.cooldown < 0:
-            raise ConfigurationError(f"cooldown must be >= 0, got {self.cooldown}")
-        if self.backoff < 0 or self.backoff_max < 0:
-            raise ConfigurationError("backoff delays must be >= 0")
-
-    @property
-    def active(self) -> bool:
-        """Whether any guarding (vs plain pass-through) is requested."""
-        return (
-            self.always_active
-            or self.max_retries > 0
-            or self.call_timeout is not None
-        )
 
 
 class MatcherGuard:

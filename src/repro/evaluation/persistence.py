@@ -25,7 +25,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.config import ExperimentConfig
+from repro.config import EngineConfig, ExperimentConfig, GuardConfig
 from repro.evaluation.ledger import FailureEntry
 from repro.evaluation.runner import BenchmarkResult, DatasetResult, MethodMetrics
 from repro.evaluation.tables import render_table
@@ -175,7 +175,17 @@ def _config_from_payload(payload: dict) -> ExperimentConfig:
     # Retired engine knob: results and checkpoints written while the
     # per-row prediction path existed still carry it.
     payload.pop("engine_vectorize", None)
-    return ExperimentConfig(**payload)
+    engine = dict(payload.pop("engine", {}))
+    guard = dict(engine.pop("guard", {}))
+    # Results and checkpoints written before the engine and guard configs
+    # nested carry them as flat ``engine_*`` / ``guard_*`` keys.
+    for key in [k for k in payload if k.startswith(("engine_", "guard_"))]:
+        prefix, _, name = key.partition("_")
+        (engine if prefix == "engine" else guard)[name] = payload.pop(key)
+    return ExperimentConfig(
+        **payload,
+        engine=EngineConfig(**engine, guard=GuardConfig(**guard)),
+    )
 
 
 class JournalWriter:

@@ -20,8 +20,8 @@ isolated, failures land in a structured :class:`~repro.evaluation.ledger.
 FailureLedger` (feeding ``MethodMetrics.n_skipped`` / ``n_degraded``), and
 — when a run directory is given — each completed cell is journaled so a
 killed run can be resumed with ``run(..., run_dir=..., resume=True)``
-skipping everything already done.  The matcher guard configured through
-``ExperimentConfig.guard_*`` adds per-call retry/timeout/circuit-breaker
+skipping everything already done.  The matcher guard configured by
+``ExperimentConfig.engine.guard`` adds per-call retry/timeout/circuit-breaker
 protection underneath (see :mod:`repro.core.guard`).
 """
 
@@ -372,9 +372,7 @@ class ExperimentRunner:
         # One prediction engine per dataset: its cache persists across
         # landmark sides, methods AND the evaluation stages below, which
         # all re-predict overlapping records.
-        engine = PredictionEngine(
-            matcher, config.engine_config(), metrics=self.metrics
-        )
+        engine = PredictionEngine(matcher, config.engine, metrics=self.metrics)
         eval_matcher = engine.as_matcher()
         # Matcher quality is measured through the engine too, so the guard
         # covers the scoring pass and its predictions pre-warm the cache.

@@ -12,16 +12,12 @@ relies on:
   (Levenshtein, Jaro, Jaro-Winkler, Jaccard, overlap, Monge-Elkan, ...).
 * :mod:`repro.text.batch_similarity` — numpy batch kernels for
   the quadratic character measures, bit-identical to the scalar ones.
-* :mod:`repro.text.vectorize` — a small TF-IDF vectorizer with cosine
-  similarity, used by the feature extractor and by hard-negative mining in
-  the synthetic data generator.
 """
 
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "PrefixedToken": ".tokenize",
-    "TfidfVectorizer": ".vectorize",
     "Tokenizer": ".tokenize",
     "char_similarities_batch": ".batch_similarity",
     "cosine_token_similarity": ".similarity",

@@ -28,6 +28,7 @@ import pytest
 
 from repro.config import ExperimentConfig
 from repro.core.engine import EngineConfig, PredictionEngine
+from repro.core.guard import GuardConfig
 from repro.core.landmark import LandmarkExplainer
 from repro.evaluation.runner import ExperimentRunner
 from repro.explainers.lime_text import LimeConfig
@@ -92,7 +93,7 @@ class TestEngineHammer:
         flaky = FlakyMatcher(beer_matcher, fail_rate=0.0, fail_first=2)
         engine = PredictionEngine(
             flaky,
-            EngineConfig(max_retries=2, trip_after=100),
+            EngineConfig(guard=GuardConfig(max_retries=2, trip_after=100)),
             metrics=registry,
         )
         engine.predict_pairs(beer_dataset.pairs[:4])
@@ -109,7 +110,8 @@ class TestRunnerTrace:
     def traced_run(self):
         config = ExperimentConfig(
             name="obs", per_label=2, lime_samples=16, size_cap=120,
-            methods=("single",), guard_max_retries=1,
+            methods=("single",),
+            engine=EngineConfig(guard=GuardConfig(max_retries=1)),
         )
         registry = MetricsRegistry()
         trace.enable()

@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import EngineConfig
+from repro.core.guard import GuardConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.service.request import ExplainRequest
 from repro.service.service import ExplanationService
@@ -158,7 +159,7 @@ def stack(beer_matcher, match_pair, tmp_path):
     store = ExplanationStore(tmp_path / "store", metrics=registry)
     service = ExplanationService(
         beer_matcher, store=store, metrics=registry,
-        engine_config=EngineConfig(max_retries=1),
+        engine_config=EngineConfig(guard=GuardConfig(max_retries=1)),
     )
     request = ExplainRequest(pair=match_pair, method="single", samples=32)
     try:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.config import (
+    EngineConfig,
     ExperimentConfig,
     FAST,
     METHOD_DOUBLE,
@@ -335,7 +336,8 @@ class TestRunnerIsolation:
 
     def test_flaky_matcher_run_completes(self):
         config = dataclasses.replace(
-            TINY, guard_max_retries=3, guard_backoff=0.0
+            TINY,
+            engine=EngineConfig(guard=GuardConfig(max_retries=3, backoff=0.0)),
         )
         runner = ExperimentRunner(
             config,
@@ -383,6 +385,26 @@ def _comparable(result):
 
 class _Killed(Exception):
     pass
+
+
+#: The engine that :func:`_flatten_engine`'s overrides in the tests ask for.
+FLAT_ENGINE = EngineConfig(
+    n_jobs=2, guard=GuardConfig(max_retries=3, backoff=0.0)
+)
+
+
+def _flatten_engine(config: dict, **flat) -> None:
+    """Rewrite a config payload into the flat ``engine_*`` / ``guard_*``
+    keys written before ``ExperimentConfig.engine`` nested, then apply
+    *flat*."""
+    engine = config.pop("engine")
+    guard = engine.pop("guard")
+    for name in ("dedup", "cache", "batch_size", "n_jobs"):
+        config[f"engine_{name}"] = engine[name]
+    for name in ("max_retries", "call_timeout", "trip_after", "cooldown",
+                 "backoff"):
+        config[f"guard_{name}"] = guard[name]
+    config.update(flat)
 
 
 class TestCheckpointResume:
@@ -510,6 +532,53 @@ class TestCheckpointResume:
         restored = result_from_dict(payload)
         assert restored.config == TINY
         assert _comparable(restored) == _comparable(result)
+
+    def test_checkpoint_with_flat_engine_keys_resumes(self, tmp_path):
+        run_dir = tmp_path / "run"
+        baseline = ExperimentRunner(TINY).run(["S-BR"])
+        seen = []
+
+        def killer(code, label, method):
+            seen.append((code, label, method))
+            if len(seen) == 2:
+                raise _Killed()
+
+        with pytest.raises(_Killed):
+            ExperimentRunner(TINY, on_cell=killer).run(
+                ["S-BR"], run_dir=str(run_dir)
+            )
+        journal = run_dir / CHECKPOINT_NAME
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        _flatten_engine(
+            header["config"], engine_n_jobs=2, guard_max_retries=3,
+            guard_backoff=0.0,
+        )
+        lines[0] = json.dumps(header)
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        expected = dataclasses.replace(TINY, engine=FLAT_ENGINE)
+        state = load_checkpoint(run_dir, expected_config=expected)
+        assert state.config == expected
+        assert state.n_cells() == 2
+        resumed = ExperimentRunner(state.config).run(
+            ["S-BR"], run_dir=str(run_dir), resume=True
+        )
+        # Same tables; only the recorded engine knobs differ.
+        assert (_comparable(resumed)["datasets"]
+                == _comparable(baseline)["datasets"])
+
+    def test_result_with_flat_engine_keys_loads(self):
+        result = ExperimentRunner(TINY).run(["S-BR"])
+        payload = json.loads(json.dumps(result_to_dict(result)))
+        _flatten_engine(
+            payload["config"], engine_n_jobs=2, guard_max_retries=3,
+            guard_backoff=0.0,
+        )
+        restored = result_from_dict(payload)
+        assert restored.config == dataclasses.replace(TINY, engine=FLAT_ENGINE)
+        assert (_comparable(restored)["datasets"]
+                == _comparable(result)["datasets"])
 
     def test_resume_without_run_dir_raises(self):
         with pytest.raises(CheckpointError, match="run_dir"):
