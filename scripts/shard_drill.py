@@ -34,8 +34,11 @@ standby host that must adopt the victim's shard id after the SIGKILL
 identically from the outside — same zero-lost-request contract, same
 degraded-not-down reading, same clean drain.
 
-Pass ``--artifacts-dir DIR`` to keep the supervisor log and the final
-metrics JSON for CI upload.
+The drill also reports, without a bound, the restart time: the seconds
+from its SIGKILL until ``/healthz`` shows the victim ``live`` with
+``restarts >= 1``.  Pass ``--artifacts-dir DIR`` to keep the transcript,
+the supervisor log and the final metrics JSON (with the restart time
+as ``drill_restart_s``) for CI upload.
 """
 
 from __future__ import annotations
@@ -266,6 +269,7 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     metrics_document: dict = {}
+    restart_s = None
     with tempfile.TemporaryDirectory() as root_text:
         root = Path(root_text)
         hosts: list = []
@@ -307,20 +311,22 @@ def main(argv=None) -> int:
             pool = run_load(url, args.requests, result)
             time.sleep(1.0)  # let the load reach every shard
             os.kill(victim_pid, signal.SIGKILL)
+            killed_at = time.monotonic()
 
-            # While the victim is down (slow-ish restart backoff would
-            # widen this window; with 0.2s it's tight), the service must
-            # not report itself down.
+            # Watch the victim until it is live again.  While it is down
+            # (with a 0.2s restart backoff the window is tight) the
+            # service must not report itself down; the seconds from the
+            # SIGKILL until it is back are the restart time.
             degraded_seen = False
-            deadline = time.monotonic() + 10
+            deadline = killed_at + 30
             while time.monotonic() < deadline:
                 status, health = get_json(url + "/healthz")
-                check_now = health.get("degraded")
-                if status == 200 and check_now and victim_id in check_now:
+                if status == 200 and victim_id in (health.get("degraded") or []):
                     degraded_seen = True
+                shard = health.get("shards", {}).get(victim_id, {})
+                if shard.get("state") == "live" and shard.get("restarts", 0) >= 1:
+                    restart_s = time.monotonic() - killed_at
                     break
-                if health.get("shards", {}).get(victim_id, {}).get("restarts"):
-                    break  # already recovered — window missed, not a failure
                 time.sleep(0.05)
             for thread in pool:
                 thread.join(timeout=300)
@@ -349,6 +355,15 @@ def main(argv=None) -> int:
                     break
                 time.sleep(0.1)
             check(recovered, "killed shard restarted and healthz fully healthy")
+            # Report-only: no bound, so CI artifacts track restart time.
+            line = (
+                "  [info] restart: "
+                + ("not observed" if restart_s is None else f"{restart_s:.2f}s")
+                + " from SIGKILL to the victim live with restarts >= 1 "
+                "(includes failure detection and the restart backoff)"
+            )
+            print(line, flush=True)
+            transcript.append(line)
             if args.transport == "tcp":
                 status, health = get_json(url + "/healthz")
                 check(
@@ -429,7 +444,10 @@ def main(argv=None) -> int:
                 "".join(server_log)
             )
             (args.artifacts_dir / "shard_metrics.json").write_text(
-                json.dumps(metrics_document, indent=2, sort_keys=True)
+                json.dumps(
+                    {**metrics_document, "drill_restart_s": restart_s},
+                    indent=2, sort_keys=True,
+                )
             )
             print(f"artifacts kept in {args.artifacts_dir}")
 

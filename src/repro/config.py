@@ -322,7 +322,7 @@ class ShardConfig:
       request cannot cascade through the fleet) before failing with the
       retryable :class:`~repro.exceptions.ShardFailedError`.
 
-    ``ready_timeout`` bounds how long a spawned shard may take to
+    ``ready_timeout`` bounds how long a started shard may take to
     import, load its matcher and report ready — applied *per shard* from
     its own launch, so one slow starter cannot eat the whole fleet's
     budget.

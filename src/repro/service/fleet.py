@@ -22,7 +22,7 @@ Lifecycle rules, chosen for partition tolerance:
   *not* drain: engines, caches and the store partition stay hot so a
   healed partition resumes in milliseconds.  Only an explicit drain
   message (or SIGTERM) shuts the service down — after a drain the
-  process exits, mirroring a spawned pipe shard.
+  process exits, mirroring a pipe shard.
 * **Re-adoption reuses the warm service when the spec is identical**
   (same shard id, fingerprint, configs); any difference rebuilds from
   scratch.  A standby host adopting a *replaced* shard id builds cold —
@@ -34,7 +34,7 @@ Lifecycle rules, chosen for partition tolerance:
 
 The server itself holds no model: matcher weights arrive inside the spec
 (blob) or via a shared ``serve-matcher`` backend address, exactly as for
-spawned shards — and the fingerprint pinned in the spec is verified the
+pipe shards — and the fingerprint pinned in the spec is verified the
 same way (:class:`~repro.exceptions.ArtifactMismatchError` on drift).
 """
 
@@ -207,7 +207,7 @@ class ShardServer:
                 self._current_conn = None
         if reason == "drained":
             # The supervisor decommissioned this shard; exit like a
-            # spawned shard would.  _handle_drain already closed the
+            # pipe shard would.  _handle_drain already closed the
             # service, so the warm state is gone by design.
             with self._lock:
                 self._service = None

@@ -35,7 +35,7 @@ when the shard is a standing ``serve-shard`` process on another host
 (:mod:`repro.service.fleet` / :mod:`repro.service.transport`); only the
 disconnect policy differs — see :class:`_ShardWorker`.
 
-Crash semantics: a *spawned* shard never tries to outlive a broken pipe —
+Crash semantics: a *pipe* shard never tries to outlive a broken pipe —
 when the parent disappears (EOF on the control pipe) the shard drains
 quickly and exits, so an orphaned shard cannot hold the store partition
 open.  A *standing* shard host instead keeps its service warm across a
@@ -74,19 +74,19 @@ _ORPHAN_DRAIN_TIMEOUT = 5.0
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything one shard process needs, picklable for ``spawn``.
+    """Everything one shard process needs, picklable for the fork server.
 
-    The matcher travels as pickle bytes (``matcher_blob``) so spawn-mode
-    children — which share no memory with the parent — rebuild the exact
-    serving matcher without retraining; the fingerprint, and therefore
-    every request key, is identical on both sides.  Alternatively
-    ``backend_address`` points the shard at a shared ``serve-matcher``
-    process and no blob travels at all — N shards, one model.  Either
-    way, when ``fingerprint`` is set the shard refuses to serve weights
-    whose identity differs from what the parent admitted
-    (:class:`~repro.exceptions.ArtifactMismatchError`): request keys,
-    caches and the store partition are all minted under that
-    fingerprint.  ``store_dir`` is the *shared* root; the shard derives
+    The matcher travels as pickle bytes (``matcher_blob``) so a pipe
+    shard — forked from the fork server, so sharing no memory with the
+    supervisor — rebuilds the exact serving matcher without retraining;
+    the fingerprint, and therefore every request key, is identical on
+    both sides.  Alternatively ``backend_address`` points the shard at a
+    shared ``serve-matcher`` process and no blob travels at all — N
+    shards, one model.  Either way, when ``fingerprint`` is set the
+    shard refuses to serve weights whose identity differs from what the
+    parent admitted (:class:`~repro.exceptions.ArtifactMismatchError`):
+    request keys, caches and the store partition are all minted under
+    that fingerprint.  ``store_dir`` is the *shared* root; the shard derives
     its own partition from its id.
     """
 
@@ -112,7 +112,7 @@ def build_shard_service(
 ) -> tuple[ExplanationService, "ExplanationStore | None"]:
     """Build one shard's complete serving stack from its spec.
 
-    Shared by the spawned pipe shard (:func:`shard_main`) and the
+    Shared by the forked pipe shard (:func:`shard_main`) and the
     standing ``serve-shard`` host (:class:`~repro.service.fleet.ShardServer`)
     so the two deployment shapes cannot drift: same matcher
     construction + fingerprint verification, same store partition
@@ -221,7 +221,7 @@ class _ShardWorker:
     Transport-agnostic: ``conn`` is either the child end of a duplex
     pipe or a :class:`~repro.service.transport.FrameConnection` — both
     speak ``send``/``recv``/``EOFError``.  ``on_disconnect`` decides
-    what a lost supervisor means: a spawned pipe shard ``"drain"``\\ s
+    what a lost supervisor means: a forked pipe shard ``"drain"``\\ s
     and exits (an orphan must not squat on the store partition), while a
     standing ``serve-shard`` host ``"keep"``\\ s the warm service for the
     supervisor's reconnect — that is what makes a healed network

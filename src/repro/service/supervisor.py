@@ -39,8 +39,8 @@ not down; only drain or losing the health quorum is a 503.
 
 **Transports and the fleet.**  Where a shard *runs* is a
 :class:`~repro.service.transport.ShardTransport`: the default pipe
-transport spawns local child processes (bit-identical to the pre-fleet
-behaviour), while a :class:`~repro.service.transport.FleetConfig` puts
+transport forks local child processes from a preloaded fork server
+(bit-identical to the pre-fleet behaviour), while a :class:`~repro.service.transport.FleetConfig` puts
 every shard behind a TCP transport dialling standing ``serve-shard``
 hosts.  Cross-host supervision adds three behaviours on top of the
 local rules, none of which touch the pipe path:
@@ -67,7 +67,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
-import multiprocessing
 import pickle
 import threading
 import time
@@ -109,11 +108,6 @@ logger = logging.getLogger("repro.service.supervisor")
 _DRAIN_GRACE = 2.0
 #: How long a metrics/stats round trip may take per shard.
 _INFO_TIMEOUT = 5.0
-#: The :mod:`multiprocessing` start method for pipe shards.  ``spawn``
-#: on purpose: the supervisor restarts shards from a thread, and forking
-#: a threaded process can inherit held locks (logging, BLAS) into the
-#: child — a deadlock class this subsystem exists to remove.
-_START_METHOD = "spawn"
 
 _STARTING = "starting"
 _LIVE = "live"
@@ -144,7 +138,7 @@ class _ShardHandle:
         self.conn = None
         self.reader: threading.Thread | None = None
         self.state = _STOPPED
-        #: True while a launcher thread is spawning/connecting; the
+        #: True while a launcher thread is starting/connecting; the
         #: monitor must not read transport liveness in that window.
         self.launching = False
         self.pid: int | None = None
@@ -200,8 +194,9 @@ class _ShardHandle:
 class ShardedService:
     """N supervised shard processes behind the single-service surface.
 
-    Construction pickles the matcher once, spawns ``n_shards`` children
-    and blocks until every one reports ready (``ready_timeout`` bounds
+    Construction pickles the matcher once, starts ``n_shards`` children
+    (forked from the process-global fork server, which the first pipe
+    shard boots) and blocks until every one reports ready (``ready_timeout`` bounds
     model load time).  With ``backend_address`` set instead of a
     matcher, no model travels at all: every shard dials the shared
     ``serve-matcher`` process, and the routing fingerprint is probed
@@ -209,7 +204,7 @@ class ShardedService:
     (:class:`~repro.exceptions.ArtifactMismatchError` on drift).
 
     With a ``fleet`` config the same construction runs cross-host: no
-    process is spawned; each shard id dials its standing ``serve-shard``
+    process is started; each shard id dials its standing ``serve-shard``
     address from the fleet file and is adopted over TCP.  The fleet file
     overrides ``shard_config.n_shards``, and its ``standbys`` feed the
     supervisor's replace-on-host-loss policy.
@@ -263,7 +258,6 @@ class ShardedService:
         # attribute keeps the front-end surface (precompute's store
         # check) uniform across both service flavours.
         self.store = None
-        self._ctx = multiprocessing.get_context(_START_METHOD)
         self._ring = HashRing(
             range(self.shard_config.n_shards),
             virtual_nodes=self.shard_config.virtual_nodes,
@@ -334,7 +328,7 @@ class ShardedService:
                 fingerprint=self.fingerprint,
             )
             if fleet is None:
-                transport: ShardTransport = PipeShardTransport(self._ctx)
+                transport: ShardTransport = PipeShardTransport()
             else:
                 entry = fleet_by_id[shard_id]
                 transport = TcpShardTransport(

@@ -6,9 +6,10 @@ alive / kill / join).  This module factors that surface into
 :class:`ShardTransport` so the supervisor cannot tell *where* a shard
 runs:
 
-* :class:`PipeShardTransport` spawns the shard as a local child process
-  over a :func:`multiprocessing.Pipe` — byte-for-byte the pre-fleet
-  behaviour, which is what keeps ``--shards N`` bit-identical.
+* :class:`PipeShardTransport` starts the shard as a local child process,
+  forked from a preloaded fork server, over a
+  :func:`multiprocessing.Pipe` — the pre-fleet message flow, which is
+  what keeps ``--shards N`` bit-identical.
 * :class:`TcpShardTransport` dials a standing ``serve-shard`` process on
   another machine and adopts it: the :class:`~repro.service.shard.ShardSpec`
   travels in the first frame, and from then on the exact same control
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
 import random
 import socket
 import threading
@@ -381,28 +383,53 @@ class ShardTransport:
         return self.kind
 
 
-class PipeShardTransport(ShardTransport):
-    """The in-process transport: spawn a child, talk over a duplex pipe.
+#: The :mod:`multiprocessing` start method for pipe shards.  The
+#: supervisor restarts shards from a thread, and forking a threaded
+#: process can carry held locks (logging, BLAS) into the child — a
+#: deadlock class this subsystem exists to remove.  ``forkserver`` keeps
+#: that guarantee: the first pipe shard in a process starts one server
+#: with fork+exec, a fresh interpreter as under ``spawn``, and every
+#: later start and restart is a fork inside that single-purpose server,
+#: never of the supervisor.  The server's only extra threads are numpy's
+#: OpenBLAS pool, which OpenBLAS stops in its own ``pthread_atfork``
+#: handler.  The BLAS thread count is left alone on purpose: a different
+#: count can change the order of reductions, and so the weights.
+_START_METHOD = "forkserver"
+#: What the fork server imports once, so that each fork starts warm.
+#: Best effort: ``forkserver.main`` accepts the parent's ``sys.path`` but
+#: never applies it (CPython 3.11 to 3.13), so ``repro`` preloads only
+#: when the server can import it by itself (``PYTHONPATH`` or an
+#: installed package), not through a ``sys.path`` entry added at run
+#: time; then only numpy is preloaded.  Each child imports whatever the
+#: server lacks, so correctness never depends on the preload.  The
+#: server is process-global and exits with its parent.
+_PRELOAD = ["numpy", "repro.service.shard"]
 
-    This is byte-for-byte the pre-fleet shard lifecycle — same spawn
-    context, same pipe, same kill/join semantics — so the ``--shards N``
-    path stays bit-identical.
+
+class PipeShardTransport(ShardTransport):
+    """The in-process transport: fork a local child, talk over a duplex pipe.
+
+    The pre-fleet shard lifecycle — same pipe, same kill/join semantics —
+    so the ``--shards N`` path stays bit-identical.  The child is forked
+    from the process-global fork server (see :data:`_START_METHOD`), which
+    the first pipe shard in a process boots.
     """
 
     kind = "pipe"
     remote = False
     host = "local"
 
-    def __init__(self, ctx) -> None:
-        self._ctx = ctx
+    def __init__(self) -> None:
         self._process = None
 
     def launch(self, spec, stop: threading.Event | None = None):
         from repro.service.shard import shard_main
 
-        del stop  # local spawn is effectively instant
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
+        del stop  # a local fork is effectively instant
+        ctx = multiprocessing.get_context(_START_METHOD)
+        ctx.set_forkserver_preload(_PRELOAD)
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        process = ctx.Process(
             target=shard_main,
             args=(spec, child_conn),
             name=f"repro-shard-{spec.shard_id}",

@@ -75,7 +75,7 @@ class _FaultyBase(EntityMatcher):
         # Delegate everything else (attribute_weights, describe, ...) so
         # the wrapper is a drop-in replacement inside the runner.  An
         # instance without ``inner`` yet (mid-unpickle) delegates nothing,
-        # so wrappers cross a ``spawn`` boundary to shard processes.
+        # so wrappers cross the pickle boundary to shard processes.
         if name == "inner":
             raise AttributeError(name)
         return getattr(self.inner, name)

@@ -1,10 +1,10 @@
 """Multi-process sharded serving: routing, failover, supervision, drain.
 
-These tests spawn real shard processes (``multiprocessing`` spawn
-context), so each ``ShardedService`` boot costs a couple of seconds of
-child imports.  They stay cheap by sharing one trained matcher (the
-session ``beer_matcher`` fixture pickles cleanly) and tiny perturbation
-budgets.
+These tests start real shard processes, forked from the fork server
+that the first pipe shard of the session boots, so each later
+``ShardedService`` boot costs a fraction of a second.  They stay cheap
+by sharing one trained matcher (the session ``beer_matcher`` fixture
+pickles cleanly) and tiny perturbation budgets.
 
 Shard faults are injected from outside, as an operator or the kernel
 would: ``SIGKILL`` on the pid that ``health()`` reports, while a request
@@ -258,6 +258,26 @@ class TestSupervision:
             )
             payload = service.explain(_request(match_pair), timeout=120)
             assert payload["duals"]["single"]
+
+    def test_supervisor_never_forks_itself(self, beer_matcher, monkeypatch):
+        # The supervisor is threaded, and forking it could carry a held
+        # lock into the child.  Shards start and restart from the fork
+        # server, so the supervisor process itself never calls fork().
+        def refuse_fork():
+            raise AssertionError("the supervisor process forked")
+
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        shard_config = ShardConfig(
+            n_shards=2, ready_timeout=20, **{**FAST, "restart_backoff_base": 0.05}
+        )
+        with ShardedService(beer_matcher, shard_config=shard_config) as service:
+            _signal_shard(service, 0)
+            assert _wait_for(
+                lambda: service.health()[1]["shards"]["0"]["restarts"] == 1
+            )
+            assert _wait_for(
+                lambda: service.health()[1]["shards"]["0"]["state"] == "live"
+            )
 
     def test_one_sick_shard_reads_degraded_not_down(
         self, slow_matcher, beer_dataset

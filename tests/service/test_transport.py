@@ -266,11 +266,7 @@ class TestFleetConfig:
 
 def _handle() -> _ShardHandle:
     spec = ShardSpec.__new__(ShardSpec)  # liveness needs no real spec
-    import multiprocessing
-
-    return _ShardHandle(
-        spec, PipeShardTransport(multiprocessing.get_context("spawn"))
-    )
+    return _ShardHandle(spec, PipeShardTransport())
 
 
 class TestReceiverClockLiveness:

@@ -14,11 +14,12 @@ Two rules:
   never runs and is allowed.
 
 Both walk every module under ``src/repro`` with :mod:`ast` and check
-that every import spelling is caught.  A runtime test then starts a
-shard the way a spawned shard process does, in a fresh interpreter, and
-asserts a module budget: the package namespaces are lazy, so the shard
-loads none of the evaluation, bulk, baseline, blocking, synthetic-data,
-test-double or fleet-control modules.  The same interpreter then imports
+that every import spelling is caught.  A runtime test then builds a
+shard in a fresh interpreter from the shard module, the module a pipe
+shard's fork server preloads, and asserts a module budget: the package
+namespaces are lazy, so the shard loads none of the evaluation, bulk,
+baseline, blocking, synthetic-data, test-double or fleet-control
+modules.  The same interpreter then imports
 the serving entry points, computes a LIME and a SHAP explanation, and
 asserts that scipy was never loaded.  A fresh ``import repro.cli`` (the
 start of ``serve-shard`` and ``serve-matcher`` hosts) must load neither
