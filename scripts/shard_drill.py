@@ -34,11 +34,13 @@ standby host that must adopt the victim's shard id after the SIGKILL
 identically from the outside — same zero-lost-request contract, same
 degraded-not-down reading, same clean drain.
 
-The drill also reports, without a bound, the restart time: the seconds
-from its SIGKILL until ``/healthz`` shows the victim ``live`` with
-``restarts >= 1``.  Pass ``--artifacts-dir DIR`` to keep the transcript,
-the supervisor log and the final metrics JSON (with the restart time
-as ``drill_restart_s``) for CI upload.
+The drill also reports, without a bound, the start time: the seconds
+from fleet construction until every shard is ``live``, as the
+supervisor logs it; and the restart time: the seconds from its SIGKILL
+until ``/healthz`` shows the victim ``live`` with ``restarts >= 1``.
+Pass ``--artifacts-dir DIR`` to keep the transcript, the supervisor log
+and the final metrics JSON (with the two times as ``drill_start_s`` and
+``drill_restart_s``) for CI upload.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -74,6 +77,8 @@ FLEET_ARGS = [
     "--connect-budget", "2.0",
     "--host-loss-after", "2",
 ]
+#: The supervisor's log line once every shard is live (``--verbose``).
+FLEET_LIVE = re.compile(r"fleet live: \d+ shard\(s\) in ([0-9.]+)s")
 #: Retryable wire codes: the drill retries these, and the retries must
 #: succeed — anything else is a lost request.
 RETRYABLE = {"shard_failed", "host_lost", "overloaded", "cancelled"}
@@ -111,7 +116,8 @@ def boot_http(store_dir: Path, model_dir: Path, fleet_path: Path | None = None):
         shard_args += ["--fleet", str(fleet_path), *FLEET_ARGS]
     process = subprocess.Popen(
         [
-            sys.executable, "-m", "repro.cli", "serve", *DATASET_ARGS,
+            sys.executable, "-m", "repro.cli", "--verbose", "serve",
+            *DATASET_ARGS,
             "--store-dir", str(store_dir), "--model-dir", str(model_dir),
             "--http", "127.0.0.1:0", *shard_args,
         ],
@@ -269,7 +275,7 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     metrics_document: dict = {}
-    restart_s = None
+    start_s = restart_s = None
     with tempfile.TemporaryDirectory() as root_text:
         root = Path(root_text)
         hosts: list = []
@@ -281,6 +287,22 @@ def main(argv=None) -> int:
             root / "store", root / "models", fleet_path
         )
         try:
+            start_s = next(
+                (
+                    float(match.group(1))
+                    for match in map(FLEET_LIVE.search, server_log)
+                    if match
+                ),
+                None,
+            )
+            # Report-only: no bound, so CI artifacts track start time.
+            line = (
+                "  [info] start: "
+                + ("not logged" if start_s is None else f"{start_s:.2f}s")
+                + " from fleet construction to every shard live"
+            )
+            print(line, flush=True)
+            transcript.append(line)
             print("drill: sharded server up; priming and reading /healthz")
             status, body = post_explain(url, {"record": 0, "method": "single"})
             check(status == 200, "priming request succeeds")
@@ -445,7 +467,11 @@ def main(argv=None) -> int:
             )
             (args.artifacts_dir / "shard_metrics.json").write_text(
                 json.dumps(
-                    {**metrics_document, "drill_restart_s": restart_s},
+                    {
+                        **metrics_document,
+                        "drill_start_s": start_s,
+                        "drill_restart_s": restart_s,
+                    },
                     indent=2, sort_keys=True,
                 )
             )

@@ -223,6 +223,7 @@ class ShardedService:
         backend_config: RemoteBackendConfig | None = None,
         fleet: FleetConfig | None = None,
     ) -> None:
+        constructed_at = time.monotonic()
         self.config = config or ServiceConfig()
         self.shard_config = shard_config or ShardConfig()
         self._fleet = fleet
@@ -263,6 +264,9 @@ class ShardedService:
             virtual_nodes=self.shard_config.virtual_nodes,
         )
         self._lock = threading.RLock()
+        #: Notified, under ``_lock``, whenever a shard goes live, stops,
+        #: dies or records a ``last_error``: what ``_await_ready`` waits on.
+        self._state_changed = threading.Condition(self._lock)
         self._closed = False
         self._stop = threading.Event()
         self._rid = itertools.count(1)
@@ -358,6 +362,10 @@ class ShardedService:
                 self._monitor.join(timeout=5.0)
             self._kill_all()
             raise
+        logger.info(
+            "fleet live: %d shard(s) in %.2fs",
+            len(self._handles), time.monotonic() - constructed_at,
+        )
 
     # -- shard lifecycle -----------------------------------------------
 
@@ -419,6 +427,7 @@ class ShardedService:
             handle.launching = False
             handle.state = _DEAD
             handle.last_error = str(error)
+            self._state_changed.notify_all()
             handle.connect_failures += 1
             handle.consecutive_failures += 1
             backoff = min(
@@ -487,20 +496,18 @@ class ShardedService:
                 cfg.connect_budget if handle.transport.remote else 0.0
             )
             deadline = time.monotonic() + budget
-            while True:
-                with self._lock:
-                    state = handle.state
-                    last_error = handle.last_error
-                if state == _LIVE:
-                    break
-                if state == _STOPPED or time.monotonic() > deadline:
-                    detail = f" ({last_error})" if last_error else ""
-                    raise ServiceError(
-                        f"shard {handle.shard_id} "
-                        f"[{handle.transport.describe()}] failed to become "
-                        f"ready within {budget:.0f}s{detail}"
-                    )
-                time.sleep(0.01)
+            with self._state_changed:
+                while handle.state != _LIVE:
+                    remaining = deadline - time.monotonic()
+                    if handle.state == _STOPPED or remaining <= 0:
+                        last_error = handle.last_error
+                        detail = f" ({last_error})" if last_error else ""
+                        raise ServiceError(
+                            f"shard {handle.shard_id} "
+                            f"[{handle.transport.describe()}] failed to "
+                            f"become ready within {budget:.0f}s{detail}"
+                        )
+                    self._state_changed.wait(remaining)
 
     def _kill_all(self) -> None:
         for handle in self._handles.values():
@@ -542,6 +549,7 @@ class ShardedService:
                             f"fingerprint mismatch: shard serves "
                             f"{served[:12]}…"
                         )
+                        self._state_changed.notify_all()
                     handle.transport.kill()
                     continue  # next recv raises; monitor handles death
                 reconnected = False
@@ -554,6 +562,7 @@ class ShardedService:
                         handle.pid = message.get("pid", handle.pid)
                         handle.record_heartbeat(time.monotonic())
                         self._m_live.set(len(self._live_ids()))
+                        self._state_changed.notify_all()
                 if reconnected:
                     self._m_reconnects.inc()
                 logger.info(
@@ -566,6 +575,7 @@ class ShardedService:
                 # connection next; record why for the launch error.
                 with self._lock:
                     handle.last_error = message.get("error")
+                    self._state_changed.notify_all()
                 logger.error(
                     "shard %d host refused adoption [%s]: %s",
                     handle.shard_id, message.get("code"),
@@ -655,6 +665,7 @@ class ShardedService:
         cfg = self.shard_config
         with self._lock:
             handle.state = _DEAD
+            self._state_changed.notify_all()
             handle.consecutive_failures += 1
             backoff = min(
                 cfg.restart_backoff_max,
@@ -1091,6 +1102,7 @@ class ShardedService:
             transport.join(timeout=5.0)
             with self._lock:
                 handle.state = _STOPPED
+                self._state_changed.notify_all()
         self._m_live.set(0)
 
         with self._lock:

@@ -40,11 +40,14 @@ from __future__ import annotations
 import json
 import logging
 import multiprocessing
+import os
 import random
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing import forkserver
 
 from repro.backends.protocol import read_frame, send_frame
 from repro.exceptions import BackendProtocolError, ConfigurationError
@@ -396,14 +399,45 @@ class ShardTransport:
 #: count can change the order of reductions, and so the weights.
 _START_METHOD = "forkserver"
 #: What the fork server imports once, so that each fork starts warm.
-#: Best effort: ``forkserver.main`` accepts the parent's ``sys.path`` but
-#: never applies it (CPython 3.11 to 3.13), so ``repro`` preloads only
-#: when the server can import it by itself (``PYTHONPATH`` or an
-#: installed package), not through a ``sys.path`` entry added at run
-#: time; then only numpy is preloaded.  Each child imports whatever the
-#: server lacks, so correctness never depends on the preload.  The
-#: server is process-global and exits with its parent.
+#: :func:`_ensure_fork_server` boots the server with the parent's
+#: ``sys.path``, so it preloads exactly what the supervisor can import.
+#: The server is process-global and exits with its parent.
 _PRELOAD = ["numpy", "repro.service.shard"]
+#: Held around every fork-server boot: the launch threads of one fleet
+#: start their shards concurrently, and the boot edits the process-wide
+#: environment.
+_BOOT_LOCK = threading.Lock()
+_preload_set = False
+
+
+def _ensure_fork_server() -> None:
+    """Boot the fork server with the parent's ``sys.path`` unless it runs.
+
+    CPython's ``forkserver.main`` receives the parent's ``sys.path`` and
+    drops it, so a plainly booted server cannot import what the parent
+    found through a ``sys.path`` entry added at run time (or, under
+    ``-S``, through ``site``).  The server does inherit the environment,
+    so for this one call the parent's path, in its order and without
+    empty entries, is its ``PYTHONPATH``; the old value comes back
+    afterwards.  ``ensure_running`` is a no-op while the server lives
+    and reboots a dead one, which then gets the same path.
+    """
+    global _preload_set
+    with _BOOT_LOCK:
+        if not _preload_set:
+            forkserver.set_forkserver_preload(_PRELOAD)
+            _preload_set = True
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            entry for entry in sys.path if entry
+        )
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
 
 
 class PipeShardTransport(ShardTransport):
@@ -426,8 +460,8 @@ class PipeShardTransport(ShardTransport):
         from repro.service.shard import shard_main
 
         del stop  # a local fork is effectively instant
+        _ensure_fork_server()
         ctx = multiprocessing.get_context(_START_METHOD)
-        ctx.set_forkserver_preload(_PRELOAD)
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
             target=shard_main,

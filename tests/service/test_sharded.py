@@ -14,9 +14,14 @@ is in flight on a :class:`~repro.testing.faults.SlowMatcher`, or
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,7 @@ from repro.service import (
     ShardedService,
 )
 from repro.service.store import shard_store_dir
+from repro.service.transport import _ensure_fork_server
 from repro.testing.faults import SlowMatcher
 
 SAMPLES = 24
@@ -76,6 +82,13 @@ def _router_counter(service, name: str) -> float:
         if family["name"] == name
         for _, value in family["samples"]
     )
+
+
+def _parent_pid(pid: int) -> int:
+    """The parent pid of *pid*, from ``/proc/<pid>/stat``."""
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    # Fields after the parenthesised command name: state, then ppid.
+    return int(stat.rsplit(")", 1)[1].split()[1])
 
 
 def _wait_for(predicate, timeout=30.0, interval=0.05):
@@ -271,6 +284,11 @@ class TestSupervision:
             n_shards=2, ready_timeout=20, **{**FAST, "restart_backoff_base": 0.05}
         )
         with ShardedService(beer_matcher, shard_config=shard_config) as service:
+            shards = service.health()[1]["shards"]
+            server = _parent_pid(shards["0"]["pid"])
+            # Both shards fork from one server, which is not this process.
+            assert server != os.getpid()
+            assert _parent_pid(shards["1"]["pid"]) == server
             _signal_shard(service, 0)
             assert _wait_for(
                 lambda: service.health()[1]["shards"]["0"]["restarts"] == 1
@@ -278,6 +296,9 @@ class TestSupervision:
             assert _wait_for(
                 lambda: service.health()[1]["shards"]["0"]["state"] == "live"
             )
+            # The restart forks from the same warm server: none rebooted.
+            restarted = service.health()[1]["shards"]["0"]["pid"]
+            assert _parent_pid(restarted) == server
 
     def test_one_sick_shard_reads_degraded_not_down(
         self, slow_matcher, beer_dataset
@@ -307,6 +328,96 @@ class TestSupervision:
             # The live shard keeps serving its keys.
             other = _request_for_shard(service, beer_dataset, 1)
             assert service.explain(other, timeout=120)
+
+
+#: Run under ``python -S`` with no ``PYTHONPATH``: numpy and ``repro``
+#: are importable only through the ``sys.path`` entries added at run
+#: time, so a fork server that ignored the parent's path could preload
+#: neither.  Prints the environment check and the probe's report.
+_PRELOAD_SCRIPT = """
+import json, multiprocessing, os, pickle, site, sys
+sys.path.append({src!r})
+sys.path.extend(site.getsitepackages())
+
+from repro.data.synthetic.magellan import load_dataset
+from repro.matchers.logistic import LogisticRegressionMatcher
+from repro.service.shard import ShardSpec
+from repro.service.transport import PipeShardTransport
+
+PROBE = (
+    "import json, sys; print('probe ' + json.dumps(sorted("
+    "m for m in ('numpy', 'repro.service.shard') if m in sys.modules"
+    ")), flush=True)"
+)
+
+if __name__ == "__main__":
+    matcher = LogisticRegressionMatcher().fit(
+        load_dataset("S-BR", seed=0, size_cap=60)
+    )
+    environ = dict(os.environ)
+    transport = PipeShardTransport()
+    conn = transport.launch(
+        ShardSpec(shard_id=0, matcher_blob=pickle.dumps(matcher))
+    )
+    print("environ " + json.dumps(dict(os.environ) == environ), flush=True)
+    while conn.recv().get("kind") != "ready":
+        pass
+    # exec imports nothing from repro: the probe sees only what the
+    # server preloaded before forking it.
+    probe = multiprocessing.get_context("forkserver").Process(
+        target=exec, args=(PROBE,)
+    )
+    probe.start()
+    probe.join(60)
+    transport.kill()
+    transport.join(10)
+"""
+
+
+class TestForkServer:
+    def test_server_preloads_what_the_parent_found_at_run_time(
+        self, tmp_path
+    ):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {
+            key: value for key, value in os.environ.items()
+            if key != "PYTHONPATH"
+        }
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", _PRELOAD_SCRIPT.format(src=str(src))],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = dict(
+            line.split(" ", 1) for line in result.stdout.splitlines()
+        )
+        assert json.loads(lines["environ"]) is True
+        assert json.loads(lines["probe"]) == ["numpy", "repro.service.shard"]
+
+    def test_concurrent_boots_restore_the_environment(self):
+        # More launch threads than cores race through the boot helper,
+        # switching often; a lost update would leave PYTHONPATH behind.
+        environ = dict(os.environ)
+        barrier = threading.Barrier(8)
+
+        def boot():
+            barrier.wait(timeout=30)
+            for _ in range(20):
+                _ensure_fork_server()
+
+        threads = [threading.Thread(target=boot) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert dict(os.environ) == environ
 
 
 class TestDrain:
