@@ -17,7 +17,8 @@ supervisor's contract:
 3. **recovery** — the supervisor restarts the shard (capped backoff) and
    ``/healthz`` returns to fully healthy with ``restarts`` incremented;
 4. **observability** — ``/metrics`` rolls up per-shard series
-   (``shard="N"`` labels) and counts the death and restart;
+   (``shard="N"`` labels) and counts the death and restart, and the
+   ``{"op": "stats"}`` router block reports the same restart count;
 5. **clean drain** — SIGTERM still drains the whole fleet within its
    budget, exit code 0.
 
@@ -412,6 +413,27 @@ def main(argv=None) -> int:
             check(
                 "repro_shard_restarts" in metrics_text,
                 "metrics count the supervisor restart",
+            )
+            # The stats op's router block and /metrics read the same
+            # instruments, so their restart counts must agree.
+            status, body = post_explain(url, {"op": "stats"})
+            stats_restarts = body.get("stats", {}).get("router", {}).get(
+                "restarts"
+            )
+            scraped = re.search(
+                r'^repro_shard_restarts\{[^}]*shard="router"[^}]*\} (\S+)$',
+                metrics_text, re.MULTILINE,
+            )
+            scraped_restarts = (
+                None if scraped is None else float(scraped.group(1))
+            )
+            check(
+                status == 200
+                and stats_restarts is not None
+                and stats_restarts >= 1
+                and stats_restarts == scraped_restarts,
+                f"stats op router restarts ({stats_restarts}) equal the "
+                f"scraped repro_shard_restarts ({scraped_restarts})",
             )
             if args.transport == "tcp":
                 check(

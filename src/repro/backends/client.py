@@ -36,7 +36,8 @@ import socket
 import threading
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,7 +55,15 @@ from repro.exceptions import (
     ReproError,
     error_from_code,
 )
-from repro.obs.metrics import MetricsRegistry, StatsInstruments
+from repro.obs.metrics import (
+    GAUGE,
+    HISTOGRAM,
+    ROW_BUCKETS,
+    Metric,
+    MetricsRegistry,
+    StatsInstruments,
+    stat,
+)
 
 __all__ = ["RemoteBackendConfig", "RemoteBackend", "parse_address"]
 
@@ -67,9 +76,6 @@ _RTT_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
-
-#: Buckets for the batch-width histogram (rows per wire request).
-_WIDTH_BUCKETS = (1.0, 4.0, 16.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 4096.0)
 
 
 def parse_address(address) -> tuple[str, int]:
@@ -212,40 +218,43 @@ class _Connection:
         return doomed
 
 
-class _BackendInstruments:
-    """The per-backend observability bundle (all no-ops when disabled)."""
+@dataclass
+class BackendStats:
+    """Counter snapshot of one :class:`RemoteBackend`.
 
-    def __init__(self, registry: MetricsRegistry, address: str) -> None:
-        self.registry = registry
-        instance = registry.next_instance("backend")
-        labels = {"component": "backend", "instance": instance,
-                  "address": address}
-        self.labels = labels
-        self.inflight = registry.gauge(
-            "repro_backend_inflight",
-            "Wire requests currently awaiting a response", **labels,
-        )
-        self.batch_width = registry.histogram(
-            "repro_backend_batch_width",
-            "Rows per wire request", buckets=_WIDTH_BUCKETS, **labels,
-        )
-        self.rtt = registry.histogram(
-            "repro_backend_rtt_seconds",
-            "Round-trip time of one wire request", buckets=_RTT_BUCKETS,
-            **labels,
-        )
-        self.reconnects = registry.counter(
-            "repro_backend_reconnects_total",
-            "Connections re-established after a loss", **labels,
-        )
-        self.requests = registry.counter(
-            "repro_backend_requests_total",
-            "Wire requests sent", **labels,
-        )
-        self.failures = registry.counter(
-            "repro_backend_failures_total",
-            "Round-trips that raised after all retries", **labels,
-        )
+    Each field declares the instrument it reads, labeled
+    ``component="backend"`` and the server ``address``; the client's
+    guard exports its counters under the same labels.
+    """
+
+    requests: int = stat("repro_backend_requests_total", "Wire requests sent")
+    failures: int = stat(
+        "repro_backend_failures_total",
+        "Round-trips that raised after all retries",
+    )
+    reconnects: int = stat(
+        "repro_backend_reconnects_total",
+        "Connections re-established after a loss",
+    )
+    inflight: int = stat(
+        "repro_backend_inflight",
+        "Wire requests currently awaiting a response", GAUGE,
+    )
+
+    #: Distributions, exported but not part of the snapshot.
+    registry_only: ClassVar[tuple[Metric, ...]] = (
+        Metric(
+            "repro_backend_batch_width", "Rows per wire request",
+            HISTOGRAM, attr="batch_width", buckets=ROW_BUCKETS,
+        ),
+        Metric(
+            "repro_backend_rtt_seconds", "Round-trip time of one wire request",
+            HISTOGRAM, attr="rtt", buckets=_RTT_BUCKETS,
+        ),
+    )
+
+    def as_dict(self) -> dict[str, int]:
+        return asdict(self)
 
 
 class RemoteBackend(MatcherBackend):
@@ -265,8 +274,8 @@ class RemoteBackend(MatcherBackend):
         self.address = parse_address(address)
         self.config = config or RemoteBackendConfig()
         registry = metrics if metrics is not None else MetricsRegistry()
-        self._instruments = _BackendInstruments(
-            registry, "%s:%d" % self.address
+        self._instruments = StatsInstruments(
+            registry, BackendStats, "backend", address="%s:%d" % self.address
         )
         # Guard retries and trips export under the backend's own labels.
         self._guard = MatcherGuard(
@@ -280,7 +289,6 @@ class RemoteBackend(MatcherBackend):
         self._conn: _Connection | None = None
         self._pinned_fingerprint: str | None = None
         self._ever_connected = False
-        self._reconnects = 0
         self._closed = False
 
     @property
@@ -315,7 +323,7 @@ class RemoteBackend(MatcherBackend):
             "breaker": state,
             "connected": conn is not None and not conn.dead,
             "address": "%s:%d" % self.address,
-            "reconnects": self._reconnects,
+            "reconnects": int(self._instruments.reconnects.value),
         }
 
     def close(self) -> None:
@@ -412,7 +420,6 @@ class RemoteBackend(MatcherBackend):
             )
             reader.start()
             if self._ever_connected:
-                self._reconnects += 1
                 self._instruments.reconnects.inc()
             self._ever_connected = True
             self._conn = conn

@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from repro.core.engine import EngineConfig, PredictionEngine
 from repro.core.serialize import matcher_fingerprint
@@ -46,7 +47,14 @@ from repro.core.summarize import GlobalSummary
 from repro.evaluation.ledger import KIND_SKIPPED, FailureEntry, FailureLedger
 from repro.evaluation.persistence import JournalWriter, read_journal
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    GAUGE,
+    HISTOGRAM,
+    Metric,
+    MetricsRegistry,
+    StatsInstruments,
+    stat,
+)
 from repro.obs.progress import ProgressTracker
 from repro.service.request import ExplainRequest, request_key
 from repro.service.service import compute_explanation_payload
@@ -182,55 +190,57 @@ class BulkReport:
         return "\n".join(lines)
 
 
-class _BulkInstruments:
-    """The ``repro_bulk_*`` instruments one job records into."""
+@dataclass
+class BulkStats:
+    """Counter snapshot of one :class:`BulkJob`'s instruments.
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        labels = {
-            "component": "bulk",
-            "instance": registry.next_instance("bulk"),
-        }
-        self.chunks = registry.counter(
-            "repro_bulk_chunks_total", "Chunks completed (computed, not resumed)",
-            **labels,
-        )
-        self.pairs = registry.counter(
-            "repro_bulk_pairs_total", "Pairs processed by completed chunks",
-            **labels,
-        )
-        self.computed = registry.counter(
-            "repro_bulk_computed_total", "Pairs explained fresh", **labels
-        )
-        self.dedup_hits = registry.counter(
-            "repro_bulk_dedup_hits_total",
-            "Pairs answered from the store or an intra-chunk duplicate",
-            **labels,
-        )
-        self.failures = registry.counter(
-            "repro_bulk_failures_total", "Pairs that failed to explain",
-            **labels,
-        )
-        self.resumed_chunks = registry.counter(
-            "repro_bulk_resumed_chunks_total",
-            "Chunks restored from the journal instead of re-run",
-            **labels,
-        )
-        self.progress = registry.gauge(
-            "repro_bulk_progress_pairs", "Pairs finished so far", **labels
-        )
-        self.total = registry.gauge(
-            "repro_bulk_total_pairs", "Pairs the job will process", **labels
-        )
-        self.eta = registry.gauge(
+    Each field declares the instrument it reads, labeled
+    ``component="bulk"``.  Unlike :class:`BulkReport`'s counters, these
+    count only this process's work: chunks replayed from the journal
+    show up in ``resumed_chunks`` alone.
+    """
+
+    chunks: int = stat(
+        "repro_bulk_chunks_total", "Chunks completed (computed, not resumed)"
+    )
+    pairs: int = stat(
+        "repro_bulk_pairs_total", "Pairs processed by completed chunks"
+    )
+    computed: int = stat("repro_bulk_computed_total", "Pairs explained fresh")
+    dedup_hits: int = stat(
+        "repro_bulk_dedup_hits_total",
+        "Pairs answered from the store or an intra-chunk duplicate",
+    )
+    failures: int = stat(
+        "repro_bulk_failures_total", "Pairs that failed to explain"
+    )
+    resumed_chunks: int = stat(
+        "repro_bulk_resumed_chunks_total",
+        "Chunks restored from the journal instead of re-run",
+    )
+    progress: int = stat(
+        "repro_bulk_progress_pairs", "Pairs finished so far", GAUGE
+    )
+    total: int = stat(
+        "repro_bulk_total_pairs", "Pairs the job will process", GAUGE
+    )
+    #: Wall time of the computed chunks.
+    chunk_seconds: float = stat(
+        "repro_bulk_chunk_seconds", "Wall time per computed chunk",
+        HISTOGRAM, view="sum",
+    )
+
+    #: Exported, but not part of the snapshot: an estimate, not a count.
+    registry_only: ClassVar[tuple[Metric, ...]] = (
+        Metric(
             "repro_bulk_eta_seconds",
             "Estimated seconds to completion (-1 before the first sample)",
-            **labels,
-        )
-        self.chunk_seconds = registry.histogram(
-            "repro_bulk_chunk_seconds", "Wall time per computed chunk",
-            **labels,
-        )
+            GAUGE, attr="eta",
+        ),
+    )
+
+    def as_dict(self) -> dict[str, float]:
+        return asdict(self)
 
 
 class BulkJob:
@@ -268,7 +278,7 @@ class BulkJob:
         )
         self.fingerprint = matcher_fingerprint(matcher)
         self.on_chunk = on_chunk
-        self._instruments = _BulkInstruments(self.metrics)
+        self._instruments = StatsInstruments(self.metrics, BulkStats, "bulk")
         self.progress: ProgressTracker | None = None
 
     # ------------------------------------------------------------------

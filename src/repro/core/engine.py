@@ -61,6 +61,7 @@ from repro.matchers.base import EntityMatcher
 from repro.obs.metrics import (
     GAUGE,
     HISTOGRAM,
+    ROW_BUCKETS,
     Metric,
     MetricsRegistry,
     StatsInstruments,
@@ -144,7 +145,7 @@ class EngineStats:
         Metric(
             "repro_engine_batch_width",
             "Rows per matcher batch actually issued",
-            HISTOGRAM, attr="batch_width",
+            HISTOGRAM, attr="batch_width", buckets=ROW_BUCKETS,
         ),
     )
 

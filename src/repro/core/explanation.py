@@ -93,16 +93,6 @@ class PairTokenWeights:
             )
         return entry.weight
 
-    def sum_weights(self, keys: Iterable[TokenKey]) -> float:
-        """Σ weight over the addressed tokens (token-removal evaluation)."""
-        total = 0.0
-        for key in keys:
-            entry = self._index.get(key)
-            if entry is None:
-                raise ExplanationError(f"no weight for token {key}")
-            total += entry.weight
-        return total
-
     def entries_by_sign(self, sign: str) -> list[TokenEntry]:
         """Entries with strictly positive / strictly negative weight."""
         if sign == "positive":

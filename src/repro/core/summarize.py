@@ -216,11 +216,3 @@ def summarize_explanations(
     for dual in explanations:
         summary.add(dual)
     return summary
-
-
-def merge_summaries(partials: Iterable[GlobalSummary]) -> GlobalSummary:
-    """Merge shard/chunk partials, in iteration order, into one summary."""
-    merged = GlobalSummary()
-    for partial in partials:
-        merged.merge(partial)
-    return merged

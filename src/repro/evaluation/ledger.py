@@ -134,18 +134,6 @@ class FailureLedger:
             return len(self.entries)
         return sum(1 for entry in self.entries if entry.kind == kind)
 
-    def for_cell(
-        self, dataset: str, label: int, method: str
-    ) -> list[FailureEntry]:
-        """Entries belonging to one (dataset, label, method) cell."""
-        return [
-            entry
-            for entry in self.entries
-            if entry.dataset == dataset
-            and entry.label == label
-            and entry.method == method
-        ]
-
     def to_payload(self) -> list[dict]:
         return [entry.to_dict() for entry in self.entries]
 

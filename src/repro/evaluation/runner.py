@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.config import (
     METHOD_MOJITO_COPY,
@@ -58,7 +58,12 @@ from repro.explainers.lime_text import LimeConfig
 from repro.matchers.base import EntityMatcher
 from repro.matchers.evaluate import MatchQuality, evaluate_matcher
 from repro.matchers.logistic import LogisticRegressionMatcher
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    HISTOGRAM,
+    MetricsRegistry,
+    StatsInstruments,
+    stat,
+)
 from repro.obs.tracing import trace
 
 logger = logging.getLogger("repro.evaluation")
@@ -141,6 +146,37 @@ class BenchmarkResult:
         return ledger
 
 
+@dataclass
+class RunnerStats:
+    """Counter snapshot of one :class:`ExperimentRunner`.
+
+    Each field declares the instrument it reads, labeled
+    ``component="runner"``; with ``n_jobs > 1`` each worker process
+    counts into its own copy of the registry.
+    """
+
+    cells: int = stat(
+        "repro_runner_cells_total",
+        "Grid cells attempted (checkpointed cells excluded)",
+    )
+    cells_failed: int = stat(
+        "repro_runner_cells_failed_total",
+        "Grid cells whose evaluation stage failed entirely",
+    )
+    records: int = stat(
+        "repro_runner_records_total",
+        "Records successfully explained across all grid cells",
+    )
+    #: Wall time of the grid cells that produced metrics.
+    cell_seconds: float = stat(
+        "repro_stage_seconds", "Wall time per pipeline stage",
+        HISTOGRAM, view="sum", stage="cell",
+    )
+
+    def as_dict(self) -> dict[str, float]:
+        return asdict(self)
+
+
 class ExperimentRunner:
     """Drives the full evaluation protocol for one configuration."""
 
@@ -167,26 +203,8 @@ class ExperimentRunner:
         self.matcher_factory = matcher_factory or LogisticRegressionMatcher
         self.on_cell = on_cell
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        labels = {"component": "runner"}
-        self._cells_total = self.metrics.counter(
-            "repro_runner_cells_total",
-            "Grid cells attempted (checkpointed cells excluded)",
-            **labels,
-        )
-        self._cells_failed = self.metrics.counter(
-            "repro_runner_cells_failed_total",
-            "Grid cells whose evaluation stage failed entirely",
-            **labels,
-        )
-        self._records_total = self.metrics.counter(
-            "repro_runner_records_total",
-            "Records successfully explained across all grid cells",
-            **labels,
-        )
-        self._cell_seconds = self.metrics.histogram(
-            "repro_stage_seconds",
-            "Wall time per pipeline stage",
-            stage="cell", **labels,
+        self._instruments = StatsInstruments(
+            self.metrics, RunnerStats, "runner"
         )
 
     # ------------------------------------------------------------------
@@ -245,12 +263,13 @@ class ExperimentRunner:
 
     def _record_cell(self, metrics: MethodMetrics | None) -> None:
         """Account one attempted grid cell in the run registry."""
-        updates = [(self._cells_total, 1)]
+        instruments = self._instruments
+        updates = [(instruments.cells, 1)]
         if metrics is None:
-            updates.append((self._cells_failed, 1))
+            updates.append((instruments.cells_failed, 1))
         else:
-            updates.append((self._records_total, metrics.n_records))
-            updates.append((self._cell_seconds, metrics.seconds))
+            updates.append((instruments.records, metrics.n_records))
+            updates.append((instruments.cell_seconds, metrics.seconds))
         self.metrics.bulk(updates)
 
     # ------------------------------------------------------------------

@@ -8,7 +8,6 @@ trust it.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,14 +53,6 @@ class Explanation:
             for name, weight in zip(self.feature_names, self.weights)
         }
 
-    def weight_of(self, feature_name: str) -> float:
-        """Weight of one feature; raises on unknown names."""
-        try:
-            index = self.feature_names.index(feature_name)
-        except ValueError as exc:
-            raise ExplanationError(f"unknown feature {feature_name!r}") from exc
-        return float(self.weights[index])
-
     def top(self, k: int = 10, sign: str | None = None) -> list[tuple[str, float]]:
         """The *k* most important features by |weight|.
 
@@ -77,16 +68,6 @@ class Explanation:
             raise ValueError(f"sign must be 'positive', 'negative' or None: {sign!r}")
         indexed.sort(key=lambda item: -abs(item[1]))
         return indexed[:k]
-
-    def sum_of(self, feature_names: Sequence[str]) -> float:
-        """Sum of the weights of the named features (token-removal eval)."""
-        lookup = self.as_dict()
-        total = 0.0
-        for name in feature_names:
-            if name not in lookup:
-                raise ExplanationError(f"unknown feature {name!r}")
-            total += lookup[name]
-        return total
 
     def render(self, k: int = 10) -> str:
         """Multi-line human-readable rendering of the top-k features."""

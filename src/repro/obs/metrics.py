@@ -1,12 +1,13 @@
 """The metrics registry: thread-safe counters, gauges and histograms.
 
 Every layer of the serving stack — prediction engine, matcher guard,
-evaluation runner, explanation service and store — records its counters
-as **instruments** owned by one :class:`MetricsRegistry`.  Instruments
-are identified by a Prometheus-style name plus a label set (by
-convention ``component`` and, for duration histograms, ``stage``), so
-one scrape of the registry answers *where time and matcher calls go per
-stage* across the whole process.
+explanation service and store, shard router, remote backend client,
+bulk job and evaluation runner — records its counters as
+**instruments** owned by one :class:`MetricsRegistry`.  Instruments
+are identified by a Prometheus-style name plus a label set
+(``component``, ``instance`` and, for duration histograms, ``stage``),
+so one scrape of the registry answers *where time and matcher calls go
+per stage* across the whole process.
 
 Design constraints, in order:
 
@@ -33,13 +34,17 @@ boundaries); locks are dropped on serialization and rebuilt on load.
 Stats dataclasses declare their instruments
 --------------------------------------------
 Each component's snapshot dataclass (``EngineStats``, ``GuardStats``,
-``ServiceStats``, ``StoreStats``) is the only declaration of its
+``ServiceStats``, ``StoreStats``, ``RouterStats``, ``BulkStats``,
+``BackendStats``, ``RunnerStats``) is the only declaration of its
 counters: every field is made by :func:`stat` (or
-:meth:`Metric.field`) and carries the metric name, kind, help string
-and — for a field read from a histogram — the view (``sum``, ``max``
-or ``count``) it reads.  :class:`StatsInstruments` binds such a class
-to a registry under the component's labels and builds snapshots from
-one atomic read, so adding a counter is one new field.
+:meth:`Metric.field`) and carries the metric name, kind, help string,
+histogram buckets and — for a field read from a histogram — the view
+(``sum``, ``max`` or ``count``) it reads.  :class:`StatsInstruments`
+binds such a class to a registry under the component's labels and
+builds snapshots from one atomic read, so adding a counter is one new
+field.  It is the only code that creates an instrument (an ``ast`` rule
+in ``tests/test_import_boundaries.py`` holds every other module to
+that).  A snapshot read through a disabled registry reads 0.
 """
 
 from __future__ import annotations
@@ -56,6 +61,10 @@ DEFAULT_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
 )
+
+#: Row-count buckets, for histograms of batch widths (rows per matcher
+#: batch or per wire request).
+ROW_BUCKETS = (1.0, 4.0, 16.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 4096.0)
 
 #: Instrument kinds (the :class:`MetricsRegistry` factory method names).
 COUNTER = "counter"
@@ -413,7 +422,8 @@ class Metric:
     """One instrument a stats dataclass declares.
 
     *attr* names the bound instrument on a :class:`StatsInstruments`
-    (``None``: the field's name); *labels* extend the component's.
+    (``None``: the field's name); *labels* extend the component's;
+    *buckets* are a histogram's bucket bounds.
     """
 
     name: str
@@ -421,6 +431,7 @@ class Metric:
     kind: str = COUNTER
     attr: str | None = None
     labels: tuple[tuple[str, str], ...] = ()
+    buckets: tuple[float, ...] = DEFAULT_BUCKETS
 
     def field(self, view: str | None = None):
         """A stats field read from this instrument — from a histogram
@@ -472,8 +483,12 @@ class StatsInstruments:
             if hasattr(self, attr):
                 raise ConfigurationError(f"instrument name {attr!r} is taken")
             factory = getattr(registry, metric.kind)
+            options = (
+                {"buckets": metric.buckets} if metric.kind == HISTOGRAM else {}
+            )
             setattr(self, attr, factory(
-                metric.name, metric.help, **self.labels, **dict(metric.labels)
+                metric.name, metric.help, **options, **self.labels,
+                **dict(metric.labels),
             ))
         unique = list(dict.fromkeys(attrs))
         self._read = [getattr(self, attr) for attr in unique]

@@ -57,6 +57,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "REQUEST_METHODS": ".request",
     "HashRing": ".router",
     "RESULT_FORMAT_VERSION": ".service",
+    "RouterStats": ".supervisor",
     "STORE_FORMAT_VERSION": ".store",
     "ServiceConfig": "repro.config",
     "ServiceStats": ".service",

@@ -89,7 +89,7 @@ from repro.obs.export import (
     families_to_prometheus,
     merge_families,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import GAUGE, MetricsRegistry, StatsInstruments, stat
 from repro.service.request import ExplainRequest, request_key
 from repro.service.router import HashRing
 from repro.service.shard import ShardSpec
@@ -100,7 +100,7 @@ from repro.service.transport import (
     TcpShardTransport,
 )
 
-__all__ = ["ShardedService"]
+__all__ = ["RouterStats", "ShardedService"]
 
 logger = logging.getLogger("repro.service.supervisor")
 
@@ -113,6 +113,56 @@ _STARTING = "starting"
 _LIVE = "live"
 _DEAD = "dead"
 _STOPPED = "stopped"
+
+
+@dataclasses.dataclass
+class RouterStats:
+    """Counter snapshot of one :class:`ShardedService` router.
+
+    Each field declares the instrument it reads, labeled
+    ``component="router"``; the ``router`` block of ``stats_payload()``
+    is built from it, so the stats op and ``/metrics`` agree.
+    """
+
+    requests: int = stat("repro_router_requests", "Requests routed to shards")
+    failovers: int = stat(
+        "repro_router_failovers",
+        "In-flight requests re-dispatched after a shard death",
+    )
+    requests_failed: int = stat(
+        "repro_router_requests_failed",
+        "Requests failed with shard_failed after exhausting failovers",
+    )
+    live: int = stat("repro_shards_live", "Shards currently serving", GAUGE)
+    deaths: int = stat(
+        "repro_shard_deaths",
+        "Shard processes that died or were declared hung",
+    )
+    restarts: int = stat(
+        "repro_shard_restarts",
+        "Shard processes restarted by the supervisor",
+    )
+    connect_failures: int = stat(
+        "repro_shard_connect_failures", "Failed shard launch/connect cycles"
+    )
+    reconnects: int = stat(
+        "repro_shard_reconnects",
+        "Remote shards re-adopted after a lost connection",
+    )
+    hosts_lost: int = stat(
+        "repro_hosts_lost",
+        "Shard hosts declared lost and replaced by a standby",
+    )
+
+    def as_dict(self) -> dict[str, int]:
+        return dataclasses.asdict(self)
+
+    def summary(self) -> str:
+        """The line the ``serve`` and ``precompute`` CLIs print."""
+        return "fleet: " + ", ".join(
+            f"{name.replace('_', ' ')} {value}"
+            for name, value in self.as_dict().items()
+        )
 
 
 class _Pending:
@@ -273,43 +323,7 @@ class ShardedService:
         self._pending: dict[int, _Pending] = {}
         self._info_waiters: dict[int, list] = {}
 
-        labels = {"component": "router"}
-        self._m_routed = self.metrics.counter(
-            "repro_router_requests",
-            "Requests routed to shards", **labels,
-        )
-        self._m_failovers = self.metrics.counter(
-            "repro_router_failovers",
-            "In-flight requests re-dispatched after a shard death", **labels,
-        )
-        self._m_failed = self.metrics.counter(
-            "repro_router_requests_failed",
-            "Requests failed with shard_failed after exhausting failovers",
-            **labels,
-        )
-        self._m_deaths = self.metrics.counter(
-            "repro_shard_deaths",
-            "Shard processes that died or were declared hung", **labels,
-        )
-        self._m_restarts = self.metrics.counter(
-            "repro_shard_restarts",
-            "Shard processes restarted by the supervisor", **labels,
-        )
-        self._m_live = self.metrics.gauge(
-            "repro_shards_live", "Shards currently serving", **labels,
-        )
-        self._m_connect_failures = self.metrics.counter(
-            "repro_shard_connect_failures",
-            "Failed shard launch/connect cycles", **labels,
-        )
-        self._m_reconnects = self.metrics.counter(
-            "repro_shard_reconnects",
-            "Remote shards re-adopted after a lost connection", **labels,
-        )
-        self._m_hosts_lost = self.metrics.counter(
-            "repro_hosts_lost",
-            "Shard hosts declared lost and replaced by a standby", **labels,
-        )
+        self._instruments = StatsInstruments(self.metrics, RouterStats, "router")
 
         blob = None if matcher is None else pickle.dumps(matcher)
         fleet_by_id = (
@@ -437,8 +451,8 @@ class ShardedService:
             )
             handle.restart_at = now + backoff
             connect_failures = handle.connect_failures
-            self._m_connect_failures.inc()
-            self._m_live.set(len(self._live_ids()))
+            self._instruments.connect_failures.inc()
+            self._instruments.live.set(len(self._live_ids()))
         logger.error(
             "shard %d failed to launch (%s, consecutive failure %d): %s; "
             "retry in %.2fs",
@@ -467,7 +481,7 @@ class ShardedService:
             if not self._standbys:
                 if lost not in self._lost_hosts:
                     self._lost_hosts.add(lost)
-                    self._m_hosts_lost.inc()
+                    self._instruments.hosts_lost.inc()
                     logger.error(
                         "host %s (shard %d) is lost and no standby is "
                         "configured; will keep retrying",
@@ -480,7 +494,7 @@ class ShardedService:
             handle.connect_failures = 0
             handle.consecutive_failures = 0
             handle.restart_at = 0.0  # replace now, no backoff
-            self._m_hosts_lost.inc()
+            self._instruments.hosts_lost.inc()
         logger.error(
             "host %s is lost: replacing shard %d onto standby %s:%d",
             lost, handle.shard_id, standby.host, standby.port,
@@ -561,10 +575,10 @@ class ShardedService:
                         handle.state = _LIVE
                         handle.pid = message.get("pid", handle.pid)
                         handle.record_heartbeat(time.monotonic())
-                        self._m_live.set(len(self._live_ids()))
+                        self._instruments.live.set(len(self._live_ids()))
                         self._state_changed.notify_all()
                 if reconnected:
-                    self._m_reconnects.inc()
+                    self._instruments.reconnects.inc()
                 logger.info(
                     "shard %d ready (%s, pid %s)",
                     handle.shard_id, handle.transport.describe(), handle.pid,
@@ -683,8 +697,8 @@ class ShardedService:
                 for rid, entry in self._pending.items()
                 if entry.shard_id == handle.shard_id
             ]
-            self._m_deaths.inc()
-            self._m_live.set(len(self._live_ids()))
+            self._instruments.deaths.inc()
+            self._instruments.live.set(len(self._live_ids()))
         exitcode = handle.transport.exitcode
         logger.error(
             "shard %d died (%s, pid %s, exit %s): %d in-flight "
@@ -698,7 +712,7 @@ class ShardedService:
     def _restart_shard(self, handle: _ShardHandle) -> None:
         with self._lock:
             handle.restarts += 1
-        self._m_restarts.inc()
+        self._instruments.restarts.inc()
         logger.info(
             "restarting shard %d (restart #%d)",
             handle.shard_id, handle.restarts,
@@ -757,7 +771,7 @@ class ShardedService:
                     or not live
                 ):
                     self._pending.pop(rid, None)
-                    self._m_failed.inc()
+                    self._instruments.requests_failed.inc()
                     give_up = True
                     error = self._unroutable_error(
                         entry.key,
@@ -775,7 +789,7 @@ class ShardedService:
             if give_up:
                 entry.future.set_exception(error)
                 return
-            self._m_failovers.inc()
+            self._instruments.failovers.inc()
             logger.warning(
                 "failing request %s over to shard %d (attempt %d)",
                 entry.key[:16], entry.shard_id, entry.failovers,
@@ -815,7 +829,7 @@ class ShardedService:
             rid = next(self._rid)
             entry = _Pending(future, request, key, shard_id)
             self._pending[rid] = entry
-            self._m_routed.inc()
+            self._instruments.requests.inc()
         if not self._dispatch(rid, entry):
             # Raced a shard death; the monitor hasn't torn it down yet.
             self._failover(rid, entry)
@@ -1009,22 +1023,20 @@ class ShardedService:
         return families_to_json(self._merged_families())
 
     @property
-    def stats(self) -> "_FleetStats":
-        """A snapshot matching ``ExplanationService.stats``'s surface."""
-        return _FleetStats(self.stats_payload())
+    def stats(self) -> RouterStats:
+        """The router's counters, read atomically from its registry."""
+        return self._instruments.snapshot()
 
     def stats_payload(self) -> dict:
-        """Router counters plus every live shard's stats payload."""
+        """Router counters plus every live shard's stats payload.
+
+        The ``router`` block is :attr:`stats` plus the facts that are
+        not instruments, so it reads what ``/metrics`` exports.
+        """
+        router = self.stats.as_dict()
         with self._lock:
-            router = {
-                "pending": len(self._pending),
-                "live_shards": len(self._live_ids()),
-                "n_shards": self.shard_config.n_shards,
-                "restarts": {
-                    str(shard_id): handle.restarts
-                    for shard_id, handle in sorted(self._handles.items())
-                },
-            }
+            router["n_shards"] = self.shard_config.n_shards
+            router["pending"] = len(self._pending)
             if self._fleet is not None:
                 router["transport"] = "tcp"
                 router["lost_hosts"] = sorted(self._lost_hosts)
@@ -1103,7 +1115,7 @@ class ShardedService:
             with self._lock:
                 handle.state = _STOPPED
                 self._state_changed.notify_all()
-        self._m_live.set(0)
+        self._instruments.live.set(0)
 
         with self._lock:
             leftovers = list(self._pending.items())
@@ -1127,29 +1139,6 @@ class ShardedService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class _FleetStats:
-    """Fleet-wide counters with the ``.summary()`` the CLI prints."""
-
-    def __init__(self, payload: dict) -> None:
-        self.payload = payload
-
-    def summary(self) -> str:
-        router = self.payload.get("router", {})
-        shards = self.payload.get("shards", {})
-        requests = sum(
-            shard.get("service", {}).get("requests", 0)
-            for shard in shards.values()
-        )
-        restarts = sum(router.get("restarts", {}).values())
-        return (
-            f"fleet: {router.get('live_shards', 0)}/"
-            f"{router.get('n_shards', 0)} shards live, "
-            f"{int(requests)} requests served, "
-            f"{restarts} restart(s), "
-            f"{router.get('pending', 0)} pending"
-        )
 
 
 def _shard_error(code: str, message: str, retry_after) -> ReproError:

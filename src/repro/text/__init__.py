@@ -20,7 +20,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "PrefixedToken": ".tokenize",
     "Tokenizer": ".tokenize",
     "char_similarities_batch": ".batch_similarity",
-    "cosine_token_similarity": ".similarity",
     "dice_coefficient": ".similarity",
     "exact_match": ".similarity",
     "format_prefixed_token": ".tokenize",
@@ -38,5 +37,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "numeric_similarity": ".similarity",
     "overlap_coefficient": ".similarity",
     "parse_prefixed_token": ".tokenize",
-    "prefix_similarity": ".similarity",
 })

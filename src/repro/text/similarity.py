@@ -14,7 +14,6 @@ maximally dissimilar (0.0).  That convention keeps missing attribute values
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 
 
@@ -107,20 +106,6 @@ def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float
     return jaro + prefix_len * prefix_weight * (1.0 - jaro)
 
 
-def prefix_similarity(a: str, b: str) -> float:
-    """Length of the common prefix over the length of the shorter string."""
-    if _both_empty(a, b):
-        return 1.0
-    if not a or not b:
-        return 0.0
-    prefix_len = 0
-    for char_a, char_b in zip(a, b):
-        if char_a != char_b:
-            break
-        prefix_len += 1
-    return prefix_len / min(len(a), len(b))
-
-
 def jaccard_similarity(a: Sequence[str], b: Sequence[str]) -> float:
     """Jaccard index over token *sets*: |A ∩ B| / |A ∪ B|."""
     set_a, set_b = set(a), set(b)
@@ -146,19 +131,6 @@ def dice_coefficient(a: Sequence[str], b: Sequence[str]) -> float:
     if not set_a and not set_b:
         return 1.0
     return 2.0 * len(set_a & set_b) / (len(set_a) + len(set_b))
-
-
-def cosine_token_similarity(a: Sequence[str], b: Sequence[str]) -> float:
-    """Cosine similarity of token *multisets* (term-frequency vectors)."""
-    counts_a, counts_b = Counter(a), Counter(b)
-    if not counts_a and not counts_b:
-        return 1.0
-    if not counts_a or not counts_b:
-        return 0.0
-    dot = sum(counts_a[token] * counts_b[token] for token in counts_a)
-    norm_a = math.sqrt(sum(c * c for c in counts_a.values()))
-    norm_b = math.sqrt(sum(c * c for c in counts_b.values()))
-    return dot / (norm_a * norm_b)
 
 
 def monge_elkan_similarity(a: Sequence[str], b: Sequence[str]) -> float:

@@ -30,6 +30,8 @@ from repro.evaluation.methods import MethodExplainers
 from repro.evaluation.token_eval import token_removal_eval
 from repro.exceptions import ConfigurationError
 from repro.explainers.lime_text import LimeConfig
+from repro.obs.export import families_to_prometheus
+from repro.obs.metrics import MetricsRegistry
 from repro.testing.faults import FlakyMatcher, MatcherFault
 
 
@@ -166,6 +168,31 @@ class TestPredictPairs:
         engine = PredictionEngine(beer_matcher, EngineConfig(cache_size=5))
         engine.predict_pairs(list(beer_dataset)[:20])
         assert engine.cache_len <= 5
+
+
+class TestBatchWidthBuckets:
+    def test_wide_batch_lands_in_a_finite_bucket(self, beer_dataset,
+                                                 beer_matcher):
+        """A row-count histogram needs row buckets: with the seconds
+        buckets (up to 120) a 157-row batch lands only in ``+Inf``."""
+        distinct = {pair_fingerprint(pair): pair for pair in beer_dataset}
+        pairs = list(distinct.values())[:157]
+        assert len(pairs) == 157
+        registry = MetricsRegistry()
+        engine = PredictionEngine(beer_matcher, metrics=registry)
+        engine.predict_pairs(pairs)
+        assert engine.stats.batches == 1
+        text = families_to_prometheus(registry.collect())
+        buckets = {}
+        for line in text.splitlines():
+            if line.startswith("repro_engine_batch_width_bucket"):
+                bound = line.split('le="')[1].split('"')[0]
+                buckets[bound] = int(line.rsplit(" ", 1)[1])
+        assert buckets.pop("+Inf") == 1
+        assert any(
+            count == 1 and float(bound) >= 157
+            for bound, count in buckets.items()
+        )
 
 
 class TestAllZerosMask:

@@ -78,11 +78,6 @@ class TestPairTokenWeights:
         with pytest.raises(ExplanationError):
             weights.weight("left", "name", 9)
 
-    def test_sum_weights(self, toy_pair):
-        weights = self._weights(toy_pair)
-        total = weights.sum_weights([("left", "name", 0), ("right", "name", 0)])
-        assert total == pytest.approx(0.1)
-
     def test_entries_by_sign(self, toy_pair):
         weights = self._weights(toy_pair)
         positives = {entry.word for entry in weights.entries_by_sign("positive")}

@@ -5,13 +5,17 @@ import json
 import pytest
 
 from repro.core.landmark import LandmarkExplainer
-from repro.core.summarize import (
-    GlobalSummary,
-    merge_summaries,
-    summarize_explanations,
-)
+from repro.core.summarize import GlobalSummary, summarize_explanations
 from repro.exceptions import ExplanationError
 from repro.explainers.lime_text import LimeConfig
+
+
+def merge_summaries(partials) -> GlobalSummary:
+    """Merge chunk partials, in iteration order, into one summary."""
+    merged = GlobalSummary()
+    for partial in partials:
+        merged.merge(partial)
+    return merged
 
 
 @pytest.fixture(scope="module")

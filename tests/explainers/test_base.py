@@ -46,20 +46,6 @@ class TestAccessors:
             "tok2": pytest.approx(0.1),
         }
 
-    def test_weight_of(self):
-        assert make_explanation().weight_of("tok1") == pytest.approx(-0.2)
-
-    def test_weight_of_unknown(self):
-        with pytest.raises(ExplanationError):
-            make_explanation().weight_of("nope")
-
-    def test_sum_of(self):
-        assert make_explanation().sum_of(["tok0", "tok2"]) == pytest.approx(0.6)
-
-    def test_sum_of_unknown(self):
-        with pytest.raises(ExplanationError):
-            make_explanation().sum_of(["tok0", "ghost"])
-
 
 class TestTop:
     def test_top_orders_by_magnitude(self):

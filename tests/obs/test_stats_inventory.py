@@ -1,12 +1,15 @@
-"""The engine, service and store counters: exported inventory and wiring.
+"""Every component's counters: exported inventory and wiring.
 
-Pins, for a service + store + guard-active engine sharing one registry:
+Pins, for a service + store + guard-active engine sharing one registry,
+and again for a 1-shard fleet router, a bulk job, an unconnected remote
+backend client and an experiment runner sharing another:
 
 * the exact ``collect()`` inventory — family name, kind, help string and
   every sample's label set — so a refactor of how the counters are
   declared cannot rename, re-help or re-label a series;
 * the ``as_dict()`` key sets of :class:`EngineStats`,
-  :class:`ServiceStats` and :class:`StoreStats`;
+  :class:`ServiceStats`, :class:`StoreStats`, :class:`RouterStats`,
+  :class:`BulkStats`, :class:`BackendStats` and :class:`RunnerStats`;
 * that every snapshot field reads the instrument (and, for histograms,
   the view) it is documented to read.  Before comparing, every
   instrument is moved by a distinct amount, so a field wired to the
@@ -17,16 +20,28 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends.client import RemoteBackend
+from repro.bulk import BulkJob, DatasetSource
+from repro.config import ShardConfig
 from repro.core.engine import EngineConfig
 from repro.core.guard import GuardConfig
+from repro.evaluation.runner import ExperimentRunner
 from repro.obs.metrics import MetricsRegistry
 from repro.service.request import ExplainRequest
 from repro.service.service import ExplanationService
 from repro.service.store import ExplanationStore
+from repro.service.supervisor import ShardedService
 
 ENGINE = {"component": "engine", "instance": "0"}
 SERVICE = {"component": "service", "instance": "0"}
 STORE = {"component": "store", "instance": "0"}
+ROUTER = {"component": "router", "instance": "0"}
+BULK = {"component": "bulk", "instance": "0"}
+#: Never dialled: building the client opens no connection.
+BACKEND_ADDRESS = "127.0.0.1:9"
+BACKEND = {"component": "backend", "instance": "0",
+           "address": BACKEND_ADDRESS}
+RUNNER = {"component": "runner", "instance": "0"}
 
 #: (name, kind, help, label sets) of every family the stack exports.
 INVENTORY = [
@@ -101,6 +116,88 @@ INVENTORY = [
      "Corrupt database files quarantined and rebuilt", [STORE]),
 ]
 
+
+#: The control-plane stack: a fleet router, a bulk job (whose engine
+#: exports the engine and guard families above), a remote backend client
+#: (whose guard exports under the backend's labels) and a runner.
+_ENGINE_FAMILIES = [
+    (name, kind, help, sets)
+    for name, kind, help, sets in INVENTORY
+    if name.startswith(("repro_engine_", "repro_guard_"))
+]
+CONTROL_INVENTORY = sorted(
+    [
+        *[
+            (name, kind, help,
+             sets + [BACKEND] if name.startswith("repro_guard_") else sets)
+            for name, kind, help, sets in _ENGINE_FAMILIES
+        ],
+        ("repro_backend_batch_width", "histogram", "Rows per wire request",
+         [BACKEND]),
+        ("repro_backend_failures_total", "counter",
+         "Round-trips that raised after all retries", [BACKEND]),
+        ("repro_backend_inflight", "gauge",
+         "Wire requests currently awaiting a response", [BACKEND]),
+        ("repro_backend_reconnects_total", "counter",
+         "Connections re-established after a loss", [BACKEND]),
+        ("repro_backend_requests_total", "counter", "Wire requests sent",
+         [BACKEND]),
+        ("repro_backend_rtt_seconds", "histogram",
+         "Round-trip time of one wire request", [BACKEND]),
+        ("repro_bulk_chunk_seconds", "histogram",
+         "Wall time per computed chunk", [BULK]),
+        ("repro_bulk_chunks_total", "counter",
+         "Chunks completed (computed, not resumed)", [BULK]),
+        ("repro_bulk_computed_total", "counter", "Pairs explained fresh",
+         [BULK]),
+        ("repro_bulk_dedup_hits_total", "counter",
+         "Pairs answered from the store or an intra-chunk duplicate",
+         [BULK]),
+        ("repro_bulk_eta_seconds", "gauge",
+         "Estimated seconds to completion (-1 before the first sample)",
+         [BULK]),
+        ("repro_bulk_failures_total", "counter",
+         "Pairs that failed to explain", [BULK]),
+        ("repro_bulk_pairs_total", "counter",
+         "Pairs processed by completed chunks", [BULK]),
+        ("repro_bulk_progress_pairs", "gauge", "Pairs finished so far",
+         [BULK]),
+        ("repro_bulk_resumed_chunks_total", "counter",
+         "Chunks restored from the journal instead of re-run", [BULK]),
+        ("repro_bulk_total_pairs", "gauge", "Pairs the job will process",
+         [BULK]),
+        ("repro_hosts_lost", "counter",
+         "Shard hosts declared lost and replaced by a standby", [ROUTER]),
+        ("repro_router_failovers", "counter",
+         "In-flight requests re-dispatched after a shard death", [ROUTER]),
+        ("repro_router_requests", "counter", "Requests routed to shards",
+         [ROUTER]),
+        ("repro_router_requests_failed", "counter",
+         "Requests failed with shard_failed after exhausting failovers",
+         [ROUTER]),
+        ("repro_runner_cells_failed_total", "counter",
+         "Grid cells whose evaluation stage failed entirely", [RUNNER]),
+        ("repro_runner_cells_total", "counter",
+         "Grid cells attempted (checkpointed cells excluded)", [RUNNER]),
+        ("repro_runner_records_total", "counter",
+         "Records successfully explained across all grid cells", [RUNNER]),
+        ("repro_shard_connect_failures", "counter",
+         "Failed shard launch/connect cycles", [ROUTER]),
+        ("repro_shard_deaths", "counter",
+         "Shard processes that died or were declared hung", [ROUTER]),
+        ("repro_shard_reconnects", "counter",
+         "Remote shards re-adopted after a lost connection", [ROUTER]),
+        ("repro_shard_restarts", "counter",
+         "Shard processes restarted by the supervisor", [ROUTER]),
+        ("repro_shards_live", "gauge", "Shards currently serving",
+         [ROUTER]),
+        ("repro_stage_seconds", "histogram", "Wall time per pipeline stage",
+         [{**ENGINE, "stage": "predict"}, {**ENGINE, "stage": "rebuild"},
+          {**RUNNER, "stage": "cell"}]),
+    ],
+    key=lambda family: family[0],
+)
+
 _GUARD = ("retries", "timeouts", "failures", "trips", "fast_failures",
           "recoveries")
 
@@ -141,6 +238,42 @@ STORE_FIELDS = {
                  "corruptions", "recoveries")
 }
 
+ROUTER_FIELDS = {
+    "requests": ("repro_router_requests", ROUTER, None),
+    "failovers": ("repro_router_failovers", ROUTER, None),
+    "requests_failed": ("repro_router_requests_failed", ROUTER, None),
+    "live": ("repro_shards_live", ROUTER, None),
+    "deaths": ("repro_shard_deaths", ROUTER, None),
+    "restarts": ("repro_shard_restarts", ROUTER, None),
+    "connect_failures": ("repro_shard_connect_failures", ROUTER, None),
+    "reconnects": ("repro_shard_reconnects", ROUTER, None),
+    "hosts_lost": ("repro_hosts_lost", ROUTER, None),
+}
+BULK_FIELDS = {
+    **{
+        name: (f"repro_bulk_{name}_total", BULK, None)
+        for name in ("chunks", "pairs", "computed", "dedup_hits", "failures",
+                     "resumed_chunks")
+    },
+    "progress": ("repro_bulk_progress_pairs", BULK, None),
+    "total": ("repro_bulk_total_pairs", BULK, None),
+    "chunk_seconds": ("repro_bulk_chunk_seconds", BULK, "sum"),
+}
+BACKEND_FIELDS = {
+    **{
+        name: (f"repro_backend_{name}_total", BACKEND, None)
+        for name in ("requests", "failures", "reconnects")
+    },
+    "inflight": ("repro_backend_inflight", BACKEND, None),
+}
+RUNNER_FIELDS = {
+    "cells": ("repro_runner_cells_total", RUNNER, None),
+    "cells_failed": ("repro_runner_cells_failed_total", RUNNER, None),
+    "records": ("repro_runner_records_total", RUNNER, None),
+    "cell_seconds": (
+        "repro_stage_seconds", {**RUNNER, "stage": "cell"}, "sum"),
+}
+
 ENGINE_KEYS = set(ENGINE_FIELDS) | {"calls_saved", "hit_rate",
                                     "savings_factor"}
 SERVICE_KEYS = set(SERVICE_FIELDS) | {"served_without_compute",
@@ -171,6 +304,68 @@ def stack(beer_matcher, match_pair, tmp_path):
         store.close()
 
 
+@pytest.fixture()
+def control_plane(beer_dataset, beer_matcher):
+    """A 1-shard fleet, a bulk job, a backend client and a runner."""
+    registry = MetricsRegistry()
+    fleet = ShardedService(
+        beer_matcher, shard_config=ShardConfig(n_shards=1), metrics=registry,
+    )
+    backend = RemoteBackend(BACKEND_ADDRESS, metrics=registry)
+    try:
+        job = BulkJob(
+            beer_matcher, DatasetSource(beer_dataset, per_label=1, seed=0),
+            metrics=registry,
+        )
+        runner = ExperimentRunner(metrics=registry)
+        yield registry, fleet, job, backend, runner
+    finally:
+        backend.close()
+        fleet.close()
+
+
+def _inventory(registry: MetricsRegistry) -> list:
+    return [
+        (
+            family["name"], family["kind"], family["help"],
+            [_label_key(labels) for labels, _ in family["samples"]],
+        )
+        for family in registry.collect()
+    ]
+
+
+def _pinned(inventory: list) -> list:
+    return [
+        (name, kind, help, sorted(_label_key(labels) for labels in sets))
+        for name, kind, help, sets in inventory
+    ]
+
+
+def _samples(registry: MetricsRegistry) -> dict:
+    """``(family, label key) -> value`` of one atomic collect."""
+    return {
+        (family["name"], _label_key(labels)): value
+        for family in registry.collect()
+        for labels, value in family["samples"]
+    }
+
+
+def _expected(samples: dict, table: dict) -> dict:
+    """The value each field of *table* should read from *samples*."""
+    out = {}
+    for field, (name, labels, view) in table.items():
+        value = samples[(name, _label_key(labels))]
+        out[field] = value if view is None else value[view]
+    return out
+
+
+def _assert_distinct(samples: dict) -> None:
+    """Every instrument moved by a distinct amount, so equal values
+    cannot come from a field wired to a sibling series."""
+    plain = [v for v in samples.values() if not isinstance(v, dict)]
+    assert len(set(plain)) == len(plain)
+
+
 def _perturb(registry: MetricsRegistry) -> None:
     """Move every instrument by an amount no other instrument shares."""
     step = 0
@@ -191,18 +386,11 @@ def _perturb(registry: MetricsRegistry) -> None:
 class TestStatsInventory:
     def test_collect_inventory_is_pinned(self, stack):
         registry, _, _ = stack
-        collected = [
-            (
-                family["name"], family["kind"], family["help"],
-                [_label_key(labels) for labels, _ in family["samples"]],
-            )
-            for family in registry.collect()
-        ]
-        expected = [
-            (name, kind, help, sorted(_label_key(labels) for labels in sets))
-            for name, kind, help, sets in INVENTORY
-        ]
-        assert collected == expected
+        assert _inventory(registry) == _pinned(INVENTORY)
+
+    def test_control_plane_inventory_is_pinned(self, control_plane):
+        registry = control_plane[0]
+        assert _inventory(registry) == _pinned(CONTROL_INVENTORY)
 
     def test_as_dict_keys_are_pinned(self, stack):
         _, service, store = stack
@@ -228,36 +416,59 @@ class TestStatsInventory:
         registry, service, store = stack
         if perturbed:
             _perturb(registry)
-        samples = {
-            (family["name"], _label_key(labels)): value
-            for family in registry.collect()
-            for labels, value in family["samples"]
-        }
-
-        def expected(table: dict) -> dict:
-            out = {}
-            for field, (name, labels, view) in table.items():
-                value = samples[(name, _label_key(labels))]
-                out[field] = value if view is None else value[view]
-            return out
-
+        samples = _samples(registry)
         snapshots = (
             (service.engine.stats, ENGINE_FIELDS),
             (service.stats, SERVICE_FIELDS),
             (store.stats, STORE_FIELDS),
         )
         for snapshot, table in snapshots:
-            assert {f: getattr(snapshot, f) for f in table} == expected(table)
+            assert ({f: getattr(snapshot, f) for f in table}
+                    == _expected(samples, table))
         payload = service.stats_payload()
         for section, (snapshot, table) in zip(
             ("engine", "service", "store"), snapshots
         ):
             assert payload[section] == snapshot.as_dict()
-            assert {f: payload[section][f] for f in table} == expected(table)
+            assert ({f: payload[section][f] for f in table}
+                    == _expected(samples, table))
         if perturbed:
-            # Every instrument moved by a distinct amount, so equal values
-            # above cannot come from a field wired to a sibling series.
-            plain = [
-                v for v in samples.values() if not isinstance(v, dict)
-            ]
-            assert len(set(plain)) == len(plain)
+            _assert_distinct(samples)
+
+    def test_control_plane_as_dict_keys_are_pinned(self, control_plane):
+        _, fleet, job, backend, runner = control_plane
+        assert set(fleet.stats.as_dict()) == set(ROUTER_FIELDS)
+        assert set(job._instruments.snapshot().as_dict()) == set(BULK_FIELDS)
+        assert (set(backend._instruments.snapshot().as_dict())
+                == set(BACKEND_FIELDS))
+        assert (set(runner._instruments.snapshot().as_dict())
+                == set(RUNNER_FIELDS))
+        payload = fleet.stats_payload()
+        assert set(payload) == {"router", "shards"}
+        assert set(payload["router"]) == set(ROUTER_FIELDS) | {"n_shards",
+                                                               "pending"}
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_every_control_plane_field_reads_its_instrument(
+        self, control_plane, perturbed
+    ):
+        registry, fleet, job, backend, runner = control_plane
+        if perturbed:
+            _perturb(registry)
+        samples = _samples(registry)
+        snapshots = (
+            (fleet.stats, ROUTER_FIELDS),
+            (job._instruments.snapshot(), BULK_FIELDS),
+            (backend._instruments.snapshot(), BACKEND_FIELDS),
+            (runner._instruments.snapshot(), RUNNER_FIELDS),
+        )
+        for snapshot, table in snapshots:
+            assert snapshot.as_dict() == _expected(samples, table)
+        router = fleet.stats_payload()["router"]
+        assert ({f: router[f] for f in ROUTER_FIELDS}
+                == _expected(samples, ROUTER_FIELDS))
+        assert backend.health()["reconnects"] == samples[
+            ("repro_backend_reconnects_total", _label_key(BACKEND))
+        ]
+        if perturbed:
+            _assert_distinct(samples)

@@ -169,6 +169,47 @@ class TestRoutingAndStores:
         assert {"router", "0", "1"} <= labels
 
 
+#: ``stats_payload()["router"]`` key of each router family.
+ROUTER_KEYS = {
+    "repro_router_requests": "requests",
+    "repro_router_failovers": "failovers",
+    "repro_router_requests_failed": "requests_failed",
+    "repro_shards_live": "live",
+    "repro_shard_deaths": "deaths",
+    "repro_shard_restarts": "restarts",
+    "repro_shard_connect_failures": "connect_failures",
+    "repro_shard_reconnects": "reconnects",
+    "repro_hosts_lost": "hosts_lost",
+}
+
+
+class TestRouterStats:
+    def test_stats_op_reads_what_metrics_exports(self, beer_matcher):
+        with ShardedService(
+            beer_matcher, shard_config=ShardConfig(n_shards=2, **FAST)
+        ) as service:
+            _signal_shard(service, 0)
+            assert _wait_for(
+                lambda: service.stats.restarts == 1
+                and service.health()[1]["shards"]["0"]["state"] == "live"
+            )
+            stats = service.stats
+            router = service.stats_payload()["router"]
+            samples = {
+                ROUTER_KEYS[family["name"]]: value
+                for family in service.metrics.collect()
+                if family["name"] in ROUTER_KEYS
+                for _, value in family["samples"]
+            }
+        assert stats.restarts == 1
+        assert stats.deaths == 1
+        assert stats.live == 2
+        assert set(samples) == set(ROUTER_KEYS.values())
+        assert {key: router[key] for key in samples} == samples
+        assert router["n_shards"] == 2
+        assert "restarts 1" in stats.summary()
+
+
 class TestCrashFailover:
     def test_worker_crash_fails_over_and_restarts(
         self, slow_matcher, beer_dataset

@@ -257,7 +257,6 @@ class TestFailureLedger:
         )
         assert restored.entries == ledger.entries
         assert restored.count(KIND_CELL) == 1
-        assert restored.for_cell("S-BR", 1, METHOD_SINGLE) == ledger.entries
 
     def test_summary_counts_kinds(self):
         ledger = FailureLedger()

@@ -1,6 +1,6 @@
 """Import boundaries of ``src/repro``, checked by source walk and at run time.
 
-Two rules:
+Three rules:
 
 * Production modules never import the test doubles in ``repro.testing``.
   Fault injection lives outside the serving stack: a drill or test
@@ -12,8 +12,12 @@ Two rules:
   ``record_stability`` and ``EmbeddingMatcher._averaging_matrix``)
   import it inside the function.  An import under ``if TYPE_CHECKING:``
   never runs and is allowed.
+* Only ``repro/obs/metrics.py`` creates instruments.  Every other module
+  declares its counters as fields of a stats dataclass and binds them
+  through ``StatsInstruments``, so no module calls ``.counter(``,
+  ``.gauge(`` or ``.histogram(`` on a registry.
 
-Both walk every module under ``src/repro`` with :mod:`ast` and check
+All three walk every module under ``src/repro`` with :mod:`ast` and check
 that every import spelling is caught.  A runtime test then builds a
 shard in a fresh interpreter from the shard module, the module a pipe
 shard's fork server preloads, and asserts a module budget: the package
@@ -43,6 +47,8 @@ import pytest
 PACKAGE_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 FORBIDDEN = "repro.testing"
 DEFERRED = "scipy"
+INSTRUMENT_FACTORIES = {"counter", "gauge", "histogram"}
+METRICS_MODULE = "repro.obs.metrics"
 
 
 def _module_name(path: Path) -> str:
@@ -224,6 +230,66 @@ def test_deferred_and_neighbouring_scipy_imports_are_not_flagged(source):
         source, "repro.matchers.embedding", False, import_time_only=True
     )
     assert not any(_is_deferred(name) for name in imported)
+
+
+def _instrument_calls(source: str) -> list[str]:
+    """``line:name`` of every ``<expr>.counter/gauge/histogram(...)`` call."""
+    return [
+        f"{node.lineno}:{node.func.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in INSTRUMENT_FACTORIES
+    ]
+
+
+def test_only_the_metrics_module_creates_instruments():
+    modules = [
+        path for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        if _module_name(path) != METRICS_MODULE
+    ]
+    assert len(modules) > 50, "the walk found too few modules"
+    offenders = {
+        str(path.relative_to(PACKAGE_ROOT.parent)): calls
+        for path in modules
+        if (calls := _instrument_calls(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "registry.counter('repro_x_total', 'help')",
+        "self.metrics.gauge('repro_x', 'help', component='c')",
+        "registry.histogram('repro_x_seconds', 'help', buckets=(1.0,))",
+        "def f(self):\n    return self._registry().counter('repro_x')\n",
+        "class Bundle:\n    def __init__(self, r):\n"
+        "        self.x = r.histogram('repro_x')\n",
+        "make = lambda registry: registry.gauge('repro_x')",
+    ],
+    ids=["counter", "attribute-chain", "histogram-buckets", "call-result",
+         "method-body", "lambda"],
+)
+def test_every_instrument_creation_spelling_is_caught(source):
+    assert _instrument_calls(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from collections import Counter\ncounts = Counter('abc')",
+        "import itertools\nids = itertools.count(1)",
+        "self.requests.inc()",
+        "histogram.observe(0.5)",
+        "value = counter('repro_x')",
+        "kind = stats.counters",
+    ],
+    ids=["collections-counter", "itertools-count", "bound-instrument",
+         "observe", "bare-function", "attribute-read"],
+)
+def test_neighbouring_calls_are_not_flagged(source):
+    assert not _instrument_calls(source)
 
 
 SHARD_EXCLUDED = (
