@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.backends.client import RemoteBackend, RemoteBackendConfig
 from repro.backends.server import MatcherServer
+from repro.config import GuardConfig
 from repro.core.landmark import LandmarkExplainer
 from repro.core.serialize import dual_digest
 from repro.data.synthetic.magellan import load_dataset
@@ -169,8 +170,8 @@ def main(argv=None):
         args.size_cap, args.rounds = 300, 20
 
     config = RemoteBackendConfig(
-        connect_timeout=10.0, call_timeout=120.0, max_retries=1,
-        backoff=0.01, backoff_max=0.1,
+        connect_timeout=10.0, call_timeout=120.0,
+        guard=GuardConfig(max_retries=1, backoff=0.01, backoff_max=0.1),
     )
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     pairs = list(dataset)[: args.records]

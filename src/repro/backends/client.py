@@ -36,7 +36,7 @@ import socket
 import threading
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -105,18 +105,13 @@ class RemoteBackendConfig:
     #: Seconds one guarded round-trip may wait for its responses;
     #: ``None`` leaves only the ambient request deadline.
     call_timeout: float | None = 60.0
-    #: Re-dials/re-sends after a failed attempt (reconnect included).
-    max_retries: int = 2
     #: Window: wire requests in flight on the connection at once.
     max_in_flight: int = 8
-    #: Consecutive failed round-trips that trip the breaker.
-    trip_after: int = 5
-    #: Fast-failed calls while open before a half-open probe.
-    cooldown: int = 8
-    #: Backoff base / cap (seconds) between retries, and jitter seed.
-    backoff: float = 0.05
-    backoff_max: float = 2.0
-    seed: int = 0
+    #: Retry and breaker policy.  Its ``call_timeout`` must stay ``None``:
+    #: the client bounds the response wait itself (``call_timeout`` above,
+    #: no sacrificial thread per call), and the guard's thread-based
+    #: timeout would double-count it.
+    guard: GuardConfig = field(default_factory=lambda: GuardConfig(max_retries=2))
 
     def __post_init__(self) -> None:
         if self.connect_timeout <= 0:
@@ -131,27 +126,11 @@ class RemoteBackendConfig:
             raise ConfigurationError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}"
             )
-
-    def guard_config(self) -> GuardConfig:
-        """The retry/breaker policy, as the guard understands it.
-
-        ``call_timeout`` stays ``None`` here on purpose: the client
-        enforces its own response-wait timeout inline (no sacrificial
-        thread per call), and the guard's thread-based timeout would
-        double-count it.
-        """
-        return GuardConfig(
-            max_retries=self.max_retries,
-            call_timeout=None,
-            trip_after=self.trip_after,
-            cooldown=self.cooldown,
-            backoff=self.backoff,
-            backoff_max=self.backoff_max,
-            seed=self.seed,
-            # A transport fails on its own; the breaker must watch even
-            # when the caller asked for zero retries.
-            always_active=True,
-        )
+        if self.guard.call_timeout is not None:
+            raise ConfigurationError(
+                "guard.call_timeout must be None; the response wait is "
+                "RemoteBackendConfig.call_timeout"
+            )
 
 
 class _Pending:
@@ -280,7 +259,9 @@ class RemoteBackend(MatcherBackend):
         # Guard retries and trips export under the backend's own labels.
         self._guard = MatcherGuard(
             self._roundtrip,
-            config=self.config.guard_config(),
+            # A transport fails on its own; the breaker must watch even
+            # when the caller asked for zero retries.
+            config=replace(self.config.guard, always_active=True),
             instruments=StatsInstruments(
                 registry, GuardStats, **self._instruments.labels
             ),

@@ -1,13 +1,17 @@
-"""Mojito Drop (plain LIME on the pair) and Mojito Copy.
+"""Mojito Drop (plain LIME on the pair), Attribute Drop and Copy.
 
-Both baselines reuse the same generic perturbation explainer as Landmark
-Explanation (:class:`repro.explainers.lime_text.LimeTextExplainer`) — only
-their interpretable features and reconstruction differ:
+The three baselines reuse the same generic perturbation explainer as
+Landmark Explanation (:class:`repro.explainers.lime_text.LimeTextExplainer`)
+and share one skeleton, :class:`_MojitoExplainer`: its constructor, the
+per-pair RNG and the explain → :class:`PairExplanation` flow.  Each
+explainer keeps only what is its own — its interpretable features, its
+batch builder and how it spreads the fitted weights onto tokens:
 
 * **Drop** perturbs every token of both entities simultaneously.  This is
   the behaviour the paper criticizes: a perturbation can remove the same
   word from both sides at once (a *null perturbation*), and on non-match
   records nearly all perturbations stay non-matching.
+* **Attribute Drop** perturbs whole *(side, attribute)* cells.
 * **Copy** works at attribute granularity: deactivating interpretable
   feature *j* replaces the target side's attribute *j* with the source
   side's value.  The fitted attribute weight is then distributed equally
@@ -22,11 +26,13 @@ a transparent :data:`~repro.core.engine.ENGINE_OFF` engine otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.columnar import (
+    ColumnarPairBatch,
     mojito_attr_drop_batch,
     mojito_copy_batch,
     mojito_drop_batch,
@@ -41,7 +47,7 @@ from repro.explainers.base import Explanation
 from repro.core.engine import ENGINE_OFF, PredictionEngine
 from repro.explainers.lime_text import LimeConfig, LimeTextExplainer
 from repro.matchers.base import EntityMatcher
-from repro.text.tokenize import PrefixedToken, Tokenizer
+from repro.text.tokenize import Tokenizer
 
 _SIDES = ("left", "right")
 
@@ -98,10 +104,16 @@ class PairExplanation:
         return "\n".join(lines)
 
 
-class MojitoDropExplainer:
-    """Plain LIME over all tokens of both entities (the paper's "LIME")."""
+class _MojitoExplainer:
+    """The skeleton every Mojito explainer shares.
 
-    method = "mojito_drop"
+    A subclass names its method and supplies three steps: its
+    interpretable features (:meth:`_features`), the columnar batch a mask
+    matrix rebuilds (:meth:`_batch`) and the token entries its fitted
+    weights spread onto (:meth:`_entries`).
+    """
+
+    method: str
 
     def __init__(
         self,
@@ -119,38 +131,34 @@ class MojitoDropExplainer:
             engine if engine is not None else PredictionEngine(matcher, ENGINE_OFF)
         )
 
-    def _pair_tokens(self, pair: RecordPair) -> list[tuple[str, PrefixedToken]]:
-        """All (side, token) of the record, left side first."""
-        tokens: list[tuple[str, PrefixedToken]] = []
-        for side in _SIDES:
-            for token in self.tokenizer.tokenize_entity(pair.entity(side)):
-                tokens.append((side, token))
-        return tokens
+    def _features(self, pair: RecordPair) -> tuple[tuple[str, ...], Sequence]:
+        """The interpretable feature names and what each one perturbs."""
+        raise NotImplementedError
+
+    def _batch(
+        self, pair: RecordPair, features: Sequence, masks: np.ndarray
+    ) -> ColumnarPairBatch:
+        raise NotImplementedError
+
+    def _entries(
+        self, pair: RecordPair, features: Sequence, weights: np.ndarray
+    ) -> list[TokenEntry]:
+        raise NotImplementedError
 
     def explain(self, pair: RecordPair) -> PairExplanation:
-        tokens = self._pair_tokens(pair)
-        if not tokens:
-            raise ExplanationError(f"pair #{pair.pair_id} has no tokens")
-        feature_names = tuple(
-            f"{side}.{token.prefixed}" for side, token in tokens
-        )
+        names, features = self._features(pair)
+        if not names:
+            raise ExplanationError(
+                f"pair #{pair.pair_id} has nothing to perturb for {self.method}"
+            )
 
         def predict_masks(masks: np.ndarray) -> np.ndarray:
-            batch = mojito_drop_batch(pair, tokens, np.asarray(masks))
+            batch = self._batch(pair, features, np.asarray(masks))
             return self.engine.predict_columnar(batch)
 
         rng = _pair_rng(self.seed, self.method, pair.pair_id)
-        explanation = self.explainer.explain(feature_names, predict_masks, rng=rng)
-        entries = [
-            TokenEntry(
-                side=side,
-                attribute=token.attribute,
-                position=token.position,
-                word=token.word,
-                weight=float(weight),
-            )
-            for (side, token), weight in zip(tokens, explanation.weights)
-        ]
+        explanation = self.explainer.explain(names, predict_masks, rng=rng)
+        entries = self._entries(pair, features, explanation.weights)
         return PairExplanation(
             pair=pair,
             method=self.method,
@@ -159,7 +167,38 @@ class MojitoDropExplainer:
         )
 
 
-class MojitoAttributeDropExplainer:
+class MojitoDropExplainer(_MojitoExplainer):
+    """Plain LIME over all tokens of both entities (the paper's "LIME")."""
+
+    method = "mojito_drop"
+
+    def _features(self, pair):
+        """All (side, token) of the record, left side first."""
+        tokens = [
+            (side, token)
+            for side in _SIDES
+            for token in self.tokenizer.tokenize_entity(pair.entity(side))
+        ]
+        names = tuple(f"{side}.{token.prefixed}" for side, token in tokens)
+        return names, tokens
+
+    def _batch(self, pair, tokens, masks):
+        return mojito_drop_batch(pair, tokens, masks)
+
+    def _entries(self, pair, tokens, weights):
+        return [
+            TokenEntry(
+                side=side,
+                attribute=token.attribute,
+                position=token.position,
+                word=token.word,
+                weight=float(weight),
+            )
+            for (side, token), weight in zip(tokens, weights)
+        ]
+
+
+class MojitoAttributeDropExplainer(_MojitoExplainer):
     """Mojito's attribute-granular drop: deactivate whole attribute values.
 
     Mojito "exploits the subdivision of EM data into attributes": besides
@@ -172,46 +211,22 @@ class MojitoAttributeDropExplainer:
 
     method = "mojito_attr_drop"
 
-    def __init__(
-        self,
-        matcher: EntityMatcher,
-        lime_config: LimeConfig | None = None,
-        tokenizer: Tokenizer | None = None,
-        seed: int = 0,
-        engine: PredictionEngine | None = None,
-    ) -> None:
-        self.matcher = matcher
-        self.tokenizer = tokenizer or Tokenizer()
-        self.explainer = LimeTextExplainer(lime_config)
-        self.seed = seed
-        self.engine = (
-            engine if engine is not None else PredictionEngine(matcher, ENGINE_OFF)
-        )
-
-    def _cells(self, pair: RecordPair) -> list[tuple[str, str]]:
+    def _features(self, pair):
         """Non-empty (side, attribute) cells, left side first."""
-        cells = []
-        for side in _SIDES:
-            for attribute in pair.schema.attributes:
-                if pair.entity(side)[attribute]:
-                    cells.append((side, attribute))
-        return cells
+        cells = [
+            (side, attribute)
+            for side in _SIDES
+            for attribute in pair.schema.attributes
+            if pair.entity(side)[attribute]
+        ]
+        return tuple(f"{side}.{attribute}" for side, attribute in cells), cells
 
-    def explain(self, pair: RecordPair) -> PairExplanation:
-        cells = self._cells(pair)
-        if not cells:
-            raise ExplanationError(f"pair #{pair.pair_id} has no attribute values")
-        feature_names = tuple(f"{side}.{attribute}" for side, attribute in cells)
+    def _batch(self, pair, cells, masks):
+        return mojito_attr_drop_batch(pair, cells, masks)
 
-        def predict_masks(masks: np.ndarray) -> np.ndarray:
-            batch = mojito_attr_drop_batch(pair, cells, np.asarray(masks))
-            return self.engine.predict_columnar(batch)
-
-        rng = _pair_rng(self.seed, self.method, pair.pair_id)
-        explanation = self.explainer.explain(feature_names, predict_masks, rng=rng)
-
+    def _entries(self, pair, cells, weights):
         entries: list[TokenEntry] = []
-        for (side, attribute), weight in zip(cells, explanation.weights):
+        for (side, attribute), weight in zip(cells, weights):
             tokens = self.tokenizer.tokenize_value(
                 attribute, pair.entity(side)[attribute]
             )
@@ -228,15 +243,10 @@ class MojitoAttributeDropExplainer:
                 )
                 for token in tokens
             )
-        return PairExplanation(
-            pair=pair,
-            method=self.method,
-            explanation=explanation,
-            token_weights=PairTokenWeights(pair, entries),
-        )
+        return entries
 
 
-class MojitoCopyExplainer:
+class MojitoCopyExplainer(_MojitoExplainer):
     """Mojito's COPY perturbation: attribute-level substitution.
 
     Interpretable feature *j* = "attribute *j* of the target side keeps its
@@ -261,54 +271,37 @@ class MojitoCopyExplainer:
             raise ConfigurationError(
                 f"copy_from must be 'left' or 'right', got {copy_from!r}"
             )
-        self.matcher = matcher
-        self.tokenizer = tokenizer or Tokenizer()
-        self.explainer = LimeTextExplainer(lime_config)
+        super().__init__(matcher, lime_config, tokenizer, seed, engine)
         self.copy_from = copy_from
-        self.seed = seed
-        self.engine = (
-            engine if engine is not None else PredictionEngine(matcher, ENGINE_OFF)
-        )
 
     @property
     def copy_to(self) -> str:
         return "right" if self.copy_from == "left" else "left"
 
-    def explain(self, pair: RecordPair) -> PairExplanation:
+    def _features(self, pair):
         attributes = pair.schema.attributes
+        return attributes, attributes
 
-        def predict_masks(masks: np.ndarray) -> np.ndarray:
-            batch = mojito_copy_batch(pair, self.copy_from, np.asarray(masks))
-            return self.engine.predict_columnar(batch)
+    def _batch(self, pair, attributes, masks):
+        return mojito_copy_batch(pair, self.copy_from, masks)
 
-        rng = _pair_rng(self.seed, self.method, pair.pair_id)
-        explanation = self.explainer.explain(attributes, predict_masks, rng=rng)
-
+    def _entries(self, pair, attributes, weights):
         # Mojito "treats attributes atomically, distributing its impact
         # equally to its constituent tokens": every token of an attribute
         # carries the attribute's full weight ("the tokens of the replaced
         # attribute have the same weights" — paper Sec. 4.2.1), which is
         # what wrecks its token-removal accuracy in Table 2b.
-        entries: list[TokenEntry] = []
-        weight_of_attribute = dict(zip(attributes, explanation.weights))
-        for attribute in attributes:
-            attribute_weight = float(weight_of_attribute[attribute])
-            for side in _SIDES:
-                for token in self.tokenizer.tokenize_value(
-                    attribute, pair.entity(side)[attribute]
-                ):
-                    entries.append(
-                        TokenEntry(
-                            side=side,
-                            attribute=attribute,
-                            position=token.position,
-                            word=token.word,
-                            weight=attribute_weight,
-                        )
-                    )
-        return PairExplanation(
-            pair=pair,
-            method=self.method,
-            explanation=explanation,
-            token_weights=PairTokenWeights(pair, entries),
-        )
+        return [
+            TokenEntry(
+                side=side,
+                attribute=attribute,
+                position=token.position,
+                word=token.word,
+                weight=float(weight),
+            )
+            for attribute, weight in zip(attributes, weights)
+            for side in _SIDES
+            for token in self.tokenizer.tokenize_value(
+                attribute, pair.entity(side)[attribute]
+            )
+        ]

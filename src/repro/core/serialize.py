@@ -67,8 +67,19 @@ def _pair_from_dict(payload: dict) -> RecordPair:
     )
 
 
+def _explanation_to_dict(explanation: Explanation) -> dict:
+    return {
+        "weights": [float(weight) for weight in explanation.weights],
+        "intercept": explanation.intercept,
+        "score": explanation.score,
+        "model_probability": explanation.model_probability,
+        "surrogate_probability": explanation.surrogate_probability,
+        "n_samples": explanation.n_samples,
+        "metadata": _jsonable(explanation.metadata),
+    }
+
+
 def _side_to_dict(side: LandmarkExplanation) -> dict:
-    explanation = side.explanation
     return {
         "landmark_side": side.landmark_side,
         "generation": side.generation,
@@ -78,15 +89,7 @@ def _side_to_dict(side: LandmarkExplanation) -> dict:
             for token in side.instance.tokens
         ],
         "injected": list(side.instance.injected),
-        "explanation": {
-            "weights": [float(weight) for weight in explanation.weights],
-            "intercept": explanation.intercept,
-            "score": explanation.score,
-            "model_probability": explanation.model_probability,
-            "surrogate_probability": explanation.surrogate_probability,
-            "n_samples": explanation.n_samples,
-            "metadata": _jsonable(explanation.metadata),
-        },
+        "explanation": _explanation_to_dict(side.explanation),
     }
 
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from repro.core.generation import GeneratedInstance
 from repro.core.reconstruction import DatasetReconstructor
-from repro.exceptions import ConfigurationError, ExplanationError
-from repro.explainers.lime_text import PredictMasksFn
+from repro.exceptions import ConfigurationError
+from repro.explainers.base import PredictMasksFn, checked_names, checked_predict
 from repro.matchers.base import DEFAULT_THRESHOLD, EntityMatcher
 
 
@@ -101,7 +101,7 @@ class AnchorsTextExplainer:
     ) -> float:
         masks = (rng.random((self.n_samples_per_candidate, d)) < 0.5).astype(np.int8)
         masks[:, list(anchor)] = 1
-        probabilities = np.asarray(predict_masks(masks), dtype=np.float64)
+        probabilities = checked_predict(predict_masks, masks)
         classes = (probabilities >= threshold).astype(int)
         return float(np.mean(classes == predicted_class))
 
@@ -115,14 +115,12 @@ class AnchorsTextExplainer:
         """Find an anchor for the model's prediction on the full instance."""
         if rng is None:
             rng = np.random.default_rng(self.seed)
-        names = tuple(feature_names)
-        if not names:
-            raise ExplanationError("cannot explain an instance with zero features")
+        names = checked_names(feature_names)
         d = len(names)
         calls = 0
 
         full_mask = np.ones((1, d), dtype=np.int8)
-        p_full = float(np.asarray(predict_masks(full_mask))[0])
+        p_full = float(checked_predict(predict_masks, full_mask)[0])
         calls += 1
         predicted_class = int(p_full >= threshold)
 

@@ -1,18 +1,58 @@
-"""The :class:`Explanation` container returned by every explainer.
+"""What every explainer shares: its interface, its input checks and the
+:class:`Explanation` container.
 
 An explanation is the fitted surrogate read back as data: one weight per
 interpretable feature, plus enough diagnostics (surrogate R², black-box and
 surrogate probabilities at the original instance) to judge how much to
 trust it.
+
+Every explainer takes ``(feature_names, predict_masks, rng)``;
+:func:`checked_names` and :func:`checked_predict` guard both inputs the
+same way for all of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.exceptions import ExplanationError
+
+#: A function mapping a (n_samples, n_tokens) binary mask matrix to the
+#: black-box match probability of each reconstructed instance.
+PredictMasksFn = Callable[[np.ndarray], np.ndarray]
+
+
+def checked_names(feature_names: Sequence[str]) -> tuple[str, ...]:
+    """The interpretable feature names as a tuple: non-empty and unique."""
+    names = tuple(feature_names)
+    if not names:
+        raise ExplanationError("cannot explain an instance with zero features")
+    if len(set(names)) != len(names):
+        raise ExplanationError("interpretable feature names must be unique")
+    return names
+
+
+def checked_predict(predict_masks: PredictMasksFn, masks: np.ndarray) -> np.ndarray:
+    """One finite probability per mask row, or :class:`ExplanationError`.
+
+    A surrogate fit (or an anchor's precision) over NaN or infinite
+    probabilities would silently produce garbage, so it is refused here.
+    """
+    probabilities = np.asarray(predict_masks(masks), dtype=np.float64)
+    if probabilities.shape != (masks.shape[0],):
+        raise ExplanationError(
+            f"predict_masks returned shape {probabilities.shape}, "
+            f"expected ({masks.shape[0]},)"
+        )
+    if not np.all(np.isfinite(probabilities)):
+        raise ExplanationError(
+            "black-box model returned non-finite probabilities; the "
+            "explanation would silently be garbage"
+        )
+    return probabilities
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,13 @@ from math import comb
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ExplanationError
-from repro.explainers.base import Explanation
-from repro.explainers.lime_text import PredictMasksFn
+from repro.exceptions import ConfigurationError
+from repro.explainers.base import (
+    Explanation,
+    PredictMasksFn,
+    checked_names,
+    checked_predict,
+)
 from repro.obs.tracing import trace
 from repro.surrogate.linear_model import WeightedRidge
 
@@ -93,23 +97,10 @@ class KernelShapExplainer:
         """Explain one instance; mirrors :class:`LimeTextExplainer.explain`."""
         if rng is None:
             rng = np.random.default_rng(self.seed)
-        names = tuple(feature_names)
-        if not names:
-            raise ExplanationError("cannot explain an instance with zero features")
-        if len(set(names)) != len(names):
-            raise ExplanationError("interpretable feature names must be unique")
+        names = checked_names(feature_names)
 
         masks = self._sample_masks(len(names), rng)
-        probabilities = np.asarray(predict_masks(masks), dtype=np.float64)
-        if probabilities.shape != (masks.shape[0],):
-            raise ExplanationError(
-                f"predict_masks returned shape {probabilities.shape}, "
-                f"expected ({masks.shape[0]},)"
-            )
-        if not np.all(np.isfinite(probabilities)):
-            raise ExplanationError(
-                "black-box model returned non-finite probabilities"
-            )
+        probabilities = checked_predict(predict_masks, masks)
         with trace.span(
             "surrogate_fit",
             surrogate="kernel_shap",

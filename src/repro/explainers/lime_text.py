@@ -11,61 +11,45 @@ the Mojito baselines.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ExplanationError
-from repro.explainers.base import Explanation
+from repro.exceptions import ConfigurationError
+from repro.explainers.base import (
+    Explanation,
+    PredictMasksFn,
+    checked_names,
+    checked_predict,
+)
 from repro.explainers.perturbation import sample_masks
 from repro.obs.tracing import trace
-from repro.surrogate.feature_selection import forward_selection, highest_weights
 from repro.surrogate.kernels import (
     DEFAULT_KERNEL_WIDTH,
     cosine_distance_to_ones,
     exponential_kernel,
 )
-from repro.surrogate.linear_model import WeightedLasso, WeightedRidge
-
-#: A function mapping a (n_samples, n_tokens) binary mask matrix to the
-#: black-box match probability of each reconstructed instance.
-PredictMasksFn = Callable[[np.ndarray], np.ndarray]
+from repro.surrogate.linear_model import WeightedRidge
 
 
 @dataclass(frozen=True)
 class LimeConfig:
     """Hyper-parameters of the surrogate fit.
 
-    ``n_samples`` is the perturbation budget (model calls per explanation);
-    ``num_features`` restricts the surrogate to that many tokens (``None``
-    keeps all — the paper's evaluations need a weight for *every* token).
+    ``n_samples`` is the perturbation budget (model calls per explanation).
+    The surrogate is a weighted ridge over *every* token: the paper's
+    evaluations need a weight for each one.
     """
 
     n_samples: int = 256
     kernel_width: float = DEFAULT_KERNEL_WIDTH
-    surrogate: str = "ridge"
     alpha: float = 1.0
-    num_features: int | None = None
-    selection: str = "highest_weights"
     seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_samples < 2:
             raise ConfigurationError(f"n_samples must be >= 2, got {self.n_samples}")
-        if self.surrogate not in ("ridge", "lasso"):
-            raise ConfigurationError(
-                f"surrogate must be 'ridge' or 'lasso', got {self.surrogate!r}"
-            )
-        if self.selection not in ("highest_weights", "forward_selection"):
-            raise ConfigurationError(
-                "selection must be 'highest_weights' or 'forward_selection', "
-                f"got {self.selection!r}"
-            )
-        if self.num_features is not None and self.num_features < 1:
-            raise ConfigurationError(
-                f"num_features must be >= 1 or None, got {self.num_features}"
-            )
 
 
 class LimeTextExplainer:
@@ -91,79 +75,32 @@ class LimeTextExplainer:
         config = self.config
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        names = tuple(feature_names)
-        if len(set(names)) != len(names):
-            raise ExplanationError("interpretable feature names must be unique")
-        if not names:
-            raise ExplanationError("cannot explain an instance with zero features")
+        names = checked_names(feature_names)
+        d = len(names)
 
-        masks = sample_masks(len(names), config.n_samples, rng)
-        probabilities = np.asarray(predict_masks(masks), dtype=np.float64)
-        if probabilities.shape != (masks.shape[0],):
-            raise ExplanationError(
-                f"predict_masks returned shape {probabilities.shape}, "
-                f"expected ({masks.shape[0]},)"
-            )
-        if not np.all(np.isfinite(probabilities)):
-            raise ExplanationError(
-                "black-box model returned non-finite probabilities; the "
-                "surrogate fit would silently produce garbage weights"
-            )
+        masks = sample_masks(d, config.n_samples, rng)
+        probabilities = checked_predict(predict_masks, masks)
 
         with trace.span(
             "surrogate_fit",
-            surrogate=config.surrogate,
+            surrogate="ridge",
             n_samples=int(masks.shape[0]),
-            n_features=len(names),
+            n_features=d,
         ):
             distances = cosine_distance_to_ones(masks)
             sample_weights = exponential_kernel(distances, config.kernel_width)
-
-            features = masks.astype(np.float64)
-            selected = np.arange(len(names))
-            if config.num_features is not None and config.num_features < len(names):
-                if config.selection == "highest_weights":
-                    selected = highest_weights(
-                        features, probabilities, sample_weights,
-                        config.num_features, config.alpha,
-                    )
-                else:
-                    selected = forward_selection(
-                        features, probabilities, sample_weights,
-                        config.num_features, config.alpha,
-                    )
-
-            if config.surrogate == "ridge":
-                model = WeightedRidge(alpha=config.alpha)
-            else:
-                model = WeightedLasso(alpha=config.alpha)
-            model.fit(features[:, selected], probabilities, sample_weights)
+            # Column-major: the ridge's matmuls round differently on a
+            # row-major copy, and stored weights were fitted on this one.
+            features = masks.astype(np.float64, order="F")
+            model = WeightedRidge(alpha=config.alpha)
+            model.fit(features, probabilities, sample_weights)
             assert model.coef_ is not None
-
-            weights = np.zeros(len(names))
-            weights[selected] = model.coef_
-            surrogate_at_original = float(
-                np.ones(len(selected)) @ model.coef_ + model.intercept_
-            )
-            if isinstance(model, WeightedRidge):
-                score = model.score(
-                    features[:, selected], probabilities, sample_weights
-                )
-            else:
-                residual = probabilities - model.predict(features[:, selected])
-                mean = float(
-                    (sample_weights * probabilities).sum() / sample_weights.sum()
-                )
-                total = float(np.sum(sample_weights * (probabilities - mean) ** 2))
-                score = (
-                    1.0 - float(np.sum(sample_weights * residual**2)) / total
-                    if total > 0
-                    else 1.0
-                )
+            surrogate_at_original = float(np.ones(d) @ model.coef_ + model.intercept_)
+            score = model.score(features, probabilities, sample_weights)
 
         return Explanation(
             feature_names=names,
-            weights=weights,
+            weights=model.coef_,
             intercept=float(model.intercept_),
             score=float(score),
             model_probability=float(probabilities[0]),
@@ -171,7 +108,7 @@ class LimeTextExplainer:
             n_samples=config.n_samples,
             metadata={
                 "kernel_width": config.kernel_width,
-                "surrogate": config.surrogate,
-                "selected": [int(index) for index in selected],
+                "surrogate": "ridge",
+                "selected": list(range(d)),
             },
         )

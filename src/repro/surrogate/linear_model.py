@@ -1,12 +1,11 @@
-"""Weighted linear surrogates: ridge (closed form) and lasso (CD).
+"""The weighted linear surrogate: closed-form ridge regression.
 
-Both models minimize a sample-weighted squared loss plus a penalty::
+The model minimizes a sample-weighted squared loss plus a penalty::
 
-    ridge:  Σᵢ wᵢ (yᵢ − β₀ − xᵢβ)²  +  α ‖β‖²
-    lasso:  Σᵢ wᵢ (yᵢ − β₀ − xᵢβ)²  +  α ‖β‖₁
+    Σᵢ wᵢ (yᵢ − β₀ − xᵢβ)²  +  α ‖β‖²
 
-The intercept is never penalized.  These are the "surrogate model creation"
-blocks of the explainer pipeline: coefficients of the fitted model *are* the
+The intercept is never penalized.  This is the "surrogate model creation"
+block of the explainer pipeline: coefficients of the fitted model *are* the
 explanation.
 """
 
@@ -112,86 +111,3 @@ class WeightedRidge:
         if total == 0.0:
             return 1.0 if residual == 0.0 else 0.0
         return 1.0 - residual / total
-
-
-class WeightedLasso:
-    """Sample-weighted lasso via cyclic coordinate descent.
-
-    Soft-thresholding updates on the weighted residuals; converges quickly
-    on the small design matrices perturbation explainers produce (hundreds
-    of samples × tens-to-hundreds of tokens).
-    """
-
-    def __init__(
-        self, alpha: float = 0.01, max_iter: int = 500, tol: float = 1e-7
-    ) -> None:
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.alpha = alpha
-        self.max_iter = max_iter
-        self.tol = tol
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-        self.n_iter_: int = 0
-
-    def fit(
-        self,
-        features: np.ndarray,
-        target: np.ndarray,
-        sample_weights: np.ndarray | None = None,
-    ) -> "WeightedLasso":
-        features, target, sample_weights = _check_inputs(
-            features, target, sample_weights
-        )
-        n_features = features.shape[1]
-        if n_features == 0:
-            self.coef_ = np.empty(0)
-            total = sample_weights.sum()
-            self.intercept_ = float(
-                (sample_weights * target).sum() / total if total > 0 else 0.0
-            )
-            return self
-        total = sample_weights.sum()
-        if total <= 0:
-            raise ValueError("sample_weights sum to zero")
-        feature_means = (sample_weights[:, None] * features).sum(axis=0) / total
-        target_mean = float((sample_weights * target).sum() / total)
-        centred = features - feature_means
-        response = target - target_mean
-
-        weighted_sq = (sample_weights[:, None] * centred * centred).sum(axis=0)
-        coef = np.zeros(n_features)
-        residual = response.copy()
-        self.n_iter_ = 0
-        for self.n_iter_ in range(1, self.max_iter + 1):
-            max_delta = 0.0
-            for j in range(n_features):
-                if weighted_sq[j] == 0.0:
-                    continue
-                column = centred[:, j]
-                rho = float(
-                    np.sum(sample_weights * column * (residual + coef[j] * column))
-                )
-                # Soft threshold at alpha (the L1 subgradient condition).
-                if rho > self.alpha:
-                    new_coef = (rho - self.alpha) / weighted_sq[j]
-                elif rho < -self.alpha:
-                    new_coef = (rho + self.alpha) / weighted_sq[j]
-                else:
-                    new_coef = 0.0
-                delta = new_coef - coef[j]
-                if delta != 0.0:
-                    residual -= delta * column
-                    coef[j] = new_coef
-                    max_delta = max(max_delta, abs(delta))
-            if max_delta < self.tol:
-                break
-        self.coef_ = coef
-        self.intercept_ = target_mean - float(feature_means @ coef)
-        return self
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        if self.coef_ is None:
-            raise ModelNotFittedError("WeightedLasso used before fit()")
-        features = np.asarray(features, dtype=np.float64)
-        return features @ self.coef_ + self.intercept_

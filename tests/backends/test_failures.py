@@ -19,6 +19,7 @@ import pytest
 
 from repro.backends.client import RemoteBackend, RemoteBackendConfig
 from repro.backends.server import MatcherServer
+from repro.config import GuardConfig
 from repro.exceptions import (
     BackendProtocolError,
     BackendUnavailableError,
@@ -38,13 +39,13 @@ def _free_port() -> int:
         return probe.getsockname()[1]
 
 
-def _config(**overrides) -> RemoteBackendConfig:
-    base = dict(
-        connect_timeout=1.0, call_timeout=5.0, max_retries=0,
-        backoff=0.01, backoff_max=0.02, trip_after=100,
+def _config(call_timeout: float = 5.0, **guard) -> RemoteBackendConfig:
+    policy = dict(max_retries=0, backoff=0.01, backoff_max=0.02, trip_after=100)
+    policy.update(guard)
+    return RemoteBackendConfig(
+        connect_timeout=1.0, call_timeout=call_timeout,
+        guard=GuardConfig(**policy),
     )
-    base.update(overrides)
-    return RemoteBackendConfig(**base)
 
 
 @contextlib.contextmanager

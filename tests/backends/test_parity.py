@@ -15,6 +15,7 @@ import pytest
 
 from repro.backends.client import RemoteBackend, RemoteBackendConfig
 from repro.backends.server import MatcherServer
+from repro.config import GuardConfig
 from repro.core.landmark import LandmarkExplainer
 from repro.core.serialize import dual_digest, dual_to_dict
 from repro.explainers.lime_text import LimeConfig
@@ -37,8 +38,8 @@ MATCHER_TYPES = {
 }
 
 CONFIG = RemoteBackendConfig(
-    connect_timeout=5.0, call_timeout=60.0, max_retries=1,
-    backoff=0.01, backoff_max=0.05,
+    connect_timeout=5.0, call_timeout=60.0,
+    guard=GuardConfig(max_retries=1, backoff=0.01, backoff_max=0.05),
 )
 
 

@@ -15,6 +15,7 @@ from repro.backends.client import (
     parse_address,
 )
 from repro.backends.server import MatcherServer
+from repro.config import GuardConfig
 from repro.core.columnar import ColumnarPairBatch, ValueColumn
 from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import BackendProtocolError, ConfigurationError
@@ -22,8 +23,8 @@ from repro.obs.metrics import MetricsRegistry
 
 #: Client config tuned for tests: fast failure, no long waits.
 FAST_CONFIG = RemoteBackendConfig(
-    connect_timeout=2.0, call_timeout=10.0, max_retries=1,
-    backoff=0.01, backoff_max=0.05,
+    connect_timeout=2.0, call_timeout=10.0,
+    guard=GuardConfig(max_retries=1, backoff=0.01, backoff_max=0.05),
 )
 
 
@@ -82,6 +83,21 @@ class TestParseAddress:
         for bad in ("no-port", "host:", ":1234", 17, "host:port"):
             with pytest.raises(ConfigurationError):
                 parse_address(bad)
+
+
+class TestConfig:
+    def test_default_guard_policy_and_refused_guard_timeout(self):
+        backend = RemoteBackend(("127.0.0.1", 1))
+        try:
+            # The policy the client ran before the guard knobs nested.
+            assert backend._guard.config == GuardConfig(
+                max_retries=2, call_timeout=None, trip_after=5, cooldown=8,
+                backoff=0.05, backoff_max=2.0, seed=0, always_active=True,
+            )
+        finally:
+            backend.close()
+        with pytest.raises(ConfigurationError, match="guard.call_timeout"):
+            RemoteBackendConfig(guard=GuardConfig(call_timeout=1.0))
 
 
 class TestHandshake:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.backends.client import RemoteBackend, RemoteBackendConfig
 from repro.backends.server import MatcherServer
-from repro.config import ServiceConfig, ShardConfig
+from repro.config import GuardConfig, ServiceConfig, ShardConfig
 from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import (
     ArtifactMismatchError,
@@ -37,8 +37,8 @@ FAST_SHARDS = dict(
 )
 
 CONFIG = RemoteBackendConfig(
-    connect_timeout=5.0, call_timeout=60.0, max_retries=1,
-    backoff=0.01, backoff_max=0.05,
+    connect_timeout=5.0, call_timeout=60.0,
+    guard=GuardConfig(max_retries=1, backoff=0.01, backoff_max=0.05),
 )
 
 
@@ -136,8 +136,10 @@ class TestServiceHealth:
             backend = RemoteBackend(
                 server.address,
                 config=RemoteBackendConfig(
-                    connect_timeout=2.0, call_timeout=5.0, max_retries=0,
-                    backoff=0.01, backoff_max=0.02, trip_after=1, cooldown=2,
+                    connect_timeout=2.0, call_timeout=5.0,
+                    guard=GuardConfig(
+                        backoff=0.01, backoff_max=0.02, trip_after=1, cooldown=2
+                    ),
                 ),
             )
             with ExplanationService(backend) as service:

@@ -212,14 +212,14 @@ class TestLandmarkMaskReference:
 
 def _mojito_cases(matcher, pair):
     """``(name, batch, reference pairs)`` for every Mojito batch builder."""
-    tokens = MojitoDropExplainer(matcher)._pair_tokens(pair)
+    _, tokens = MojitoDropExplainer(matcher)._features(pair)
     masks = seeded_masks(len(tokens), seed=1)
     yield (
         "drop",
         mojito_drop_batch(pair, tokens, masks),
         [mojito_drop_pair(pair, tokens, row) for row in masks],
     )
-    cells = MojitoAttributeDropExplainer(matcher)._cells(pair)
+    _, cells = MojitoAttributeDropExplainer(matcher)._features(pair)
     masks = seeded_masks(len(cells), seed=2)
     yield (
         "attr_drop",
@@ -261,21 +261,14 @@ class TestMojitoMaskReference:
 
 def _mojito_reference_weights(explainer, matcher, pair) -> np.ndarray:
     """Surrogate weights of *explainer* on *pair*, masks scored per row."""
+    names, features = explainer._features(pair)
     if isinstance(explainer, MojitoDropExplainer):
-        tokens = explainer._pair_tokens(pair)
-        names = tuple(f"{side}.{token.prefixed}" for side, token in tokens)
-
         def rebuild(row):
-            return mojito_drop_pair(pair, tokens, row)
+            return mojito_drop_pair(pair, features, row)
     elif isinstance(explainer, MojitoAttributeDropExplainer):
-        cells = explainer._cells(pair)
-        names = tuple(f"{side}.{attribute}" for side, attribute in cells)
-
         def rebuild(row):
-            return mojito_attr_drop_pair(pair, cells, row)
+            return mojito_attr_drop_pair(pair, features, row)
     else:
-        names = pair.schema.attributes
-
         def rebuild(row):
             return mojito_copy_pair(pair, explainer.copy_from, row)
 

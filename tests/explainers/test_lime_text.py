@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ExplanationError
+from repro.explainers.anchors import AnchorsTextExplainer
+from repro.explainers.kernel_shap import KernelShapExplainer
 from repro.explainers.lime_text import LimeConfig, LimeTextExplainer
 
 
@@ -28,18 +30,6 @@ class TestConfigValidation:
     def test_bad_n_samples(self):
         with pytest.raises(ConfigurationError):
             LimeConfig(n_samples=1)
-
-    def test_bad_surrogate(self):
-        with pytest.raises(ConfigurationError):
-            LimeConfig(surrogate="svm")
-
-    def test_bad_selection(self):
-        with pytest.raises(ConfigurationError):
-            LimeConfig(selection="magic")
-
-    def test_bad_num_features(self):
-        with pytest.raises(ConfigurationError):
-            LimeConfig(num_features=0)
 
 
 class TestRecovery:
@@ -69,49 +59,35 @@ class TestRecovery:
         explanation = explainer.explain(NAMES, linear_black_box(coef))
         assert explanation.score > 0.99
 
-    def test_lasso_surrogate_sparsifies(self):
-        coef = np.array([0.5, 0.0, 0.0, 0.0])
-        explainer = LimeTextExplainer(
-            LimeConfig(n_samples=512, surrogate="lasso", alpha=2.0, seed=0)
-        )
-        explanation = explainer.explain(NAMES, linear_black_box(coef))
-        assert abs(explanation.weights[0]) > 0.1
-        assert np.allclose(explanation.weights[1:], 0.0, atol=0.02)
-
-    def test_num_features_restricts_support(self):
-        coef = np.array([0.5, -0.4, 0.01, 0.01])
-        explainer = LimeTextExplainer(
-            LimeConfig(n_samples=512, num_features=2, seed=0)
-        )
-        explanation = explainer.explain(NAMES, linear_black_box(coef))
-        nonzero = np.flatnonzero(explanation.weights)
-        assert set(nonzero) == {0, 1}
-
-    def test_forward_selection_path(self):
-        coef = np.array([0.5, -0.4, 0.0, 0.0])
-        explainer = LimeTextExplainer(
-            LimeConfig(n_samples=256, num_features=2, selection="forward_selection", seed=0)
-        )
-        explanation = explainer.explain(NAMES, linear_black_box(coef))
-        nonzero = set(np.flatnonzero(explanation.weights))
-        assert nonzero == {0, 1}
+#: Every explainer with the ``explain(feature_names, predict_masks, rng)``
+#: interface guards its inputs through one shared check.
+EXPLAINERS = {
+    "lime": lambda: LimeTextExplainer(LimeConfig(n_samples=8, seed=0)),
+    "shap": lambda: KernelShapExplainer(n_samples=8, seed=0),
+    "anchors": lambda: AnchorsTextExplainer(n_samples_per_candidate=4, seed=0),
+}
 
 
 class TestContract:
-    def test_duplicate_names_rejected(self):
-        explainer = LimeTextExplainer(LimeConfig(n_samples=8, seed=0))
+    @pytest.mark.parametrize("kind", EXPLAINERS)
+    def test_duplicate_names_rejected(self, kind):
         with pytest.raises(ExplanationError):
-            explainer.explain(("a", "a"), linear_black_box([0.1, 0.1]))
+            EXPLAINERS[kind]().explain(("a", "a"), linear_black_box([0.1, 0.1]))
 
-    def test_empty_names_rejected(self):
-        explainer = LimeTextExplainer(LimeConfig(n_samples=8, seed=0))
+    @pytest.mark.parametrize("kind", EXPLAINERS)
+    def test_empty_names_rejected(self, kind):
         with pytest.raises(ExplanationError):
-            explainer.explain((), lambda masks: np.zeros(len(masks)))
+            EXPLAINERS[kind]().explain((), lambda masks: np.zeros(len(masks)))
 
-    def test_bad_prediction_shape_rejected(self):
-        explainer = LimeTextExplainer(LimeConfig(n_samples=8, seed=0))
+    @pytest.mark.parametrize(
+        "bad_box",
+        [lambda masks: np.zeros(3), lambda masks: np.zeros((len(masks), 2))],
+        ids=["wrong_length", "two_dimensional"],
+    )
+    @pytest.mark.parametrize("kind", EXPLAINERS)
+    def test_bad_prediction_shape_rejected(self, kind, bad_box):
         with pytest.raises(ExplanationError):
-            explainer.explain(("a", "b"), lambda masks: np.zeros(3))
+            EXPLAINERS[kind]().explain(("a", "b"), bad_box)
 
     def test_deterministic_given_seed(self):
         coef = np.array([0.3, -0.1, 0.2, 0.0])

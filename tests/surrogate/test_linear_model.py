@@ -1,4 +1,4 @@
-"""Tests for the weighted ridge / lasso surrogates."""
+"""Tests for the weighted ridge surrogate."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelNotFittedError
-from repro.surrogate.linear_model import WeightedLasso, WeightedRidge
+from repro.surrogate.linear_model import WeightedRidge
 
 
 def linear_problem(seed=0, n=200, d=5, noise=0.01):
@@ -90,53 +90,8 @@ class TestWeightedRidge:
         assert np.allclose(moments, 0.0, atol=1e-6)
 
 
-class TestWeightedLasso:
-    def test_recovers_sparse_signal(self):
-        rng = np.random.default_rng(1)
-        features = rng.normal(size=(300, 8))
-        coef = np.zeros(8)
-        coef[2] = 3.0
-        coef[5] = -2.0
-        target = features @ coef + 0.01 * rng.normal(size=300)
-        model = WeightedLasso(alpha=1.0).fit(features, target)
-        assert abs(model.coef_[2] - 3.0) < 0.1
-        assert abs(model.coef_[5] + 2.0) < 0.1
-
-    def test_large_alpha_zeroes_everything(self):
-        features, target, *_ = linear_problem()
-        model = WeightedLasso(alpha=1e6).fit(features, target)
-        assert np.allclose(model.coef_, 0.0)
-
-    def test_sparsity_increases_with_alpha(self):
-        rng = np.random.default_rng(2)
-        features = rng.normal(size=(120, 10))
-        target = features @ rng.normal(size=10) * 0.2 + rng.normal(size=120)
-        small = WeightedLasso(alpha=0.1).fit(features, target)
-        large = WeightedLasso(alpha=50.0).fit(features, target)
-        assert np.sum(large.coef_ == 0) >= np.sum(small.coef_ == 0)
-
-    def test_matches_ridge_at_zero_penalty(self):
-        features, target, *_ = linear_problem(noise=0.0)
-        lasso = WeightedLasso(alpha=0.0, max_iter=2000).fit(features, target)
-        ridge = WeightedRidge(alpha=1e-10).fit(features, target)
-        assert np.allclose(lasso.coef_, ridge.coef_, atol=1e-4)
-
-    def test_converges_before_budget(self):
-        features, target, *_ = linear_problem(n=80, d=4)
-        model = WeightedLasso(alpha=0.5, max_iter=500).fit(features, target)
-        assert model.n_iter_ < 500
-
-    def test_predict_before_fit(self):
-        with pytest.raises(ModelNotFittedError):
-            WeightedLasso().predict(np.zeros((1, 2)))
-
-    def test_zero_features(self):
-        model = WeightedLasso().fit(np.empty((3, 0)), np.array([2.0, 4, 6]))
-        assert model.intercept_ == pytest.approx(4.0)
-
-
 class TestInputValidation:
-    @pytest.mark.parametrize("model_cls", [WeightedRidge, WeightedLasso])
+    @pytest.mark.parametrize("model_cls", [WeightedRidge])
     def test_dimension_checks(self, model_cls):
         with pytest.raises(ValueError):
             model_cls().fit(np.zeros(5), np.zeros(5))  # 1-D features

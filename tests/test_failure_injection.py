@@ -14,6 +14,7 @@ import pytest
 from repro.core.landmark import LandmarkExplainer
 from repro.data.records import EMDataset
 from repro.exceptions import ExplanationError
+from repro.explainers.anchors import AnchorsTextExplainer
 from repro.explainers.kernel_shap import KernelShapExplainer
 from repro.explainers.lime_text import LimeConfig, LimeTextExplainer
 from repro.matchers.base import EntityMatcher
@@ -56,10 +57,16 @@ class TestExplainerValidation:
         with pytest.raises(ExplanationError, match="non-finite"):
             explainer.explain(NAMES, nan_box)
 
-    def test_lime_rejects_infinite_probabilities(self):
-        explainer = LimeTextExplainer(LimeConfig(n_samples=8, seed=0))
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("kind", ["lime", "shap", "anchors"])
+    def test_rejects_non_finite_probabilities(self, kind, value):
+        explainer = {
+            "lime": lambda: LimeTextExplainer(LimeConfig(n_samples=8, seed=0)),
+            "shap": lambda: KernelShapExplainer(n_samples=8, seed=0),
+            "anchors": lambda: AnchorsTextExplainer(seed=0),
+        }[kind]()
         with pytest.raises(ExplanationError, match="non-finite"):
-            explainer.explain(NAMES, lambda masks: np.full(len(masks), np.inf))
+            explainer.explain(NAMES, lambda masks: np.full(len(masks), value))
 
     def test_shap_rejects_nan_probabilities(self):
         explainer = KernelShapExplainer(n_samples=8, seed=0)
