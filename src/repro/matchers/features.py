@@ -16,15 +16,23 @@ Every entry point goes through one computation,
 * feature groups are memoized on ``(attribute, left, right)``; each call
   dedups its triples first, and perturbations of *other* attributes then
   hit the memo;
+* the misses are computed as one vectorized pass: each distinct raw value
+  is normalized, tokenized and parsed as a number once, and the token-set,
+  numeric and exact-match measures are numpy arithmetic over the miss rows;
 * character-level measures (Levenshtein, Jaro-Winkler) operate on a
   length-capped prefix of the value — entity-identity signal concentrates
-  at the front of names/titles — so the misses of every attribute share
-  one padded batch: a single call of the numpy kernels in
-  :mod:`repro.text.batch_similarity`, bit-identical to the scalar measures.
+  at the front of names/titles — and the misses of every attribute go
+  through a single call of the numpy kernels in
+  :mod:`repro.text.batch_similarity`, which bucket rows by width and run
+  the edit-distance DP on narrow integer dtypes.
+
+Every column is bit-identical to the scalar measures of
+:mod:`repro.text.similarity`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -34,11 +42,7 @@ from repro.data.records import RecordPair
 from repro.data.schema import PairSchema
 from repro.text.batch_similarity import char_similarities_batch
 from repro.text.normalize import normalize_value
-from repro.text.similarity import (
-    exact_match,
-    monge_elkan_similarity,
-    numeric_similarity,
-)
+from repro.text.similarity import monge_elkan_similarity
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,8 @@ class FeatureConfig:
     ``char_cap`` bounds the substring passed to the quadratic character
     measures.  ``use_monge_elkan`` enables the (expensive) hybrid measure —
     off by default, on in the *paper* preset for the small datasets.
-    ``cache_size`` bounds the per-attribute memo table.
+    ``cache_size`` bounds the per-attribute memo table: it is cleared
+    before a batch of misses that would overflow it is written.
     """
 
     char_cap: int = 24
@@ -67,6 +72,61 @@ BASE_MEASURES = (
     "numeric",
     "exact",
 )
+
+
+def _parse_number(text: str) -> float:
+    """``float(text)`` when that is a finite number, else NaN."""
+    if text[:1].isalpha():
+        # No finite float starts with a letter ("inf" and "nan" do, but
+        # are not finite): skip the exception path for ordinary words.
+        return math.nan
+    try:
+        number = float(text)
+    except ValueError:
+        return math.nan
+    return number if math.isfinite(number) else math.nan
+
+
+def _token_set_similarities(
+    n_left: np.ndarray, n_right: np.ndarray, common: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jaccard, overlap and Dice from set sizes and intersection sizes.
+
+    Same integer cardinalities and float expressions as the scalar
+    functions in :mod:`repro.text.similarity`; the guarded denominators
+    only differ where the result is a constant.
+    """
+    total = n_left + n_right
+    union = total - common
+    smaller = np.minimum(n_left, n_right)
+    jaccard = np.where(union > 0, common / np.maximum(union, 1), 1.0)
+    overlap = np.where(
+        smaller > 0,
+        common / np.maximum(smaller, 1),
+        np.where(total > 0, 0.0, 1.0),
+    )
+    dice = np.where(total > 0, 2.0 * common / np.maximum(total, 1), 1.0)
+    return jaccard, overlap, dice
+
+
+def _numeric_similarity(
+    left: np.ndarray, right: np.ndarray, both_empty: np.ndarray
+) -> np.ndarray:
+    """:func:`~repro.text.similarity.numeric_similarity` over parsed columns.
+
+    ``left``/``right`` hold :func:`_parse_number` of each side, NaN where
+    the scalar measure would return 0.0 for want of a finite number.
+    """
+    out = np.zeros(len(left), dtype=np.float64)
+    valid = ~np.isnan(left) & ~np.isnan(right)
+    x, y = left[valid], right[valid]
+    # Equal values (0 and -0 included) short-circuit to 1.0 first, so the
+    # denominator is never zero where the ratio is kept.
+    with np.errstate(all="ignore"):  # overflow → inf, as in Python floats
+        ratio = 1.0 - np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+    out[valid] = np.where(x == y, 1.0, np.maximum(0.0, ratio))
+    out[both_empty] = 1.0
+    return out
 
 
 class PairFeatureExtractor:
@@ -127,13 +187,16 @@ class PairFeatureExtractor:
         """Feature rows of distinct ``(attribute, left, right)`` triples.
 
         The extractor's one feature computation.  Memo hits are gathered
-        first.  The misses normalize each distinct raw value once, and the
-        quadratic character measures of every attribute's live triples run
-        in **one** :func:`char_similarities_batch` call: every string is
-        capped at ``char_cap``, so a single padded batch serves them all.
-        The batched kernels are bit-identical to the scalar measures in
-        :mod:`repro.text.similarity`, so every row — and every memo entry
-        written — equals the scalar per-pair recipe bit for bit.
+        first.  For the misses, each distinct raw value is parsed once
+        (normalized string, token set, number) and every measure runs as
+        one vectorized pass over all miss rows: the token-set and numeric
+        measures as numpy arithmetic on per-value cardinalities and
+        numbers, the quadratic character measures of every attribute in
+        **one** :func:`char_similarities_batch` call, which buckets the
+        ``char_cap``-capped strings by width.  Each column uses the float
+        expressions of its scalar measure in :mod:`repro.text.similarity`,
+        so every row — and every memo entry written — equals the scalar
+        per-pair recipe bit for bit.
         """
         width = len(self._measures)
         rows = np.empty((len(triples), width), dtype=np.float64)
@@ -147,94 +210,86 @@ class PairFeatureExtractor:
                 missing.append(index)
         if not missing:
             return rows
+        misses = [triples[index] for index in missing]
+        # One slot per distinct raw value, left sides first, then right.
+        slot_of: dict[str, int] = {}
+        slots = np.fromiter(
+            (
+                slot_of.setdefault(triple[side], len(slot_of))
+                for side in (1, 2)
+                for triple in misses
+            ),
+            dtype=np.intp,
+            count=2 * len(misses),
+        )
         norm_cache = self._norm_cache
-        normalized: dict[str, str] = {}
-        token_sets: dict[str, frozenset[str]] = {}
-        token_lists: dict[str, list[str]] = {}
-        for index in missing:
-            for value in triples[index][1:]:
-                if value not in normalized:
-                    norm = norm_cache.get(value)
-                    if norm is None:
-                        if len(norm_cache) >= self.config.cache_size:
-                            norm_cache.clear()
-                        norm = norm_cache[value] = normalize_value(value)
-                    normalized[value] = norm
-                    words = norm.split(" ") if norm else []
-                    token_lists[value] = words
-                    token_sets[value] = frozenset(words)
-
-        def store(index: int, features: np.ndarray) -> None:
-            rows[index] = features
-            if len(cache) >= self.config.cache_size:
-                cache.clear()
-            cache[triples[index]] = features
-
+        norms: list[str] = []
+        for value in slot_of:
+            norm = norm_cache.get(value)
+            if norm is None:
+                if len(norm_cache) >= self.config.cache_size:
+                    norm_cache.clear()
+                norm = norm_cache[value] = normalize_value(value)
+            norms.append(norm)
+        token_sets = [frozenset(norm.split()) for norm in norms]
+        sizes = np.fromiter(map(len, token_sets), dtype=np.int64, count=len(norms))
+        numbers = np.fromiter(
+            map(_parse_number, norms), dtype=np.float64, count=len(norms)
+        )
+        left, right = slots[: len(misses)], slots[len(misses) :]
+        pairs = list(zip(left.tolist(), right.tolist()))
+        common = np.fromiter(
+            (len(token_sets[a] & token_sets[b]) for a, b in pairs),
+            dtype=np.int64,
+            count=len(pairs),
+        )
+        exact = np.fromiter(
+            (norms[a] == norms[b] for a, b in pairs),
+            dtype=np.float64,
+            count=len(pairs),
+        )
+        cap = self.config.char_cap
+        capped = [norm[:cap] for norm in norms]
+        levenshtein, jaro_winkler = char_similarities_batch(
+            [capped[a] for a, _ in pairs], [capped[b] for _, b in pairs]
+        )
+        # A normalized value has no empty tokens: no tokens ⇔ empty value.
+        both_empty = (sizes[left] == 0) & (sizes[right] == 0)
+        columns = [
+            *_token_set_similarities(sizes[left], sizes[right], common),
+            levenshtein,
+            jaro_winkler,
+            _numeric_similarity(numbers[left], numbers[right], both_empty),
+            exact,
+        ]
+        if self.config.use_monge_elkan:
+            token_cap = self.config.monge_elkan_token_cap
+            columns.append(
+                np.fromiter(
+                    (
+                        monge_elkan_similarity(
+                            norms[a].split()[:token_cap],
+                            norms[b].split()[:token_cap],
+                        )
+                        for a, b in pairs
+                    ),
+                    dtype=np.float64,
+                    count=len(pairs),
+                )
+            )
+        block = np.column_stack(columns)
         # Missing on both sides carries no match evidence.  Magellan's
         # extractor emits NaN here (imputed to 0); emitting zeros keeps
         # "nothing vs nothing" from looking like a perfect match.
-        zeros = np.zeros(width, dtype=np.float64)
-        live: list[int] = []
-        for index in missing:
-            _, left, right = triples[index]
-            if normalized[left] or normalized[right]:
-                live.append(index)
-            else:
-                store(index, zeros)
-        if not live:
-            return rows
-        cap = self.config.char_cap
-        levenshtein, jaro_winkler = char_similarities_batch(
-            [normalized[triples[index][1]][:cap] for index in live],
-            [normalized[triples[index][2]][:cap] for index in live],
-        )
-        token_cap = self.config.monge_elkan_token_cap
-        other: list[tuple[float, ...]] = []
-        for index in live:
-            _, left, right = triples[index]
-            left_norm, right_norm = normalized[left], normalized[right]
-            set_left, set_right = token_sets[left], token_sets[right]
-            # Inlined jaccard / overlap / dice sharing one intersection:
-            # same integer cardinalities, same float expressions as the
-            # scalar functions in repro.text.similarity.
-            n_left, n_right = len(set_left), len(set_right)
-            intersection = len(set_left & set_right)
-            if not n_left and not n_right:
-                jaccard = overlap = dice = 1.0
-            else:
-                union = n_left + n_right - intersection
-                jaccard = intersection / union
-                overlap = (
-                    intersection / min(n_left, n_right)
-                    if n_left and n_right
-                    else 0.0
-                )
-                dice = 2.0 * intersection / (n_left + n_right)
-            values = (
-                jaccard,
-                overlap,
-                dice,
-                numeric_similarity(left_norm, right_norm),
-                exact_match(left_norm, right_norm),
-            )
-            if self.config.use_monge_elkan:
-                values += (
-                    monge_elkan_similarity(
-                        token_lists[left][:token_cap],
-                        token_lists[right][:token_cap],
-                    ),
-                )
-            other.append(values)
-        scalar = np.array(other, dtype=np.float64)
-        block = np.column_stack(
-            (scalar[:, :3], levenshtein, jaro_winkler, scalar[:, 3:])
-        )
+        block[both_empty] = 0.0
         if not np.isfinite(block).all():
             # A measure leaked NaN/inf (e.g. a pathological value no guard
             # anticipated).  predict_proba must stay finite for any mask.
             block = np.nan_to_num(block, nan=0.0, posinf=1.0, neginf=0.0)
-        for position, index in enumerate(live):
-            store(index, block[position])
+        rows[missing] = block
+        if len(cache) + len(misses) > self.config.cache_size:
+            cache.clear()
+        cache.update(zip(misses, block))
         return rows
 
     def transform_pair(self, pair: RecordPair) -> np.ndarray:

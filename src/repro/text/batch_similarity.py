@@ -9,6 +9,14 @@ to padded codepoint matrices and the DP loops run as numpy operations
 over the batch dimension, so the Python-level loop count drops from
 ``O(batch · |a| · |b|)`` to ``O(max |a|)``.
 
+Every entry point runs the same bucketed path: rows are grouped by
+``max(len a, len b)`` rounded up to a multiple of :data:`_BUCKET`, and each
+group runs at its own width, so a batch of short brand names never pays
+for the one long title beside it.  A group of fewer than
+:data:`_MIN_ROWS` rows runs with the next wider one, so a small batch pays
+for one set of loops.  The Levenshtein DP runs in ``int8`` while the
+width allows it.
+
 Bit-identity contract
 ---------------------
 For every input pair the batched result equals the scalar function's
@@ -16,11 +24,15 @@ result **exactly** — not approximately.  Levenshtein distances are exact
 integers either way, and the float expressions (``1 - d / max_len``, the
 Jaro three-term mean, the Winkler prefix boost) are written with the same
 operation order as the scalar code, so IEEE-754 rounding agrees bit for
-bit.  ``tests/text/test_batch_similarity.py`` enforces this against the
-scalar reference on randomized inputs.
+bit.  A row's result never depends on which other rows share its batch or
+its bucket.  ``tests/text/test_batch_similarity.py`` enforces this against
+the scalar reference on randomized inputs and across bucket edges.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -30,147 +42,174 @@ import numpy as np
 _PAD_A = np.uint32(0x7FFFFFF0)
 _PAD_B = np.uint32(0x7FFFFFF1)
 
+#: Bucket granularity: rows run at ``max(len a, len b)`` rounded up to it.
+_BUCKET = 8
 
-def _encode(values: list[str], pad: np.uint32) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, lengths): one padded codepoint row per string."""
-    lengths = np.fromiter(
-        (len(value) for value in values), dtype=np.int64, count=len(values)
-    )
-    width = int(lengths.max()) if len(values) else 0
+#: Fewest rows a bucket runs with; smaller groups join the next wider one.
+_MIN_ROWS = 256
+
+
+def _encode(
+    values: list[str], lengths: np.ndarray, pad: np.uint32, width: int
+) -> np.ndarray:
+    """One codepoint row per string, padded to *width*."""
     codes = np.full((len(values), width), pad, dtype=np.uint32)
     # One encode of the concatenation; a row-major boolean scatter lays
     # each string's codepoints into the leading cells of its row.
     codes[np.arange(width) < lengths[:, None]] = np.frombuffer(
         "".join(values).encode("utf-32-le"), dtype=np.uint32
     )
-    return codes, lengths
+    return codes
 
 
-def levenshtein_distance_batch(
-    a_values: list[str], b_values: list[str]
+def _bucketed(
+    a_values: list[str],
+    b_values: list[str],
+    *kernels: Callable[..., np.ndarray],
+    dtype: type = np.float64,
 ) -> np.ndarray:
-    """Edit distance per pair, shape ``(len(a_values),)`` of int64.
+    """Run each ``kernel(a_codes, a_lengths, b_codes, b_lengths)`` per bucket.
 
-    Array form (all rows at once) of the classic two-row DP.  The insertion
-    dependency (``current[j-1] + 1``) is a min-plus prefix scan, computed
-    with the ``cummin(base - j) + j`` identity so each outer iteration is
-    a handful of numpy calls over the whole batch.
+    Both sides of a bucket are padded to the bucket's width; each kernel's
+    per-row results are scattered back into input order, one output row
+    per kernel: shape ``(len(kernels), len(a_values))``.
     """
     if len(a_values) != len(b_values):
         raise ValueError("a_values and b_values must have equal length")
+    out = np.empty((len(kernels), len(a_values)), dtype=dtype)
     if not a_values:
-        return np.empty(0, dtype=np.int64)
-    a_codes, a_lengths = _encode(a_values, _PAD_A)
-    b_codes, b_lengths = _encode(b_values, _PAD_B)
-    return _levenshtein_from_codes(a_codes, a_lengths, b_codes, b_lengths)
-
-
-def _levenshtein_from_codes(
-    a_codes: np.ndarray,
-    a_lengths: np.ndarray,
-    b_codes: np.ndarray,
-    b_lengths: np.ndarray,
-) -> np.ndarray:
-    n = a_codes.shape[0]
-    result = np.empty(n, dtype=np.int64)
-    max_a = a_codes.shape[1]
-    max_b = b_codes.shape[1]
-    offsets = np.arange(max_b + 1, dtype=np.int64)
-    previous = np.broadcast_to(offsets, (n, max_b + 1)).copy()
-    result[a_lengths == 0] = b_lengths[a_lengths == 0]
-    base = np.empty((n, max_b + 1), dtype=np.int64)
-    for i in range(1, max_a + 1):
-        # base[j] = min(delete, substitute); the insert term is the scan.
-        substitution_cost = (a_codes[:, i - 1 : i] != b_codes).astype(np.int64)
-        base[:, 0] = i
-        if max_b:
-            np.minimum(
-                previous[:, 1:] + 1,
-                previous[:, :-1] + substitution_cost,
-                out=base[:, 1:],
-            )
-        current = (
-            np.minimum.accumulate(base - offsets, axis=1) + offsets
+        return out
+    a_lengths, b_lengths = (
+        np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+        for values in (a_values, b_values)
+    )
+    widths = -(-np.maximum(a_lengths, b_lengths) // _BUCKET) * _BUCKET
+    a_codes = _encode(a_values, a_lengths, _PAD_A, int(widths.max()))
+    b_codes = _encode(b_values, b_lengths, _PAD_B, int(widths.max()))
+    pending = np.zeros(len(widths), dtype=bool)
+    bucket_widths = np.unique(widths).tolist()
+    for width in bucket_widths:
+        # A bucket's loops cost numpy calls per column whatever its size:
+        # a few rows run with the next wider bucket instead.
+        pending |= widths == width
+        if pending.sum() < _MIN_ROWS and width != bucket_widths[-1]:
+            continue
+        rows = np.flatnonzero(pending)
+        pending[:] = False
+        bucket = (
+            a_codes[rows, :width],
+            a_lengths[rows],
+            b_codes[rows, :width],
+            b_lengths[rows],
         )
-        done = a_lengths == i
-        if done.any():
-            result[done] = current[done, b_lengths[done]]
-        previous = current
-    return result
-
-
-def levenshtein_similarity_batch(
-    a_values: list[str], b_values: list[str]
-) -> np.ndarray:
-    """Normalized edit similarity per pair (both-empty pairs → 1.0)."""
-    a_lengths = np.fromiter(
-        (len(value) for value in a_values), dtype=np.int64, count=len(a_values)
-    )
-    b_lengths = np.fromiter(
-        (len(value) for value in b_values), dtype=np.int64, count=len(b_values)
-    )
-    longest = np.maximum(a_lengths, b_lengths)
-    distances = levenshtein_distance_batch(a_values, b_values)
-    out = np.ones(len(a_values), dtype=np.float64)
-    nonempty = longest > 0
-    # Same expression as the scalar code: 1.0 - distance / longest.
-    out[nonempty] = 1.0 - distances[nonempty] / longest[nonempty]
+        for position, kernel in enumerate(kernels):
+            out[position, rows] = kernel(*bucket)
     return out
 
 
-def _jaro_batch(
+def _levenshtein(
     a_codes: np.ndarray,
     a_lengths: np.ndarray,
     b_codes: np.ndarray,
     b_lengths: np.ndarray,
 ) -> np.ndarray:
-    """Jaro similarity from pre-encoded rows (empty cases handled here)."""
-    n = a_codes.shape[0]
-    max_a = a_codes.shape[1]
-    max_b = b_codes.shape[1]
+    """Edit distance per row of one bucket (int64).
+
+    Array form (all rows at once) of the classic two-row DP, laid out
+    column-major — DP cell *j* of every row is one contiguous vector — so
+    each step is a handful of flat numpy calls over the whole bucket.  The
+    insertion dependency (``current[j-1] + 1``) is a min-plus prefix scan,
+    computed in ``log2(width)`` doubling steps:
+    ``current[j] = min(current[j], current[j-s] + s)`` for ``s = 1, 2, 4…``.
+    """
+    n, width = b_codes.shape
+    # Every cell stays in [0, 2·width + 1] (a DP value ≤ width + 1, plus a
+    # shift ≤ width), so narrow buckets run on int8.
+    dtype = np.int8 if 2 * width + 1 <= np.iinfo(np.int8).max else np.int32
+    result = np.where(a_lengths == 0, b_lengths, 0)
+    a_columns = np.ascontiguousarray(a_codes.T)
+    b_columns = np.ascontiguousarray(b_codes.T)
+    previous = np.repeat(np.arange(width + 1, dtype=dtype)[:, None], n, axis=1)
+    current = np.empty_like(previous)
+    shifted = np.empty_like(previous)
+    mismatch = np.empty((width, n), dtype=bool)
+    shifts = [1 << k for k in range(width.bit_length())]
+    # Rows grouped by |a|: row r's distance is read at iteration |a_r|.
+    order = np.argsort(a_lengths, kind="stable")
+    bounds = np.searchsorted(a_lengths[order], np.arange(width + 2))
+    for i in range(1, int(a_lengths.max()) + 1):
+        # current[j] = min(delete, substitute); the insert term is the scan.
+        np.not_equal(b_columns, a_columns[i - 1], out=mismatch)
+        current[0] = i
+        np.add(previous[:-1], mismatch, out=current[1:])
+        np.add(previous[1:], 1, out=shifted[1:])
+        np.minimum(current[1:], shifted[1:], out=current[1:])
+        for shift in shifts:
+            np.add(current[:-shift], shift, out=shifted[shift:])
+            np.minimum(current[shift:], shifted[shift:], out=current[shift:])
+        done = order[bounds[i] : bounds[i + 1]]
+        if len(done):
+            result[done] = current[b_lengths[done], done]
+        previous, current = current, previous
+    return result
+
+
+def _levenshtein_similarity(
+    a_codes: np.ndarray,
+    a_lengths: np.ndarray,
+    b_codes: np.ndarray,
+    b_lengths: np.ndarray,
+) -> np.ndarray:
+    distances = _levenshtein(a_codes, a_lengths, b_codes, b_lengths)
+    # Same expression as the scalar code, 1.0 - distance / longest; a
+    # both-empty pair has distance 0 and gets 1.0 - 0 / 1.
+    return 1.0 - distances / np.maximum(np.maximum(a_lengths, b_lengths), 1)
+
+
+def _jaro(
+    a_codes: np.ndarray,
+    a_lengths: np.ndarray,
+    b_codes: np.ndarray,
+    b_lengths: np.ndarray,
+) -> np.ndarray:
+    """Jaro similarity per row of one bucket (empty cases handled here)."""
+    n, width = b_codes.shape
     jaro = np.zeros(n, dtype=np.float64)
-    both_empty = (a_lengths == 0) & (b_lengths == 0)
-    jaro[both_empty] = 1.0
+    jaro[(a_lengths == 0) & (b_lengths == 0)] = 1.0
     live = (a_lengths > 0) & (b_lengths > 0)
     if not live.any():
         return jaro
-    window = np.maximum(np.maximum(a_lengths, b_lengths) // 2 - 1, 0)
-    a_flags = np.zeros((n, max_a), dtype=bool)
-    b_flags = np.zeros((n, max_b), dtype=bool)
-    b_positions = np.arange(max_b, dtype=np.int64)
+    window = np.maximum(np.maximum(a_lengths, b_lengths) // 2 - 1, 0)[:, None]
+    positions = np.arange(width)
+    distance = np.abs(positions[:, None] - positions)
+    # The b cells still free to claim a match: loop-invariant masks folded
+    # in once, a cell cleared when it matches.  An a pad never equals a b
+    # code, so positions past |a| match nothing.
+    in_b = live[:, None] & (positions < b_lengths[:, None])
+    open_b = in_b.copy()
+    a_flags = np.zeros((n, width), dtype=bool)
     rows = np.arange(n)
-    for i in range(max_a):
+    for i in range(int(a_lengths.max())):
         # The scalar greedy: the first unmatched b char equal to a[i]
         # inside the window claims the match.  argmax finds that first
         # position per row in one shot.
-        in_window = (b_positions >= i - window[:, None]) & (
-            b_positions < np.minimum(i + window[:, None] + 1, b_lengths[:, None])
-        )
-        candidates = (
-            (b_codes == a_codes[:, i : i + 1])
-            & ~b_flags
-            & in_window
-            & live[:, None]
-            & (i < a_lengths)[:, None]
-        )
+        candidates = (b_codes == a_codes[:, i : i + 1]) & open_b
+        candidates &= distance[i] <= window
         first = candidates.argmax(axis=1)
         found = candidates[rows, first]
-        b_flags[rows[found], first[found]] = True
+        open_b[rows[found], first[found]] = False
         a_flags[found, i] = True
+    b_flags = in_b & ~open_b
     matches = a_flags.sum(axis=1)
-    matched = live & (matches > 0)
+    matched = matches > 0
     if matched.any():
-        # Compact the matched characters of each side in original order
-        # (stable sort keyed on "unmatched"), then count mismatched
-        # aligned positions — the scalar transposition walk, batched.
-        a_order = np.argsort(~a_flags, axis=1, kind="stable")
-        b_order = np.argsort(~b_flags, axis=1, kind="stable")
-        a_matched = np.take_along_axis(a_codes, a_order, axis=1)
-        b_matched = np.take_along_axis(b_codes, b_order, axis=1)
-        width = min(max_a, max_b)
-        aligned = np.arange(width) < matches[:, None]
-        unequal = (a_matched[:, :width] != b_matched[:, :width]) & aligned
-        transpositions = unequal.sum(axis=1) // 2
+        # The scalar transposition walk, batched: boolean selection lists
+        # each row's matched characters in order, row after row, and both
+        # sides match the same number per row, so the i-th matched a char
+        # lines up with the i-th matched b char.
+        unequal = a_codes[a_flags] != b_codes[b_flags]
+        owner = np.repeat(rows, matches)
+        transpositions = np.bincount(owner[unequal], minlength=n) // 2
         m = matches[matched].astype(np.float64)
         t = transpositions[matched].astype(np.float64)
         la = a_lengths[matched].astype(np.float64)
@@ -180,33 +219,40 @@ def _jaro_batch(
     # Equal strings short-circuit to exactly 1.0 in the scalar code.
     equal = live & (a_lengths == b_lengths)
     if equal.any():
-        width = min(max_a, max_b)
-        same = np.ones(n, dtype=bool)
-        if width:
-            padded_equal = (
-                a_codes[:, :width] == b_codes[:, :width]
-            ) | (np.arange(width) >= a_lengths[:, None])
-            same = padded_equal.all(axis=1)
+        same = ((a_codes == b_codes) | (positions >= a_lengths[:, None])).all(
+            axis=1
+        )
         jaro[equal & same] = 1.0
     return jaro
 
 
-def _winkler_boost(
-    jaro: np.ndarray,
+def _jaro_winkler(
     a_codes: np.ndarray,
+    a_lengths: np.ndarray,
     b_codes: np.ndarray,
-    prefix_weight: float,
+    b_lengths: np.ndarray,
+    prefix_weight: float = 0.1,
 ) -> np.ndarray:
-    width = min(4, a_codes.shape[1], b_codes.shape[1])
-    if width:
-        # Leading run of equal characters; pad sentinels differ so the
-        # run stops at min(len a, len b) automatically.
-        equal = a_codes[:, :width] == b_codes[:, :width]
-        prefix = np.cumprod(equal, axis=1).sum(axis=1)
-    else:
-        prefix = np.zeros(len(jaro), dtype=np.int64)
+    jaro = _jaro(a_codes, a_lengths, b_codes, b_lengths)
+    # Leading run of equal characters (≤ 4); pad sentinels differ so the
+    # run stops at min(len a, len b) automatically.
+    prefix = np.cumprod(a_codes[:, :4] == b_codes[:, :4], axis=1).sum(axis=1)
     # Same expression and order as the scalar code.
     return jaro + prefix * prefix_weight * (1.0 - jaro)
+
+
+def levenshtein_distance_batch(
+    a_values: list[str], b_values: list[str]
+) -> np.ndarray:
+    """Edit distance per pair, shape ``(len(a_values),)`` of int64."""
+    return _bucketed(a_values, b_values, _levenshtein, dtype=np.int64)[0]
+
+
+def levenshtein_similarity_batch(
+    a_values: list[str], b_values: list[str]
+) -> np.ndarray:
+    """Normalized edit similarity per pair (both-empty pairs → 1.0)."""
+    return _bucketed(a_values, b_values, _levenshtein_similarity)[0]
 
 
 def jaro_winkler_similarity_batch(
@@ -215,14 +261,8 @@ def jaro_winkler_similarity_batch(
     prefix_weight: float = 0.1,
 ) -> np.ndarray:
     """Jaro-Winkler similarity per pair, shape ``(len(a_values),)``."""
-    if len(a_values) != len(b_values):
-        raise ValueError("a_values and b_values must have equal length")
-    if not a_values:
-        return np.empty(0, dtype=np.float64)
-    a_codes, a_lengths = _encode(a_values, _PAD_A)
-    b_codes, b_lengths = _encode(b_values, _PAD_B)
-    jaro = _jaro_batch(a_codes, a_lengths, b_codes, b_lengths)
-    return _winkler_boost(jaro, a_codes, b_codes, prefix_weight)
+    kernel = partial(_jaro_winkler, prefix_weight=prefix_weight)
+    return _bucketed(a_values, b_values, kernel)[0]
 
 
 def char_similarities_batch(
@@ -233,18 +273,7 @@ def char_similarities_batch(
     The feature extractor's combined entry point: both quadratic
     character measures from one string encoding pass.
     """
-    if len(a_values) != len(b_values):
-        raise ValueError("a_values and b_values must have equal length")
-    n = len(a_values)
-    if n == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty
-    a_codes, a_lengths = _encode(a_values, _PAD_A)
-    b_codes, b_lengths = _encode(b_values, _PAD_B)
-    longest = np.maximum(a_lengths, b_lengths)
-    distances = _levenshtein_from_codes(a_codes, a_lengths, b_codes, b_lengths)
-    levenshtein = np.ones(n, dtype=np.float64)
-    nonempty = longest > 0
-    levenshtein[nonempty] = 1.0 - distances[nonempty] / longest[nonempty]
-    jaro = _jaro_batch(a_codes, a_lengths, b_codes, b_lengths)
-    return levenshtein, _winkler_boost(jaro, a_codes, b_codes, 0.1)
+    levenshtein, jaro_winkler = _bucketed(
+        a_values, b_values, _levenshtein_similarity, _jaro_winkler
+    )
+    return levenshtein, jaro_winkler

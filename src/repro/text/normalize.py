@@ -9,24 +9,34 @@ canonical representation.
 
 from __future__ import annotations
 
-import re
 import unicodedata
-
-_WHITESPACE_RE = re.compile(r"\s+")
 
 # Punctuation that is replaced by a space.  Hyphens, slashes and ampersands
 # frequently glue together tokens that should be compared independently
 # ("dslr-a200w", "black/white"); the remaining marks are mostly list
 # separators and quoting characters.
-_PUNCT_TO_SPACE_RE = re.compile(r"[,;:!?\"'()\[\]{}<>|/\\&*+=~`^-]")
+_PUNCT_TO_SPACE = ",;:!?\"'()[]{}<>|/\\&*+=~`^-"
 
 # Characters dropped entirely (they never separate tokens).
-_PUNCT_TO_DROP_RE = re.compile(r"[#%@]")
+_PUNCT_TO_DROP = "#%@"
+
+# One ``str.translate`` pass for both classes.  A list indexed by code point
+# is cheaper than a ``str.maketrans`` dict; code points past its end raise
+# IndexError, which ``translate`` reads as "unchanged".
+_PUNCT_TABLE = [
+    " " if char in _PUNCT_TO_SPACE else None if char in _PUNCT_TO_DROP else char
+    for char in map(chr, range(128))
+]
 
 
 def normalize_whitespace(text: str) -> str:
-    """Collapse runs of whitespace to single spaces and strip the ends."""
-    return _WHITESPACE_RE.sub(" ", text).strip()
+    """Collapse runs of whitespace to single spaces and strip the ends.
+
+    ``str.split()`` splits on exactly the characters ``re``'s Unicode
+    ``\\s`` matches (``str.isspace``), so this is the regex recipe
+    ``sub(r"\\s+", " ", text).strip()`` in one pass.
+    """
+    return " ".join(text.split())
 
 
 def strip_accents(text: str) -> str:
@@ -66,9 +76,7 @@ def normalize_value(value: object) -> str:
         return ""
     # Accent stripping first: NFKD can surface new uppercase base characters
     # (e.g. the math-bold '𝑨' decomposes to 'A'), so lower-casing must follow.
-    text = strip_accents(text).lower()
-    text = _PUNCT_TO_DROP_RE.sub("", text)
-    text = _PUNCT_TO_SPACE_RE.sub(" ", text)
+    text = strip_accents(text).lower().translate(_PUNCT_TABLE)
     return normalize_whitespace(text)
 
 

@@ -3,14 +3,17 @@
 A straight per-pair, per-attribute transcription of the Magellan recipe
 built from the scalar measures in :mod:`repro.text.similarity`.  It shares
 no code with :class:`repro.matchers.features.PairFeatureExtractor` beyond
-those measures and :func:`normalize_value`, so parity with it is evidence
-that the extractor's batched path computes the documented features.
+those measures — it even keeps its own copy of the three-regex
+normalization recipe — so parity with it is evidence that the extractor's
+batched path computes the documented features.
 """
+
+import re
+import unicodedata
 
 import numpy as np
 
 from repro.matchers.features import FeatureConfig
-from repro.text.normalize import normalize_value
 from repro.text.similarity import (
     dice_coefficient,
     exact_match,
@@ -23,13 +26,39 @@ from repro.text.similarity import (
 )
 
 
+#: The normalization recipe as first written: three regex passes.
+PUNCT_TO_SPACE_RE = re.compile(r"[,;:!?\"'()\[\]{}<>|/\\&*+=~`^-]")
+PUNCT_TO_DROP_RE = re.compile(r"[#%@]")
+WHITESPACE_RE = re.compile(r"\s+")
+
+
+def reference_normalize(value: object) -> str:
+    """Canonical string form of an attribute value (regex recipe)."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if value != value:
+            return ""
+        if value == int(value) and abs(value) < 1e15:
+            value = int(value)
+    text = str(value)
+    if not text or text.lower() in {"nan", "none", "null"}:
+        return ""
+    decomposed = unicodedata.normalize("NFKD", text)
+    text = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    text = text.lower()
+    text = PUNCT_TO_DROP_RE.sub("", text)
+    text = PUNCT_TO_SPACE_RE.sub(" ", text)
+    return WHITESPACE_RE.sub(" ", text).strip()
+
+
 def reference_attribute_features(
     config: FeatureConfig, left: str, right: str
 ) -> np.ndarray:
     """Feature group of one attribute value pair."""
     width = 8 if config.use_monge_elkan else 7
-    left_norm = normalize_value(left)
-    right_norm = normalize_value(right)
+    left_norm = reference_normalize(left)
+    right_norm = reference_normalize(right)
     if not left_norm and not right_norm:
         return np.zeros(width, dtype=np.float64)
     left_tokens = left_norm.split(" ") if left_norm else []

@@ -1,9 +1,20 @@
 """Tests for the per-attribute feature extractor."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:  # NumPy's CPU dispatch state: __cpu_dispatch__, __cpu_features__
+    from numpy._core import _multiarray_umath as simd
+except ImportError:  # NumPy < 2
+    from numpy.core import _multiarray_umath as simd
 
 from repro.core.columnar import ColumnarPairBatch, ValueColumn
 from repro.core.serialize import matcher_fingerprint
@@ -11,9 +22,22 @@ from repro.data.records import RecordPair
 from repro.data.schema import PairSchema
 from repro.data.synthetic.magellan import load_dataset
 from repro.matchers.boosting import GradientBoostedStumpsMatcher
-from repro.matchers.features import BASE_MEASURES, FeatureConfig, PairFeatureExtractor
+from repro.matchers.features import (
+    BASE_MEASURES,
+    FeatureConfig,
+    PairFeatureExtractor,
+    _numeric_similarity,
+    _parse_number,
+    _token_set_similarities,
+)
 from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.matchers.neural import MLPMatcher
+from repro.text.similarity import (
+    dice_coefficient,
+    jaccard_similarity,
+    numeric_similarity,
+    overlap_coefficient,
+)
 from tests.matchers.feature_reference import reference_matrix
 
 
@@ -241,6 +265,30 @@ SWA_LOGISTIC_FINGERPRINT = (
     "fe2d75f6a36b10a6841998ca582e1b74ab5e53a4d8159bdba4e6416805e5d87d"
 )
 
+#: The same for the full S-BR (the bulk workload's corpus) and S-IA (a
+#: golden-file corpus), recorded before the extractor's scalar measures
+#: were vectorized and its kernels bucketed by width.
+FULL_SIZE_LOGISTIC_FINGERPRINTS = {
+    "S-BR": "5e7b78ae9f5b824f769275ccfd215ead20bc18ef00810d803c807aa3dfd4f31e",
+    "S-IA": "52f090cea24c466c763408e831ddebea2ba696ce22a5a362cb0183d6c07c9807",
+}
+
+#: Child-process script: the S-WA training feature digest, then the
+#: dispatched SIMD extensions that are still switched on.
+SWA_FEATURE_DIGEST = """
+from hashlib import sha256
+from repro.data.synthetic.magellan import load_dataset
+from repro.matchers.features import PairFeatureExtractor
+try:
+    from numpy._core import _multiarray_umath as simd
+except ImportError:
+    from numpy.core import _multiarray_umath as simd
+dataset = load_dataset("S-WA", seed=0, size_cap=2000)
+extractor = PairFeatureExtractor(dataset.schema)
+print(sha256(extractor.transform(dataset.pairs).tobytes()).hexdigest())
+print(" ".join(f for f in simd.__cpu_dispatch__ if simd.__cpu_features__.get(f)))
+"""
+
 
 def learned_arrays(matcher):
     """The learned parameters of a fitted matcher, as raw bytes."""
@@ -259,6 +307,36 @@ class TestTrainedModels:
         dataset = load_dataset("S-WA", seed=0, size_cap=2000)
         matcher = LogisticRegressionMatcher().fit(dataset)
         assert matcher_fingerprint(matcher) == SWA_LOGISTIC_FINGERPRINT
+
+    @pytest.mark.parametrize("code", sorted(FULL_SIZE_LOGISTIC_FINGERPRINTS))
+    def test_full_size_model_fingerprints_are_pinned(self, code):
+        matcher = LogisticRegressionMatcher().fit(load_dataset(code, seed=0))
+        assert matcher_fingerprint(matcher) == FULL_SIZE_LOGISTIC_FINGERPRINTS[code]
+
+    def test_features_equal_on_baseline_simd_loops(self):
+        # Features use no BLAS, only elementwise numpy loops, so their bits
+        # must not depend on which SIMD path numpy dispatches to.  The child
+        # switches off every dispatched extension (the names depend on the
+        # NumPy version: AVX2, AVX512F… in older releases, X86_V3, X86_V4…
+        # in 2.4, which ignores the old names) and reports any left on.
+        dispatched = list(simd.__cpu_dispatch__)
+        if not dispatched:
+            pytest.skip("this NumPy build dispatches no SIMD extensions")
+        dataset = load_dataset("S-WA", seed=0, size_cap=2000)
+        extractor = PairFeatureExtractor(dataset.schema)
+        here = hashlib.sha256(extractor.transform(dataset.pairs).tobytes())
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", SWA_FEATURE_DIGEST],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digest, still_on = (child.stdout.split("\n") + [""])[:2]
+        assert still_on == ""
+        assert digest == here.hexdigest()
 
     @pytest.mark.parametrize(
         "make_matcher",
@@ -279,6 +357,38 @@ class TestTrainedModels:
         )
         reference = make_matcher().fit(dataset)
         assert learned_arrays(fitted) == learned_arrays(reference)
+
+
+NUMERIC_EDGE_VALUES = (
+    "", "nan", "inf", "-inf", "1e400", "-1e400", "0", "-0", "0.0", "-0.0",
+    "-3.5", "-7", "2", "7", "3.5", "1e308", "-1e308", "1_000", "12abc",
+    "abc", "Infinity", "١٢", " 5 ",
+)
+
+
+class TestVectorizedMeasures:
+    def test_numeric_matches_scalar_on_edge_values(self):
+        # Every ordered pair of edge values: unparsable, empty and
+        # non-finite text on either side and on both, signed zeros,
+        # negatives, equal values and overflowing differences.
+        pairs = list(product(NUMERIC_EDGE_VALUES, repeat=2))
+        left = np.array([_parse_number(a) for a, _ in pairs])
+        right = np.array([_parse_number(b) for _, b in pairs])
+        both_empty = np.array([not a and not b for a, b in pairs])
+        vectorized = _numeric_similarity(left, right, both_empty)
+        for index, (a, b) in enumerate(pairs):
+            expected = np.float64(numeric_similarity(a, b))
+            assert vectorized[index].tobytes() == expected.tobytes(), (a, b)
+
+    def test_token_set_measures_match_scalar(self):
+        sets = [set(), {"a"}, {"b"}, {"a", "b"}, {"a", "b", "c"}, {"c", "d", "e"}]
+        pairs = list(product(sets, repeat=2))
+        sizes = np.array([[len(a), len(b), len(a & b)] for a, b in pairs])
+        jaccard, overlap, dice = _token_set_similarities(*sizes.T)
+        for index, (a, b) in enumerate(pairs):
+            assert jaccard[index] == jaccard_similarity(a, b)
+            assert overlap[index] == overlap_coefficient(a, b)
+            assert dice[index] == dice_coefficient(a, b)
 
 
 class TestCache:

@@ -11,6 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.text import batch_similarity
 from repro.text.batch_similarity import (
     char_similarities_batch,
     jaro_winkler_similarity_batch,
@@ -37,6 +38,15 @@ ALPHABETS = {
     "ascii": list("abcdefgh xyz0123"),
     "unicode": list("abcé欧ラø水 '"),
 }
+
+
+@pytest.fixture(params=["merged", "every-width"])
+def bucketing(request, monkeypatch):
+    """Small width groups join a wider bucket by default; "every-width"
+    runs each multiple-of-8 width as its own bucket, however few rows."""
+    if request.param == "every-width":
+        monkeypatch.setattr(batch_similarity, "_MIN_ROWS", 1)
+    return request.param
 
 
 class TestLevenshtein:
@@ -139,3 +149,40 @@ class TestCombinedEntryPoint:
             single_lev, single_jw = char_similarities_batch([a[index]], [b[index]])
             assert single_lev[0] == lev[index]
             assert single_jw[0] == jw[index]
+
+
+class TestBucketEdges:
+    def test_rows_straddling_bucket_widths(self, bucketing):
+        # Rows run in buckets of max(|a|, |b|) rounded up to a multiple of
+        # 8, so lengths on and beside each edge land in different buckets
+        # of one call.  Every row must give the scalar bits, and the bits
+        # of a call holding that row alone.
+        lengths = [0, 1, 7, 8, 9, 16, 17, 24, 25, 40]
+        alphabet = "abcdéø水ラ😀 "
+        a, b = [], []
+        for index, length in enumerate(lengths):
+            left = "".join(alphabet[(index + k) % len(alphabet)] for k in range(length))
+            a += [left, left, left[::-1]]
+            b += [left[: max(length - 1, 0)], left[1:] + "x", "b" * length]
+        lev, jw = char_similarities_batch(a, b)
+        distances = levenshtein_distance_batch(a, b)
+        assert distances.dtype == np.int64
+        for index, (left, right) in enumerate(zip(a, b)):
+            assert lev[index] == levenshtein_similarity(left, right)
+            assert jw[index] == jaro_winkler_similarity(left, right)
+            assert distances[index] == levenshtein_distance(left, right)
+            single_lev, single_jw = char_similarities_batch([left], [right])
+            assert single_lev[0] == lev[index]
+            assert single_jw[0] == jw[index]
+        assert (levenshtein_similarity_batch(a, b) == lev).all()
+        assert (jaro_winkler_similarity_batch(a, b) == jw).all()
+
+    def test_wide_rows_beyond_narrow_dtype(self, bucketing):
+        # Widths past 56 run the DP in int32; distances near the width
+        # would overflow int8 if the narrow dtype leaked into them.
+        rng = np.random.default_rng(3)
+        a = random_strings(rng, 60, ALPHABETS["unicode"], 130)
+        b = ["q" * len(value) for value in reversed(a)]
+        distances = levenshtein_distance_batch(a, b)
+        for index, (left, right) in enumerate(zip(a, b)):
+            assert distances[index] == levenshtein_distance(left, right)

@@ -12,6 +12,16 @@ from repro.text.normalize import (
     strip_accents,
     tokens_of,
 )
+from tests.matchers.feature_reference import reference_normalize
+
+#: Characters where a one-pass normalizer could part ways with the regex
+#: recipe: the ASCII separators ``str.isspace`` counts as whitespace,
+#: Unicode spaces, every mark of both punctuation classes, and accents.
+TRICKY = (
+    "\x1c\x1d\x1e\x1f\xa0\u2028\u3000 \t\n"
+    ",;:!?\"'()[]{}<>|/\\&*+=~`^-#%@._"
+    "éÉñüçÅ\u0301\u0327ﬁ𝑨"
+)
 
 
 class TestNormalizeWhitespace:
@@ -80,6 +90,15 @@ class TestNormalizeValue:
     def test_never_leading_or_trailing_space(self, text):
         normalized = normalize_value(text)
         assert normalized == normalized.strip()
+
+    @given(
+        st.one_of(
+            st.text(alphabet=st.sampled_from(TRICKY) | st.characters(), max_size=40),
+            st.text(alphabet=TRICKY + "aBc1", max_size=40),
+        )
+    )
+    def test_equals_regex_recipe(self, text):
+        assert normalize_value(text) == reference_normalize(text)
 
     @given(st.floats(allow_nan=True, allow_infinity=False))
     def test_floats_never_crash(self, value):
