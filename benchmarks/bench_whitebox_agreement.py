@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import spearmanr
 
-from repro.core.explanation import remove_tokens_from_pair
+from repro.core.columnar import removal_batch
 from repro.core.landmark import LandmarkExplainer
 from repro.data.splits import sample_per_label
 from repro.data.synthetic.magellan import load_dataset
@@ -42,13 +42,12 @@ def _agreements(matcher, explainer, pairs):
         }
         if len(lime_weights) < 3:
             continue
-        occlusion = {
-            key: original_probability
-            - matcher.predict_one(remove_tokens_from_pair(pair, [key]))
-            for key in lime_weights
-        }
-        saliency = matcher.token_saliency(pair)
         keys = list(lime_weights)
+        occluded = removal_batch(pair, [[key] for key in keys]).pairs()
+        occlusion = dict(
+            zip(keys, original_probability - matcher.predict_proba(occluded))
+        )
+        saliency = matcher.token_saliency(pair)
         occlusion_values = [occlusion[key] for key in keys]
         if np.ptp(occlusion_values) == 0.0:
             continue

@@ -11,9 +11,9 @@ architecture is visible in data rather than in a diagram:
 
 import numpy as np
 
-from repro import LogisticRegressionMatcher, load_dataset
+from repro import LogisticRegressionMatcher, PredictionEngine, load_dataset
+from repro.core.columnar import landmark_batch
 from repro.core.generation import GENERATION_DOUBLE, LandmarkGenerator
-from repro.core.reconstruction import DatasetReconstructor, PairReconstructor
 from repro.explainers.perturbation import sample_masks
 from repro.surrogate.kernels import cosine_distance_to_ones, exponential_kernel
 from repro.surrogate.linear_model import WeightedRidge
@@ -57,15 +57,16 @@ def main() -> None:
           f"{masks.shape[1]} tokens (first row = unperturbed)")
 
     # --- 3. Pair reconstruction --------------------------------------------
-    reconstructor = PairReconstructor()
-    example_pair = reconstructor.rebuild(instance, masks[1])
-    print("\n[3] pair reconstruction of mask #1 (varying side only changes):")
+    batch = landmark_batch(instance, masks)
+    example_pair = batch.pairs()[1]
+    print(f"\n[3] pair reconstruction: {len(batch)} pairs as one columnar batch;"
+          " mask #1 (varying side only changes):")
     print(f"    right.beer_name: {example_pair.right['beer_name']!r}")
     print(f"    left .beer_name: {example_pair.left['beer_name']!r}  (frozen)")
 
     # --- 4. Dataset reconstruction -----------------------------------------
-    predict_masks = DatasetReconstructor(matcher).predict_masks_fn(instance)
-    probabilities = predict_masks(masks)
+    engine = PredictionEngine(matcher)
+    probabilities = engine.predict_instance(instance, masks)
     print(f"\n[4] dataset reconstruction: model probabilities for every mask")
     print(f"    p(original augmented record) = {probabilities[0]:.3f}, "
           f"range over perturbations = [{probabilities.min():.3f}, "

@@ -57,7 +57,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "MatcherBackend": ".backends.base",
     "MatcherServer": ".backends.server",
     "RemoteBackend": ".backends.client",
-    "ENGINE_OFF": ".config",
     "EngineConfig": ".config",
     "EngineStats": ".core.engine",
     "PredictionEngine": ".core.engine",

@@ -21,7 +21,7 @@ batch builder and how it spreads the fitted weights onto tokens:
 Each explainer turns its masks into a columnar batch
 (:mod:`repro.core.columnar`) and scores it through a
 :class:`~repro.core.engine.PredictionEngine` — the shared one when given,
-a transparent :data:`~repro.core.engine.ENGINE_OFF` engine otherwise.
+a fresh one otherwise.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.core.explanation import (
 from repro.data.records import RecordPair
 from repro.exceptions import ConfigurationError, ExplanationError
 from repro.explainers.base import Explanation
-from repro.core.engine import ENGINE_OFF, PredictionEngine
+from repro.core.engine import PredictionEngine
 from repro.explainers.lime_text import LimeConfig, LimeTextExplainer
 from repro.matchers.base import EntityMatcher
 from repro.text.tokenize import Tokenizer
@@ -86,9 +86,9 @@ class PairExplanation:
     explanation: Explanation
     token_weights: PairTokenWeights
 
-    def removal_pair(self, sign: str, tokenizer: Tokenizer | None = None) -> RecordPair:
+    def removal_pair(self, sign: str) -> RecordPair:
         """The record with every *sign*-weighted token removed."""
-        return self.token_weights.removal_pair(sign, tokenizer)
+        return self.token_weights.removal_pair(sign)
 
     def render(self, k: int = 5) -> str:
         lines = [
@@ -119,17 +119,14 @@ class _MojitoExplainer:
         self,
         matcher: EntityMatcher,
         lime_config: LimeConfig | None = None,
-        tokenizer: Tokenizer | None = None,
         seed: int = 0,
         engine: PredictionEngine | None = None,
     ) -> None:
         self.matcher = matcher
-        self.tokenizer = tokenizer or Tokenizer()
+        self.tokenizer = Tokenizer()
         self.explainer = LimeTextExplainer(lime_config)
         self.seed = seed
-        self.engine = (
-            engine if engine is not None else PredictionEngine(matcher, ENGINE_OFF)
-        )
+        self.engine = engine if engine is not None else PredictionEngine(matcher)
 
     def _features(self, pair: RecordPair) -> tuple[tuple[str, ...], Sequence]:
         """The interpretable feature names and what each one perturbs."""
@@ -262,7 +259,6 @@ class MojitoCopyExplainer(_MojitoExplainer):
         self,
         matcher: EntityMatcher,
         lime_config: LimeConfig | None = None,
-        tokenizer: Tokenizer | None = None,
         copy_from: str = "left",
         seed: int = 0,
         engine: PredictionEngine | None = None,
@@ -271,7 +267,7 @@ class MojitoCopyExplainer(_MojitoExplainer):
             raise ConfigurationError(
                 f"copy_from must be 'left' or 'right', got {copy_from!r}"
             )
-        super().__init__(matcher, lime_config, tokenizer, seed, engine)
+        super().__init__(matcher, lime_config, seed, engine)
         self.copy_from = copy_from
 
     @property

@@ -525,6 +525,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from repro.service.request import ExplainRequest
+    from repro.service.service import build_landmark_explainer
+
     engine_config = config_from_namespace(EngineConfig, args)
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     if not 0 <= args.record < len(dataset):
@@ -532,29 +535,26 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return 2
     pair = dataset[args.record]
     matcher = _resolve_matcher(args, dataset)
-    lime_config = LimeConfig(n_samples=args.samples, seed=args.seed)
     registry = _obs_registry(args)
     engine = PredictionEngine(matcher, engine_config, metrics=registry)
     print(pair.describe())
     print(f"model match probability: {matcher.predict_one(pair):.3f}")
-    if args.explainer == "shap":
-        from repro.explainers.kernel_shap import KernelShapExplainer
-
-        explainer = LandmarkExplainer(
-            matcher,
-            explainer=KernelShapExplainer(n_samples=args.samples, seed=args.seed),
+    explainer = build_landmark_explainer(
+        matcher,
+        engine,
+        ExplainRequest(
+            pair=pair,
+            samples=args.samples,
+            explainer=args.explainer,
             seed=args.seed,
-            engine=engine,
-        )
-    else:
-        explainer = LandmarkExplainer(
-            matcher, lime_config=lime_config, seed=args.seed, engine=engine
-        )
+        ),
+    )
     dual = explainer.explain(pair, generation=args.generation)
     print(dual.render(args.top))
     if args.baselines:
         from repro.baselines.mojito import MojitoCopyExplainer, MojitoDropExplainer
 
+        lime_config = LimeConfig(n_samples=args.samples, seed=args.seed)
         drop = MojitoDropExplainer(
             matcher, lime_config=lime_config, seed=args.seed, engine=engine
         )

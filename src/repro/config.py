@@ -109,8 +109,8 @@ class GuardConfig:
 class EngineConfig:
     """Knobs of the prediction engine (:mod:`repro.core.engine`).
 
-    ``dedup`` collapses identical rebuilt pairs inside one request;
-    ``cache`` keeps an LRU of ``cache_size`` pair fingerprints that
+    The engine always collapses identical rebuilt pairs inside one
+    request and keeps an LRU of ``cache_size`` pair fingerprints that
     persists across landmark sides, methods and evaluation stages;
     ``batch_size`` chunks matcher calls and ``n_jobs > 1`` runs the chunks
     on a thread pool (expensive matchers release the GIL in their numpy
@@ -123,11 +123,6 @@ class EngineConfig:
     pass-through and runs are bit-identical to unguarded ones.
     """
 
-    dedup: bool = True
-    cache: bool = option(
-        True, "--no-cache",
-        "disable the prediction cache (results are identical either way)",
-    )
     cache_size: int = 100_000
     batch_size: int = 512
     n_jobs: int = option(
@@ -147,10 +142,6 @@ class EngineConfig:
             )
         if self.n_jobs < 1:
             raise ConfigurationError(f"n_jobs must be >= 1, got {self.n_jobs}")
-
-
-#: A fully transparent engine: every request goes straight to the matcher.
-ENGINE_OFF = EngineConfig(dedup=False, cache=False)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ The pipeline (Figure 2, bottom row):
    (*double-entity* generation, for non-match records).
 2. The generic perturbation explainer (:mod:`repro.explainers`) samples
    binary masks over those tokens.
-3. :class:`~repro.core.reconstruction.PairReconstructor` rebuilds a full
-   record pair from every mask (*pair reconstruction*) and
-   :class:`~repro.core.reconstruction.DatasetReconstructor` labels it with
-   the black-box matcher (*dataset reconstruction*).
+3. :meth:`~repro.core.engine.PredictionEngine.predict_instance` rebuilds
+   a full record pair from every mask as one columnar batch
+   (:func:`~repro.core.columnar.landmark_batch`, *pair reconstruction*)
+   and labels the batch with the black-box matcher (*dataset
+   reconstruction*).
 4. The surrogate coefficients come back as a
    :class:`~repro.core.explanation.LandmarkExplanation`; doing this once per
    landmark side yields the paper's dual
@@ -27,10 +28,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "CancelToken": ".deadline",
     "ColumnarPairBatch": ".columnar",
     "Counterfactual": ".counterfactual",
-    "DatasetReconstructor": ".reconstruction",
     "Deadline": ".deadline",
     "DualExplanation": ".explanation",
-    "ENGINE_OFF": ".engine",
     "EngineConfig": ".engine",
     "EngineStats": ".engine",
     "PredictionEngine": ".engine",
@@ -45,7 +44,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "LandmarkExplainer": ".landmark",
     "LandmarkExplanation": ".explanation",
     "LandmarkGenerator": ".generation",
-    "PairReconstructor": ".reconstruction",
     "PairTokenWeights": ".explanation",
     "TokenEdit": ".counterfactual",
     "ValueColumn": ".columnar",

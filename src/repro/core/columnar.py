@@ -2,14 +2,14 @@
 
 The hot path of every perturbation explainer used to be a Python loop:
 each of the ~256 mask rows became a rebuilt :class:`~repro.data.records.
-RecordPair` (detokenize, conform, frozen-mapping validation) before the
-matcher saw it.  A :class:`ColumnarPairBatch` replaces that loop with a
-columnar representation: for every *(side, attribute)* cell it stores the
-small list of **candidate values** the perturbation can produce plus one
-integer index per mask row.  Applying a mask matrix then costs one
-numpy unique per attribute instead of ``n_samples`` object rebuilds,
-and feature extraction downstream runs once per *distinct* (left, right)
-value combination and gathers.
+RecordPair` (regroup the kept tokens, conform, frozen-mapping validation)
+before the matcher saw it.  A :class:`ColumnarPairBatch` replaces that
+loop with a columnar representation: for every *(side, attribute)* cell
+it stores the small list of **candidate values** the perturbation can
+produce plus one integer index per mask row.  Applying a mask matrix then
+costs one numpy unique per attribute instead of ``n_samples`` object
+rebuilds, and feature extraction downstream runs once per *distinct*
+(left, right) value combination and gathers.
 
 Bit-identity contract
 ---------------------
@@ -19,11 +19,15 @@ strings the per-pair path would have rebuilt (same token order, same
 cache keys and — for row-independent matchers — probabilities are
 bit-identical whichever representation carries them.
 
-Builders cover the three perturbation families:
+The builders are the only code that rebuilds a pair from kept tokens;
+a caller that needs one rebuilt pair takes a row of a batch.  They cover
+the perturbation families and the evaluations' token removals:
 
 * :func:`landmark_batch` — Landmark Explanation masks over the varying
   entity's tokens (landmark side constant);
-* :func:`mojito_drop_batch` — token drops over both sides at once;
+* :func:`mojito_drop_batch` — token drops over both sides at once, and
+  :func:`removal_batch` over it — token-key removals (Table 2's
+  ``p_new``, faithfulness curves, Mojito interest);
 * :func:`mojito_attr_drop_batch` / :func:`mojito_copy_batch` — Mojito's
   attribute-granular empty / copy substitutions (two candidates per cell).
 """
@@ -31,15 +35,15 @@ Builders cover the three perturbation families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.data.records import RecordPair
+from repro.text.tokenize import PrefixedToken, Tokenizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.generation import GeneratedInstance
-    from repro.text.tokenize import PrefixedToken
 
 _SIDES = ("left", "right")
 
@@ -111,10 +115,9 @@ class ColumnarPairBatch:
     def value_rows(self, side: str) -> list[tuple[str, ...]]:
         """Per-row value tuples of one side, in schema attribute order.
 
-        These are exactly the value tuples of the pairs
-        :meth:`repro.core.reconstruction.PairReconstructor.rebuild` would
-        produce row by row, so they slot straight into the engine's
-        content fingerprints.
+        These are exactly the value tuples of the pairs :meth:`pairs`
+        materializes, so they slot straight into the engine's content
+        fingerprints.
         """
         cols = self.side_columns(side)
         if all(col.is_constant for col in cols):
@@ -144,11 +147,12 @@ class ColumnarPairBatch:
         )
 
     def pairs(self) -> list[RecordPair]:
-        """Materialize one :class:`RecordPair` per row (fallback path).
+        """Materialize one :class:`RecordPair` per row.
 
         Used by matchers without a native columnar kernel (the default
-        ``EntityMatcher.predict_proba_columnar``); content is identical
-        to the per-pair rebuild the batch replaced.
+        ``EntityMatcher.predict_proba_columnar``) and by callers that need
+        the rebuilt pairs themselves; every row keeps the template's
+        label and pair id.
         """
         attributes = self.schema.attributes
         template = self.template
@@ -179,8 +183,8 @@ def _masked_value_column(
 ) -> ValueColumn:
     """The column of one attribute under a (n_rows, k) keep-submask.
 
-    Word order mirrors the tokenizer's ``detokenize``: a stable sort by
-    token position, then a ``" ".join`` of the kept words.  Unique
+    A value keeps its words in token-position order (a stable sort by
+    position), joined by single spaces.  Unique
     submask rows are found once; every mask row indexes its unique.
     """
     n_rows, k = submask.shape
@@ -213,9 +217,9 @@ def landmark_batch(
 ) -> ColumnarPairBatch:
     """Columnar form of Landmark masks over one generated instance.
 
-    Row *i* is the pair :meth:`~repro.core.reconstruction.PairReconstructor.
-    rebuild` would produce for ``masks[i]``: the varying side rebuilt from
-    its kept tokens, the landmark side untouched.
+    Row *i* is the pair of ``masks[i]``: the varying side rebuilt from its
+    kept tokens (attributes left without a token become empty), the
+    landmark side untouched.
     """
     masks = np.asarray(masks)
     if masks.ndim != 2 or masks.shape[1] != len(instance.tokens):
@@ -249,14 +253,13 @@ def landmark_batch(
 
 def mojito_drop_batch(
     pair: RecordPair,
-    tokens: "list[tuple[str, PrefixedToken]]",
+    tokens: list[tuple[str, PrefixedToken]],
     masks: np.ndarray,
 ) -> ColumnarPairBatch:
     """Columnar form of Mojito Drop masks (tokens of both sides at once).
 
     Both sides are rebuilt from their kept tokens — attributes that
-    tokenize to nothing become empty on every row, exactly as the
-    per-pair rebuild conformed them.
+    tokenize to nothing become empty on every row.
     """
     masks = np.asarray(masks)
     if masks.ndim != 2 or masks.shape[1] != len(tokens):
@@ -276,13 +279,42 @@ def mojito_drop_batch(
 
     columns: dict[tuple[str, str], ValueColumn] = {}
     for key, token_columns in by_cell.items():
-        side = key[0]
         words = [tokens[c][1].word for c in token_columns]
         positions = [tokens[c][1].position for c in token_columns]
         columns[key] = _masked_value_column(
             words, positions, masks[:, token_columns]
         )
     return ColumnarPairBatch(pair, columns, n_rows)
+
+
+def removal_batch(
+    pair: RecordPair,
+    key_sets: Sequence[Iterable[tuple[str, str, int]]],
+) -> ColumnarPairBatch:
+    """Row *i* is *pair* with every token ``key_sets[i]`` addresses removed.
+
+    A key is ``(side, attribute, position)``; keys that address no token
+    are ignored.  Rows are :func:`mojito_drop_batch` rows, so every value
+    is rebuilt from its kept tokens: a row that removes nothing still
+    carries the normalized values.
+    """
+    tokenizer = Tokenizer()
+    tokens = [
+        (side, token)
+        for side in _SIDES
+        for token in tokenizer.tokenize_entity(pair.entity(side))
+    ]
+    column = {
+        (side, token.attribute, token.position): index
+        for index, (side, token) in enumerate(tokens)
+    }
+    masks = np.ones((len(key_sets), len(tokens)), dtype=np.int8)
+    for row, keys in enumerate(key_sets):
+        for key in keys:
+            index = column.get(key)
+            if index is not None:
+                masks[row, index] = 0
+    return mojito_drop_batch(pair, tokens, masks)
 
 
 def mojito_attr_drop_batch(

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.columnar import landmark_batch
 from repro.core.explanation import LandmarkExplanation
-from repro.core.reconstruction import PairReconstructor
 from repro.data.records import RecordPair
 from repro.exceptions import ConfigurationError
 from repro.matchers.base import DEFAULT_THRESHOLD, EntityMatcher
@@ -87,7 +87,6 @@ def greedy_counterfactual(
     matcher: EntityMatcher,
     threshold: float = DEFAULT_THRESHOLD,
     max_edits: int = 10,
-    reconstructor: PairReconstructor | None = None,
 ) -> Counterfactual:
     """Flip the model's decision with the fewest explanation-guided edits.
 
@@ -99,14 +98,13 @@ def greedy_counterfactual(
     """
     if max_edits < 1:
         raise ConfigurationError(f"max_edits must be >= 1, got {max_edits}")
-    reconstructor = reconstructor or PairReconstructor()
     instance = landmark_explanation.instance
     weights = landmark_explanation.explanation.weights
 
     mask = np.array(
         [0 if injected else 1 for injected in instance.injected], dtype=np.int8
     )
-    original_pair = reconstructor.rebuild(instance, mask)
+    original_pair = landmark_batch(instance, [mask]).pairs()[0]
     original_probability = matcher.predict_one(original_pair)
     toward_match = original_probability < threshold
 
@@ -132,7 +130,7 @@ def greedy_counterfactual(
             break  # no edit is expected to help
         mask[best_index] ^= 1
         token = instance.tokens[best_index]
-        current_pair = reconstructor.rebuild(instance, mask)
+        current_pair = landmark_batch(instance, [mask]).pairs()[0]
         current_probability = matcher.predict_one(current_pair)
         edits.append(
             TokenEdit(

@@ -50,7 +50,7 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from repro.backends.base import InProcessBackend, as_backend
-from repro.config import ENGINE_OFF, EngineConfig  # noqa: F401 - re-exported
+from repro.config import EngineConfig  # noqa: F401 - re-exported
 from repro.core.columnar import ColumnarPairBatch, landmark_batch
 from repro.core.deadline import checkpoint
 from repro.core.generation import GeneratedInstance
@@ -338,9 +338,6 @@ class PredictionEngine:
         self._instruments.requested.inc(len(pairs))
         if not pairs:
             return np.empty(0, dtype=np.float64)
-        if not self.config.dedup and not self.config.cache:
-            self._instruments.calls_issued.inc(len(pairs))
-            return self._execute(pairs)
         entries = self._group(pair_fingerprint(pair) for pair in pairs)
 
         def predict_misses(miss_keys, miss_slots):
@@ -414,21 +411,16 @@ class PredictionEngine:
     # ------------------------------------------------------------------
 
     def _group(self, keys: Iterable[PairKey]) -> list[tuple[PairKey, list[int]]]:
-        """Group request indices by fingerprint (dedup off → singletons)."""
-        if self.config.dedup:
-            grouped: OrderedDict[PairKey, list[int]] = OrderedDict()
-            for index, key in enumerate(keys):
-                grouped.setdefault(key, []).append(index)
-            return list(grouped.items())
-        return [(key, [index]) for index, key in enumerate(keys)]
+        """Group request indices by fingerprint, in first-seen order."""
+        grouped: OrderedDict[PairKey, list[int]] = OrderedDict()
+        for index, key in enumerate(keys):
+            grouped.setdefault(key, []).append(index)
+        return list(grouped.items())
 
     def _answer_columnar(
         self, batch: ColumnarPairBatch, n_requests: int
     ) -> np.ndarray:
         """Dedup/cache resolution of a columnar batch (requested counted)."""
-        if not self.config.dedup and not self.config.cache:
-            self._instruments.calls_issued.inc(n_requests)
-            return self._execute(batch)
         attributes = batch.schema.attributes
         keys: list[PairKey] = [
             (attributes, left, right)
@@ -455,7 +447,6 @@ class PredictionEngine:
         probability per key; callers close it over whatever representation
         (pair list, columnar batch) the request arrived in.
         """
-        config = self.config
         instruments = self._instruments
         out = np.empty(n_requests, dtype=np.float64)
         miss_keys: list[PairKey] = []
@@ -463,7 +454,7 @@ class PredictionEngine:
         hits = 0
         with self._lock:
             for key, indices in entries:
-                cached = self._cache_get(key) if config.cache else None
+                cached = self._cache_get(key)
                 if cached is not None:
                     hits += 1
                     out[indices] = cached
@@ -471,14 +462,12 @@ class PredictionEngine:
                 miss_keys.append(key)
                 miss_slots.append(indices)
         # One registry-lock hold for the whole accounting batch.
-        updates = [
+        self.metrics.bulk([
             (instruments.dedup_saved, n_requests - len(entries)),
             (instruments.cache_hits, hits),
             (instruments.calls_issued, len(miss_keys)),
-        ]
-        if config.cache:
-            updates.append((instruments.cache_misses, len(miss_keys)))
-        self.metrics.bulk(updates)
+            (instruments.cache_misses, len(miss_keys)),
+        ])
         if miss_keys:
             # Misses are built and predicted outside the lock; concurrent
             # callers may race to compute the same key, but matchers are
@@ -489,11 +478,9 @@ class PredictionEngine:
                     miss_keys, miss_slots, probabilities
                 ):
                     out[indices] = probability
-                    if config.cache:
-                        self._cache_put(key, float(probability))
+                    self._cache_put(key, float(probability))
                 size = len(self._cache)
-            if config.cache:
-                instruments.cache_entries.set(size)
+            instruments.cache_entries.set(size)
         return out
 
     def _execute(self, payload: list[RecordPair] | ColumnarPairBatch) -> np.ndarray:

@@ -16,15 +16,14 @@ Three layers, from closest-to-the-surrogate to closest-to-the-evaluation:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.core.columnar import landmark_batch, removal_batch
 from repro.core.generation import GENERATION_DOUBLE, GeneratedInstance
-from repro.core.reconstruction import PairReconstructor
 from repro.data.records import RecordPair
 from repro.exceptions import ExplanationError
 from repro.explainers.base import Explanation
-from repro.text.tokenize import Tokenizer
 
 #: Address of one token inside a record pair.
 TokenKey = tuple[str, str, int]  # (side, attribute, position)
@@ -43,27 +42,6 @@ class TokenEntry:
     @property
     def key(self) -> TokenKey:
         return (self.side, self.attribute, self.position)
-
-
-def remove_tokens_from_pair(
-    pair: RecordPair,
-    keys: Iterable[TokenKey],
-    tokenizer: Tokenizer | None = None,
-) -> RecordPair:
-    """Rebuild *pair* with the addressed tokens removed from both entities."""
-    tokenizer = tokenizer or Tokenizer()
-    to_remove = set(keys)
-    result = pair
-    for side in ("left", "right"):
-        tokens = tokenizer.tokenize_entity(pair.entity(side))
-        kept = [
-            token
-            for token in tokens
-            if (side, token.attribute, token.position) not in to_remove
-        ]
-        entity = pair.schema.conform(tokenizer.detokenize(kept))
-        result = result.with_side(side, entity)
-    return result
 
 
 class PairTokenWeights:
@@ -108,12 +86,10 @@ class PairTokenWeights:
             importance[entry.attribute] += abs(entry.weight)
         return importance
 
-    def removal_pair(
-        self, sign: str, tokenizer: Tokenizer | None = None
-    ) -> RecordPair:
+    def removal_pair(self, sign: str) -> RecordPair:
         """The record with every *sign*-weighted token removed."""
         keys = [entry.key for entry in self.entries_by_sign(sign)]
-        return remove_tokens_from_pair(self.pair, keys, tokenizer)
+        return removal_batch(self.pair, [keys]).pairs()[0]
 
     def top(self, k: int = 10) -> list[TokenEntry]:
         """The *k* entries with the largest |weight|."""
@@ -213,9 +189,7 @@ class LandmarkExplanation:
             importance[token.attribute] += abs(float(weight))
         return importance
 
-    def apply_removal(
-        self, sign: str, reconstructor: PairReconstructor | None = None
-    ) -> RecordPair:
+    def apply_removal(self, sign: str) -> RecordPair:
         """The pair rebuilt from this explanation's working representation
         with every *sign*-weighted token removed.
 
@@ -226,12 +200,11 @@ class LandmarkExplanation:
         """
         if sign not in ("positive", "negative"):
             raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
-        reconstructor = reconstructor or PairReconstructor()
         if sign == "positive":
             mask = [0 if weight > 0 else 1 for weight in self.explanation.weights]
         else:
             mask = [0 if weight < 0 else 1 for weight in self.explanation.weights]
-        return reconstructor.rebuild(self.instance, mask)
+        return landmark_batch(self.instance, [mask]).pairs()[0]
 
     def render(self, k: int = 5) -> str:
         """Readable per-landmark summary."""

@@ -78,16 +78,12 @@ class GeneratedInstance:
 class LandmarkGenerator:
     """Builds :class:`GeneratedInstance` objects for both generation modes."""
 
-    def __init__(
-        self,
-        tokenizer: Tokenizer | None = None,
-        injection_fraction: float = 1.0,
-    ) -> None:
+    def __init__(self, injection_fraction: float = 1.0) -> None:
         if not 0.0 < injection_fraction <= 1.0:
             raise ConfigurationError(
                 f"injection_fraction must be in (0, 1], got {injection_fraction}"
             )
-        self.tokenizer = tokenizer or Tokenizer()
+        self.tokenizer = Tokenizer()
         self.injection_fraction = injection_fraction
 
     def generate(

@@ -16,6 +16,8 @@ fill the Single / Double columns of Tables 2-4.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.engine import PredictionEngine
@@ -25,13 +27,11 @@ from repro.core.generation import (
     GENERATION_SINGLE,
     LandmarkGenerator,
 )
-from repro.core.reconstruction import DatasetReconstructor
 from repro.data.records import RecordPair
 from repro.exceptions import ConfigurationError, ExplanationError
 from repro.explainers.lime_text import LimeConfig, LimeTextExplainer
 from repro.matchers.base import DEFAULT_THRESHOLD, EntityMatcher
 from repro.obs.tracing import trace
-from repro.text.tokenize import Tokenizer
 
 GENERATION_AUTO = "auto"
 
@@ -43,7 +43,6 @@ class LandmarkExplainer:
         self,
         matcher: EntityMatcher,
         lime_config: LimeConfig | None = None,
-        tokenizer: Tokenizer | None = None,
         injection_fraction: float = 1.0,
         threshold: float = DEFAULT_THRESHOLD,
         seed: int = 0,
@@ -59,14 +58,15 @@ class LandmarkExplainer:
         — the paper's coupling.
 
         *engine* is the batched prediction engine every model call goes
-        through: mask matrices are applied as columnar batches and scored
-        by the engine's one chunked, guarded executor.  When omitted a
-        default engine (dedup + LRU cache, serial execution) is created;
-        pass an explicit :class:`~repro.core.engine.PredictionEngine` to
-        share one cache across explainers, or one configured with
-        :data:`~repro.core.engine.ENGINE_OFF` to send every mask row to
-        the matcher uncached.  Engine settings never change the produced
-        weights.
+        through: its :meth:`~repro.core.engine.PredictionEngine.
+        predict_instance` is the surrogate's mask-predict function (the
+        paper's *dataset reconstruction*).  Mask matrices are applied as
+        columnar batches, deduplicated, answered from the LRU cache where
+        possible and scored by the engine's one chunked, guarded
+        executor.  When omitted a default engine is created; pass an
+        explicit :class:`~repro.core.engine.PredictionEngine` to share one
+        cache across explainers.  Engine settings never change the
+        produced weights.
         """
         if not 0.0 < threshold < 1.0:
             raise ConfigurationError(f"threshold must be in (0, 1), got {threshold}")
@@ -76,14 +76,8 @@ class LandmarkExplainer:
                 "or an explicit explainer, not both"
             )
         self.matcher = matcher
-        self.tokenizer = tokenizer or Tokenizer()
-        self.generator = LandmarkGenerator(
-            tokenizer=self.tokenizer, injection_fraction=injection_fraction
-        )
+        self.generator = LandmarkGenerator(injection_fraction=injection_fraction)
         self.engine = engine if engine is not None else PredictionEngine(matcher)
-        self.dataset_reconstructor = DatasetReconstructor(
-            matcher, engine=self.engine
-        )
         self.explainer = explainer if explainer is not None else LimeTextExplainer(
             lime_config
         )
@@ -149,7 +143,7 @@ class LandmarkExplainer:
                     )
                 explanation = self.explainer.explain(
                     instance.feature_names,
-                    self.dataset_reconstructor.predict_masks_fn(instance),
+                    partial(self.engine.predict_instance, instance),
                     rng=self._rng_for(pair, landmark_side),
                 )
         except Exception as error:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.explanation import remove_tokens_from_pair
+from repro.core.columnar import removal_batch
 from repro.evaluation.methods import ExplainedRecord
 from repro.exceptions import ConfigurationError
 from repro.matchers.base import DEFAULT_THRESHOLD, EntityMatcher
@@ -55,7 +55,8 @@ def deletion_curve(
     ``order`` indexes ``explained.token_weights.entries``; tokens are
     removed cumulatively in that order, grouped into at most *max_steps*
     batches so long records stay cheap.  The first point is the untouched
-    record.
+    record.  Every point's pair is one row of a single
+    :func:`~repro.core.columnar.removal_batch`.
     """
     entries = explained.token_weights.entries
     if len(order) != len(entries):
@@ -67,11 +68,13 @@ def deletion_curve(
         .round()
         .astype(int)
     )
-    pairs = []
-    for boundary in boundaries:
-        keys = [entries[index].key for index in order[:boundary]]
-        pairs.append(remove_tokens_from_pair(explained.pair, keys))
-    return matcher.predict_proba(pairs)
+    key_sets = [
+        [entries[index].key for index in order[:boundary]]
+        for boundary in boundaries
+    ]
+    return matcher.predict_proba(
+        removal_batch(explained.pair, key_sets).pairs()
+    )
 
 
 def _record_gain(

@@ -172,9 +172,6 @@ def _config_payload(config: ExperimentConfig) -> dict:
 def _config_from_payload(payload: dict) -> ExperimentConfig:
     payload = dict(payload)
     payload["methods"] = tuple(payload["methods"])
-    # Retired engine knob: results and checkpoints written while the
-    # per-row prediction path existed still carry it.
-    payload.pop("engine_vectorize", None)
     engine = dict(payload.pop("engine", {}))
     guard = dict(engine.pop("guard", {}))
     # Results and checkpoints written before the engine and guard configs
@@ -182,6 +179,11 @@ def _config_from_payload(payload: dict) -> ExperimentConfig:
     for key in [k for k in payload if k.startswith(("engine_", "guard_"))]:
         prefix, _, name = key.partition("_")
         (engine if prefix == "engine" else guard)[name] = payload.pop(key)
+    # Retired engine knobs: results and checkpoints written while the
+    # per-row prediction path (``vectorize``) or the engine's off switch
+    # (``dedup``, ``cache``) existed still carry them.
+    for name in ("vectorize", "dedup", "cache"):
+        engine.pop(name, None)
     return ExperimentConfig(
         **payload,
         engine=EngineConfig(**engine, guard=GuardConfig(**guard)),

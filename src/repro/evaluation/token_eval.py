@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.explanation import remove_tokens_from_pair
+from repro.core.columnar import removal_batch
 from repro.evaluation.methods import ExplainedRecord
 from repro.exceptions import ConfigurationError
 from repro.matchers.base import DEFAULT_THRESHOLD, EntityMatcher
@@ -57,9 +57,9 @@ def token_removal_trial(
     n_remove = min(n_remove, len(entries))
     chosen = rng.choice(len(entries), size=n_remove, replace=False)
     removed = [entries[int(index)] for index in chosen]
-    reduced = remove_tokens_from_pair(
-        explained.pair, [entry.key for entry in removed]
-    )
+    reduced = removal_batch(
+        explained.pair, [[entry.key for entry in removed]]
+    ).pairs()[0]
     if original_probability is None:
         original_probability = matcher.predict_one(explained.pair)
     p_new = matcher.predict_one(reduced)

@@ -20,19 +20,20 @@ This implementation is a compact beam search over token conjunctions:
 
 It consumes the same ``(feature_names, predict_masks)`` interface as the
 LIME and Kernel SHAP explainers, so it composes with
-:class:`repro.core.generation.LandmarkGenerator` /
-:class:`repro.core.reconstruction.DatasetReconstructor` for landmark-style
-per-entity anchors — see :func:`anchor_for_landmark`.
+:class:`repro.core.generation.LandmarkGenerator` and
+:meth:`repro.core.engine.PredictionEngine.predict_instance` for
+landmark-style per-entity anchors — see :func:`anchor_for_landmark`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from repro.core.engine import PredictionEngine
 from repro.core.generation import GeneratedInstance
-from repro.core.reconstruction import DatasetReconstructor
 from repro.exceptions import ConfigurationError
 from repro.explainers.base import PredictMasksFn, checked_names, checked_predict
 from repro.matchers.base import DEFAULT_THRESHOLD, EntityMatcher
@@ -181,10 +182,12 @@ def anchor_for_landmark(
 
     The returned rule names the varying entity's tokens (and, under
     double-entity generation, the injected landmark tokens) that pin down
-    the model's decision while the landmark stays fixed.
+    the model's decision while the landmark stays fixed.  Masks are
+    scored through a fresh :class:`~repro.core.engine.PredictionEngine`,
+    so the beam search's repeated samples cost one matcher row each.
     """
     explainer = explainer or AnchorsTextExplainer()
-    predict_masks = DatasetReconstructor(matcher).predict_masks_fn(instance)
+    predict_masks = partial(PredictionEngine(matcher).predict_instance, instance)
     return explainer.explain(
         instance.feature_names, predict_masks, rng=rng, threshold=threshold
     )

@@ -2,8 +2,9 @@
 
 Landmark Explanation perturbs entities at the granularity of individual
 tokens, but after the perturbation the surviving tokens must be reassembled
-into a well-formed entity (the *pair reconstruction* step).  To make that
-possible each token carries:
+into a well-formed entity (the *pair reconstruction* step, which the batch
+builders in :mod:`repro.core.columnar` perform).  To make that possible
+each token carries:
 
 * the **attribute** it came from, and
 * its **position** inside the attribute value, which disambiguates multiple
@@ -23,7 +24,7 @@ validated at schema construction time.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.exceptions import TokenizationError
@@ -95,9 +96,12 @@ def parse_prefixed_token(token: str) -> PrefixedToken:
 class Tokenizer:
     """Transforms entities (attribute → value mappings) to prefixed tokens.
 
-    The tokenizer is stateless; it exists as a class so alternative
-    tokenization policies (e.g. q-grams) can subclass it and be plugged into
-    :class:`repro.core.landmark.LandmarkExplainer` unchanged.
+    The tokenizer is stateless and has one policy: the words of
+    :func:`~repro.text.normalize.tokens_of`, numbered by position.  The
+    explainers do not take a tokenizer.  The columnar batch builders
+    (:mod:`repro.core.columnar`) rebuild values by joining kept words in
+    position order with single spaces, which is right only for this
+    policy, so a subclass with another policy would not reach them.
     """
 
     def tokenize_value(self, attribute: str, value: object) -> list[PrefixedToken]:
@@ -113,25 +117,3 @@ class Tokenizer:
         for attribute, value in entity.items():
             tokens.extend(self.tokenize_value(attribute, value))
         return tokens
-
-    def detokenize(self, tokens: Iterable[PrefixedToken]) -> dict[str, str]:
-        """Reassemble tokens into an attribute → value mapping.
-
-        Tokens are grouped by attribute and ordered by their position
-        prefix, so any subset of an entity's tokens rebuilds into values
-        whose words keep their original relative order.  Attributes with no
-        surviving token are *absent* from the result; callers that need the
-        full schema fill the gaps with empty strings.
-        """
-        grouped: dict[str, list[PrefixedToken]] = {}
-        for token in tokens:
-            grouped.setdefault(token.attribute, []).append(token)
-        values: dict[str, str] = {}
-        for attribute, attr_tokens in grouped.items():
-            ordered = sorted(attr_tokens, key=lambda tok: tok.position)
-            values[attribute] = " ".join(tok.word for tok in ordered)
-        return values
-
-    def detokenize_strings(self, prefixed: Iterable[str]) -> dict[str, str]:
-        """Like :meth:`detokenize`, but from prefixed string form."""
-        return self.detokenize(parse_prefixed_token(tok) for tok in prefixed)

@@ -154,10 +154,7 @@ class TestEngineAbortsBetweenChunks:
     def test_deadline_aborts_between_chunks(self):
         clock = FakeClock()
         matcher = CountingMatcher(clock, per_call=1.0)
-        engine = PredictionEngine(
-            matcher,
-            EngineConfig(dedup=False, cache=False, batch_size=2),
-        )
+        engine = PredictionEngine(matcher, EngineConfig(batch_size=2))
         pairs = make_pairs(6)
         # 0.5s budget, 1s per chunk: chunk 1 completes (and overruns),
         # the poll before chunk 2 aborts.  One matcher call, not three.
@@ -169,9 +166,7 @@ class TestEngineAbortsBetweenChunks:
     def test_already_expired_deadline_spends_no_calls(self):
         clock = FakeClock()
         matcher = CountingMatcher(clock)
-        engine = PredictionEngine(
-            matcher, EngineConfig(dedup=False, cache=False, batch_size=2)
-        )
+        engine = PredictionEngine(matcher, EngineConfig(batch_size=2))
         clock.advance(5.0)
         with request_scope(Deadline.after(-1.0, clock), None):
             with pytest.raises(DeadlineExceededError):
@@ -183,9 +178,7 @@ class TestEngineAbortsBetweenChunks:
         matcher = CountingMatcher(
             on_call=lambda calls: token.cancel() if calls == 1 else None
         )
-        engine = PredictionEngine(
-            matcher, EngineConfig(dedup=False, cache=False, batch_size=2)
-        )
+        engine = PredictionEngine(matcher, EngineConfig(batch_size=2))
         with request_scope(None, token):
             with pytest.raises(RequestCancelledError):
                 engine.predict_pairs(make_pairs(6))
@@ -193,14 +186,16 @@ class TestEngineAbortsBetweenChunks:
 
     def test_unexpired_scope_changes_nothing(self):
         matcher = CountingMatcher()
-        engine = PredictionEngine(
-            matcher, EngineConfig(dedup=False, cache=False, batch_size=2)
-        )
         pairs = make_pairs(4)
-        bare = engine.predict_pairs(pairs)
+        bare = PredictionEngine(
+            matcher, EngineConfig(batch_size=2)
+        ).predict_pairs(pairs)
+        # A fresh engine, so the scoped call reaches the matcher too.
+        engine = PredictionEngine(matcher, EngineConfig(batch_size=2))
         with request_scope(Deadline.never(), CancelToken()):
             scoped = engine.predict_pairs(pairs)
         np.testing.assert_array_equal(bare, scoped)
+        assert matcher.calls == 4
 
 
 class TestGuardHonoursScope:

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.explanation import (
-    PairTokenWeights,
-    TokenEntry,
-    remove_tokens_from_pair,
-)
+from repro.core.columnar import removal_batch
+from repro.core.explanation import PairTokenWeights, TokenEntry
 from repro.core.generation import GENERATION_DOUBLE, GENERATION_SINGLE
 from repro.core.landmark import LandmarkExplainer
 from repro.exceptions import ExplanationError
@@ -29,6 +26,11 @@ def single_dual(explainer, match_pair):
 @pytest.fixture(scope="module")
 def double_dual(explainer, non_match_pair):
     return explainer.explain(non_match_pair, GENERATION_DOUBLE)
+
+
+def remove_tokens_from_pair(pair, keys):
+    """Row 0 of a one-row :func:`removal_batch`."""
+    return removal_batch(pair, [keys]).pairs()[0]
 
 
 class TestRemoveTokens:

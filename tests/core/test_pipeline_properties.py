@@ -11,12 +11,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.columnar import landmark_batch
 from repro.core.generation import (
     GENERATION_DOUBLE,
     GENERATION_SINGLE,
     LandmarkGenerator,
 )
-from repro.core.reconstruction import PairReconstructor
 from repro.data.records import RecordPair
 from repro.data.schema import PairSchema
 from repro.text.normalize import normalize_value
@@ -86,7 +86,7 @@ class TestReconstructionProperties:
         instance = LandmarkGenerator().generate(pair, side, generation)
         rng = np.random.default_rng(seed)
         mask = rng.integers(0, 2, size=len(instance.tokens))
-        rebuilt = PairReconstructor().rebuild(instance, mask)
+        rebuilt = landmark_batch(instance, [mask]).pairs()[0]
         landmark = pair.entity(side)
         assert dict(rebuilt.entity(side)) == dict(landmark)
         assert rebuilt.label == pair.label
@@ -96,9 +96,8 @@ class TestReconstructionProperties:
     @settings(max_examples=60, deadline=None)
     def test_full_single_mask_rebuilds_normalized_varying_entity(self, pair, side):
         instance = LandmarkGenerator().generate(pair, side, GENERATION_SINGLE)
-        rebuilt = PairReconstructor().rebuild(
-            instance, [1] * len(instance.tokens)
-        )
+        full_mask = [1] * len(instance.tokens)
+        rebuilt = landmark_batch(instance, [full_mask]).pairs()[0]
         varying = instance.varying_side
         for attribute in pair.schema.attributes:
             assert rebuilt.entity(varying)[attribute] == normalize_value(
@@ -115,7 +114,7 @@ class TestReconstructionProperties:
         instance = LandmarkGenerator().generate(pair, side, GENERATION_DOUBLE)
         rng = np.random.default_rng(seed)
         mask = rng.integers(0, 2, size=len(instance.tokens))
-        rebuilt = PairReconstructor().rebuild(instance, mask)
+        rebuilt = landmark_batch(instance, [mask]).pairs()[0]
         kept_words = sorted(
             token.word
             for token, bit in zip(instance.tokens, mask)

@@ -1,13 +1,14 @@
 """Bit-identity of the columnar mask path against the per-row reference.
 
 Perturbation masks become probabilities along one path: a columnar batch
-(:func:`~repro.core.columnar.landmark_batch` / ``mojito_*_batch``) → the
-prediction engine's dedup and cache → one chunked, guarded executor.
-These tests pin that path to the per-row recipe in
-``tests/core/mask_reference.py`` — the same pairs row for row, the same
-float64 probabilities and explanation weights — and pin the weights
-against engine chunk size, dedup/cache settings, and N distinct requests
-computed concurrently by the service's worker pool.
+(:func:`~repro.core.columnar.landmark_batch` / ``mojito_*_batch`` /
+``removal_batch``) → the prediction engine's dedup and cache → one
+chunked, guarded executor.  These tests pin that path to the per-row
+recipes in ``tests/core/mask_reference.py`` — the same pairs row for row
+(on every benchmark dataset), the same float64 probabilities and
+explanation weights — and pin the weights against engine chunk size,
+cache size and warmth, and N distinct requests computed concurrently by
+the service's worker pool.
 """
 
 from __future__ import annotations
@@ -28,59 +29,51 @@ from repro.core.columnar import (
     mojito_attr_drop_batch,
     mojito_copy_batch,
     mojito_drop_batch,
+    removal_batch,
 )
-from repro.core.engine import ENGINE_OFF, EngineConfig, PredictionEngine
+from repro.core.engine import EngineConfig, PredictionEngine
 from repro.core.generation import (
     GENERATION_DOUBLE,
     GENERATION_SINGLE,
     LandmarkGenerator,
 )
 from repro.core.landmark import LandmarkExplainer
-from repro.core.reconstruction import PairReconstructor
 from repro.data.records import NON_MATCH, RecordPair
 from repro.data.schema import PairSchema
+from repro.data.synthetic.magellan import DATASET_CODES, load_dataset
 from repro.explainers.lime_text import LimeConfig
 from repro.service.request import ExplainRequest
 from repro.service.service import ExplanationService, duals_from_result
+from repro.text.tokenize import Tokenizer
 from tests.backends.test_parity import MATCHER_TYPES
 from tests.core.mask_reference import (
+    TransparentEngine,
+    landmark_pair,
     landmark_probabilities,
     mojito_attr_drop_pair,
     mojito_copy_pair,
     mojito_drop_pair,
     pair_content,
+    removal_pair,
 )
 
 ENGINE_CONFIGS = {
     "default": EngineConfig(),
-    "off": ENGINE_OFF,
+    # A one-entry LRU: every new fingerprint evicts the last one.
+    "evicting": EngineConfig(cache_size=1),
     "chunked": EngineConfig(batch_size=7),
 }
 
 
-class _ReferenceReconstructor:
-    """Stands in for a ``DatasetReconstructor``: per-row reference masks."""
-
-    def __init__(self, matcher) -> None:
-        self.matcher = matcher
-
-    def predict_masks_fn(self, instance):
-        def predict_masks(masks):
-            return landmark_probabilities(self.matcher, instance, masks)
-
-        return predict_masks
-
-
-def landmark_weights(matcher, pair, engine_config=None, samples=48, reference=False):
-    engine = PredictionEngine(matcher, engine_config)
+def landmark_weights(matcher, pair, engine=None, samples=48):
+    """Combined dual weights of *pair* through *engine* (a fresh default
+    engine when omitted; a :class:`TransparentEngine` for the reference)."""
     explainer = LandmarkExplainer(
         matcher,
-        engine=engine,
+        engine=engine if engine is not None else PredictionEngine(matcher),
         lime_config=LimeConfig(n_samples=samples, seed=0),
         seed=0,
     )
-    if reference:
-        explainer.dataset_reconstructor = _ReferenceReconstructor(matcher)
     dual = explainer.explain(pair)
     return tuple(
         (entry.key, entry.weight) for entry in dual.combined().entries
@@ -174,11 +167,10 @@ class TestLandmarkMaskReference:
         return instances
 
     def test_batch_rows_equal_rebuilt_pairs(self, all_instances):
-        reconstructor = PairReconstructor()
         for seed, instance in enumerate(all_instances):
             masks = seeded_masks(len(instance.tokens), seed)
             columnar = landmark_batch(instance, masks).pairs()
-            reference = [reconstructor.rebuild(instance, row) for row in masks]
+            reference = [landmark_pair(instance, row) for row in masks]
             assert [pair_content(p) for p in columnar] == [
                 pair_content(p) for p in reference
             ]
@@ -210,14 +202,39 @@ class TestLandmarkMaskReference:
             assert got.tobytes() == want.tobytes()
 
 
+def seeded_key_sets(pair: RecordPair, seed: int = 4) -> list[list]:
+    """Token-key sets over *pair*: none, all, each single key, random
+    subsets, and one key that addresses no token."""
+    keys = [
+        (side, token.attribute, token.position)
+        for side in ("left", "right")
+        for token in Tokenizer().tokenize_entity(pair.entity(side))
+    ]
+    rng = np.random.default_rng(seed)
+    key_sets = [[], list(keys), [("left", pair.schema.attributes[0], 999)]]
+    key_sets += [[key] for key in keys]
+    key_sets += [
+        [key for key, bit in zip(keys, row) if not bit]
+        for row in rng.integers(0, 2, size=(20, len(keys)))
+    ]
+    return key_sets
+
+
 def _mojito_cases(matcher, pair):
-    """``(name, batch, reference pairs)`` for every Mojito batch builder."""
+    """``(name, batch, reference pairs)`` for every pair-level builder:
+    the Mojito batches and the token-key removal batch."""
     _, tokens = MojitoDropExplainer(matcher)._features(pair)
     masks = seeded_masks(len(tokens), seed=1)
     yield (
         "drop",
         mojito_drop_batch(pair, tokens, masks),
         [mojito_drop_pair(pair, tokens, row) for row in masks],
+    )
+    key_sets = seeded_key_sets(pair)
+    yield (
+        "removal",
+        removal_batch(pair, key_sets),
+        [removal_pair(pair, keys) for keys in key_sets],
     )
     _, cells = MojitoAttributeDropExplainer(matcher)._features(pair)
     masks = seeded_masks(len(cells), seed=2)
@@ -236,7 +253,8 @@ def _mojito_cases(matcher, pair):
 
 
 class TestMojitoMaskReference:
-    """``mojito_*_batch`` and ``predict_columnar`` against the recipes."""
+    """``mojito_*_batch``, ``removal_batch`` and ``predict_columnar``
+    against the recipes."""
 
     @pytest.fixture()
     def pairs(self, non_match_pair, duplicate_words_pair, wide_pair):
@@ -257,6 +275,26 @@ class TestMojitoMaskReference:
                 got = engine.predict_columnar(batch)
                 want = beer_matcher.predict_proba(reference)
                 assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("code", DATASET_CODES)
+def test_batch_rows_equal_rebuilt_pairs_on_every_dataset(beer_matcher, code):
+    """Every builder, row for row, on the first pairs of each dataset."""
+    dataset = load_dataset(code, seed=0, size_cap=200)
+    generator = LandmarkGenerator()
+    for pair in dataset.pairs[:8]:
+        for name, batch, reference in _mojito_cases(beer_matcher, pair):
+            assert [pair_content(p) for p in batch.pairs()] == [
+                pair_content(p) for p in reference
+            ], name
+        for side in ("left", "right"):
+            for generation in (GENERATION_SINGLE, GENERATION_DOUBLE):
+                instance = generator.generate(pair, side, generation)
+                masks = seeded_masks(len(instance.tokens), pair.pair_id)
+                rows = landmark_batch(instance, masks).pairs()
+                assert [pair_content(p) for p in rows] == [
+                    pair_content(landmark_pair(instance, row)) for row in masks
+                ], (side, generation)
 
 
 def _mojito_reference_weights(explainer, matcher, pair) -> np.ndarray:
@@ -283,7 +321,9 @@ class TestEngineParity:
     def test_vectorized_weights_equal_per_pair_weights(
         self, beer_matcher, non_match_pair
     ):
-        reference = landmark_weights(beer_matcher, non_match_pair, reference=True)
+        reference = landmark_weights(
+            beer_matcher, non_match_pair, TransparentEngine(beer_matcher)
+        )
         assert landmark_weights(beer_matcher, non_match_pair) == reference
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 4096])
@@ -294,21 +334,29 @@ class TestEngineParity:
         chunked = landmark_weights(
             beer_matcher,
             non_match_pair,
-            EngineConfig(batch_size=batch_size),
+            PredictionEngine(beer_matcher, EngineConfig(batch_size=batch_size)),
         )
         assert reference == chunked
 
-    @pytest.mark.parametrize("dedup,cache", [(False, False), (True, False), (False, True)])
-    def test_weights_invariant_to_dedup_and_cache(
-        self, beer_matcher, non_match_pair, dedup, cache
+    @pytest.mark.parametrize("cache_size", [1, 100_000])
+    def test_weights_invariant_to_a_warm_cache(
+        self, beer_matcher, non_match_pair, cache_size
     ):
-        reference = landmark_weights(beer_matcher, non_match_pair)
-        other = landmark_weights(
-            beer_matcher,
-            non_match_pair,
-            EngineConfig(dedup=dedup, cache=cache),
+        # The second explanation is answered from the cache (or, with a
+        # one-entry LRU, recomputed after evictions); both equal the
+        # transparent reference.
+        reference = landmark_weights(
+            beer_matcher, non_match_pair, TransparentEngine(beer_matcher)
         )
-        assert reference == other
+        engine = PredictionEngine(
+            beer_matcher, EngineConfig(cache_size=cache_size)
+        )
+        cold = landmark_weights(beer_matcher, non_match_pair, engine)
+        issued = engine.stats.calls_issued
+        warm = landmark_weights(beer_matcher, non_match_pair, engine)
+        assert cold == warm == reference
+        if cache_size > 1:
+            assert engine.stats.calls_issued == issued
 
     @pytest.mark.parametrize(
         "factory",
@@ -318,14 +366,14 @@ class TestEngineParity:
         self, beer_matcher, factory, non_match_pair
     ):
         config = LimeConfig(n_samples=32, seed=0)
-        engineless = factory(beer_matcher, config, seed=0)
+        own_engine = factory(beer_matcher, config, seed=0)
         shared = factory(
             beer_matcher, config, seed=0, engine=PredictionEngine(beer_matcher)
         )
         reference = _mojito_reference_weights(
-            engineless, beer_matcher, non_match_pair
+            own_engine, beer_matcher, non_match_pair
         )
-        for explainer in (engineless, shared):
+        for explainer in (own_engine, shared):
             weights = explainer.explain(non_match_pair).explanation.weights
             assert weights.tobytes() == reference.tobytes()
 
@@ -342,7 +390,7 @@ class TestEngineParity:
             schema=schema, left=wide, right=narrow, label=NON_MATCH
         )
         reference = landmark_weights(
-            beer_matcher, pair, samples=24, reference=True
+            beer_matcher, pair, TransparentEngine(beer_matcher), samples=24
         )
         assert landmark_weights(beer_matcher, pair, samples=24) == reference
 

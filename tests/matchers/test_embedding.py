@@ -141,7 +141,7 @@ class TestTokenSaliency:
     ):
         from scipy.stats import spearmanr
 
-        from repro.core.explanation import remove_tokens_from_pair
+        from repro.core.columnar import removal_batch
 
         rhos = []
         for pair in beer_dataset.pairs[:5]:
@@ -149,14 +149,12 @@ class TestTokenSaliency:
             if len(saliency) < 3:
                 continue
             p0 = embedding_matcher.predict_one(pair)
-            occlusion = {
-                key: p0
-                - embedding_matcher.predict_one(
-                    remove_tokens_from_pair(pair, [key])
-                )
-                for key in saliency
-            }
             keys = list(saliency)
+            occluded = removal_batch(pair, [[key] for key in keys]).pairs()
+            occlusion = {
+                key: p0 - embedding_matcher.predict_one(variant)
+                for key, variant in zip(keys, occluded)
+            }
             if np.ptp([occlusion[k] for k in keys]) == 0.0:
                 continue
             rhos.append(

@@ -138,7 +138,7 @@ def test_flag_reaches_its_field(monkeypatch, command, cls, path, field):
 
 def test_cases_cover_the_named_paths():
     ids = {case.id for case in CASES}
-    assert {"explain--no-cache", "experiment--max-retries",
+    assert {"explain--n-jobs", "experiment--max-retries",
             "bulk--call-timeout", "serve--shards"} <= ids
     assert "explain--max-retries" not in ids
 

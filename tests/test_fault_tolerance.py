@@ -394,16 +394,31 @@ FLAT_ENGINE = EngineConfig(
 
 def _flatten_engine(config: dict, **flat) -> None:
     """Rewrite a config payload into the flat ``engine_*`` / ``guard_*``
-    keys written before ``ExperimentConfig.engine`` nested, then apply
-    *flat*."""
+    keys written before ``ExperimentConfig.engine`` nested (with the
+    retired ``engine_dedup`` / ``engine_cache`` switches they carried),
+    then apply *flat*."""
     engine = config.pop("engine")
     guard = engine.pop("guard")
-    for name in ("dedup", "cache", "batch_size", "n_jobs"):
+    config["engine_dedup"] = config["engine_cache"] = True
+    for name in ("batch_size", "n_jobs"):
         config[f"engine_{name}"] = engine[name]
     for name in ("max_retries", "call_timeout", "trip_after", "cooldown",
                  "backoff"):
         config[f"guard_{name}"] = guard[name]
     config.update(flat)
+
+
+def _nest_retired_switches(config: dict, **flat) -> None:
+    """Add the retired ``dedup`` / ``cache`` switches to the nested
+    engine payload, as written while the engine had an off switch, then
+    apply *flat*."""
+    config["engine"].update(dedup=False, cache=False)
+    config.update(flat)
+
+
+#: Rewrites of a current config payload into the shapes older results
+#: and checkpoints carry.
+OLD_ENGINE_PAYLOADS = (_flatten_engine, _nest_retired_switches)
 
 
 class TestCheckpointResume:
@@ -548,18 +563,19 @@ class TestCheckpointResume:
             )
         journal = run_dir / CHECKPOINT_NAME
         lines = journal.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        _flatten_engine(
-            header["config"], engine_n_jobs=2, guard_max_retries=3,
-            guard_backoff=0.0,
-        )
-        lines[0] = json.dumps(header)
-        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+        current = lines[0]
         expected = dataclasses.replace(TINY, engine=FLAT_ENGINE)
-        state = load_checkpoint(run_dir, expected_config=expected)
-        assert state.config == expected
-        assert state.n_cells() == 2
+        for rewrite in OLD_ENGINE_PAYLOADS:
+            header = json.loads(current)
+            rewrite(
+                header["config"], engine_n_jobs=2, guard_max_retries=3,
+                guard_backoff=0.0,
+            )
+            lines[0] = json.dumps(header)
+            journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            state = load_checkpoint(run_dir, expected_config=expected)
+            assert state.config == expected, rewrite.__name__
+            assert state.n_cells() == 2
         resumed = ExperimentRunner(state.config).run(
             ["S-BR"], run_dir=str(run_dir), resume=True
         )
@@ -569,15 +585,18 @@ class TestCheckpointResume:
 
     def test_result_with_flat_engine_keys_loads(self):
         result = ExperimentRunner(TINY).run(["S-BR"])
-        payload = json.loads(json.dumps(result_to_dict(result)))
-        _flatten_engine(
-            payload["config"], engine_n_jobs=2, guard_max_retries=3,
-            guard_backoff=0.0,
-        )
-        restored = result_from_dict(payload)
-        assert restored.config == dataclasses.replace(TINY, engine=FLAT_ENGINE)
-        assert (_comparable(restored)["datasets"]
-                == _comparable(result)["datasets"])
+        for rewrite in OLD_ENGINE_PAYLOADS:
+            payload = json.loads(json.dumps(result_to_dict(result)))
+            rewrite(
+                payload["config"], engine_n_jobs=2, guard_max_retries=3,
+                guard_backoff=0.0,
+            )
+            restored = result_from_dict(payload)
+            assert restored.config == dataclasses.replace(
+                TINY, engine=FLAT_ENGINE
+            ), rewrite.__name__
+            assert (_comparable(restored)["datasets"]
+                    == _comparable(result)["datasets"])
 
     def test_resume_without_run_dir_raises(self):
         with pytest.raises(CheckpointError, match="run_dir"):

@@ -1,6 +1,6 @@
 """Import boundaries of ``src/repro``, checked by source walk and at run time.
 
-Three rules:
+Four rules:
 
 * Production modules never import the test doubles in ``repro.testing``.
   Fault injection lives outside the serving stack: a drill or test
@@ -16,8 +16,13 @@ Three rules:
   declares its counters as fields of a stats dataclass and binds them
   through ``StatsInstruments``, so no module calls ``.counter(``,
   ``.gauge(`` or ``.histogram(`` on a registry.
+* Perturbed pairs are rebuilt by one route, the batch builders of
+  ``repro/core/columnar.py``.  Outside that module and
+  ``repro/data/records.py``, which defines them, no module touches
+  ``RecordPair.with_left``, ``with_right`` or ``with_side``; a caller
+  that needs one rebuilt pair takes a row of a batch.
 
-All three walk every module under ``src/repro`` with :mod:`ast` and check
+All four walk every module under ``src/repro`` with :mod:`ast` and check
 that every import spelling is caught.  A runtime test then builds a
 shard in a fresh interpreter from the shard module, the module a pipe
 shard's fork server preloads, and asserts a module budget: the package
@@ -49,6 +54,8 @@ FORBIDDEN = "repro.testing"
 DEFERRED = "scipy"
 INSTRUMENT_FACTORIES = {"counter", "gauge", "histogram"}
 METRICS_MODULE = "repro.obs.metrics"
+PAIR_REBUILDERS = {"with_left", "with_right", "with_side"}
+PAIR_REBUILD_MODULES = {"repro.core.columnar", "repro.data.records"}
 
 
 def _module_name(path: Path) -> str:
@@ -290,6 +297,60 @@ def test_every_instrument_creation_spelling_is_caught(source):
 )
 def test_neighbouring_calls_are_not_flagged(source):
     assert not _instrument_calls(source)
+
+
+def _pair_rebuilds(source: str) -> list[str]:
+    """``line:name`` of every ``<expr>.with_left/with_right/with_side``,
+    called or not."""
+    return [
+        f"{node.lineno}:{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in PAIR_REBUILDERS
+    ]
+
+
+def test_only_the_batch_builders_rebuild_pairs():
+    modules = [
+        path for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        if _module_name(path) not in PAIR_REBUILD_MODULES
+    ]
+    assert len(modules) > 50, "the walk found too few modules"
+    offenders = {
+        str(path.relative_to(PACKAGE_ROOT.parent)): uses
+        for path in modules
+        if (uses := _pair_rebuilds(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "pair.with_left({'name': 'x'})",
+        "instance.pair.with_side(side, entity)",
+        "pair.with_left(a).with_right(b)",
+        "rebuild = pair.with_side",
+        "def f(pair):\n    return pair.with_right({})\n",
+    ],
+    ids=["call", "attribute-chain", "chained-calls", "bound-method",
+         "function-body"],
+)
+def test_every_pair_rebuild_spelling_is_caught(source):
+    assert _pair_rebuilds(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def with_side(pair, side):\n    return side\n",
+        "with_left = {'name': 'x'}",
+        "pair.with_sides()",
+        "text = 'pair.with_side'",
+    ],
+    ids=["definition", "bare-name", "longer-attribute", "string"],
+)
+def test_neighbouring_pair_names_are_not_flagged(source):
+    assert not _pair_rebuilds(source)
 
 
 SHARD_EXCLUDED = (

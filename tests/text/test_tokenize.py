@@ -1,4 +1,9 @@
-"""Tests for the prefixed tokenizer (paper Sec. 3.1, "Tokenizer")."""
+"""Tests for the prefixed tokenizer (paper Sec. 3.1, "Tokenizer").
+
+Detokenization is the reference recipe of ``tests/core/mask_reference.py``
+(production regroups kept tokens in :mod:`repro.core.columnar`); the
+round-trip tests here pin that recipe to the tokenizer.
+"""
 
 import pytest
 from hypothesis import given
@@ -11,6 +16,7 @@ from repro.text.tokenize import (
     format_prefixed_token,
     parse_prefixed_token,
 )
+from tests.core.mask_reference import detokenize, detokenize_strings
 
 words = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Nd")), min_size=1, max_size=8
@@ -97,18 +103,18 @@ class TestTokenizer:
     def test_detokenize_full_entity(self):
         entity = {"name": "sony digital camera", "price": "849.99"}
         tokens = self.tokenizer.tokenize_entity(entity)
-        assert self.tokenizer.detokenize(tokens) == entity
+        assert detokenize(tokens) == entity
 
     def test_detokenize_subset_preserves_order(self):
         tokens = self.tokenizer.tokenize_value("name", "a b c d")
         subset = [tokens[3], tokens[0], tokens[2]]
-        assert self.tokenizer.detokenize(subset) == {"name": "a c d"}
+        assert detokenize(subset) == {"name": "a c d"}
 
     def test_detokenize_empty(self):
-        assert self.tokenizer.detokenize([]) == {}
+        assert detokenize([]) == {}
 
     def test_detokenize_strings(self):
-        values = self.tokenizer.detokenize_strings(["name#1_b", "name#0_a"])
+        values = detokenize_strings(["name#1_b", "name#0_a"])
         assert values == {"name": "a b"}
 
     def test_empty_value_produces_no_tokens(self):
@@ -129,7 +135,7 @@ class TestTokenizer:
         from repro.text.normalize import normalize_value
 
         tokens = self.tokenizer.tokenize_entity(entity)
-        rebuilt = self.tokenizer.detokenize(tokens)
+        rebuilt = detokenize(tokens)
         expected = {
             k: normalize_value(v) for k, v in entity.items() if normalize_value(v)
         }
@@ -144,7 +150,7 @@ class TestTokenizer:
     def test_any_subset_rebuilds_subsequence(self, value, keep_bits):
         tokens = self.tokenizer.tokenize_value("name", value)
         kept = [t for t, keep in zip(tokens, keep_bits) if keep]
-        rebuilt = self.tokenizer.detokenize(kept)
+        rebuilt = detokenize(kept)
         if not kept:
             assert rebuilt == {}
         else:
