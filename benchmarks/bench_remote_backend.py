@@ -43,6 +43,7 @@ import numpy as np
 from repro.backends.client import RemoteBackend, RemoteBackendConfig
 from repro.backends.server import MatcherServer
 from repro.config import GuardConfig
+from repro.core.columnar import pairs_batch
 from repro.core.landmark import LandmarkExplainer
 from repro.core.serialize import dual_digest
 from repro.data.synthetic.magellan import load_dataset
@@ -108,27 +109,30 @@ def _drive(predict, batch, rounds: int, callers: int) -> float:
 def measure_throughput(matcher, pairs, rounds, chunk, callers, config):
     """Rows/second predicting *pairs*, in-process vs pipelined remote.
 
-    Concurrent callers mimic the service's worker threads; the server-max
-    *chunk* forces every call to split into pipelined in-flight batches.
+    Both sides score the same columnar batch, the one payload a backend
+    call carries.  Concurrent callers mimic the service's worker threads;
+    the server-max *chunk* forces every call to split into pipelined
+    in-flight batches.
     """
-    batch = list(pairs)
-    matcher.predict_proba(batch)  # warm caches outside the timed region
-    local_seconds = _drive(matcher.predict_proba, batch, rounds, callers)
+    batch = pairs_batch(list(pairs))
+    local = matcher.predict_proba_columnar
+    local(batch)  # warm caches outside the timed region
+    local_seconds = _drive(local, batch, rounds, callers)
 
     with MatcherServer(matcher, max_batch_size=chunk, workers=4) as server:
         backend = RemoteBackend(server.address, config=config)
         try:
             # Connect and verify parity outside the timed region.
             assert np.array_equal(
-                backend.predict_proba(batch), matcher.predict_proba(batch)
+                backend.predict_proba_columnar(batch), local(batch)
             ), "throughput batches diverged"
             remote_seconds = _drive(
-                backend.predict_proba, batch, rounds, callers
+                backend.predict_proba_columnar, batch, rounds, callers
             )
         finally:
             backend.close()
-    in_flight = max(1, -(-len(batch) // chunk))  # ceil: chunks per call
-    rows = len(batch) * rounds * callers
+    in_flight = max(1, -(-batch.n_rows // chunk))  # ceil: chunks per call
+    rows = batch.n_rows * rounds * callers
     return {
         "rows": rows,
         "callers": callers,

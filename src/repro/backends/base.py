@@ -3,7 +3,9 @@
 Landmark explanations need exactly one model capability — *score a batch
 of record pairs* — but until this module everything assumed the model
 object lived in the calling process.  A :class:`MatcherBackend` abstracts
-*where* that capability runs:
+*where* that capability runs (it scores one payload shape, a
+:class:`~repro.core.columnar.ColumnarPairBatch`; a caller holding pairs
+wraps them with :func:`~repro.core.columnar.pairs_batch`):
 
 * :class:`InProcessBackend` wraps any :class:`~repro.matchers.base.
   EntityMatcher` so today's matchers keep working unchanged (and stay
@@ -27,21 +29,18 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.columnar import ColumnarPairBatch, pairs_batch
+from repro.data.records import RecordPair
 from repro.exceptions import BackendError, ConfigurationError
 from repro.matchers.base import EntityMatcher
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.columnar import ColumnarPairBatch
-    from repro.data.records import RecordPair
 
 #: Version of the backend wire protocol / capabilities contract.  A
 #: remote peer advertising a different version is an incompatible build
 #: and the handshake fails rather than limping along.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Default cap on rows per backend call when the backend itself does not
 #: impose a tighter one.  Bounds a single frame's memory on both sides of
@@ -62,7 +61,7 @@ class BackendCapabilities:
 
     #: Content hash of the model (:func:`matcher_fingerprint`).
     fingerprint: str
-    #: Largest row count one ``predict`` call may carry.
+    #: Largest row count one scoring call may carry.
     max_batch_size: int
     #: Matcher class name, for logs and /healthz — never for dispatch.
     matcher_class: str = ""
@@ -110,12 +109,12 @@ class MatcherBackend(ABC):
         """Negotiated capabilities (connects lazily for remote backends)."""
 
     @abstractmethod
-    def predict_proba(self, pairs: Sequence["RecordPair"]) -> np.ndarray:
-        """Match probabilities for materialized pairs."""
+    def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
+        """Match probabilities, one per row of a columnar batch.
 
-    @abstractmethod
-    def predict_proba_columnar(self, batch: "ColumnarPairBatch") -> np.ndarray:
-        """Match probabilities for a columnar perturbation batch."""
+        The one scoring method: pairs reach a backend as a
+        :func:`~repro.core.columnar.pairs_batch`.
+        """
 
     def health(self) -> dict:
         """Liveness view for /healthz: at least ``{"available": bool}``."""
@@ -146,8 +145,8 @@ class InProcessBackend(MatcherBackend):
 
     Duck-typed on purpose: test doubles and counting/fault-injection
     shims that only implement ``predict_proba`` wrap exactly like real
-    matchers, mirroring the engine's historical tolerance; their columnar
-    batches are materialized, as :class:`EntityMatcher`'s default does.
+    matchers; their batches are materialized, as :class:`EntityMatcher`'s
+    default does.
     """
 
     def __init__(
@@ -177,10 +176,7 @@ class InProcessBackend(MatcherBackend):
             )
         return self._capabilities
 
-    def predict_proba(self, pairs: Sequence["RecordPair"]) -> np.ndarray:
-        return self.matcher.predict_proba(pairs)
-
-    def predict_proba_columnar(self, batch: "ColumnarPairBatch") -> np.ndarray:
+    def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
         columnar = getattr(self.matcher, "predict_proba_columnar", None)
         if columnar is None:
             return self.matcher.predict_proba(batch.pairs())
@@ -208,10 +204,13 @@ class BackendMatcher(EntityMatcher):
             "train where the model lives and restart the backend"
         )
 
-    def predict_proba(self, pairs: Sequence["RecordPair"]) -> np.ndarray:
-        return self._backend.predict_proba(pairs)
+    def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
+        pairs = list(pairs)
+        if not pairs:
+            return np.empty(0, dtype=np.float64)
+        return self._backend.predict_proba_columnar(pairs_batch(pairs))
 
-    def predict_proba_columnar(self, batch: "ColumnarPairBatch") -> np.ndarray:
+    def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
         return self._backend.predict_proba_columnar(batch)
 
 

@@ -5,7 +5,7 @@
 :class:`~repro.backends.base.MatcherBackend` surface to the engine.
 
 **Pipelining.**  One TCP connection carries many in-flight batches at
-once: a large pair list or columnar batch is split into server-sized chunks
+once: a large columnar batch is split into server-sized chunks
 that are *all written immediately* (bounded by ``max_in_flight`` window
 slots), and concurrent service workers share the same connection the
 same way.  A dedicated reader thread resolves responses **out of order**
@@ -35,7 +35,6 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
@@ -239,9 +238,9 @@ class BackendStats:
 class RemoteBackend(MatcherBackend):
     """A matcher served over a socket, with MatcherGuard fault semantics.
 
-    Thread-safe: service workers and the engine's thread pool may call
-    concurrently; their wire requests interleave on the shared
-    connection and complete out of order.
+    Thread-safe: service workers may call concurrently; their wire
+    requests interleave on the shared connection and complete out of
+    order.
     """
 
     def __init__(
@@ -258,7 +257,6 @@ class RemoteBackend(MatcherBackend):
         )
         # Guard retries and trips export under the backend's own labels.
         self._guard = MatcherGuard(
-            self._roundtrip,
             # A transport fails on its own; the breaker must watch even
             # when the caller asked for zero retries.
             config=replace(self.config.guard, always_active=True),
@@ -285,16 +283,10 @@ class RemoteBackend(MatcherBackend):
             return conn.capabilities
         # First contact (or reconnect) goes through the guard so startup
         # against a still-booting server gets the same retry policy.
-        return self._guarded(("capabilities", None), 0).capabilities
-
-    def predict_proba(self, pairs: Sequence) -> np.ndarray:
-        pairs = list(pairs)
-        if not pairs:
-            return np.zeros(0, dtype=np.float64)
-        return self._guarded(("predict", pairs), len(pairs))
+        return self._guarded(None, 0).capabilities
 
     def predict_proba_columnar(self, batch) -> np.ndarray:
-        return self._guarded(("predict_columnar", batch), batch.n_rows)
+        return self._guarded(batch, batch.n_rows)
 
     def health(self) -> dict:
         conn = self._conn
@@ -320,9 +312,11 @@ class RemoteBackend(MatcherBackend):
 
     # -- guarded round-trips -------------------------------------------
 
-    def _guarded(self, payload, size: int):
+    def _guarded(self, batch, size: int):
+        """One guarded round-trip scoring *batch*; ``None`` only connects
+        and returns the live connection."""
         try:
-            return self._guard.call_with(self._roundtrip, payload, size)
+            return self._guard.call(self._roundtrip, batch, size)
         except MatcherUnavailableError as error:
             # The breaker lives in this client; surface it under the
             # backend taxonomy so /healthz and clients see the layer
@@ -337,8 +331,7 @@ class RemoteBackend(MatcherBackend):
             self._instruments.failures.inc()
             raise
 
-    def _roundtrip(self, payload):
-        op, body = payload
+    def _roundtrip(self, batch):
         if self._closed:
             raise BackendUnavailableError("backend client is closed")
         try:
@@ -348,12 +341,12 @@ class RemoteBackend(MatcherBackend):
                 f"cannot reach matcher backend at "
                 f"{self.address[0]}:{self.address[1]}: {error}"
             ) from error
-        if op == "capabilities":
+        if batch is None:
             return conn
         timeout_at = self._timeout_at()
         try:
-            issued = [self._submit(conn, op, chunk, timeout_at)
-                      for chunk in self._split(body, conn.capabilities)]
+            issued = [self._submit(conn, chunk, timeout_at)
+                      for chunk in self._split(batch, conn.capabilities)]
             parts = [self._await(conn, pending, timeout_at)
                      for pending in issued]
         except (ConnectionError, OSError) as error:
@@ -468,19 +461,14 @@ class RemoteBackend(MatcherBackend):
     # -- request plumbing ----------------------------------------------
 
     @staticmethod
-    def _split(body, capabilities: BackendCapabilities) -> list:
-        """Server-sized chunks of a pair list or a columnar batch.
-
-        The server refuses a frame above its advertised max of either kind.
-        """
+    def _split(batch, capabilities: BackendCapabilities) -> list:
+        """Server-sized chunks of a batch (the server refuses a frame
+        above its advertised max)."""
         chunk = capabilities.max_batch_size
-        if isinstance(body, list):
-            n_rows, cut = len(body), lambda i: body[i:i + chunk]
-        else:
-            n_rows, cut = body.n_rows, lambda i: body.slice_rows(i, i + chunk)
-        if n_rows <= chunk:
-            return [body]
-        return [cut(i) for i in range(0, n_rows, chunk)]
+        if batch.n_rows <= chunk:
+            return [batch]
+        return [batch.slice_rows(i, i + chunk)
+                for i in range(0, batch.n_rows, chunk)]
 
     def _timeout_at(self) -> float | None:
         timeout = self.config.call_timeout
@@ -493,7 +481,7 @@ class RemoteBackend(MatcherBackend):
                 at = ambient if at is None else min(at, ambient)
         return at
 
-    def _submit(self, conn: _Connection, op: str, body,
+    def _submit(self, conn: _Connection, batch,
                 timeout_at: float | None) -> _Pending:
         # A window slot bounds in-flight frames; waiting for one polls
         # the scope so cancellation/deadline interrupts the backpressure.
@@ -508,16 +496,14 @@ class RemoteBackend(MatcherBackend):
                 )
         try:
             request_id, pending = conn.register(time.monotonic())
-            columnar = op == "predict_columnar"
-            key = "batch" if columnar else "pairs"
             with conn.send_lock:
-                send_frame(conn.sock, {"op": op, "id": request_id, key: body})
+                send_frame(conn.sock, {"op": "predict_columnar",
+                                       "id": request_id, "batch": batch})
         except BaseException:
             conn.window.release()
             raise
         self._instruments.requests.inc()
-        rows = body.n_rows if columnar else len(body)
-        self._instruments.batch_width.observe(float(rows))
+        self._instruments.batch_width.observe(float(batch.n_rows))
         self._instruments.inflight.inc()
         return pending
 

@@ -1,9 +1,10 @@
 """The subprocess-backed reference matcher server.
 
-One process owns one trained matcher and serves ``predict_proba`` /
-``predict_proba_columnar`` over the frame protocol to any number of
-clients — the deployment shape where N service shards share a model too
-heavy to replicate per shard.  Run it standalone via the
+One process owns one trained matcher and serves
+``predict_proba_columnar`` (the ``predict_columnar`` op) over the frame
+protocol to any number of clients — the deployment shape where N
+service shards share a model too heavy to replicate per shard.  Run it
+standalone via the
 ``serve-matcher`` CLI (``repro-em serve-matcher --model-dir …``), or
 in-process through :class:`MatcherServer` (tests, benchmarks).
 
@@ -34,6 +35,7 @@ from repro.backends.base import (
     InProcessBackend,
 )
 from repro.backends.protocol import read_frame, send_frame
+from repro.core.columnar import ColumnarPairBatch
 from repro.exceptions import (
     BackendProtocolError,
     ConfigurationError,
@@ -191,7 +193,7 @@ class MatcherServer:
             self._respond(sock, send_lock, {"id": request_id, "ok": True,
                                             "result": "pong"})
             return
-        if op not in ("predict", "predict_columnar"):
+        if op != "predict_columnar":
             self._respond(sock, send_lock, {
                 "id": request_id,
                 **error_fields(ServiceError(f"unknown op {op!r}")),
@@ -225,20 +227,17 @@ class MatcherServer:
         self._respond(sock, send_lock, response)
 
     def _score(self, message: dict) -> np.ndarray:
-        if message.get("op") == "predict_columnar":
-            batch = message["batch"]
-            rows, score = batch.n_rows, self._backend.predict_proba_columnar
-        else:
-            batch = message.get("pairs")
-            if not isinstance(batch, list):
-                raise ServiceError("predict needs a list of pairs")
-            rows, score = len(batch), self._backend.predict_proba
-        if rows > self.capabilities.max_batch_size:
+        batch = message.get("batch")
+        if not isinstance(batch, ColumnarPairBatch):
+            raise ServiceError("predict_columnar needs a columnar batch")
+        if batch.n_rows > self.capabilities.max_batch_size:
             raise ServiceError(
-                f"batch of {rows} exceeds the advertised max of "
+                f"batch of {batch.n_rows} exceeds the advertised max of "
                 f"{self.capabilities.max_batch_size}"
             )
-        return np.asarray(score(batch), dtype=np.float64)
+        return np.asarray(
+            self._backend.predict_proba_columnar(batch), dtype=np.float64
+        )
 
     # -- response path --------------------------------------------------
 

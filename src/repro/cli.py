@@ -185,8 +185,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
              "local processes; the file, not a flag, sets the shard count",
     )
     add_config_arguments(
-        parser, ServiceConfig, ShardConfig, StoreConfig, EngineConfig,
-        GuardConfig,
+        parser, ServiceConfig, ShardConfig, StoreConfig, GuardConfig
     )
     _add_obs_arguments(parser)
 
@@ -226,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--baselines", action="store_true", help="also run LIME drop / Mojito copy"
     )
-    add_config_arguments(explain, EngineConfig)
     _add_obs_arguments(explain)
 
     experiment = subparsers.add_parser("experiment", help="run Tables 2-4")
@@ -250,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resume the run checkpointed in --run-dir (config is read "
              "from the checkpoint; completed cells are skipped)",
     )
-    add_config_arguments(experiment, EngineConfig, GuardConfig)
+    add_config_arguments(experiment, GuardConfig)
     _add_obs_arguments(experiment)
 
     serve = subparsers.add_parser(
@@ -390,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="deduplicate against (and warm) this explanation store",
     )
     bulk.add_argument("--top", type=int, default=15)
-    add_config_arguments(bulk, StoreConfig, EngineConfig, GuardConfig)
+    add_config_arguments(bulk, StoreConfig, GuardConfig)
     _add_obs_arguments(bulk)
 
     selftest = subparsers.add_parser(
@@ -528,7 +526,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.service.request import ExplainRequest
     from repro.service.service import build_landmark_explainer
 
-    engine_config = config_from_namespace(EngineConfig, args)
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     if not 0 <= args.record < len(dataset):
         print(f"record index {args.record} out of range 0..{len(dataset) - 1}")
@@ -536,7 +533,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     pair = dataset[args.record]
     matcher = _resolve_matcher(args, dataset)
     registry = _obs_registry(args)
-    engine = PredictionEngine(matcher, engine_config, metrics=registry)
+    engine = PredictionEngine(matcher, metrics=registry)
     print(pair.describe())
     print(f"model match probability: {matcher.predict_one(pair):.3f}")
     explainer = build_landmark_explainer(

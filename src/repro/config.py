@@ -110,12 +110,11 @@ class EngineConfig:
     """Knobs of the prediction engine (:mod:`repro.core.engine`).
 
     The engine always collapses identical rebuilt pairs inside one
-    request and keeps an LRU of ``cache_size`` pair fingerprints that
+    request and keeps an LRU of ``cache_size`` pair contents that
     persists across landmark sides, methods and evaluation stages;
-    ``batch_size`` chunks matcher calls and ``n_jobs > 1`` runs the chunks
-    on a thread pool (expensive matchers release the GIL in their numpy
-    kernels).  A chunk that fails on the pool fails the call exactly as it
-    would serially; retries are the guard's job, never the pool's.
+    ``batch_size`` chunks matcher calls, which run in order on the
+    calling thread.  A failing chunk fails the call; retries are the
+    guard's job.
 
     Every matcher chunk goes through a
     :class:`~repro.core.guard.MatcherGuard` configured by ``guard``; with
@@ -125,10 +124,6 @@ class EngineConfig:
 
     cache_size: int = 100_000
     batch_size: int = 512
-    n_jobs: int = option(
-        1, "--n-jobs",
-        "threads per prediction batch (model calls run in parallel)",
-    )
     guard: GuardConfig = field(default_factory=GuardConfig)
 
     def __post_init__(self) -> None:
@@ -140,8 +135,6 @@ class EngineConfig:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        if self.n_jobs < 1:
-            raise ConfigurationError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
 
 @dataclass(frozen=True)
@@ -485,10 +478,10 @@ def add_config_arguments(
 ) -> None:
     """Add the flag of every :func:`option` field of *config_classes*.
 
-    A ``bool`` field becomes a switch that flips its default; any other
-    field takes one value of its annotated type (``X | None`` takes an
-    ``X``).  Each flag stores under its field's name, where
-    :func:`config_from_namespace` reads it back.
+    Every flag takes one value of its field's annotated type (``X | None``
+    takes an ``X``) and stores under the field's name, where
+    :func:`config_from_namespace` reads it back.  A ``bool`` option is
+    refused: ``type=bool`` would read any non-empty value as true.
     """
     for cls in config_classes:
         hints = typing.get_type_hints(cls)
@@ -497,19 +490,19 @@ def add_config_arguments(
                 continue
             flag = f.metadata["flag"]
             if isinstance(f.default, bool):
-                kwargs = {"action": "store_false" if f.default else "store_true"}
-            else:
-                hint = hints[f.name]
-                kwargs = {
-                    "type": next(
-                        t for t in typing.get_args(hint) or (hint,)
-                        if t is not type(None)
-                    ),
-                    "metavar": flag.lstrip("-").replace("-", "_").upper(),
-                }
+                raise ConfigurationError(
+                    f"{cls.__name__}.{f.name}: option {flag} has a bool "
+                    f"default, which a one-value flag cannot parse"
+                )
+            hint = hints[f.name]
             parser.add_argument(
                 flag, dest=f.name, default=f.default,
-                help=f.metadata["help"], **kwargs,
+                help=f.metadata["help"],
+                type=next(
+                    t for t in typing.get_args(hint) or (hint,)
+                    if t is not type(None)
+                ),
+                metavar=flag.lstrip("-").replace("-", "_").upper(),
             )
 
 

@@ -15,14 +15,17 @@ Bit-identity contract
 ---------------------
 A columnar batch is a pure re-encoding: row *i*'s values are exactly the
 strings the per-pair path would have rebuilt (same token order, same
-``" ".join``, same empty-attribute conform), so content fingerprints,
-cache keys and — for row-independent matchers — probabilities are
-bit-identical whichever representation carries them.
+``" ".join``, same empty-attribute conform), so cache keys and — for
+row-independent matchers — probabilities are bit-identical whichever
+representation carries them.
 
-The builders are the only code that rebuilds a pair from kept tokens;
-a caller that needs one rebuilt pair takes a row of a batch.  They cover
-the perturbation families and the evaluations' token removals:
+A batch is the only payload a scoring call carries: a caller holding
+pairs wraps them with :func:`pairs_batch` first.  The builders are the
+only code that rebuilds a pair from kept tokens; a caller that needs one
+rebuilt pair takes a row of a batch.  They cover the perturbation
+families and the evaluations' token removals:
 
+* :func:`pairs_batch` — a same-schema list of pairs, one row each;
 * :func:`landmark_batch` — Landmark Explanation masks over the varying
   entity's tokens (landmark side constant);
 * :func:`mojito_drop_batch` — token drops over both sides at once, and
@@ -116,8 +119,7 @@ class ColumnarPairBatch:
         """Per-row value tuples of one side, in schema attribute order.
 
         These are exactly the value tuples of the pairs :meth:`pairs`
-        materializes, so they slot straight into the engine's content
-        fingerprints.
+        materializes, so they slot straight into the engine's cache keys.
         """
         cols = self.side_columns(side)
         if all(col.is_constant for col in cols):
@@ -174,6 +176,37 @@ class ColumnarPairBatch:
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
+
+
+def pairs_batch(pairs: Sequence[RecordPair]) -> ColumnarPairBatch:
+    """A batch whose row *i* carries the attribute values of ``pairs[i]``.
+
+    The pairs must share their schema's attributes.  The first pair is
+    the template, so materialized rows keep its label and pair id: a
+    matcher sees only attribute values.
+    """
+    if not pairs:
+        raise ValueError("pairs_batch needs at least one pair")
+    template = pairs[0]
+    attributes = template.schema.attributes
+    for pair in pairs:
+        if pair.schema.attributes != attributes:
+            raise ValueError(
+                f"pairs_batch needs one schema; got {attributes} and "
+                f"{pair.schema.attributes}"
+            )
+    columns: dict[tuple[str, str], ValueColumn] = {}
+    for side in _SIDES:
+        entities = [pair.entity(side) for pair in pairs]
+        for attribute in attributes:
+            slots: dict[str, int] = {}
+            index = np.fromiter(
+                (slots.setdefault(entity[attribute], len(slots))
+                 for entity in entities),
+                dtype=np.intp, count=len(entities),
+            )
+            columns[(side, attribute)] = ValueColumn(list(slots), index)
+    return ColumnarPairBatch(template, columns, len(pairs))
 
 
 def _masked_value_column(

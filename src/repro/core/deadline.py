@@ -22,8 +22,8 @@ raise or pass), so zero-fault runs stay bit-identical with or without a
 scope installed.
 
 The scope is thread-local by design: each service worker computes one
-request at a time, and the engine's intra-request thread pool
-(``n_jobs > 1``) is checked at chunk-dispatch time on the owning thread.
+request at a time, and the engine runs a request's chunks on the
+worker's own thread.
 """
 
 from __future__ import annotations

@@ -17,9 +17,12 @@ generation-mode) cell.  Much of that spend is redundant:
 
 :class:`PredictionEngine` removes the redundancy without changing a single
 output bit: predictions are deduplicated by the **content of the rebuilt
-pair**, answered from an LRU cache when possible, executed in chunked
-(optionally thread-parallel) batches otherwise, and scattered back to the
-full request.  Because every matcher in this library scores pairs
+pair**, answered from an LRU cache when possible, executed otherwise in
+chunks that run in order on the calling thread, and scattered back to the
+full request.  Every entry point reaches the matcher as a
+:class:`~repro.core.columnar.ColumnarPairBatch` (pairs are wrapped by
+:func:`~repro.core.columnar.pairs_batch`), so there is one resolution path
+and one backend call.  Because every matcher in this library scores pairs
 row-independently and deterministically, the scattered probabilities are
 byte-identical to the naive path — equivalence is enforced by
 ``tests/core/test_engine.py``, on single records and the evaluation grid.
@@ -43,16 +46,15 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterable
+from itertools import repeat
+from typing import ClassVar
 
 import numpy as np
 
 from repro.backends.base import InProcessBackend, as_backend
 from repro.config import EngineConfig  # noqa: F401 - re-exported
-from repro.core.columnar import ColumnarPairBatch, landmark_batch
-from repro.core.deadline import checkpoint
+from repro.core.columnar import ColumnarPairBatch, landmark_batch, pairs_batch
 from repro.core.generation import GeneratedInstance
 from repro.core.guard import GuardStats, MatcherGuard
 from repro.data.records import EMDataset, RecordPair
@@ -216,23 +218,11 @@ class EngineStats:
         return text
 
 
-#: Cache key of one pair: schema attributes + both value tuples.
+#: Cache key of one batch row: schema attributes + both value tuples.
+#: Rows with equal keys receive equal probabilities from every matcher
+#: in this library (they see only attribute values), so the key is sound
+#: across explanation methods.
 PairKey = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
-
-
-def pair_fingerprint(pair: RecordPair) -> PairKey:
-    """A hashable fingerprint of the *content* of a pair.
-
-    Two pairs with equal fingerprints receive equal probabilities from
-    every matcher in this library (they see only attribute values), so the
-    fingerprint is a sound cache key across explanation methods.
-    """
-    attributes = pair.schema.attributes
-    return (
-        attributes,
-        tuple(pair.left[attribute] for attribute in attributes),
-        tuple(pair.right[attribute] for attribute in attributes),
-    )
 
 
 class _EngineMatcher(EntityMatcher):
@@ -255,6 +245,9 @@ class _EngineMatcher(EntityMatcher):
 
     def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
         return self.engine.predict_pairs(pairs)
+
+    def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
+        return self.engine.predict_columnar(batch)
 
 
 class PredictionEngine:
@@ -300,7 +293,6 @@ class PredictionEngine:
         # Bound under the engine's labels, the guard's counters are the
         # engine's guard_* instruments: same registry, same run JSON.
         self.guard = MatcherGuard(
-            backend.predict_proba,
             config=self.config.guard,
             instruments=StatsInstruments(
                 self.metrics, GuardStats, **self._instruments.labels
@@ -333,17 +325,15 @@ class PredictionEngine:
     # ------------------------------------------------------------------
 
     def predict_pairs(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        """Probabilities for *pairs*, deduplicated and cached by content."""
+        """Probabilities for *pairs*, deduplicated and cached by content.
+
+        The pairs travel as one :func:`~repro.core.columnar.pairs_batch`
+        (they must share a schema).
+        """
         pairs = list(pairs)
-        self._instruments.requested.inc(len(pairs))
         if not pairs:
             return np.empty(0, dtype=np.float64)
-        entries = self._group(pair_fingerprint(pair) for pair in pairs)
-
-        def predict_misses(miss_keys, miss_slots):
-            return self._execute([pairs[slots[0]] for slots in miss_slots])
-
-        return self._resolve(entries, len(pairs), predict_misses)
+        return self.predict_columnar(pairs_batch(pairs))
 
     def predict_instance(
         self, instance: GeneratedInstance, masks: np.ndarray
@@ -367,26 +357,26 @@ class PredictionEngine:
         with trace.span("reconstruction", n_masks=n_masks):
             batch = landmark_batch(instance, masks)
         self._instruments.rebuild_seconds.observe(time.perf_counter() - started)
-        return self._answer_columnar(batch, n_masks)
+        return self._resolve(batch)
 
     def predict_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
         """Probabilities for a columnar perturbation batch.
 
-        The baselines' entry point: rows are fingerprinted by content
-        (the same :data:`PairKey` tuples as :meth:`predict_pairs`, so the
-        cache interoperates across methods), deduplicated, and miss sets
-        go to the backend's ``predict_proba_columnar`` (the matcher
-        decides whether to materialize them as pairs).
+        Every entry point ends here: rows are keyed by content (a
+        :data:`PairKey`, so the cache interoperates across methods),
+        deduplicated, and miss sets go to the backend's
+        ``predict_proba_columnar`` (the matcher decides whether to
+        materialize them as pairs).
         """
         n_rows = batch.n_rows
         self._instruments.requested.inc(n_rows)
         if n_rows == 0:
             return np.empty(0, dtype=np.float64)
-        return self._answer_columnar(batch, n_rows)
+        return self._resolve(batch)
 
     def predict_one(self, pair: RecordPair) -> float:
         """Cached probability of a single pair."""
-        return float(self.predict_pairs([pair])[0])
+        return float(self.predict_columnar(pairs_batch([pair]))[0])
 
     def as_matcher(self) -> EntityMatcher:
         """This engine wrapped in the :class:`EntityMatcher` interface."""
@@ -410,50 +400,30 @@ class PredictionEngine:
     # Internals
     # ------------------------------------------------------------------
 
-    def _group(self, keys: Iterable[PairKey]) -> list[tuple[PairKey, list[int]]]:
-        """Group request indices by fingerprint, in first-seen order."""
-        grouped: OrderedDict[PairKey, list[int]] = OrderedDict()
-        for index, key in enumerate(keys):
-            grouped.setdefault(key, []).append(index)
-        return list(grouped.items())
+    def _resolve(self, batch: ColumnarPairBatch) -> np.ndarray:
+        """Answer a batch from the cache, then the matcher (requested
+        already counted).
 
-    def _answer_columnar(
-        self, batch: ColumnarPairBatch, n_requests: int
-    ) -> np.ndarray:
-        """Dedup/cache resolution of a columnar batch (requested counted)."""
-        attributes = batch.schema.attributes
-        keys: list[PairKey] = [
-            (attributes, left, right)
-            for left, right in zip(
-                batch.value_rows("left"), batch.value_rows("right")
-            )
-        ]
-
-        def predict_misses(miss_keys, miss_slots):
-            return self._execute(batch.take([slots[0] for slots in miss_slots]))
-
-        return self._resolve(self._group(keys), n_requests, predict_misses)
-
-    def _resolve(
-        self,
-        entries: list[tuple[PairKey, list[int]]],
-        n_requests: int,
-        predict_misses,
-    ) -> np.ndarray:
-        """Answer grouped requests from the cache, then the matcher.
-
-        *predict_misses* maps ``(miss_keys, miss_slots)`` — the keys that
-        missed the cache and their request-index groups — to one
-        probability per key; callers close it over whatever representation
-        (pair list, columnar batch) the request arrived in.
+        Rows are grouped by content in first-seen order; the first row
+        of every group that misses the cache rides one sub-batch to the
+        matcher.
         """
         instruments = self._instruments
+        grouped: dict[PairKey, list[int]] = {}
+        keys = zip(
+            repeat(batch.schema.attributes),
+            batch.value_rows("left"),
+            batch.value_rows("right"),
+        )
+        for index, key in enumerate(keys):
+            grouped.setdefault(key, []).append(index)
+        n_requests = batch.n_rows
         out = np.empty(n_requests, dtype=np.float64)
         miss_keys: list[PairKey] = []
         miss_slots: list[list[int]] = []
         hits = 0
         with self._lock:
-            for key, indices in entries:
+            for key, indices in grouped.items():
                 cached = self._cache_get(key)
                 if cached is not None:
                     hits += 1
@@ -463,16 +433,18 @@ class PredictionEngine:
                 miss_slots.append(indices)
         # One registry-lock hold for the whole accounting batch.
         self.metrics.bulk([
-            (instruments.dedup_saved, n_requests - len(entries)),
+            (instruments.dedup_saved, n_requests - len(grouped)),
             (instruments.cache_hits, hits),
             (instruments.calls_issued, len(miss_keys)),
             (instruments.cache_misses, len(miss_keys)),
         ])
         if miss_keys:
-            # Misses are built and predicted outside the lock; concurrent
-            # callers may race to compute the same key, but matchers are
+            # Misses are predicted outside the lock; concurrent callers
+            # may race to compute the same key, but matchers are
             # deterministic so both writers cache the same value.
-            probabilities = predict_misses(miss_keys, miss_slots)
+            probabilities = self._execute(
+                batch.take([slots[0] for slots in miss_slots])
+            )
             with self._lock:
                 for key, indices, probability in zip(
                     miss_keys, miss_slots, probabilities
@@ -483,71 +455,42 @@ class PredictionEngine:
             instruments.cache_entries.set(size)
         return out
 
-    def _execute(self, payload: list[RecordPair] | ColumnarPairBatch) -> np.ndarray:
-        """Chunked, guarded (optionally thread-parallel) matcher execution.
+    def _execute(self, batch: ColumnarPairBatch) -> np.ndarray:
+        """Chunked, guarded matcher execution, one chunk after another.
 
-        *payload* is a pair list or a columnar batch; the two differ only
-        in how a chunk is cut and which backend call scores it.
-
-        Polls the ambient request scope (:func:`repro.core.deadline.
-        checkpoint`) between chunks: a request whose deadline passed or
-        whose waiters cancelled aborts at the next chunk boundary instead
-        of paying for the rest of the batch.  The poll is a no-op outside
-        a serving scope and never changes results.  With ``n_jobs > 1`` a
-        failing chunk propagates from the pool exactly as it would from
-        the serial loop.
+        The guard polls the ambient request scope (:func:`repro.core.
+        deadline.checkpoint`) before every chunk: a request whose
+        deadline passed or whose waiters cancelled aborts at the next
+        chunk boundary instead of paying for the rest of the batch.  The
+        poll is a no-op outside a serving scope and never changes
+        results.
         """
-        if isinstance(payload, ColumnarPairBatch):
-            n_rows, cut = payload.n_rows, payload.slice_rows
-            score = self.backend.predict_proba_columnar
-        else:
-            n_rows, score = len(payload), self.backend.predict_proba
-
-            def cut(start: int, stop: int) -> list[RecordPair]:
-                return payload[start:stop]
-
-        if n_rows == 0:
-            return np.empty(0, dtype=np.float64)
+        n_rows = batch.n_rows
         chunk_size = self._chunk_size
-        started = time.perf_counter()
-        checkpoint("prediction")
-        bounds = [
-            (start, min(start + chunk_size, n_rows))
-            for start in range(0, n_rows, chunk_size)
-        ]
         instruments = self._instruments
-        instruments.batches.inc(len(bounds))
-        for start, stop in bounds:
-            instruments.batch_width.observe(stop - start)
-
-        def call(bound: tuple[int, int]) -> np.ndarray:
-            start, stop = bound
-            return self.guard.call_with(score, cut(start, stop), stop - start)
-
-        with trace.span("prediction", n_pairs=n_rows, n_batches=len(bounds)):
-            if self.config.n_jobs > 1 and len(bounds) > 1:
-                workers = min(self.config.n_jobs, len(bounds))
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(call, bounds))
-            else:
-                results = []
-                for index, bound in enumerate(bounds):
-                    if index:
-                        checkpoint("prediction")
-                    results.append(call(bound))
-        for (start, stop), result in zip(bounds, results):
-            if np.shape(result) != (stop - start,):
-                raise ExplanationError(
-                    f"matcher returned probabilities of shape "
-                    f"{np.shape(result)} for {stop - start} rows; expected "
-                    f"({stop - start},)"
+        score = self.backend.predict_proba_columnar
+        started = time.perf_counter()
+        results: list[np.ndarray] = []
+        n_batches = -(-n_rows // chunk_size)
+        with trace.span("prediction", n_pairs=n_rows, n_batches=n_batches):
+            for start in range(0, n_rows, chunk_size):
+                stop = min(start + chunk_size, n_rows)
+                instruments.batches.inc()
+                instruments.batch_width.observe(stop - start)
+                result = self.guard.call(
+                    score, batch.slice_rows(start, stop), stop - start
                 )
+                if np.shape(result) != (stop - start,):
+                    raise ExplanationError(
+                        f"matcher returned probabilities of shape "
+                        f"{np.shape(result)} for {stop - start} rows; "
+                        f"expected ({stop - start},)"
+                    )
+                results.append(np.asarray(result, dtype=np.float64))
         instruments.predict_seconds.observe(time.perf_counter() - started)
         if len(results) == 1:
-            return np.asarray(results[0], dtype=np.float64)
-        return np.concatenate(
-            [np.asarray(result, dtype=np.float64) for result in results]
-        )
+            return results[0]
+        return np.concatenate(results)
 
     def _cache_get(self, key: PairKey) -> float | None:
         # Caller holds self._lock (move_to_end mutates the OrderedDict).

@@ -3,7 +3,7 @@
 The evaluation grid spends hundreds of thousands of matcher calls per run,
 and the matcher is a black box — increasingly a remote, slow, flaky one.
 A single hung or crashing call must not lose the run.  :class:`MatcherGuard`
-wraps one ``predict_proba``-shaped callable with three mechanisms:
+wraps matcher calls with three mechanisms:
 
 * **per-call timeout** — the call runs on a daemon thread and
   :class:`~repro.exceptions.MatcherTimeoutError` is raised when it does not
@@ -80,21 +80,21 @@ class GuardStats:
 
 
 class MatcherGuard:
-    """Retry / timeout / circuit-breaker wrapper around one callable.
+    """Retry / timeout / circuit-breaker wrapper around matcher calls.
 
-    *predict_fn* is any ``pairs -> probabilities`` callable (typically a
-    bound ``EntityMatcher.predict_proba``).  *instruments* binds
-    :class:`GuardStats` under the owner's labels (an engine's or a
-    backend's); without it the guard counts into a private registry.
+    Each :meth:`call` names the callable it guards (the engine passes its
+    backend's ``predict_proba_columnar``, the remote client its wire
+    round-trip); the policies, counters and breaker state are the
+    guard's own.  *instruments* binds :class:`GuardStats` under the
+    owner's labels (an engine's or a backend's); without it the guard
+    counts into a private registry.
     """
 
     def __init__(
         self,
-        predict_fn,
         config: GuardConfig | None = None,
         instruments: StatsInstruments | None = None,
     ) -> None:
-        self.predict_fn = predict_fn
         self.config = config or GuardConfig()
         if instruments is None:
             instruments = StatsInstruments(
@@ -127,24 +127,13 @@ class MatcherGuard:
         """Breaker state: ``closed``, ``open`` or ``half_open``."""
         return self._state
 
-    def call(self, pairs):
-        """Invoke the guarded callable on *pairs*, applying all policies.
+    def call(self, predict_fn, payload, size: int):
+        """Invoke ``predict_fn(payload)``, applying all policies.
 
         Polls the ambient request scope first: an expired deadline or a
         cancelled request fails here instead of spending a matcher call
         (and instead of burning retries on work nobody is waiting for).
-        """
-        return self.call_with(self.predict_fn, pairs, len(pairs))
-
-    def call_with(self, predict_fn, payload, size: int):
-        """Like :meth:`call`, but for an alternative matcher entry point.
-
-        The prediction engine routes columnar batches through here with
-        the matcher's ``predict_proba_columnar`` — same timeout, retry and
-        circuit-breaker policies, same counters, same breaker state as the
-        per-pair calls (a matcher that is down is down on every entry
-        point).  *size* is the row count, used for trace spans and error
-        messages.
+        *size* is the row count, used for trace spans and error messages.
         """
         checkpoint("matcher call")
         config = self.config

@@ -72,25 +72,22 @@ def deletion_curve(
         [entries[index].key for index in order[:boundary]]
         for boundary in boundaries
     ]
-    return matcher.predict_proba(
-        removal_batch(explained.pair, key_sets).pairs()
+    return matcher.predict_proba_columnar(
+        removal_batch(explained.pair, key_sets)
     )
 
 
 def _record_gain(
     explained: ExplainedRecord,
     matcher: EntityMatcher,
+    toward_non_match: bool,
     rng: np.random.Generator,
     n_random: int,
     max_steps: int,
-    threshold: float,
-) -> tuple[float, float] | None:
+) -> tuple[float, float]:
+    """(ordered, random) deletion AUCs of one record with >= 2 tokens."""
     entries = explained.token_weights.entries
-    if len(entries) < 2:
-        return None
     weights = np.array([entry.weight for entry in entries])
-    original_probability = matcher.predict_one(explained.pair)
-    toward_non_match = original_probability >= threshold
     if toward_non_match:
         ordered = np.argsort(-weights)  # strongest match evidence first
     else:
@@ -129,15 +126,15 @@ def faithfulness_eval(
     ordered_aucs = []
     random_aucs = []
     for explained in explained_records:
-        outcome = _record_gain(
-            explained, matcher, rng, n_random, max_steps, threshold
-        )
-        if outcome is None:
+        if len(explained.token_weights.entries) < 2:
             continue
-        auc_ordered, auc_random = outcome
+        toward_non_match = matcher.predict_one(explained.pair) >= threshold
+        auc_ordered, auc_random = _record_gain(
+            explained, matcher, toward_non_match, rng, n_random, max_steps
+        )
         ordered_aucs.append(auc_ordered)
         random_aucs.append(auc_random)
-        if matcher.predict_one(explained.pair) >= threshold:
+        if toward_non_match:
             gains.append(auc_random - auc_ordered)
         else:
             gains.append(auc_ordered - auc_random)

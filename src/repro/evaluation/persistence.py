@@ -180,9 +180,10 @@ def _config_from_payload(payload: dict) -> ExperimentConfig:
         prefix, _, name = key.partition("_")
         (engine if prefix == "engine" else guard)[name] = payload.pop(key)
     # Retired engine knobs: results and checkpoints written while the
-    # per-row prediction path (``vectorize``) or the engine's off switch
-    # (``dedup``, ``cache``) existed still carry them.
-    for name in ("vectorize", "dedup", "cache"):
+    # per-row prediction path (``vectorize``), the engine's off switch
+    # (``dedup``, ``cache``) or its per-call thread pool (``n_jobs``)
+    # existed still carry them.
+    for name in ("vectorize", "dedup", "cache", "n_jobs"):
         engine.pop(name, None)
     return ExperimentConfig(
         **payload,

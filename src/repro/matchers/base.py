@@ -23,6 +23,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_THRESHOLD = 0.5
 
 
+def batch_matmul(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``rows @ weights`` whose row *i* does not depend on the batch size.
+
+    BLAS takes a different summation route for a single row than for a
+    matrix of rows, so a one-row batch would score its row differently
+    from the same row inside a larger batch.  A single row is multiplied
+    as two copies of itself instead.
+    """
+    if rows.shape[0] == 1:
+        return (np.concatenate([rows, rows]) @ weights)[:1]
+    return rows @ weights
+
+
 class EntityMatcher(ABC):
     """Abstract base class of every EM model."""
 

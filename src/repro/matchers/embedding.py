@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.data.records import EMDataset, RecordPair
 from repro.exceptions import DatasetError, ModelNotFittedError
-from repro.matchers.base import EntityMatcher
+from repro.matchers.base import EntityMatcher, batch_matmul
 from repro.matchers.logistic import _sigmoid
 from repro.text.normalize import tokens_of
 
@@ -252,7 +252,7 @@ class EmbeddingMatcher(EntityMatcher):
             return np.empty(0, dtype=np.float64)
         pooling = self._averaging_matrix(pairs)
         features, _, _ = self._pair_features(pooling, len(pairs))
-        hidden = np.tanh(features @ self._w_hidden + self._b_hidden)
+        hidden = np.tanh(batch_matmul(features, self._w_hidden) + self._b_hidden)
         # Row-wise output reduction: batch-shape-independent scoring (the
         # prediction engine's equivalence bar).
         return _sigmoid((hidden * self._w_out).sum(axis=1) + self._b_out)

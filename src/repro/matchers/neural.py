@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.data.records import EMDataset, RecordPair
 from repro.exceptions import DatasetError, ModelNotFittedError
-from repro.matchers.base import EntityMatcher
+from repro.matchers.base import EntityMatcher, batch_matmul
 from repro.matchers.features import FeatureConfig, PairFeatureExtractor
 from repro.matchers.logistic import _sigmoid
 
@@ -59,7 +59,10 @@ class MLPMatcher(EntityMatcher):
         activations = [features]
         hidden = features
         for layer_index in range(len(self.hidden_sizes)):
-            hidden = np.tanh(hidden @ self._weights[layer_index] + self._biases[layer_index])
+            hidden = np.tanh(
+                batch_matmul(hidden, self._weights[layer_index])
+                + self._biases[layer_index]
+            )
             activations.append(hidden)
         # Row-wise output reduction keeps each row's score independent of
         # the batch shape (see the prediction engine's equivalence bar).

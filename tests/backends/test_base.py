@@ -14,6 +14,7 @@ from repro.backends.base import (
     MatcherBackend,
     as_backend,
 )
+from repro.core.columnar import pairs_batch
 from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import BackendError, ConfigurationError
 
@@ -45,7 +46,8 @@ class TestInProcessBackend:
         backend = InProcessBackend(beer_matcher)
         pairs = list(beer_dataset)[:20]
         np.testing.assert_array_equal(
-            backend.predict_proba(pairs), beer_matcher.predict_proba(pairs)
+            backend.predict_proba_columnar(pairs_batch(pairs)),
+            beer_matcher.predict_proba(pairs),
         )
 
     def test_capabilities_report_the_matcher(self, beer_matcher):
@@ -57,13 +59,14 @@ class TestInProcessBackend:
     def test_as_matcher_returns_the_raw_object(self, beer_matcher):
         assert InProcessBackend(beer_matcher).as_matcher() is beer_matcher
 
-    def test_accepts_duck_typed_doubles(self):
+    def test_accepts_duck_typed_doubles(self, beer_dataset):
         class Double:
             def predict_proba(self, pairs):
                 return np.zeros(len(pairs))
 
         backend = InProcessBackend(Double())
-        assert backend.predict_proba([1, 2]).shape == (2,)
+        batch = pairs_batch(list(beer_dataset)[:2])
+        assert backend.predict_proba_columnar(batch).shape == (2,)
 
     def test_rejects_non_matchers(self):
         with pytest.raises(ConfigurationError, match="predict_proba"):

@@ -30,7 +30,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.server import http_status_for
 from repro.testing.chaos import ChaosProxy
 
-from tests.backends.test_remote import RecordingMatcher
+from tests.backends.test_remote import RecordingMatcher, named_batch
 
 
 def _free_port() -> int:
@@ -68,7 +68,7 @@ class TestTaxonomy:
         backend = RemoteBackend(("127.0.0.1", _free_port()), config=_config())
         try:
             with pytest.raises(BackendUnavailableError) as info:
-                backend.predict_proba(["p"])
+                backend.predict_proba_columnar(named_batch("p"))
         finally:
             backend.close()
         assert is_retryable(info.value)
@@ -80,7 +80,7 @@ class TestTaxonomy:
             proxy.set_mode("slow")
             try:
                 with pytest.raises(MatcherTimeoutError) as info:
-                    backend.predict_proba(["p"])
+                    backend.predict_proba_columnar(named_batch("p"))
             finally:
                 backend.close()
         assert is_retryable(info.value)
@@ -92,7 +92,7 @@ class TestTaxonomy:
             proxy.cut_next_frame()
             try:
                 with pytest.raises(BackendUnavailableError) as info:
-                    backend.predict_proba(["p"])
+                    backend.predict_proba_columnar(named_batch("p"))
             finally:
                 backend.close()
         assert is_retryable(info.value)
@@ -104,7 +104,7 @@ class TestTaxonomy:
             proxy.corrupt_next_frame()
             try:
                 with pytest.raises(BackendProtocolError) as info:
-                    backend.predict_proba(["p"])
+                    backend.predict_proba_columnar(named_batch("p"))
                 # Fail-fast: a garbage-speaking peer burns no retries.
                 assert backend.guard_stats.guard_retries == 0
             finally:
@@ -120,7 +120,7 @@ class TestTaxonomy:
         )
         try:
             with pytest.raises(BackendUnavailableError):
-                backend.predict_proba(["p"])
+                backend.predict_proba_columnar(named_batch("p"))
         finally:
             backend.close()
         labels = {"component": "backend", "instance": "0",
@@ -155,7 +155,7 @@ class TestRecovery:
             backend = _handshaken(proxy, _config(max_retries=2))
             proxy.cut_next_frame()
             try:
-                scores = backend.predict_proba(["p", "q"])
+                scores = backend.predict_proba_columnar(named_batch("p", "q"))
                 np.testing.assert_array_equal(
                     scores, np.linspace(0.0, 1.0, 2)
                 )
@@ -171,17 +171,19 @@ class TestRecovery:
         try:
             for _ in range(2):
                 with pytest.raises(BackendUnavailableError):
-                    backend.predict_proba(["p"])
+                    backend.predict_proba_columnar(named_batch("p"))
             health = backend.health()
             assert health["breaker"] == "open"
             assert health["available"] is False
             # Fast-fail while open (no dial attempt burns the cooldown).
             with pytest.raises(BackendUnavailableError):
-                backend.predict_proba(["p"])
+                backend.predict_proba_columnar(named_batch("p"))
             # The server comes back on the same address: the half-open
             # probe passes and the breaker closes — automatic recovery.
             with MatcherServer(RecordingMatcher(), port=port) as _server:
-                scores = backend.predict_proba(["p", "q", "r"])
+                scores = backend.predict_proba_columnar(
+                    named_batch("p", "q", "r")
+                )
                 assert scores.shape == (3,)
                 assert backend.health()["available"] is True
                 assert backend.health()["breaker"] == "closed"
@@ -194,13 +196,13 @@ class TestRecovery:
         backend = RemoteBackend(("127.0.0.1", port), config=config)
         try:
             with MatcherServer(RecordingMatcher(), port=port) as _first:
-                backend.predict_proba(["p"])
+                backend.predict_proba_columnar(named_batch("p"))
             with pytest.raises(BackendUnavailableError):
-                backend.predict_proba(["p"])  # server gone
+                backend.predict_proba_columnar(named_batch("p"))  # server gone
             # Same address, different weights: every cache downstream is
             # keyed by the old fingerprint, so the reconnect must refuse.
             with MatcherServer(beer_matcher, port=port) as _second:
                 with pytest.raises(BackendProtocolError, match="changed"):
-                    backend.predict_proba(["p"])
+                    backend.predict_proba_columnar(named_batch("p"))
         finally:
             backend.close()

@@ -31,7 +31,7 @@ def pair():
 class TestFraming:
     def test_round_trip(self, pair):
         a, b = pair
-        message = {"op": "predict", "id": 7, "pairs": ["x", "y"]}
+        message = {"op": "ping", "id": 7, "names": ["x", "y"]}
         send_frame(a, message)
         assert read_frame(b) == message
 

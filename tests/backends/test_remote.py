@@ -16,8 +16,10 @@ from repro.backends.client import (
 )
 from repro.backends.server import MatcherServer
 from repro.config import GuardConfig
-from repro.core.columnar import ColumnarPairBatch, ValueColumn
+from repro.core.columnar import ColumnarPairBatch, ValueColumn, pairs_batch
 from repro.core.serialize import matcher_fingerprint
+from repro.data.records import RecordPair
+from repro.data.schema import PairSchema
 from repro.exceptions import BackendProtocolError, ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 
@@ -28,10 +30,22 @@ FAST_CONFIG = RemoteBackendConfig(
 )
 
 
+_NAMED = PairSchema(("name",))
+
+
+def named_batch(*names: str) -> ColumnarPairBatch:
+    """One row per name; the name is the row's left value."""
+    return pairs_batch([
+        RecordPair(schema=_NAMED, left={"name": name}, right={"name": ""})
+        for name in names
+    ])
+
+
 class RecordingMatcher:
     """A picklable double that records batch sizes and completion order.
 
-    Batches whose first element is the string ``"slow"`` sleep before
+    It scores materialized pairs (no columnar kernel).  Batches whose
+    first row is named ``"slow"`` (see :func:`named_batch`) sleep before
     returning, so concurrent server workers finish out of submission
     order — the property the pipelined client must tolerate.
     """
@@ -44,11 +58,12 @@ class RecordingMatcher:
 
     def predict_proba(self, pairs):
         pairs = list(pairs)
-        if pairs and pairs[0] == "slow":
+        first = next(iter(pairs[0].left.values())) if pairs else ""
+        if first == "slow":
             time.sleep(self.delay)
         with self._lock:
             self.batches.append(len(pairs))
-            self.completed.append(str(pairs[0]) if pairs else "")
+            self.completed.append(first)
         return np.linspace(0.0, 1.0, len(pairs))
 
 
@@ -127,13 +142,13 @@ class TestPredictParity:
         _, backend = served
         pairs = list(beer_dataset)[:40]
         np.testing.assert_array_equal(
-            backend.predict_proba(pairs),
+            backend.predict_proba_columnar(pairs_batch(pairs)),
             beer_matcher.predict_proba(pairs),
         )
 
     def test_empty_batch_short_circuits(self, served):
         _, backend = served
-        assert backend.predict_proba([]).shape == (0,)
+        assert backend.as_matcher().predict_proba([]).shape == (0,)
 
     def test_columnar_is_bit_identical(self, served, beer_matcher,
                                        match_pair):
@@ -162,7 +177,9 @@ class TestPipelining:
                 server.address, config=FAST_CONFIG, metrics=registry,
             )
             try:
-                scores = backend.predict_proba([f"p{i}" for i in range(30)])
+                scores = backend.predict_proba_columnar(
+                    named_batch(*(f"p{i}" for i in range(30)))
+                )
             finally:
                 backend.close()
         # 30 rows over an 8-row server max = 4 wire requests (their
@@ -182,8 +199,9 @@ class TestPipelining:
                 # First chunk is slow; the second completes first on the
                 # server (two workers), so its response frame arrives
                 # out of order.
-                pairs = ["slow", "a", "b", "c", "fast", "d", "e", "f"]
-                scores = backend.predict_proba(pairs)
+                batch = named_batch("slow", "a", "b", "c",
+                                    "fast", "d", "e", "f")
+                scores = backend.predict_proba_columnar(batch)
             finally:
                 backend.close()
         assert matcher.completed[0] == "fast"  # out-of-order on the wire
@@ -219,7 +237,9 @@ class TestPipelining:
 
         def call(slot: int) -> None:
             try:
-                results[slot] = backend.predict_proba(pairs)
+                results[slot] = backend.predict_proba_columnar(
+                    pairs_batch(pairs)
+                )
             except BaseException as error:  # noqa: BLE001 - surfaced below
                 errors.append(error)
 
@@ -252,20 +272,36 @@ class TestServerSurface:
         assert hello["ok"] is True
         return sock, send_frame, read_frame
 
-    def test_oversized_batch_is_refused(self):
+    def test_pair_list_op_is_gone(self):
+        # Protocol 3 carries columnar batches only: the pair-list
+        # ``predict`` op of protocol 2 is an unknown op now.
         matcher = RecordingMatcher()
-        with MatcherServer(matcher, max_batch_size=4) as server:
+        with MatcherServer(matcher) as server:
             sock, send_frame, read_frame = self._dial(server)
             try:
-                # Bypass the client's splitting to hit the server check.
                 send_frame(sock, {"op": "predict", "id": 1,
-                                  "pairs": list(range(9))})
+                                  "pairs": list(range(3))})
                 reply = read_frame(sock)
             finally:
                 sock.close()
         assert reply["ok"] is False
-        assert "exceeds the advertised max" in reply["error"]
+        assert reply["code"] == "bad_request"
+        assert "unknown op" in reply["error"]
         assert matcher.batches == []  # never reached the model
+
+    def test_columnar_op_without_a_batch_is_bad_request(self):
+        matcher = RecordingMatcher()
+        with MatcherServer(matcher) as server:
+            sock, send_frame, read_frame = self._dial(server)
+            try:
+                send_frame(sock, {"op": "predict_columnar", "id": 1,
+                                  "batch": ["p", "q"]})
+                reply = read_frame(sock)
+            finally:
+                sock.close()
+        assert reply["ok"] is False
+        assert reply["code"] == "bad_request"
+        assert matcher.batches == []
 
     def test_oversized_columnar_batch_is_refused(self, match_pair):
         matcher = RecordingMatcher()
@@ -303,7 +339,7 @@ class TestServerSurface:
         assert reply["ok"] is False
         assert reply["code"] == "bad_request"
 
-    @pytest.mark.parametrize("protocol", [0, 1])
+    @pytest.mark.parametrize("protocol", [0, 1, 2])
     def test_stale_protocol_hello_is_refused(self, served, protocol):
         import socket as socket_module
 

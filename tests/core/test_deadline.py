@@ -197,16 +197,36 @@ class TestEngineAbortsBetweenChunks:
         np.testing.assert_array_equal(bare, scoped)
         assert matcher.calls == 4
 
+    def test_every_chunk_boundary_polls_the_scope(self, monkeypatch):
+        # Chunks run in order on the calling thread, so the scope is
+        # polled before each of them: a three-chunk call polls three
+        # times, each time right before its chunk reaches the matcher.
+        import repro.core.guard as guard_module
+
+        matcher = CountingMatcher()
+        polls = []
+
+        def recording_checkpoint(what="request"):
+            polls.append(matcher.calls)
+            checkpoint(what)
+
+        monkeypatch.setattr(guard_module, "checkpoint", recording_checkpoint)
+        engine = PredictionEngine(matcher, EngineConfig(batch_size=2))
+        with request_scope(Deadline.never(), CancelToken()):
+            engine.predict_pairs(make_pairs(6))
+        assert engine.stats.batches == 3
+        assert polls == [0, 1, 2]
+
 
 class TestGuardHonoursScope:
     def test_guard_call_checks_scope_first(self):
         matcher = CountingMatcher()
-        guard = MatcherGuard(matcher.predict_proba)
+        guard = MatcherGuard()
         token = CancelToken()
         token.cancel()
         with request_scope(None, token):
             with pytest.raises(RequestCancelledError):
-                guard.call(make_pairs(1))
+                guard.call(matcher.predict_proba, make_pairs(1), 1)
         assert matcher.calls == 0
 
     def test_retry_does_not_burn_attempts_on_expired_request(self):
@@ -219,12 +239,11 @@ class TestGuardHonoursScope:
             raise RuntimeError("transient")
 
         guard = MatcherGuard(
-            flaky,
-            GuardConfig(max_retries=5, backoff=0.0, trip_after=100),
+            GuardConfig(max_retries=5, backoff=0.0, trip_after=100)
         )
         # The first attempt spends the whole 0.5s budget; the poll before
         # the retry aborts with the deadline error, not the matcher error.
         with request_scope(Deadline.after(0.5, clock), None):
             with pytest.raises(DeadlineExceededError):
-                guard.call(make_pairs(1))
+                guard.call(flaky, make_pairs(1), 1)
         assert len(attempts) == 1

@@ -2,8 +2,8 @@
 
 The engine's contract has two halves, and both are tested here:
 
-* **equivalence** — dedup, caching, chunking and thread parallelism never
-  change a single output bit relative to calling the matcher directly;
+* **equivalence** — dedup, caching and chunking never change a single
+  output bit relative to calling the matcher directly;
 * **accounting** — the observability counters obey
   ``calls_issued + calls_saved == requested`` and
   ``calls_saved == dedup_saved + cache_hits``.
@@ -14,12 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import (
-    EngineConfig,
-    EngineStats,
-    PredictionEngine,
-    pair_fingerprint,
-)
+from repro.backends.base import BackendCapabilities, MatcherBackend
+from repro.core.engine import EngineConfig, EngineStats, PredictionEngine
 from repro.core.generation import GENERATION_DOUBLE, GENERATION_SINGLE
 from repro.config import ALL_METHODS, METHOD_MOJITO_COPY
 from repro.core.landmark import LandmarkExplainer
@@ -31,7 +27,7 @@ from repro.exceptions import ConfigurationError
 from repro.explainers.lime_text import LimeConfig
 from repro.obs.export import families_to_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.testing.faults import FlakyMatcher, MatcherFault
+from repro.testing.faults import MatcherFault
 from tests.core.mask_reference import TransparentEngine
 
 
@@ -55,6 +51,42 @@ class CountingMatcher:
         return float(self.predict_proba([pair])[0])
 
 
+class FailingMatcher(CountingMatcher):
+    """Raises on its *failing_call*-th call (1-based); scores otherwise."""
+
+    def __init__(self, matcher, failing_call):
+        super().__init__(matcher)
+        self.failing_call = failing_call
+
+    def predict_proba(self, pairs):
+        if self.calls + 1 == self.failing_call:
+            self.calls += 1
+            raise MatcherFault(f"injected fault on call #{self.calls}")
+        return super().predict_proba(pairs)
+
+
+class HalfMatcher:
+    """Scores every pair 0.5 (schema-agnostic)."""
+
+    def predict_proba(self, pairs):
+        return np.full(len(pairs), 0.5)
+
+
+class ColumnarOnlyBackend(MatcherBackend):
+    """A backend with nothing but the one scoring method."""
+
+    def __init__(self, matcher):
+        self.matcher = matcher
+        self.batches = []
+
+    def capabilities(self):
+        return BackendCapabilities(fingerprint="columnar", max_batch_size=64)
+
+    def predict_proba_columnar(self, batch):
+        self.batches.append(batch.n_rows)
+        return self.matcher.predict_proba_columnar(batch)
+
+
 @pytest.fixture()
 def counting_matcher(beer_matcher):
     return CountingMatcher(beer_matcher)
@@ -76,22 +108,35 @@ def explain_weights(matcher, pair, engine, generation=GENERATION_SINGLE):
 
 def distinct_pairs(dataset, n):
     """The first *n* pairs of *dataset* with pairwise different content."""
-    distinct = {pair_fingerprint(pair): pair for pair in dataset}
+    distinct = {
+        (tuple(pair.left.values()), tuple(pair.right.values())): pair
+        for pair in dataset
+    }
     pairs = list(distinct.values())[:n]
     assert len(pairs) == n
     return pairs
 
 
 class TestFingerprint:
+    """The engine keys a row by its content: attributes and values."""
+
     def test_equal_content_equal_fingerprint(self, toy_pair):
         from dataclasses import replace
 
-        clone = replace(toy_pair, pair_id=123)
-        assert pair_fingerprint(toy_pair) == pair_fingerprint(clone)
+        clone = replace(toy_pair, pair_id=123, label=1 - toy_pair.label)
+        matcher = CountingMatcher(HalfMatcher())
+        engine = PredictionEngine(matcher)
+        engine.predict_pairs([toy_pair, clone])
+        assert matcher.rows_scored == 1
+        assert engine.stats.dedup_saved == 1
 
     def test_different_content_different_fingerprint(self, toy_pair):
         other = toy_pair.with_side("left", {"name": "different", "price": "1"})
-        assert pair_fingerprint(toy_pair) != pair_fingerprint(other)
+        matcher = CountingMatcher(HalfMatcher())
+        engine = PredictionEngine(matcher)
+        engine.predict_pairs([toy_pair, other])
+        assert matcher.rows_scored == 2
+        assert engine.stats.dedup_saved == 0
 
 
 class TestConfigValidation:
@@ -100,8 +145,6 @@ class TestConfigValidation:
             EngineConfig(cache_size=0)
         with pytest.raises(ConfigurationError):
             EngineConfig(batch_size=0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(n_jobs=0)
 
 
 class TestPredictPairs:
@@ -137,30 +180,53 @@ class TestPredictPairs:
         assert np.array_equal(whole, engine.predict_pairs(pairs))
         assert engine.stats.batches == 5
 
-    def test_thread_pool_matches_serial(self, beer_matcher, beer_dataset):
-        pairs = distinct_pairs(beer_dataset, 40)
-        serial = beer_matcher.predict_proba(pairs)
-        engine = PredictionEngine(
-            beer_matcher, EngineConfig(batch_size=8, n_jobs=4)
-        )
-        assert np.array_equal(serial, engine.predict_pairs(pairs))
-        assert engine.stats.batches == 5
-
-    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("failing_call", [1, 2])
     def test_chunk_failure_propagates_without_hidden_retry(
-        self, beer_matcher, beer_dataset, n_jobs
+        self, beer_matcher, beer_dataset, failing_call
     ):
-        # Retries belong to the matcher guard (inactive here): a failing
-        # chunk fails the call on the thread pool exactly as it does
-        # serially, and no chunk is ever scored a second time.
-        flaky = FlakyMatcher(beer_matcher, fail_rate=0.0, fail_first=1)
-        engine = PredictionEngine(
-            flaky, EngineConfig(batch_size=8, n_jobs=n_jobs)
-        )
+        # Retries belong to the matcher guard (inactive here): the chunk
+        # that fails fails the call, the chunks after it are never
+        # scored, and no chunk is scored a second time.
+        failing = FailingMatcher(beer_matcher, failing_call)
+        engine = PredictionEngine(failing, EngineConfig(batch_size=8))
         with pytest.raises(MatcherFault):
             engine.predict_pairs(distinct_pairs(beer_dataset, 32))
-        assert flaky.calls <= 4
+        assert failing.calls == failing_call
+        assert failing.rows_scored == 8 * (failing_call - 1)
         assert engine.stats.guard_retries == 0
+
+    def test_one_scoring_method_serves_every_entry_point(
+        self, beer_matcher, beer_dataset, match_pair
+    ):
+        # Pairs, single pairs and mask matrices all reach the backend as
+        # columnar batches, chunked at its advertised maximum.
+        from repro.core.generation import LandmarkGenerator
+
+        backend = ColumnarOnlyBackend(beer_matcher)
+        engine = PredictionEngine(backend)
+        pairs = distinct_pairs(beer_dataset, 70)
+        assert np.array_equal(
+            engine.predict_pairs(pairs), beer_matcher.predict_proba(pairs)
+        )
+        assert backend.batches == [64, 6]
+        engine.cache_clear()
+        assert engine.predict_one(match_pair) == beer_matcher.predict_one(
+            match_pair
+        )
+        assert backend.batches == [64, 6, 1]
+        engine.cache_clear()
+        instance = LandmarkGenerator().generate(
+            match_pair, "left", GENERATION_SINGLE
+        )
+        engine.predict_instance(
+            instance, np.ones((3, len(instance.tokens)), dtype=np.int8)
+        )
+        assert backend.batches == [64, 6, 1, 1]
+
+    def test_pairs_of_two_schemas_are_refused(self, match_pair, toy_pair):
+        engine = PredictionEngine(HalfMatcher())
+        with pytest.raises(ValueError, match="one schema"):
+            engine.predict_pairs([match_pair, toy_pair])
 
     def test_lru_eviction_bounds_cache(self, beer_matcher, beer_dataset):
         engine = PredictionEngine(beer_matcher, EngineConfig(cache_size=5))
@@ -235,7 +301,7 @@ class TestEquivalence:
         for config in (
             EngineConfig(),
             EngineConfig(cache_size=1),
-            EngineConfig(batch_size=13, n_jobs=2),
+            EngineConfig(batch_size=13),
         ):
             candidate = explain_weights(
                 matcher, match_pair, PredictionEngine(matcher, config)
@@ -472,11 +538,10 @@ class TestThreadSafety:
             assert np.array_equal(probabilities, serial)
 
     def test_hammer_with_threaded_batches(self, beer_matcher, beer_dataset):
+        # Concurrent callers whose requests each span several chunks.
         import threading
 
-        engine = PredictionEngine(
-            beer_matcher, EngineConfig(batch_size=8, n_jobs=2)
-        )
+        engine = PredictionEngine(beer_matcher, EngineConfig(batch_size=8))
         pairs = list(beer_dataset[:30])
         barrier = threading.Barrier(4)
         failures: list[BaseException] = []

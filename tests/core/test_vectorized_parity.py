@@ -29,6 +29,7 @@ from repro.core.columnar import (
     mojito_attr_drop_batch,
     mojito_copy_batch,
     mojito_drop_batch,
+    pairs_batch,
     removal_batch,
 )
 from repro.core.engine import EngineConfig, PredictionEngine
@@ -56,6 +57,7 @@ from tests.core.mask_reference import (
     pair_content,
     removal_pair,
 )
+from tests.core.test_engine import distinct_pairs
 
 ENGINE_CONFIGS = {
     "default": EngineConfig(),
@@ -277,11 +279,19 @@ class TestMojitoMaskReference:
                 assert got.tobytes() == want.tobytes(), name
 
 
+def values_of(pair: RecordPair) -> tuple:
+    return tuple(pair.left.items()), tuple(pair.right.items())
+
+
 @pytest.mark.parametrize("code", DATASET_CODES)
 def test_batch_rows_equal_rebuilt_pairs_on_every_dataset(beer_matcher, code):
     """Every builder, row for row, on the first pairs of each dataset."""
     dataset = load_dataset(code, seed=0, size_cap=200)
     generator = LandmarkGenerator()
+    pairs = dataset.pairs[:8] + dataset.pairs[:2]
+    assert [values_of(p) for p in pairs_batch(pairs).pairs()] == [
+        values_of(p) for p in pairs
+    ]
     for pair in dataset.pairs[:8]:
         for name, batch, reference in _mojito_cases(beer_matcher, pair):
             assert [pair_content(p) for p in batch.pairs()] == [
@@ -315,6 +325,29 @@ def _mojito_reference_weights(explainer, matcher, pair) -> np.ndarray:
 
     rng = _pair_rng(explainer.seed, explainer.method, pair.pair_id)
     return explainer.explainer.explain(names, predict_masks, rng=rng).weights
+
+
+class TestBatchSizeIndependence:
+    """A row's probability is the same in a batch of any size — the
+    engine scores whatever rows miss its cache, so a row that misses
+    alone must not score differently from the same row in a crowd."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    @pytest.mark.parametrize("name", sorted(MATCHER_TYPES))
+    def test_row_probability_is_independent_of_batch_size(
+        self, fitted_matchers, beer_dataset, name, size
+    ):
+        matcher = fitted_matchers[name]
+        pairs = distinct_pairs(beer_dataset, 63)
+        whole = matcher.predict_proba(pairs)
+        columnar = matcher.predict_proba_columnar(pairs_batch(pairs))
+        assert columnar.tobytes() == whole.tobytes()
+        for start in range(0, len(pairs), size):
+            part = pairs[start:start + size]
+            want = whole[start:start + size].tobytes()
+            assert matcher.predict_proba(part).tobytes() == want, start
+            got = matcher.predict_proba_columnar(pairs_batch(part))
+            assert got.tobytes() == want, start
 
 
 class TestEngineParity:

@@ -19,12 +19,13 @@ from repro.config import (
     ServiceConfig,
     ShardConfig,
     StoreConfig,
+    add_config_arguments,
     config_from_namespace,
 )
 
 #: The configs each command builds from its flags.
 COMMANDS = {
-    "explain": (EngineConfig,),
+    "explain": (),
     "experiment": (EngineConfig,),
     "serve": (ServiceConfig, ShardConfig, StoreConfig, EngineConfig),
     "precompute": (ServiceConfig, ShardConfig, StoreConfig, EngineConfig),
@@ -85,8 +86,6 @@ def _offered(command: str) -> set[str]:
 
 def _non_default(field):
     """A valid value unequal to *field*'s default."""
-    if isinstance(field.default, bool):
-        return not field.default
     if field.default is None:
         return 3 if field.type.startswith("int") else 1.5
     if isinstance(field.default, int):
@@ -124,11 +123,9 @@ def test_minimal_argv_builds_the_class_defaults(monkeypatch, command):
 @pytest.mark.parametrize("command, cls, path, field", CASES)
 def test_flag_reaches_its_field(monkeypatch, command, cls, path, field):
     value = _non_default(field)
-    flag = field.metadata["flag"]
-    argv = [command, flag] if isinstance(value, bool) else [
-        command, flag, str(value)
-    ]
-    built = _built(monkeypatch, argv)
+    built = _built(
+        monkeypatch, [command, field.metadata["flag"], str(value)]
+    )
     assert built[cls] == _with(cls(), path, value)
     if command == "experiment":
         assert built[ExperimentConfig] == dataclasses.replace(
@@ -138,9 +135,23 @@ def test_flag_reaches_its_field(monkeypatch, command, cls, path, field):
 
 def test_cases_cover_the_named_paths():
     ids = {case.id for case in CASES}
-    assert {"explain--n-jobs", "experiment--max-retries",
-            "bulk--call-timeout", "serve--shards"} <= ids
-    assert "explain--max-retries" not in ids
+    assert {"experiment--max-retries", "bulk--call-timeout",
+            "serve--shards", "precompute--workers"} <= ids
+    assert not any(case.startswith("explain-") for case in ids)
+
+
+def test_bool_option_is_refused():
+    import argparse
+
+    from repro.config import option
+    from repro.exceptions import ConfigurationError
+
+    @dataclasses.dataclass(frozen=True)
+    class Switched:
+        verbose: bool = option(False, "--verbose", "a switch")
+
+    with pytest.raises(ConfigurationError, match="--verbose"):
+        add_config_arguments(argparse.ArgumentParser(), Switched)
 
 
 @pytest.mark.parametrize("argv, message", [

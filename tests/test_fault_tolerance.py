@@ -72,12 +72,12 @@ class TestMatcherGuard:
         def fn(pairs):
             raise RuntimeError("matcher bug")
 
-        guard = MatcherGuard(fn, GuardConfig())
+        guard = MatcherGuard(GuardConfig())
         assert not guard.config.active
         # The original exception propagates untouched: no retry, no
         # wrapping, no counter churn.
         with pytest.raises(RuntimeError, match="matcher bug"):
-            guard.call([0])
+            guard.call(fn, [0], 1)
         assert guard.stats == GuardStats()
 
     def test_retry_then_success(self):
@@ -89,8 +89,8 @@ class TestMatcherGuard:
                 raise RuntimeError("transient")
             return np.full(len(pairs), 0.5)
 
-        guard = MatcherGuard(fn, GuardConfig(max_retries=2, backoff=0.0))
-        out = guard.call([0, 1])
+        guard = MatcherGuard(GuardConfig(max_retries=2, backoff=0.0))
+        out = guard.call(fn, [0, 1], 2)
         assert list(out) == [0.5, 0.5]
         assert guard.stats.guard_retries == 1
         assert guard.stats.guard_failures == 1
@@ -101,10 +101,10 @@ class TestMatcherGuard:
             raise RuntimeError("always down")
 
         guard = MatcherGuard(
-            fn, GuardConfig(max_retries=2, trip_after=10, backoff=0.0)
+            GuardConfig(max_retries=2, trip_after=10, backoff=0.0)
         )
         with pytest.raises(RuntimeError, match="always down") as info:
-            guard.call([0])
+            guard.call(fn, [0], 1)
         assert info.value.guard_attempts == 3
         assert guard.stats.guard_failures == 3
         assert guard.stats.guard_retries == 2
@@ -115,11 +115,11 @@ class TestMatcherGuard:
             return np.zeros(len(pairs))
 
         guard = MatcherGuard(
-            fn, GuardConfig(call_timeout=0.05, trip_after=10, backoff=0.0)
+            GuardConfig(call_timeout=0.05, trip_after=10, backoff=0.0)
         )
         started = time.perf_counter()
         with pytest.raises(MatcherTimeoutError):
-            guard.call([0, 1])
+            guard.call(fn, [0, 1], 2)
         assert time.perf_counter() - started < 2.0
         assert guard.stats.guard_timeouts == 1
         assert guard.stats.guard_failures == 1
@@ -136,27 +136,26 @@ class TestMatcherGuard:
         # call_timeout activates the guard without allowing retries, so
         # every failure is consecutive from the breaker's point of view.
         guard = MatcherGuard(
-            fn,
             GuardConfig(
                 call_timeout=30.0, trip_after=3, cooldown=2, backoff=0.0
             ),
         )
         for _ in range(2):
             with pytest.raises(RuntimeError):
-                guard.call([0])
+                guard.call(fn, [0], 1)
         # The third consecutive failure trips the breaker.
         with pytest.raises(MatcherUnavailableError):
-            guard.call([0])
+            guard.call(fn, [0], 1)
         assert guard.state == "open"
         assert guard.stats.guard_trips == 1
         # While open, calls fail fast without touching the matcher.
         for _ in range(2):
             with pytest.raises(MatcherUnavailableError):
-                guard.call([0])
+                guard.call(fn, [0], 1)
         assert calls["n"] == 3
         assert guard.stats.guard_fast_failures == 2
         # The next call is the half-open probe; it succeeds and closes.
-        out = guard.call([0])
+        out = guard.call(fn, [0], 1)
         assert list(out) == [1.0]
         assert guard.state == "closed"
         assert guard.stats.guard_recoveries == 1
@@ -166,20 +165,19 @@ class TestMatcherGuard:
             raise RuntimeError("still down")
 
         guard = MatcherGuard(
-            fn,
             GuardConfig(
                 call_timeout=30.0, trip_after=2, cooldown=1, backoff=0.0
             ),
         )
         for _ in range(1):
             with pytest.raises(RuntimeError):
-                guard.call([0])
+                guard.call(fn, [0], 1)
         with pytest.raises(MatcherUnavailableError):
-            guard.call([0])  # trips
+            guard.call(fn, [0], 1)  # trips
         with pytest.raises(MatcherUnavailableError):
-            guard.call([0])  # cooldown fast-fail
+            guard.call(fn, [0], 1)  # cooldown fast-fail
         with pytest.raises(MatcherUnavailableError):
-            guard.call([0])  # failed probe re-trips immediately
+            guard.call(fn, [0], 1)  # failed probe re-trips immediately
         assert guard.state == "open"
         assert guard.stats.guard_trips == 2
         assert guard.stats.guard_recoveries == 0
@@ -387,21 +385,19 @@ class _Killed(Exception):
 
 
 #: The engine that :func:`_flatten_engine`'s overrides in the tests ask for.
-FLAT_ENGINE = EngineConfig(
-    n_jobs=2, guard=GuardConfig(max_retries=3, backoff=0.0)
-)
+FLAT_ENGINE = EngineConfig(guard=GuardConfig(max_retries=3, backoff=0.0))
 
 
 def _flatten_engine(config: dict, **flat) -> None:
     """Rewrite a config payload into the flat ``engine_*`` / ``guard_*``
     keys written before ``ExperimentConfig.engine`` nested (with the
-    retired ``engine_dedup`` / ``engine_cache`` switches they carried),
-    then apply *flat*."""
+    retired ``engine_dedup`` / ``engine_cache`` switches and
+    ``engine_n_jobs`` thread count they carried), then apply *flat*."""
     engine = config.pop("engine")
     guard = engine.pop("guard")
     config["engine_dedup"] = config["engine_cache"] = True
-    for name in ("batch_size", "n_jobs"):
-        config[f"engine_{name}"] = engine[name]
+    config["engine_n_jobs"] = 2
+    config["engine_batch_size"] = engine["batch_size"]
     for name in ("max_retries", "call_timeout", "trip_after", "cooldown",
                  "backoff"):
         config[f"guard_{name}"] = guard[name]
@@ -416,9 +412,19 @@ def _nest_retired_switches(config: dict, **flat) -> None:
     config.update(flat)
 
 
+def _nest_retired_thread_pool(config: dict, **flat) -> None:
+    """Add the retired ``n_jobs`` thread count to the nested engine
+    payload, as written while the engine ran chunks on a thread pool,
+    then apply *flat*."""
+    config["engine"]["n_jobs"] = 2
+    config.update(flat)
+
+
 #: Rewrites of a current config payload into the shapes older results
 #: and checkpoints carry.
-OLD_ENGINE_PAYLOADS = (_flatten_engine, _nest_retired_switches)
+OLD_ENGINE_PAYLOADS = (
+    _flatten_engine, _nest_retired_switches, _nest_retired_thread_pool
+)
 
 
 class TestCheckpointResume:
@@ -567,10 +573,7 @@ class TestCheckpointResume:
         expected = dataclasses.replace(TINY, engine=FLAT_ENGINE)
         for rewrite in OLD_ENGINE_PAYLOADS:
             header = json.loads(current)
-            rewrite(
-                header["config"], engine_n_jobs=2, guard_max_retries=3,
-                guard_backoff=0.0,
-            )
+            rewrite(header["config"], guard_max_retries=3, guard_backoff=0.0)
             lines[0] = json.dumps(header)
             journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
             state = load_checkpoint(run_dir, expected_config=expected)
@@ -587,10 +590,7 @@ class TestCheckpointResume:
         result = ExperimentRunner(TINY).run(["S-BR"])
         for rewrite in OLD_ENGINE_PAYLOADS:
             payload = json.loads(json.dumps(result_to_dict(result)))
-            rewrite(
-                payload["config"], engine_n_jobs=2, guard_max_retries=3,
-                guard_backoff=0.0,
-            )
+            rewrite(payload["config"], guard_max_retries=3, guard_backoff=0.0)
             restored = result_from_dict(payload)
             assert restored.config == dataclasses.replace(
                 TINY, engine=FLAT_ENGINE
@@ -616,12 +616,12 @@ class TestGuardBackoffScope:
     """
 
     @staticmethod
-    def _always_failing_guard(backoff: float) -> MatcherGuard:
-        def fn(pairs):
-            raise RuntimeError("transient")
+    def _transient(pairs):
+        raise RuntimeError("transient")
 
+    @staticmethod
+    def _always_failing_guard(backoff: float) -> MatcherGuard:
         return MatcherGuard(
-            fn,
             GuardConfig(
                 max_retries=3, trip_after=100,
                 backoff=backoff, backoff_max=backoff,
@@ -636,7 +636,7 @@ class TestGuardBackoffScope:
         started = time.monotonic()
         with request_scope(Deadline.after(0.05)):
             with pytest.raises(DeadlineExceededError):
-                guard.call([0])
+                guard.call(self._transient, [0], 1)
         elapsed = time.monotonic() - started
         # The naive behaviour sleeps the full 30s backoff before the
         # post-sleep checkpoint notices.  The capped sleep returns within
@@ -658,7 +658,7 @@ class TestGuardBackoffScope:
         try:
             with request_scope(cancel=token):
                 with pytest.raises(RequestCancelledError):
-                    guard.call([0])
+                    guard.call(self._transient, [0], 1)
         finally:
             timer.cancel()
         elapsed = time.monotonic() - started
@@ -670,7 +670,7 @@ class TestGuardBackoffScope:
         guard = self._always_failing_guard(backoff=0.05)
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="transient"):
-            guard.call([0])
+            guard.call(self._transient, [0], 1)
         elapsed = time.monotonic() - started
         # Three retries, each backing off ~0.05s (jitter halves at most).
         assert elapsed >= 0.05
