@@ -114,7 +114,7 @@ class EngineStats:
     )
     batches: int = stat(
         "repro_engine_batches_total",
-        "Chunks sent to the matcher's predict_proba",
+        "Chunks sent to the matcher's predict_proba_columnar",
     )
     #: Wall time spent rebuilding pairs from masks.
     rebuild_seconds: float = stat(

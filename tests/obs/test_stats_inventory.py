@@ -48,7 +48,7 @@ INVENTORY = [
     ("repro_engine_batch_width", "histogram",
      "Rows per matcher batch actually issued", [ENGINE]),
     ("repro_engine_batches_total", "counter",
-     "Chunks sent to the matcher's predict_proba", [ENGINE]),
+     "Chunks sent to the matcher's predict_proba_columnar", [ENGINE]),
     ("repro_engine_cache_entries", "gauge",
      "Entries currently held by the prediction LRU cache", [ENGINE]),
     ("repro_engine_cache_hits_total", "counter",
