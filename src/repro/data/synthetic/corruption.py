@@ -12,8 +12,10 @@ model the kinds of noise the Magellan datasets actually contain:
   between catalogues.
 
 All operators work on normalized attribute values (strings of
-space-separated words) and are driven by a :class:`numpy.random.Generator`
-for determinism.
+space-separated words) and are driven by a seeded generator for
+determinism: a :class:`numpy.random.Generator` or the corpus's
+:class:`~repro.data.synthetic.stream.RandomStream`, which draws the same
+values.
 """
 
 from __future__ import annotations
@@ -94,21 +96,22 @@ def corrupt_value(
         return value
 
     words = value.split(" ")
+    last = len(words) - 1
+    random = rng.random
+    token_drop, typo, abbreviation = config.token_drop, config.typo, config.abbreviation
     survivors: list[str] = []
     for index, word in enumerate(words):
         # Never drop below one word: an empty view of a populated attribute
         # would look like dirty data rather than noise.  A word may be
         # dropped only if something already survived or more words follow.
-        can_drop = bool(survivors) or index < len(words) - 1
-        if len(words) > 1 and can_drop:
-            if rng.random() < config.token_drop:
-                continue
-        if rng.random() < config.typo:
+        if last and (survivors or index < last) and random() < token_drop:
+            continue
+        if random() < typo:
             word = _typo(word, rng)
-        elif rng.random() < config.abbreviation:
+        elif random() < abbreviation:
             word = _abbreviate(word, rng)
         survivors.append(word)
-    if len(survivors) >= 2 and rng.random() < config.token_swap:
+    if len(survivors) >= 2 and random() < config.token_swap:
         position = int(rng.integers(len(survivors) - 1))
         survivors[position], survivors[position + 1] = (
             survivors[position + 1],

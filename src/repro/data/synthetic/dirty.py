@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.records import EMDataset, RecordPair
+from repro.data.synthetic.stream import RandomStream
 
 
 def _dirty_entity(
@@ -53,7 +54,7 @@ def make_dirty(
         raise ValueError(f"anchor attribute {anchor!r} not in schema")
     if not 0.0 <= move_probability <= 1.0:
         raise ValueError(f"move_probability must be in [0, 1], got {move_probability}")
-    rng = np.random.default_rng(seed)
+    rng = RandomStream(seed)
     dirty_pairs = []
     for pair in dataset:
         dirty_pairs.append(

@@ -26,6 +26,7 @@ import numpy as np
 from repro.data.records import EMDataset, MATCH, NON_MATCH, RecordPair
 from repro.data.schema import PairSchema
 from repro.data.synthetic.corruption import CorruptionConfig, corrupt_entity
+from repro.data.synthetic.stream import RandomStream
 from repro.data.synthetic.vocabularies import EntityFactory
 from repro.exceptions import DatasetError
 
@@ -103,7 +104,7 @@ class SyntheticEMGenerator:
             raise DatasetError(f"n_entities must be >= 1, got {n_entities}")
         if not 0.0 <= overlap <= 1.0:
             raise DatasetError(f"overlap must be in [0, 1], got {overlap}")
-        rng = np.random.default_rng(self.seed)
+        rng = RandomStream(self.seed)
         worlds = [self.factory.make(rng) for _ in range(n_entities)]
         left_table = [corrupt_entity(world, rng, self.corruption) for world in worlds]
 
@@ -134,7 +135,7 @@ class SyntheticEMGenerator:
         """
         if size < 2:
             raise DatasetError(f"size must be >= 2, got {size}")
-        rng = np.random.default_rng(self.seed)
+        rng = RandomStream(self.seed)
         schema = self.schema
         n_matches = int(round(size * self.match_rate))
         n_matches = min(max(n_matches, 1), size - 1)
