@@ -115,19 +115,15 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         help="record pipeline trace spans and write them as JSON on exit "
              "(default path: trace.json); results are identical either way",
     )
-    parser.add_argument(
-        "--no-metrics", action="store_true",
-        help="disable the metrics registry (every counter becomes a no-op)",
-    )
 
 
 def _obs_registry(args: argparse.Namespace):
-    """The run's metrics registry, honouring --trace / --no-metrics."""
+    """The run's metrics registry; starts tracing when --trace asks."""
     from repro.obs import MetricsRegistry, trace
 
     if getattr(args, "trace", None) is not None:
         trace.enable()
-    return MetricsRegistry(enabled=not getattr(args, "no_metrics", False))
+    return MetricsRegistry()
 
 
 def _obs_finish(args: argparse.Namespace, registry,
@@ -140,7 +136,7 @@ def _obs_finish(args: argparse.Namespace, registry,
         path = trace.save(args.trace)
         trace.disable()
         print(f"wrote {path}", file=sys.stderr)
-    if metrics_path is not None and registry.enabled:
+    if metrics_path is not None:
         save_metrics(registry, metrics_path)
         print(f"wrote {metrics_path}", file=sys.stderr)
 
@@ -846,7 +842,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.store_dir is not None else None
         )
         _obs_finish(args, service.metrics, None)
-        if metrics_path is not None and service.metrics.enabled:
+        if metrics_path is not None:
             # service.metrics_json() is fleet-aware: sharded, it merges
             # every shard's final families next to the router's own.
             import json as _json

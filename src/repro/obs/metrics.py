@@ -21,8 +21,8 @@ Design constraints, in order:
 2. **Cheap.**  An update is one lock acquisition and one float add;
    batched updates (:meth:`MetricsRegistry.bulk`) pay the lock once for
    any number of instruments.  A registry built with ``enabled=False``
-   turns every update into a no-op attribute check, which is what the
-   ``--no-metrics`` CLI flag uses.
+   turns every update into a no-op attribute check; the overhead
+   benchmark uses one as its zero-cost baseline.
 3. **Inert.**  Instruments never feed back into computation: results
    are bit-identical with metrics on, off or absent
    (``benchmarks/bench_obs_overhead.py`` gates both the equivalence and
