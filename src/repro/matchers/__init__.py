@@ -28,7 +28,6 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "EmbeddingMatcher": ".embedding",
     "EntityMatcher": ".base",
-    "FeatureConfig": ".features",
     "GradientBoostedStumpsMatcher": ".boosting",
     "LogisticRegressionMatcher": ".logistic",
     "MLPMatcher": ".neural",

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.columnar import ColumnarPairBatch, pairs_batch
 from repro.data.records import EMDataset, RecordPair
 from repro.exceptions import DatasetError, ModelNotFittedError
 from repro.matchers.base import EntityMatcher
-from repro.matchers.features import FeatureConfig, PairFeatureExtractor
+from repro.matchers.features import PairFeatureExtractor
 from repro.matchers.logistic import _sigmoid
 
 #: Newton leaf values are clipped to this magnitude for stability.
@@ -56,7 +57,6 @@ class GradientBoostedStumpsMatcher(EntityMatcher):
         learning_rate: float = 0.3,
         n_thresholds: int = 12,
         balanced: bool = True,
-        feature_config: FeatureConfig | None = None,
     ) -> None:
         if n_stumps < 1:
             raise ValueError(f"n_stumps must be >= 1, got {n_stumps}")
@@ -68,7 +68,6 @@ class GradientBoostedStumpsMatcher(EntityMatcher):
         self.learning_rate = learning_rate
         self.n_thresholds = n_thresholds
         self.balanced = balanced
-        self.feature_config = feature_config
         self.extractor: PairFeatureExtractor | None = None
         self.prior_: float = 0.0
         self.stumps_: list[Stump] = []
@@ -134,7 +133,7 @@ class GradientBoostedStumpsMatcher(EntityMatcher):
         labels = dataset.labels.astype(np.float64)
         if labels.min() == labels.max():
             raise DatasetError("training data contains a single class")
-        self.extractor = PairFeatureExtractor(dataset.schema, self.feature_config)
+        self.extractor = PairFeatureExtractor(dataset.schema)
         features = self.extractor.transform(dataset.pairs)
 
         sample_weights = np.ones(len(labels))
@@ -162,7 +161,24 @@ class GradientBoostedStumpsMatcher(EntityMatcher):
 
     # ------------------------------------------------------------------
 
-    def _score_features(self, features: np.ndarray) -> np.ndarray:
+    def _require_fitted(self) -> PairFeatureExtractor:
+        if self.extractor is None or not self.stumps_:
+            raise ModelNotFittedError(
+                "GradientBoostedStumpsMatcher used before fit()"
+            )
+        return self.extractor
+
+    def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
+        if not pairs:
+            self._require_fitted()
+            return np.empty(0, dtype=np.float64)
+        return self.predict_proba_columnar(pairs_batch(list(pairs)))
+
+    def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
+        extractor = self._require_fitted()
+        if batch.n_rows == 0:
+            return np.empty(0, dtype=np.float64)
+        features = extractor.transform_columnar(batch)
         # Stump predictions are np.where lookups — row-independent, so
         # scores are bit-identical whatever batch shape carries a row.
         scores = np.full(features.shape[0], self.prior_)
@@ -170,33 +186,10 @@ class GradientBoostedStumpsMatcher(EntityMatcher):
             scores += self.learning_rate * stump.predict(features)
         return _sigmoid(scores)
 
-    def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        if self.extractor is None or not self.stumps_:
-            raise ModelNotFittedError(
-                "GradientBoostedStumpsMatcher used before fit()"
-            )
-        if not pairs:
-            return np.empty(0, dtype=np.float64)
-        return self._score_features(self.extractor.transform(pairs))
-
-    def predict_proba_columnar(self, batch) -> np.ndarray:
-        if self.extractor is None or not self.stumps_:
-            raise ModelNotFittedError(
-                "GradientBoostedStumpsMatcher used before fit()"
-            )
-        if batch.n_rows == 0:
-            return np.empty(0, dtype=np.float64)
-        return self._score_features(self.extractor.transform_columnar(batch))
-
     def feature_usage(self) -> dict[str, int]:
         """How often each feature was chosen by a stump (a crude global
         importance, handy for sanity-checking against Table 3)."""
-        extractor = self.extractor
-        if extractor is None:
-            raise ModelNotFittedError(
-                "GradientBoostedStumpsMatcher used before fit()"
-            )
-        names = extractor.feature_names
+        names = self._require_fitted().feature_names
         usage: dict[str, int] = {}
         for stump in self.stumps_:
             name = names[stump.feature]

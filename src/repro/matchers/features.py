@@ -9,20 +9,23 @@ out of the Logistic Regression model.
 Performance notes
 -----------------
 Training extracts features for every labelled pair, and perturbation
-explainers call ``predict_proba`` hundreds of times per explained record.
-Every entry point goes through one computation,
-:meth:`PairFeatureExtractor._features`, which keeps this CPU-friendly:
+explainers score hundreds of perturbed pairs per explained record.
+:meth:`PairFeatureExtractor.transform_columnar` is the one entry point
+that computes features; :meth:`~PairFeatureExtractor.transform` wraps a
+pair list as a columnar batch and calls it.  The computation keeps this
+CPU-friendly:
 
-* feature groups are memoized on ``(attribute, left, right)``; each call
-  dedups its triples first, and perturbations of *other* attributes then
-  hit the memo;
+* each attribute's distinct ``(left, right)`` value combinations are
+  found from the batch's integer index codes, and feature groups are
+  memoized on ``(attribute, left, right)``, so perturbations of *other*
+  attributes hit the memo;
 * the misses are computed as one vectorized pass: each distinct raw value
   is normalized, tokenized and parsed as a number once, and the token-set,
   numeric and exact-match measures are numpy arithmetic over the miss rows;
 * character-level measures (Levenshtein, Jaro-Winkler) operate on a
-  length-capped prefix of the value — entity-identity signal concentrates
-  at the front of names/titles — and the misses of every attribute go
-  through a single call of the numpy kernels in
+  :data:`CHAR_CAP`-long prefix of the value — entity-identity signal
+  concentrates at the front of names/titles — and the misses of every
+  attribute go through a single call of the numpy kernels in
   :mod:`repro.text.batch_similarity`, which bucket rows by width and run
   the edit-distance DP on narrow integer dtypes.
 
@@ -34,35 +37,23 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.columnar import ColumnarPairBatch, pairs_batch
 from repro.data.records import RecordPair
 from repro.data.schema import PairSchema
 from repro.text.batch_similarity import char_similarities_batch
 from repro.text.normalize import normalize_value
-from repro.text.similarity import monge_elkan_similarity
 
+#: Length of the normalized-value prefix the quadratic character measures see.
+CHAR_CAP = 24
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Extractor configuration.
+#: Entries of each memo table (feature groups, normalized values); a table
+#: is cleared before a write that would overflow it.
+CACHE_SIZE = 200_000
 
-    ``char_cap`` bounds the substring passed to the quadratic character
-    measures.  ``use_monge_elkan`` enables the (expensive) hybrid measure —
-    off by default, on in the *paper* preset for the small datasets.
-    ``cache_size`` bounds the per-attribute memo table: it is cleared
-    before a batch of misses that would overflow it is written.
-    """
-
-    char_cap: int = 24
-    use_monge_elkan: bool = False
-    monge_elkan_token_cap: int = 8
-    cache_size: int = 200_000
-
-
-#: Measure names in group order (Monge-Elkan appended when enabled).
+#: Measure names in group order.
 BASE_MEASURES = (
     "jaccard",
     "overlap",
@@ -132,25 +123,16 @@ def _numeric_similarity(
 class PairFeatureExtractor:
     """Maps record pairs to numeric feature matrices, grouped by attribute."""
 
-    def __init__(self, schema: PairSchema, config: FeatureConfig | None = None):
+    def __init__(self, schema: PairSchema):
         self.schema = schema
-        self.config = config or FeatureConfig()
-        self._measures = list(BASE_MEASURES)
-        if self.config.use_monge_elkan:
-            self._measures.append("monge_elkan")
         self._cache: dict[tuple[str, str, str], np.ndarray] = {}
         # Raw value → normalized value memo (the same value recurs across
         # attributes, combinations, rows and batches).
         self._norm_cache: dict[str, str] = {}
 
     @property
-    def measures(self) -> tuple[str, ...]:
-        """Names of the per-attribute measures, in feature order."""
-        return tuple(self._measures)
-
-    @property
     def n_features(self) -> int:
-        return len(self.schema.attributes) * len(self._measures)
+        return len(self.schema.attributes) * len(BASE_MEASURES)
 
     @property
     def feature_names(self) -> list[str]:
@@ -158,12 +140,12 @@ class PairFeatureExtractor:
         return [
             f"{attribute}.{measure}"
             for attribute in self.schema.attributes
-            for measure in self._measures
+            for measure in BASE_MEASURES
         ]
 
     def attribute_groups(self) -> dict[str, slice]:
         """Column slice of each attribute's feature group."""
-        width = len(self._measures)
+        width = len(BASE_MEASURES)
         return {
             attribute: slice(index * width, (index + 1) * width)
             for index, attribute in enumerate(self.schema.attributes)
@@ -186,20 +168,19 @@ class PairFeatureExtractor:
     def _features(self, triples: Sequence[tuple[str, str, str]]) -> np.ndarray:
         """Feature rows of distinct ``(attribute, left, right)`` triples.
 
-        The extractor's one feature computation.  Memo hits are gathered
+        Called by :meth:`transform_columnar` only.  Memo hits are gathered
         first.  For the misses, each distinct raw value is parsed once
         (normalized string, token set, number) and every measure runs as
         one vectorized pass over all miss rows: the token-set and numeric
         measures as numpy arithmetic on per-value cardinalities and
         numbers, the quadratic character measures of every attribute in
         **one** :func:`char_similarities_batch` call, which buckets the
-        ``char_cap``-capped strings by width.  Each column uses the float
+        :data:`CHAR_CAP`-capped strings by width.  Each column uses the float
         expressions of its scalar measure in :mod:`repro.text.similarity`,
         so every row — and every memo entry written — equals the scalar
         per-pair recipe bit for bit.
         """
-        width = len(self._measures)
-        rows = np.empty((len(triples), width), dtype=np.float64)
+        rows = np.empty((len(triples), len(BASE_MEASURES)), dtype=np.float64)
         cache = self._cache
         missing: list[int] = []
         for index, triple in enumerate(triples):
@@ -227,7 +208,7 @@ class PairFeatureExtractor:
         for value in slot_of:
             norm = norm_cache.get(value)
             if norm is None:
-                if len(norm_cache) >= self.config.cache_size:
+                if len(norm_cache) >= CACHE_SIZE:
                     norm_cache.clear()
                 norm = norm_cache[value] = normalize_value(value)
             norms.append(norm)
@@ -248,8 +229,7 @@ class PairFeatureExtractor:
             dtype=np.float64,
             count=len(pairs),
         )
-        cap = self.config.char_cap
-        capped = [norm[:cap] for norm in norms]
+        capped = [norm[:CHAR_CAP] for norm in norms]
         levenshtein, jaro_winkler = char_similarities_batch(
             [capped[a] for a, _ in pairs], [capped[b] for _, b in pairs]
         )
@@ -262,21 +242,6 @@ class PairFeatureExtractor:
             _numeric_similarity(numbers[left], numbers[right], both_empty),
             exact,
         ]
-        if self.config.use_monge_elkan:
-            token_cap = self.config.monge_elkan_token_cap
-            columns.append(
-                np.fromiter(
-                    (
-                        monge_elkan_similarity(
-                            norms[a].split()[:token_cap],
-                            norms[b].split()[:token_cap],
-                        )
-                        for a, b in pairs
-                    ),
-                    dtype=np.float64,
-                    count=len(pairs),
-                )
-            )
         block = np.column_stack(columns)
         # Missing on both sides carries no match evidence.  Magellan's
         # extractor emits NaN here (imputed to 0); emitting zeros keeps
@@ -287,7 +252,7 @@ class PairFeatureExtractor:
             # anticipated).  predict_proba must stay finite for any mask.
             block = np.nan_to_num(block, nan=0.0, posinf=1.0, neginf=0.0)
         rows[missing] = block
-        if len(cache) + len(misses) > self.config.cache_size:
+        if len(cache) + len(misses) > CACHE_SIZE:
             cache.clear()
         cache.update(zip(misses, block))
         return rows
@@ -299,37 +264,21 @@ class PairFeatureExtractor:
     def transform(self, pairs: Sequence[RecordPair]) -> np.ndarray:
         """Feature matrix, shape ``(len(pairs), n_features)``.
 
-        Each pair contributes one ``(attribute, left, right)`` triple per
-        attribute; a dict dedups them, :meth:`_features` computes each
-        distinct triple once, and the rows are gathered back.
+        The pairs go through :meth:`transform_columnar` as one batch.
         """
-        attributes = self.schema.attributes
-        positions: dict[tuple[str, str, str], int] = {}
-        codes = np.fromiter(
-            (
-                positions.setdefault(
-                    (attribute, pair.left[attribute], pair.right[attribute]),
-                    len(positions),
-                )
-                for pair in pairs
-                for attribute in attributes
-            ),
-            dtype=np.intp,
-            count=len(pairs) * len(attributes),
-        )
-        block = self._features(list(positions))
-        return block[codes].reshape(len(pairs), self.n_features)
+        if not pairs:
+            return np.empty((0, self.n_features), dtype=np.float64)
+        return self.transform_columnar(pairs_batch(list(pairs)))
 
-    def transform_columnar(self, batch) -> np.ndarray:
+    def transform_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
         """Feature matrix of a :class:`~repro.core.columnar.ColumnarPairBatch`.
 
         Per attribute, the distinct (left, right) value combinations are
         found by uniquing the batch's integer index codes — never by
         touching the strings row-wise.  All attributes' distinct triples go
-        through :meth:`_features` together (the same memo, the same single
-        kernel call as :meth:`transform`) and are gathered back onto the
-        full row set, so row *i* of the result is bit-identical to
-        ``transform_pair`` of row *i*'s materialized pair.
+        through :meth:`_features` together (one memo lookup, one kernel
+        call) and are gathered back onto the full row set, so row *i*
+        depends only on row *i*'s values, whatever batch carries it.
         """
         attributes = self.schema.attributes
         if batch.schema.attributes != attributes:

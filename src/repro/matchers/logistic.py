@@ -17,10 +17,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.columnar import ColumnarPairBatch, pairs_batch
 from repro.data.records import EMDataset, RecordPair
 from repro.exceptions import DatasetError, ModelNotFittedError
 from repro.matchers.base import EntityMatcher
-from repro.matchers.features import FeatureConfig, PairFeatureExtractor
+from repro.matchers.features import PairFeatureExtractor
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -42,7 +43,6 @@ class LogisticRegressionMatcher(EntityMatcher):
         max_iter: int = 50,
         tol: float = 1e-8,
         balanced: bool = True,
-        feature_config: FeatureConfig | None = None,
     ) -> None:
         if l2 < 0:
             raise ValueError(f"l2 must be >= 0, got {l2}")
@@ -50,7 +50,6 @@ class LogisticRegressionMatcher(EntityMatcher):
         self.max_iter = max_iter
         self.tol = tol
         self.balanced = balanced
-        self.feature_config = feature_config
         self.extractor: PairFeatureExtractor | None = None
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
@@ -68,7 +67,7 @@ class LogisticRegressionMatcher(EntityMatcher):
         labels = dataset.labels
         if labels.min() == labels.max():
             raise DatasetError("training data contains a single class")
-        self.extractor = PairFeatureExtractor(dataset.schema, self.feature_config)
+        self.extractor = PairFeatureExtractor(dataset.schema)
         features = self.extractor.transform(dataset.pairs)
         self._mean = features.mean(axis=0)
         scale = features.std(axis=0)
@@ -131,25 +130,23 @@ class LogisticRegressionMatcher(EntityMatcher):
             raise ModelNotFittedError("LogisticRegressionMatcher used before fit()")
         return self.extractor
 
-    def _score_features(self, features: np.ndarray) -> np.ndarray:
+    def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
+        if not pairs:
+            self._require_fitted()
+            return np.empty(0, dtype=np.float64)
+        return self.predict_proba_columnar(pairs_batch(list(pairs)))
+
+    def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
+        extractor = self._require_fitted()
+        if batch.n_rows == 0:
+            return np.empty(0, dtype=np.float64)
+        features = extractor.transform_columnar(batch)
         standardized = (features - self._mean) / self._scale
         # Row-wise reduction rather than a BLAS matvec: dgemv may pick a
         # different summation order per batch shape, and the prediction
         # engine's bit-for-bit equivalence guarantee needs every row to
         # score identically whatever batch it rides in.
         return _sigmoid((standardized * self.coef_).sum(axis=1) + self.intercept_)
-
-    def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        extractor = self._require_fitted()
-        if not pairs:
-            return np.empty(0, dtype=np.float64)
-        return self._score_features(extractor.transform(pairs))
-
-    def predict_proba_columnar(self, batch) -> np.ndarray:
-        extractor = self._require_fitted()
-        if batch.n_rows == 0:
-            return np.empty(0, dtype=np.float64)
-        return self._score_features(extractor.transform_columnar(batch))
 
     # ------------------------------------------------------------------
     # Introspection (Table 3 needs this)

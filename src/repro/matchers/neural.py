@@ -16,10 +16,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.columnar import ColumnarPairBatch, pairs_batch
 from repro.data.records import EMDataset, RecordPair
 from repro.exceptions import DatasetError, ModelNotFittedError
 from repro.matchers.base import EntityMatcher, batch_matmul
-from repro.matchers.features import FeatureConfig, PairFeatureExtractor
+from repro.matchers.features import PairFeatureExtractor
 from repro.matchers.logistic import _sigmoid
 
 
@@ -34,7 +35,6 @@ class MLPMatcher(EntityMatcher):
         l2: float = 1e-4,
         balanced: bool = True,
         seed: int = 0,
-        feature_config: FeatureConfig | None = None,
     ) -> None:
         if not hidden_sizes:
             raise ValueError("hidden_sizes must contain at least one layer")
@@ -44,7 +44,6 @@ class MLPMatcher(EntityMatcher):
         self.l2 = l2
         self.balanced = balanced
         self.seed = seed
-        self.feature_config = feature_config
         self.extractor: PairFeatureExtractor | None = None
         self._mean: np.ndarray | None = None
         self._scale: np.ndarray | None = None
@@ -76,7 +75,7 @@ class MLPMatcher(EntityMatcher):
         labels = dataset.labels.astype(np.float64)
         if labels.min() == labels.max():
             raise DatasetError("training data contains a single class")
-        self.extractor = PairFeatureExtractor(dataset.schema, self.feature_config)
+        self.extractor = PairFeatureExtractor(dataset.schema)
         features = self.extractor.transform(dataset.pairs)
         self._mean = features.mean(axis=0)
         scale = features.std(axis=0)
@@ -146,22 +145,22 @@ class MLPMatcher(EntityMatcher):
                 ) / (np.sqrt(v_b[layer_index] / correction2) + eps)
         return self
 
-    def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
+    def _require_fitted(self) -> PairFeatureExtractor:
         if self.extractor is None or not self._weights:
             raise ModelNotFittedError("MLPMatcher used before fit()")
-        if not pairs:
-            return np.empty(0, dtype=np.float64)
-        features = self.extractor.transform(pairs)
-        standardized = (features - self._mean) / self._scale
-        probabilities, _ = self._forward(standardized)
-        return probabilities
+        return self.extractor
 
-    def predict_proba_columnar(self, batch) -> np.ndarray:
-        if self.extractor is None or not self._weights:
-            raise ModelNotFittedError("MLPMatcher used before fit()")
+    def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
+        if not pairs:
+            self._require_fitted()
+            return np.empty(0, dtype=np.float64)
+        return self.predict_proba_columnar(pairs_batch(list(pairs)))
+
+    def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
+        extractor = self._require_fitted()
         if batch.n_rows == 0:
             return np.empty(0, dtype=np.float64)
-        features = self.extractor.transform_columnar(batch)
+        features = extractor.transform_columnar(batch)
         standardized = (features - self._mean) / self._scale
         probabilities, _ = self._forward(standardized)
         return probabilities

@@ -5,7 +5,8 @@ built from the scalar measures in :mod:`repro.text.similarity`.  It shares
 no code with :class:`repro.matchers.features.PairFeatureExtractor` beyond
 those measures — it even keeps its own copy of the three-regex
 normalization recipe — so parity with it is evidence that the extractor's
-batched path computes the documented features.
+batched path computes the documented features.  It reads the extractor's
+module constants at call time, so a test that patches them patches both.
 """
 
 import re
@@ -13,14 +14,13 @@ import unicodedata
 
 import numpy as np
 
-from repro.matchers.features import FeatureConfig
+from repro.matchers import features
 from repro.text.similarity import (
     dice_coefficient,
     exact_match,
     jaccard_similarity,
     jaro_winkler_similarity,
     levenshtein_similarity,
-    monge_elkan_similarity,
     numeric_similarity,
     overlap_coefficient,
 )
@@ -52,18 +52,15 @@ def reference_normalize(value: object) -> str:
     return WHITESPACE_RE.sub(" ", text).strip()
 
 
-def reference_attribute_features(
-    config: FeatureConfig, left: str, right: str
-) -> np.ndarray:
+def reference_attribute_features(left: str, right: str) -> np.ndarray:
     """Feature group of one attribute value pair."""
-    width = 8 if config.use_monge_elkan else 7
     left_norm = reference_normalize(left)
     right_norm = reference_normalize(right)
     if not left_norm and not right_norm:
-        return np.zeros(width, dtype=np.float64)
+        return np.zeros(7, dtype=np.float64)
     left_tokens = left_norm.split(" ") if left_norm else []
     right_tokens = right_norm.split(" ") if right_norm else []
-    cap = config.char_cap
+    cap = features.CHAR_CAP
     left_capped = left_norm[:cap]
     right_capped = right_norm[:cap]
     values = [
@@ -75,24 +72,19 @@ def reference_attribute_features(
         numeric_similarity(left_norm, right_norm),
         exact_match(left_norm, right_norm),
     ]
-    if config.use_monge_elkan:
-        token_cap = config.monge_elkan_token_cap
-        values.append(
-            monge_elkan_similarity(left_tokens[:token_cap], right_tokens[:token_cap])
-        )
-    features = np.array(values, dtype=np.float64)
-    if not np.isfinite(features).all():
-        features = np.nan_to_num(features, nan=0.0, posinf=1.0, neginf=0.0)
-    return features
+    group = np.array(values, dtype=np.float64)
+    if not np.isfinite(group).all():
+        group = np.nan_to_num(group, nan=0.0, posinf=1.0, neginf=0.0)
+    return group
 
 
-def reference_matrix(config: FeatureConfig, pairs) -> np.ndarray:
+def reference_matrix(pairs) -> np.ndarray:
     """Feature matrix of *pairs*, one attribute group after another."""
     rows = [
         np.concatenate(
             [
                 reference_attribute_features(
-                    config, pair.left[attribute], pair.right[attribute]
+                    pair.left[attribute], pair.right[attribute]
                 )
                 for attribute in pair.schema.attributes
             ]

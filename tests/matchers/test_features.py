@@ -1,5 +1,6 @@
 """Tests for the per-attribute feature extractor."""
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -21,10 +22,10 @@ from repro.core.serialize import matcher_fingerprint
 from repro.data.records import RecordPair
 from repro.data.schema import PairSchema
 from repro.data.synthetic.magellan import load_dataset
+from repro.matchers import features as feature_module
 from repro.matchers.boosting import GradientBoostedStumpsMatcher
 from repro.matchers.features import (
     BASE_MEASURES,
-    FeatureConfig,
     PairFeatureExtractor,
     _numeric_similarity,
     _parse_number,
@@ -74,12 +75,6 @@ class TestShape:
         for group in groups.values():
             covered.extend(range(group.start, group.stop))
         assert sorted(covered) == list(range(extractor.n_features))
-
-    def test_monge_elkan_optional(self, schema):
-        with_me = PairFeatureExtractor(schema, FeatureConfig(use_monge_elkan=True))
-        assert "name.monge_elkan" in with_me.feature_names
-        without = PairFeatureExtractor(schema)
-        assert "name.monge_elkan" not in without.feature_names
 
     def test_transform_empty_list(self, extractor):
         result = extractor.transform([])
@@ -142,7 +137,7 @@ class TestValues:
 
 #: Value pool for the parity fuzz: empties, numerics that parse to
 #: non-finite floats, non-ASCII and non-BMP text, and tokens that build
-#: values far longer than ``char_cap``.
+#: values far longer than ``CHAR_CAP``.
 TOKENS = [
     "sony", "kamera", "camera", "dslr-a200w", "10.5", "12", "0", "-3",
     "nan", "NaN", "inf", "-inf", "1e400", "café", "crème", "naïve",
@@ -184,11 +179,13 @@ def columnar_batch(pairs):
     return ColumnarPairBatch(pairs[0], columns, len(pairs))
 
 
+#: Module constants of :mod:`repro.matchers.features` patched per case:
+#: a two-entry memo evicts on almost every call, and a five-character cap
+#: truncates most values before the character measures.
 PARITY_CONFIGS = {
-    "default": FeatureConfig(),
-    "monge_elkan": FeatureConfig(use_monge_elkan=True),
-    "evicting": FeatureConfig(cache_size=2),
-    "short_cap": FeatureConfig(char_cap=5),
+    "default": {},
+    "evicting": {"CACHE_SIZE": 2},
+    "short_cap": {"CHAR_CAP": 5},
 }
 
 
@@ -196,44 +193,45 @@ class TestReferenceParity:
     """Every transform entry point equals the scalar reference bit for bit."""
 
     @pytest.fixture(params=sorted(PARITY_CONFIGS))
-    def config(self, request):
-        return PARITY_CONFIGS[request.param]
+    def constants(self, request, monkeypatch):
+        for name, value in PARITY_CONFIGS[request.param].items():
+            monkeypatch.setattr(feature_module, name, value)
 
     @pytest.fixture()
     def wide_schema(self):
         return PairSchema(("title", "brand", "price"))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_transform(self, config, wide_schema, seed):
+    def test_transform(self, constants, wide_schema, seed):
         pairs = random_pairs(wide_schema, seed)
-        expected = reference_matrix(config, pairs)
-        extractor = PairFeatureExtractor(wide_schema, config)
+        expected = reference_matrix(pairs)
+        extractor = PairFeatureExtractor(wide_schema)
         assert extractor.transform(pairs).tobytes() == expected.tobytes()
         # A second pass is served (at least partly) from the memo.
         assert extractor.transform(pairs).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_transform_pair(self, config, wide_schema, seed):
+    def test_transform_pair(self, constants, wide_schema, seed):
         pairs = random_pairs(wide_schema, seed, count=30)
-        expected = reference_matrix(config, pairs)
-        extractor = PairFeatureExtractor(wide_schema, config)
+        expected = reference_matrix(pairs)
+        extractor = PairFeatureExtractor(wide_schema)
         for row, pair in zip(expected, pairs):
             features = extractor.transform_pair(pair)
             assert features.shape == (extractor.n_features,)
             assert features.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_transform_columnar(self, config, wide_schema, seed):
+    def test_transform_columnar(self, constants, wide_schema, seed):
         pairs = random_pairs(wide_schema, seed)
-        expected = reference_matrix(config, pairs)
-        extractor = PairFeatureExtractor(wide_schema, config)
+        expected = reference_matrix(pairs)
+        extractor = PairFeatureExtractor(wide_schema)
         batch = columnar_batch(pairs)
         assert extractor.transform_columnar(batch).tobytes() == expected.tobytes()
         # Mixing entry points on one warm memo changes nothing.
         assert extractor.transform(pairs).tobytes() == expected.tobytes()
         assert extractor.transform_columnar(batch).tobytes() == expected.tobytes()
 
-    def test_edge_values(self, config, schema):
+    def test_edge_values(self, constants, schema):
         long_value = "abcdefghij " * 8
         cases = [
             ("", ""), ("", "x"), (" ", "  "), ("nan", "NaN"), ("nan", "5"),
@@ -244,34 +242,46 @@ class TestReferenceParity:
         pairs = [
             make_pair(schema, left, right, right, left) for left, right in cases
         ]
-        expected = reference_matrix(config, pairs)
-        extractor = PairFeatureExtractor(schema, config)
+        expected = reference_matrix(pairs)
+        extractor = PairFeatureExtractor(schema)
         assert extractor.transform(pairs).tobytes() == expected.tobytes()
-        fresh = PairFeatureExtractor(schema, config)
+        fresh = PairFeatureExtractor(schema)
         batch = columnar_batch(pairs)
         assert fresh.transform_columnar(batch).tobytes() == expected.tobytes()
         assert np.isfinite(expected).all()
 
-    def test_columnar_schema_mismatch_rejected(self, extractor, wide_schema):
+    def test_columnar_schema_mismatch_rejected(self, extractor, schema, wide_schema):
         batch = columnar_batch(random_pairs(wide_schema, 0, count=3))
         with pytest.raises(ValueError):
             extractor.transform_columnar(batch)
+        # A pair list goes through the same check, even when its schema
+        # only adds an attribute to the extractor's.
+        extra = PairSchema((*schema.attributes, "extra"))
+        with pytest.raises(ValueError):
+            extractor.transform(random_pairs(extra, 0, count=3))
 
 
-#: ``matcher_fingerprint`` of the benchmark harness's model (logistic
-#: regression on S-WA, seed 0, 2000 pairs), recorded before the feature
-#: extractor was batched.  Training features must never drift from it.
-SWA_LOGISTIC_FINGERPRINT = (
-    "fe2d75f6a36b10a6841998ca582e1b74ab5e53a4d8159bdba4e6416805e5d87d"
-)
-
-#: The same for the full S-BR (the bulk workload's corpus) and S-IA (a
-#: golden-file corpus), recorded before the extractor's scalar measures
-#: were vectorized and its kernels bucketed by width.
-FULL_SIZE_LOGISTIC_FINGERPRINTS = {
-    "S-BR": "5e7b78ae9f5b824f769275ccfd215ead20bc18ef00810d803c807aa3dfd4f31e",
-    "S-IA": "52f090cea24c466c763408e831ddebea2ba696ce22a5a362cb0183d6c07c9807",
+#: sha256 over ``coef_``, ``intercept_``, ``_mean`` and ``_scale`` of the
+#: logistic regression fitted on S-WA (seed 0, 2000 pairs: the benchmark
+#: harness's model), the full S-BR (the bulk workload's corpus) and the
+#: full S-IA (a golden-file corpus), recorded while training still had a
+#: feature path of its own.  What training learns must never drift.
+LEARNED_PARAMETER_DIGESTS = {
+    "S-WA": "73cc845664c8aa92beee8ec87c96007069676e998374fbf9217272052c966714",
+    "S-BR": "4bb10bc79c8dcbd3177198a3b575ed3e40ad35c781ff6311a1eeca84f65698aa",
+    "S-IA": "74945c1107b88e23f5d84a157957e555910706028165c7a07787558cd5aea498",
 }
+
+#: ``matcher_fingerprint`` of the same three models.  It hashes the whole
+#: pickled object graph, so it also moves when an attribute is added to
+#: or removed from a matcher or its extractor; the digests above separate
+#: that from what was learned.
+LOGISTIC_FINGERPRINTS = {
+    "S-WA": "55f28d3dbf1c882aec853f2f8e9664bc518a2dd59aaaca9f1094d040938da172",
+    "S-BR": "7ea1f435cbe0d2adef52b1441ab190782de5752fa12fa7e268f6a057f8b19aaf",
+    "S-IA": "2fd99f6fd8d16d23d45beb9bd1b1c3b34ab7e875670bb32b5fe2ab753ad34603",
+}
+
 
 #: Child-process script: the S-WA training feature digest, then the
 #: dispatched SIMD extensions that are still switched on.
@@ -302,16 +312,35 @@ def learned_arrays(matcher):
     return [matcher.coef_.tobytes(), np.float64(matcher.intercept_).tobytes()]
 
 
-class TestTrainedModels:
-    def test_harness_model_fingerprint_is_pinned(self):
-        dataset = load_dataset("S-WA", seed=0, size_cap=2000)
-        matcher = LogisticRegressionMatcher().fit(dataset)
-        assert matcher_fingerprint(matcher) == SWA_LOGISTIC_FINGERPRINT
+@functools.cache
+def pinned_model(code):
+    """The logistic regression of a pinned corpus (S-WA capped at 2000)."""
+    size_cap = 2000 if code == "S-WA" else None
+    return LogisticRegressionMatcher().fit(
+        load_dataset(code, seed=0, size_cap=size_cap)
+    )
 
-    @pytest.mark.parametrize("code", sorted(FULL_SIZE_LOGISTIC_FINGERPRINTS))
+
+def learned_parameter_digest(matcher):
+    digest = hashlib.sha256()
+    for array in (matcher.coef_, matcher.intercept_, matcher._mean, matcher._scale):
+        digest.update(np.asarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+class TestTrainedModels:
+    @pytest.mark.parametrize("code", sorted(LEARNED_PARAMETER_DIGESTS))
+    def test_learned_parameters_are_pinned(self, code):
+        digest = learned_parameter_digest(pinned_model(code))
+        assert digest == LEARNED_PARAMETER_DIGESTS[code]
+
+    def test_harness_model_fingerprint_is_pinned(self):
+        fingerprint = matcher_fingerprint(pinned_model("S-WA"))
+        assert fingerprint == LOGISTIC_FINGERPRINTS["S-WA"]
+
+    @pytest.mark.parametrize("code", ["S-BR", "S-IA"])
     def test_full_size_model_fingerprints_are_pinned(self, code):
-        matcher = LogisticRegressionMatcher().fit(load_dataset(code, seed=0))
-        assert matcher_fingerprint(matcher) == FULL_SIZE_LOGISTIC_FINGERPRINTS[code]
+        assert matcher_fingerprint(pinned_model(code)) == LOGISTIC_FINGERPRINTS[code]
 
     def test_features_equal_on_baseline_simd_loops(self):
         # Features use no BLAS, only elementwise numpy loops, so their bits
@@ -353,7 +382,7 @@ class TestTrainedModels:
         monkeypatch.setattr(
             PairFeatureExtractor,
             "transform",
-            lambda self, pairs: reference_matrix(self.config, pairs),
+            lambda self, pairs: reference_matrix(pairs),
         )
         reference = make_matcher().fit(dataset)
         assert learned_arrays(fitted) == learned_arrays(reference)
@@ -398,8 +427,9 @@ class TestCache:
         second = extractor.transform_pair(pair)
         assert np.array_equal(first, second)
 
-    def test_cache_eviction_resets(self, schema):
-        extractor = PairFeatureExtractor(schema, FeatureConfig(cache_size=2))
+    def test_cache_eviction_resets(self, schema, monkeypatch):
+        monkeypatch.setattr(feature_module, "CACHE_SIZE", 2)
+        extractor = PairFeatureExtractor(schema)
         for i in range(10):
             pair = make_pair(schema, f"name {i}", "other")
             extractor.transform_pair(pair)
