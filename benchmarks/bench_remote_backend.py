@@ -63,9 +63,9 @@ MATCHERS = {
 }
 
 
-def _explain_all(matcher_like, pairs, samples: int, seed: int) -> list[str]:
+def _explain_all(matcher, pairs, samples: int, seed: int) -> list[str]:
     explainer = LandmarkExplainer(
-        matcher_like,
+        matcher,
         lime_config=LimeConfig(n_samples=samples, seed=seed),
         seed=seed,
     )
@@ -78,7 +78,7 @@ def check_parity(name, matcher, pairs, samples, seed, config):
     with MatcherServer(matcher, workers=2) as server:
         backend = RemoteBackend(server.address, config=config)
         try:
-            remote = _explain_all(backend.as_matcher(), pairs, samples, seed)
+            remote = _explain_all(backend, pairs, samples, seed)
         finally:
             backend.close()
     return sum(a != b for a, b in zip(local, remote))

@@ -51,10 +51,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "GENERATION_DOUBLE": ".core.generation",
     "GENERATION_SINGLE": ".core.generation",
     "GlobalSummary": ".core.summarize",
-    "InProcessBackend": ".backends.base",
     "InvertedIndexBlocker": ".blocking.index",
     "KernelShapExplainer": ".explainers.kernel_shap",
-    "MatcherBackend": ".backends.base",
     "MatcherServer": ".backends.server",
     "RemoteBackend": ".backends.client",
     "EngineConfig": ".config",
@@ -79,7 +77,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "StoreConfig": ".config",
     "Tokenizer": ".text.tokenize",
     "anchor_for_landmark": ".explainers.anchors",
-    "as_backend": ".backends.base",
     "evaluate_matcher": ".matchers.evaluate",
     "get_preset": ".config",
     "greedy_counterfactual": ".core.counterfactual",

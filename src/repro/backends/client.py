@@ -1,8 +1,9 @@
 """The pipelined remote matcher client.
 
 :class:`RemoteBackend` speaks the length-prefixed frame protocol
-(:mod:`repro.backends.protocol`) to a matcher server and presents the
-:class:`~repro.backends.base.MatcherBackend` surface to the engine.
+(:mod:`repro.backends.protocol`) to a matcher server and is itself an
+:class:`~repro.matchers.base.EntityMatcher`: the engine, the explainers
+and the service take it like a matcher whose model lives elsewhere.
 
 **Pipelining.**  One TCP connection carries many in-flight batches at
 once: a large columnar batch is split into server-sized chunks
@@ -35,13 +36,15 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
-from repro.backends.base import BackendCapabilities, MatcherBackend, PROTOCOL_VERSION
+from repro.backends.base import BackendCapabilities, PROTOCOL_VERSION
 from repro.backends.protocol import read_frame, send_frame
+from repro.core.columnar import ColumnarPairBatch, pairs_batch
 from repro.core.deadline import active_scope, checkpoint
 from repro.core.guard import GuardConfig, GuardStats, MatcherGuard
 from repro.exceptions import (
@@ -54,6 +57,7 @@ from repro.exceptions import (
     ReproError,
     error_from_code,
 )
+from repro.matchers.base import EntityMatcher
 from repro.obs.metrics import (
     GAUGE,
     HISTOGRAM,
@@ -235,12 +239,14 @@ class BackendStats:
         return asdict(self)
 
 
-class RemoteBackend(MatcherBackend):
+class RemoteBackend(EntityMatcher):
     """A matcher served over a socket, with MatcherGuard fault semantics.
 
-    Thread-safe: service workers may call concurrently; their wire
-    requests interleave on the shared connection and complete out of
-    order.
+    Scores like any :class:`EntityMatcher`, bit-identical to the model in
+    the server process; training is the server owner's decision, so
+    :meth:`fit` refuses.  Thread-safe: service workers may call
+    concurrently; their wire requests interleave on the shared
+    connection and complete out of order.
     """
 
     def __init__(
@@ -275,9 +281,28 @@ class RemoteBackend(MatcherBackend):
         """Retry / timeout / breaker counters of this client's guard."""
         return self._guard.stats
 
-    # -- MatcherBackend surface ----------------------------------------
+    # -- matcher surface -----------------------------------------------
+
+    def fit(self, dataset) -> RemoteBackend:
+        """Refuses: the model is trained where it is served."""
+        raise BackendError(
+            "a served matcher cannot be trained through its client; "
+            "train where the model lives and restart the backend"
+        )
+
+    def predict_proba(self, pairs: Sequence) -> np.ndarray:
+        pairs = list(pairs)
+        if not pairs:
+            return np.empty(0, dtype=np.float64)
+        return self.predict_proba_columnar(pairs_batch(pairs))
+
+    def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
+        return self._guarded(batch, batch.n_rows)
+
+    # -- backend surface -----------------------------------------------
 
     def capabilities(self) -> BackendCapabilities:
+        """The server's handshake capabilities (connects lazily)."""
         conn = self._conn
         if conn is not None and not conn.dead:
             return conn.capabilities
@@ -285,10 +310,8 @@ class RemoteBackend(MatcherBackend):
         # against a still-booting server gets the same retry policy.
         return self._guarded(None, 0).capabilities
 
-    def predict_proba_columnar(self, batch) -> np.ndarray:
-        return self._guarded(batch, batch.n_rows)
-
     def health(self) -> dict:
+        """Liveness view for /healthz: breaker state and connection."""
         conn = self._conn
         state = self._guard.state
         return {
@@ -300,6 +323,7 @@ class RemoteBackend(MatcherBackend):
         }
 
     def close(self) -> None:
+        """Drop the connection; later calls raise (idempotent)."""
         self._closed = True
         with self._conn_lock:
             conn, self._conn = self._conn, None

@@ -32,16 +32,18 @@ import numpy as np
 from repro.backends.base import (
     DEFAULT_MAX_BATCH_SIZE,
     PROTOCOL_VERSION,
-    InProcessBackend,
+    BackendCapabilities,
 )
 from repro.backends.protocol import read_frame, send_frame
 from repro.core.columnar import ColumnarPairBatch
+from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import (
     BackendProtocolError,
     ConfigurationError,
     ServiceError,
     error_fields,
 )
+from repro.matchers.base import columnar_scorer
 
 __all__ = ["MatcherServer"]
 
@@ -67,8 +69,12 @@ class MatcherServer:
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self._backend = InProcessBackend(matcher, max_batch_size)
-        self.capabilities = self._backend.capabilities()
+        self._score_batch = columnar_scorer(matcher)
+        self.capabilities = BackendCapabilities(
+            fingerprint=matcher_fingerprint(matcher),
+            max_batch_size=int(max_batch_size),
+            matcher_class=type(matcher).__name__,
+        )
         self._host = host
         self._port = int(port)
         self._workers = workers
@@ -235,9 +241,7 @@ class MatcherServer:
                 f"batch of {batch.n_rows} exceeds the advertised max of "
                 f"{self.capabilities.max_batch_size}"
             )
-        return np.asarray(
-            self._backend.predict_proba_columnar(batch), dtype=np.float64
-        )
+        return np.asarray(self._score_batch(batch), dtype=np.float64)
 
     # -- response path --------------------------------------------------
 

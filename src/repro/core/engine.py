@@ -52,14 +52,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.backends.base import InProcessBackend, as_backend
 from repro.config import EngineConfig  # noqa: F401 - re-exported
 from repro.core.columnar import ColumnarPairBatch, landmark_batch, pairs_batch
 from repro.core.generation import GeneratedInstance
 from repro.core.guard import GuardStats, MatcherGuard
 from repro.data.records import EMDataset, RecordPair
 from repro.exceptions import ExplanationError
-from repro.matchers.base import EntityMatcher
+from repro.matchers.base import EntityMatcher, columnar_scorer
 from repro.obs.metrics import (
     GAUGE,
     HISTOGRAM,
@@ -251,15 +250,14 @@ class _EngineMatcher(EntityMatcher):
 
 
 class PredictionEngine:
-    """Deduplicating, caching, chunking front-end to one matcher backend.
+    """Deduplicating, caching, chunking front-end to one matcher.
 
-    *matcher* may be a live :class:`EntityMatcher` (wrapped in an
-    :class:`~repro.backends.base.InProcessBackend`, preserving the
-    historical behaviour bit for bit) or any
-    :class:`~repro.backends.base.MatcherBackend` — the engine itself
-    only ever talks to the backend surface, so a remote matcher slots in
-    without the dedup/cache/chunking layers noticing.  The effective
-    chunk width is ``min(config.batch_size, backend max batch)``.
+    *matcher* is anything ``predict_proba``-shaped: a live
+    :class:`EntityMatcher`, a duck-typed test double, or a
+    :class:`~repro.backends.client.RemoteBackend` whose model runs in
+    another process — the dedup/cache/chunking layers cannot tell them
+    apart.  Chunks are ``config.batch_size`` rows wide; a remote client
+    splits them further to its server's advertised maximum.
 
     The engine is **thread-safe**: the serving layer's worker pool shares
     one engine so matcher-call dedup spans concurrent requests.  A single
@@ -277,11 +275,8 @@ class PredictionEngine:
         config: EngineConfig | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        backend = as_backend(matcher)
-        self.backend = backend
-        # Matcher-typed view: the real matcher in-process (identical to
-        # the pre-backend engine), a non-trainable proxy for remote.
-        self.matcher = backend.as_matcher()
+        self._score = columnar_scorer(matcher)
+        self.matcher = matcher
         self.config = config or EngineConfig()
         # *metrics* is the registry this engine's instruments live in —
         # pass the service's (or runner's) registry to surface engine
@@ -302,14 +297,6 @@ class PredictionEngine:
         # Protects the LRU cache; counters live in the metrics registry
         # and are synchronized by its own lock.
         self._lock = threading.Lock()
-        if isinstance(backend, InProcessBackend):
-            # No capabilities() call here: it would fingerprint the
-            # matcher, which may not be trained yet (the _EngineMatcher
-            # adapter fits through the engine in eval flows).
-            backend_max = backend.max_batch_size
-        else:
-            backend_max = backend.capabilities().max_batch_size
-        self._chunk_size = min(self.config.batch_size, backend_max)
 
     @property
     def stats(self) -> EngineStats:
@@ -466,9 +453,9 @@ class PredictionEngine:
         results.
         """
         n_rows = batch.n_rows
-        chunk_size = self._chunk_size
+        chunk_size = self.config.batch_size
         instruments = self._instruments
-        score = self.backend.predict_proba_columnar
+        score = self._score
         started = time.perf_counter()
         results: list[np.ndarray] = []
         n_batches = -(-n_rows // chunk_size)

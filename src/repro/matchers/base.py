@@ -9,12 +9,13 @@ is the :meth:`EntityMatcher.predict_proba` contract.  Everything else
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.data.records import EMDataset, RecordPair
+from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.columnar import ColumnarPairBatch
@@ -72,3 +73,21 @@ class EntityMatcher(ABC):
     def predict_one(self, pair: RecordPair) -> float:
         """Match probability of a single pair."""
         return float(self.predict_proba([pair])[0])
+
+
+def columnar_scorer(matcher) -> Callable[["ColumnarPairBatch"], np.ndarray]:
+    """The function that scores a columnar batch with *matcher*.
+
+    Duck-typed on purpose: test doubles and counting or fault-injection
+    shims that only implement ``predict_proba`` score the materialized
+    rows, as :meth:`EntityMatcher.predict_proba_columnar`'s default does.
+    Anything without a callable ``predict_proba`` is refused.
+    """
+    if not callable(getattr(matcher, "predict_proba", None)):
+        raise ConfigurationError(
+            f"expected a matcher (predict_proba), got {type(matcher).__name__}"
+        )
+    columnar = getattr(matcher, "predict_proba_columnar", None)
+    if columnar is not None:
+        return columnar
+    return lambda batch: matcher.predict_proba(batch.pairs())

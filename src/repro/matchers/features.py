@@ -50,7 +50,8 @@ from repro.text.normalize import normalize_value
 CHAR_CAP = 24
 
 #: Entries of each memo table (feature groups, normalized values); a table
-#: is cleared before a write that would overflow it.
+#: is cleared before a write that would overflow it, and a batch with more
+#: misses than this writes only its first ``CACHE_SIZE``.
 CACHE_SIZE = 200_000
 
 #: Measure names in group order.
@@ -254,7 +255,7 @@ class PairFeatureExtractor:
         rows[missing] = block
         if len(cache) + len(misses) > CACHE_SIZE:
             cache.clear()
-        cache.update(zip(misses, block))
+        cache.update(zip(misses[:CACHE_SIZE], block))
         return rows
 
     def transform_pair(self, pair: RecordPair) -> np.ndarray:

@@ -50,13 +50,13 @@ from __future__ import annotations
 import itertools
 import math
 import queue
+import sys
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
-from repro.backends.base import InProcessBackend, MatcherBackend, as_backend
 from repro.config import ServiceConfig
 from repro.core.deadline import CancelToken, Deadline, request_scope
 from repro.core.engine import EngineConfig, PredictionEngine
@@ -330,6 +330,18 @@ class _Ticket:
     waiters: int = 1
 
 
+def _remote_backend(matcher):
+    """*matcher* if it is a :class:`~repro.backends.client.RemoteBackend`.
+
+    Looked up in :data:`sys.modules`: an instance implies its module is
+    loaded, so an in-process service never imports the socket client.
+    """
+    client = sys.modules.get("repro.backends.client")
+    if client is not None and isinstance(matcher, client.RemoteBackend):
+        return matcher
+    return None
+
+
 class ExplanationService:
     """Worker-pool front-end serving landmark explanations.
 
@@ -338,24 +350,22 @@ class ExplanationService:
     *engine_config* configures the shared engine (including the
     :class:`~repro.core.guard.MatcherGuard` retry/timeout knobs).
 
-    *matcher* may be a live :class:`EntityMatcher` **or** any
-    :class:`~repro.backends.base.MatcherBackend` (e.g. a
+    *matcher* may be a live :class:`EntityMatcher` or a
     :class:`~repro.backends.client.RemoteBackend` pointing at a
-    ``serve-matcher`` process).  With a remote backend the request-key
+    ``serve-matcher`` process.  With a remote backend the request-key
     fingerprint comes from the handshake, so cache keys and store
     entries stay identical to a local deployment of the same weights.
     """
 
     def __init__(
         self,
-        matcher: EntityMatcher | MatcherBackend,
+        matcher: EntityMatcher,
         store: ExplanationStore | None = None,
         config: ServiceConfig | None = None,
         engine_config: EngineConfig | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self.backend = as_backend(matcher)
-        self.matcher = self.backend.as_matcher()
+        self.matcher = matcher
         self.store = store
         self.config = config or ServiceConfig()
         # One registry for the whole serving stack: default to the
@@ -368,15 +378,15 @@ class ExplanationService:
         else:
             self.metrics = MetricsRegistry()
         self.engine = PredictionEngine(
-            self.backend, engine_config, metrics=self.metrics
+            matcher, engine_config, metrics=self.metrics
         )
-        # In-process the fingerprint is computed from the live object
-        # (exactly as before backends existed); remote backends pin the
-        # fingerprint their server advertised at handshake.
-        if isinstance(self.backend, InProcessBackend):
-            self.fingerprint = matcher_fingerprint(self.matcher)
+        # In-process the fingerprint is computed from the live object; a
+        # remote backend pins the one its server advertised at handshake.
+        self._remote = _remote_backend(matcher)
+        if self._remote is None:
+            self.fingerprint = matcher_fingerprint(matcher)
         else:
-            self.fingerprint = self.backend.capabilities().fingerprint
+            self.fingerprint = self._remote.capabilities().fingerprint
         self._instruments = StatsInstruments(
             self.metrics, ServiceStats, "service"
         )
@@ -623,14 +633,13 @@ class ExplanationService:
             "breaker": self.engine.guard.state,
             "workers": self.live_workers(),
         }
-        backend_health = self.backend.health()
-        if not isinstance(self.backend, InProcessBackend):
-            payload["backend"] = backend_health
+        if self._remote is not None:
+            payload["backend"] = self._remote.health()
         if self.closed:
             degraded = "draining"
         elif payload["breaker"] == "open":
             degraded = "breaker_open"
-        elif not backend_health.get("available", True):
+        elif not payload.get("backend", {}).get("available", True):
             degraded = "backend_unavailable"
         elif self.overloaded:
             degraded = "overloaded"
@@ -709,7 +718,8 @@ class ExplanationService:
                     worker.join()
         if self.store is not None:
             self.store.flush()
-        self.backend.close()
+        if self._remote is not None:
+            self._remote.close()
         summary = {
             "pending_at_close": len(pending),
             "cancelled": cancelled if drain else len(pending),

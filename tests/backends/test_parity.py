@@ -43,9 +43,9 @@ CONFIG = RemoteBackendConfig(
 )
 
 
-def _explain(matcher_like, pair):
+def _explain(matcher, pair):
     explainer = LandmarkExplainer(
-        matcher_like,
+        matcher,
         lime_config=LimeConfig(n_samples=SAMPLES, seed=0),
         seed=0,
     )
@@ -64,7 +64,7 @@ class TestExplanationParity:
         with MatcherServer(matcher, workers=2) as server:
             backend = RemoteBackend(server.address, config=CONFIG)
             try:
-                remote = _explain(backend.as_matcher(), match_pair)
+                remote = _explain(backend, match_pair)
             finally:
                 backend.close()
         for side in ("left_landmark", "right_landmark"):

@@ -17,10 +17,15 @@ from repro.backends.client import (
 from repro.backends.server import MatcherServer
 from repro.config import GuardConfig
 from repro.core.columnar import ColumnarPairBatch, ValueColumn, pairs_batch
+from repro.core.engine import PredictionEngine
 from repro.core.serialize import matcher_fingerprint
 from repro.data.records import RecordPair
 from repro.data.schema import PairSchema
-from repro.exceptions import BackendProtocolError, ConfigurationError
+from repro.exceptions import (
+    BackendError,
+    BackendProtocolError,
+    ConfigurationError,
+)
 from repro.obs.metrics import MetricsRegistry
 
 #: Client config tuned for tests: fast failure, no long waits.
@@ -65,6 +70,21 @@ class RecordingMatcher:
             self.batches.append(len(pairs))
             self.completed.append(first)
         return np.linspace(0.0, 1.0, len(pairs))
+
+
+class ColumnarRecorder:
+    """Scores with a real matcher's columnar kernel, recording widths."""
+
+    def __init__(self, matcher) -> None:
+        self.matcher = matcher
+        self.batches: list[int] = []
+
+    def predict_proba(self, pairs):
+        return self.matcher.predict_proba(pairs)
+
+    def predict_proba_columnar(self, batch):
+        self.batches.append(batch.n_rows)
+        return self.matcher.predict_proba_columnar(batch)
 
 
 def _constant_batch(pair, n_rows: int) -> ColumnarPairBatch:
@@ -148,7 +168,22 @@ class TestPredictParity:
 
     def test_empty_batch_short_circuits(self, served):
         _, backend = served
-        assert backend.as_matcher().predict_proba([]).shape == (0,)
+        assert backend.predict_proba([]).shape == (0,)
+
+    def test_predictions_delegate(self, served, beer_matcher, beer_dataset):
+        _, backend = served
+        pairs = list(beer_dataset)[:8]
+        np.testing.assert_array_equal(
+            backend.predict_proba(pairs), beer_matcher.predict_proba(pairs)
+        )
+        assert backend.predict_one(pairs[0]) == beer_matcher.predict_one(
+            pairs[0]
+        )
+
+    def test_fit_refuses(self, served, beer_dataset):
+        _, backend = served
+        with pytest.raises(BackendError, match="cannot be trained"):
+            backend.fit(beer_dataset)
 
     def test_columnar_is_bit_identical(self, served, beer_matcher,
                                        match_pair):
@@ -225,6 +260,26 @@ class TestPipelining:
             [np.linspace(0.0, 1.0, n) for n in (5, 5, 2)]
         )
         np.testing.assert_array_equal(scores, expected)
+
+    def test_engine_chunk_splits_at_the_server_max(self, beer_matcher,
+                                                   beer_dataset):
+        # The engine sends one chunk; the client alone splits it to the
+        # server's advertised maximum.
+        pairs = list(beer_dataset)[:30]
+        recorder = ColumnarRecorder(beer_matcher)
+        with MatcherServer(recorder, max_batch_size=4, workers=2) as server:
+            backend = RemoteBackend(server.address, config=FAST_CONFIG)
+            try:
+                engine = PredictionEngine(backend)
+                scores = engine.predict_pairs(pairs)
+            finally:
+                backend.close()
+        issued = engine.stats.calls_issued
+        assert engine.stats.batches == 1
+        assert len(recorder.batches) == -(-issued // 4)
+        assert sum(recorder.batches) == issued
+        in_process = PredictionEngine(beer_matcher).predict_pairs(pairs)
+        assert scores.tobytes() == in_process.tobytes()
 
     def test_concurrent_callers_share_one_connection(self, served,
                                                      beer_matcher,

@@ -438,6 +438,17 @@ class TestCache:
         features = extractor.transform_pair(pair)
         assert features.shape == (extractor.n_features,)
 
+    def test_overfilled_memos_stay_within_the_bound(self, beer_dataset,
+                                                    monkeypatch):
+        pairs = list(beer_dataset)[:80]
+        expected = PairFeatureExtractor(beer_dataset.schema).transform(pairs)
+        monkeypatch.setattr(feature_module, "CACHE_SIZE", 2)
+        extractor = PairFeatureExtractor(beer_dataset.schema)
+        features = extractor.transform(pairs)
+        assert len(extractor._cache) <= 2
+        assert len(extractor._norm_cache) <= 2
+        assert features.tobytes() == expected.tobytes()
+
     def test_clear_cache(self, extractor, schema):
         extractor.transform_pair(make_pair(schema, "a", "b"))
         extractor.clear_cache()
