@@ -167,3 +167,9 @@ class TestServiceHealth:
         with ExplanationService(beer_matcher) as service:
             _, payload = service.health()
             assert "backend" not in payload
+
+    def test_in_process_health_is_available(self, beer_matcher):
+        with ExplanationService(beer_matcher) as service:
+            status, payload = service.health()
+            assert status == 200
+            assert payload["ok"] is True
