@@ -26,7 +26,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "BulkJobSpec": ".job",
     "BulkReport": ".job",
     "DatasetSource": ".source",
-    "PRECOMPUTE_JOURNAL": ".warm",
     "PairListSource": ".source",
     "PrecomputeReport": ".warm",
     "precompute": ".warm",

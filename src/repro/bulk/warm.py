@@ -2,34 +2,28 @@
 
 Warming is the degenerate bulk workload — enumerate pairs (the same
 :func:`~repro.bulk.source.select_pairs` the full :class:`~repro.bulk.job.
-BulkJob` uses, so the two paths can never drift apart), push each through
-a live :class:`~repro.service.service.ExplanationService` so the result
-lands in its store, and keep a per-key resume journal.  No aggregation:
-the store *is* the output.
+BulkJob` uses, so the two paths can never drift apart) and push each
+through a live :class:`~repro.service.service.ExplanationService` so the
+result lands in its store.  No aggregation and no journal: the store *is*
+the output and the only record of which keys are done, so a resumed run
+skips every key the store can already serve, whoever wrote it.
 
-This module owns the journal format and report shape the serving layer
-has always exposed; :mod:`repro.service.server` re-exports everything
-here so existing imports keep working.  The dependency points this way —
-server → bulk — never back.
+The ``precompute`` CLI command and the :mod:`repro.service` package
+exports reach this module lazily; it imports the serving layer, never
+the other way round.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.bulk.source import select_pairs
 from repro.data.records import EMDataset
-from repro.evaluation.persistence import JournalWriter, read_journal
-from repro.exceptions import CheckpointError
 from repro.service.request import ExplainRequest
 from repro.service.service import ExplanationService
 
 logger = logging.getLogger("repro.service")
-
-#: Journal file name used by :func:`precompute` inside a store directory.
-PRECOMPUTE_JOURNAL = "precompute.jsonl"
 
 
 @dataclass
@@ -50,19 +44,6 @@ class PrecomputeReport:
         )
 
 
-def _journal_header(dataset: EMDataset, method: str, samples: int,
-                    explainer: str, seed: int, per_label: int | None) -> dict:
-    return {
-        "event": "config",
-        "dataset": dataset.name,
-        "method": method,
-        "samples": samples,
-        "explainer": explainer,
-        "seed": seed,
-        "per_label": per_label,
-    }
-
-
 def precompute(
     service: ExplanationService,
     dataset: EMDataset,
@@ -72,49 +53,21 @@ def precompute(
     explainer: str = "lime",
     seed: int = 0,
     resume: bool = False,
-    journal_dir: str | Path | None = None,
 ) -> PrecomputeReport:
     """Warm the service's store for a dataset split, resumably.
 
     *per_label* samples that many records per label (the experiment
-    protocol's split); ``None`` warms every record.  With *journal_dir*
-    (typically the store directory) each completed key is journaled; a
-    ``resume=True`` rerun skips journaled keys that are still servable
-    from the store and recomputes the rest.  Failed records are isolated
-    and reported, not fatal.
+    protocol's split); ``None`` warms every record.  A ``resume=True``
+    run skips every pair whose key the service's store can already serve
+    and submits the rest; without it every pair is submitted (the
+    service still answers warm keys from the store).  A sharded service
+    has no local store, so it skips nothing.  Failed records are
+    isolated and reported, not fatal.
     """
     pairs = select_pairs(dataset, per_label, seed=seed)
-    header = _journal_header(dataset, method, samples, explainer, seed, per_label)
-    journal: JournalWriter | None = None
-    done_keys: set[str] = set()
-    if journal_dir is not None:
-        path = Path(journal_dir) / PRECOMPUTE_JOURNAL
-        if resume and path.exists():
-            events = read_journal(path)
-            if not events or events[0].get("event") != "config":
-                raise CheckpointError(
-                    f"precompute journal {path} does not start with a "
-                    f"config event"
-                )
-            stored_header = {k: events[0].get(k) for k in header}
-            if stored_header != header:
-                raise CheckpointError(
-                    f"precompute journal {path} was written for a different "
-                    f"workload; refusing to resume (pass the same dataset, "
-                    f"method, samples, explainer and seed)"
-                )
-            done_keys = {
-                event["key"]
-                for event in events[1:]
-                if event.get("event") == "request" and "key" in event
-            }
-            journal = JournalWriter(path, fresh=False)
-        else:
-            journal = JournalWriter(path, fresh=True)
-            journal.append(header)
-
+    store = service.store if resume else None
     report = PrecomputeReport(n_pairs=len(pairs))
-    pending: list[tuple[str, int, "object"]] = []
+    pending = []
     for pair in pairs:
         request = ExplainRequest(
             pair=pair,
@@ -125,21 +78,16 @@ def precompute(
             # Warming yields to interactive traffic on the shared queue.
             priority=100,
         )
-        key = service.key_for(request)
-        if key in done_keys and service.store is not None and service.store.contains(key):
+        if store is not None and store.contains(service.key_for(request)):
             report.n_skipped += 1
             continue
-        future = service.submit(request, block=True)
+        pending.append((pair.pair_id, service.submit(request, block=True)))
         report.n_submitted += 1
-        pending.append((key, pair.pair_id, future))
-    for key, pair_id, future in pending:
+    for pair_id, future in pending:
         try:
             future.result()
         except Exception:  # noqa: BLE001 - warming isolates any failure
             report.n_failed += 1
             report.failed_pair_ids.append(pair_id)
             logger.warning("precompute: pair %s failed", pair_id)
-            continue
-        if journal is not None:
-            journal.append({"event": "request", "key": key, "pair_id": pair_id})
     return report

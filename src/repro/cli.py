@@ -24,8 +24,8 @@ Sub-commands:
   keeps its engines and store partition warm across supervisor
   disconnects (partitions).
 * ``precompute`` — warm the explanation store for a dataset split,
-  resumable with ``--resume`` (the store-only bulk job in
-  :mod:`repro.bulk.warm`).
+  resumable with ``--resume``, which skips every key the store can
+  already serve (the store-only bulk job in :mod:`repro.bulk.warm`).
 * ``bulk`` — dataset-scale bulk explanation job: stream a pair source
   (dataset rows, blocker candidates, an explicit pair list, or an
   external CSV via ``--input``) through the prediction engine in chunks,
@@ -313,8 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     precompute.add_argument(
         "--resume", action="store_true",
-        help="skip keys journaled by a previous precompute that are still "
-             "servable from the store",
+        help="skip keys the store can already serve, whoever warmed them",
     )
 
     bulk = subparsers.add_parser(
@@ -945,7 +944,6 @@ def _cmd_precompute(args: argparse.Namespace) -> int:
             explainer=args.explainer,
             seed=args.seed,
             resume=args.resume,
-            journal_dir=args.store_dir,
         )
     finally:
         service.close()

@@ -197,8 +197,8 @@ class JournalWriter:
     One JSON object per line, each flushed and fsync'd before the append
     returns, so a kill -9 at any point loses at most one partially written
     trailing line (which :func:`read_journal` tolerates).  The experiment
-    checkpoint (:class:`CheckpointWriter`) and the service's precompute
-    journal both build on this.
+    checkpoint (:class:`CheckpointWriter`) and the bulk job's resume
+    journal (:class:`~repro.bulk.job.BulkJob`) both build on this.
     """
 
     def __init__(self, path: str | Path, fresh: bool = False) -> None:

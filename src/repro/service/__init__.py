@@ -12,8 +12,9 @@ reproduction into that shape:
 * :mod:`repro.service.service` — :class:`ExplanationService`, the worker
   pool with request coalescing over one shared, guarded
   :class:`~repro.core.engine.PredictionEngine`;
-* :mod:`repro.service.server` — the ``serve`` (JSONL stdio / localhost
-  HTTP) and resumable ``precompute`` front-ends behind the CLI;
+* :mod:`repro.service.server` — the ``serve`` front-ends (JSONL stdio /
+  localhost HTTP) behind the CLI; the ``precompute`` store warmer lives
+  in :mod:`repro.bulk.warm` and is exported here lazily;
 * :mod:`repro.service.router` / :mod:`repro.service.shard` /
   :mod:`repro.service.supervisor` — multi-process sharded serving:
   :class:`ShardedService` fronts N shard processes (each a complete
@@ -52,7 +53,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "ExplanationService": ".service",
     "ExplanationStore": ".store",
     "PrecomputeReport": "repro.bulk.warm",
-    "PRECOMPUTE_JOURNAL": "repro.bulk.warm",
     "REQUEST_EXPLAINERS": ".request",
     "REQUEST_METHODS": ".request",
     "HashRing": ".router",

@@ -97,7 +97,6 @@ class ShardSpec:
     store_dir: str | None = None
     store_config: StoreConfig | None = None
     heartbeat_interval: float = 0.5
-    metrics_enabled: bool = True
     #: ``host:port`` of a shared matcher server; exclusive with
     #: ``matcher_blob``.
     backend_address: str | None = None
@@ -118,7 +117,7 @@ def build_shard_service(
     construction + fingerprint verification, same store partition
     layout, same inner :class:`ExplanationService`.
     """
-    registry = MetricsRegistry(enabled=spec.metrics_enabled)
+    registry = MetricsRegistry()
     matcher = _build_matcher_source(spec, registry)
     store = None
     if spec.store_dir is not None:

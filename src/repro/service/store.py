@@ -214,23 +214,10 @@ class ExplanationStore:
     def get(self, key: str) -> dict | None:
         """The stored payload for *key*, or ``None`` (recompute).
 
-        Validates format version, TTL and checksum; any failure deletes
-        the row and reports a miss, so a damaged store degrades to
-        recomputation instead of serving garbage.  A systemically corrupt
-        file (``recover_after`` consecutive failures, or SQLite unable to
-        read its own pages) is quarantined and rebuilt empty.
+        A one-key :meth:`get_many`: the same validation, counters and
+        recovery, through the same code.
         """
-        with self._lock:
-            try:
-                payload = self._validated_payload(key, touch=True)
-            except _CORRUPTION_ERRORS:
-                self._record_failure()
-                payload = None
-            if payload is None:
-                self._instruments.misses.inc()
-            else:
-                self._instruments.hits.inc()
-            return payload
+        return self.get_many([key]).get(key)
 
     @property
     def stats(self) -> StoreStats:
@@ -252,39 +239,21 @@ class ExplanationStore:
                 return False
 
     def put(self, key: str, payload: dict) -> None:
-        """Insert or overwrite the entry for *key*, then enforce capacity.
-
-        A write that fails because the database file itself is damaged
-        triggers quarantine-and-rebuild, then retries once into the fresh
-        store, so completed computations are not lost to a corrupt file.
-        """
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        now = self._clock()
-        row = (key, STORE_FORMAT_VERSION, checksum, now, now, text)
-        with self._lock:
-            try:
-                self._put_row(row)
-            except _CORRUPTION_ERRORS:
-                self._recover()
-                try:
-                    self._put_row(row)
-                except sqlite3.Error as error:
-                    raise ServiceError(
-                        f"explanation store write failed even after "
-                        f"recovery: {error}"
-                    ) from error
+        """Insert or overwrite the entry for *key* through :meth:`put_many`."""
+        self.put_many([(key, payload)])
 
     def put_many(self, items: list[tuple[str, dict]]) -> int:
-        """Write a batch of ``(key, payload)`` entries in ONE transaction.
+        """Insert or overwrite a batch of ``(key, payload)`` entries.
 
-        The bulk runner calls this once per completed chunk: all inserts
-        share a single ``executemany`` + one LRU eviction pass + one
-        commit instead of a commit per record.  The final state is the
-        same as sequential :meth:`put` calls under the same clock —
-        eviction orders purely by the final ``(accessed, key)`` set, and
-        the eviction counter advances by the same total excess — it just
-        costs one fsync instead of *n*.  Returns the number written.
+        All rows share one ``executemany``, one LRU eviction pass and one
+        commit, so the bulk runner's once-per-chunk write costs one fsync
+        instead of *n*.  Eviction orders purely by the final
+        ``(accessed, key)`` set, so the final state and the eviction
+        counter match writing the entries one at a time under the same
+        clock.  A write that fails because the database file itself is
+        damaged triggers quarantine-and-rebuild, then retries once into
+        the fresh store, so completed computations are not lost to a
+        corrupt file.  Returns the number written.
         """
         now = self._clock()
         rows = []
@@ -303,7 +272,7 @@ class ExplanationStore:
                     self._put_rows(rows)
                 except sqlite3.Error as error:
                     raise ServiceError(
-                        f"explanation store batch write failed even after "
+                        f"explanation store write failed even after "
                         f"recovery: {error}"
                     ) from error
         return len(rows)
@@ -311,21 +280,23 @@ class ExplanationStore:
     def get_many(self, keys: list[str]) -> dict[str, dict]:
         """Servable payloads for *keys*, under one lock hold + one commit.
 
-        Returns ``{key: payload}`` for every servable entry; absent,
-        expired, stale-format or corrupt keys are simply missing from the
-        result (the caller recomputes them).  Hit/miss counters advance
-        exactly as per-key :meth:`get` calls would — this is the bulk
-        runner's cross-job dedup probe, so its accounting must match the
-        serving path's.
+        Returns ``{key: payload}`` for every servable entry and counts one
+        hit or miss per key.  Each row's format version, TTL and checksum
+        are validated; an absent, expired, stale-format or corrupt key is
+        simply missing from the result (the caller recomputes it), and a
+        failed row is deleted, so a damaged store degrades to
+        recomputation instead of serving garbage.  A systemically corrupt
+        file (``recover_after`` consecutive failures, or SQLite unable to
+        read its own pages) is quarantined and rebuilt empty.  Recency
+        touches are best-effort: a failed commit of them still serves the
+        validated payloads.
         """
         found: dict[str, dict] = {}
         misses = 0
         with self._lock:
             for key in keys:
                 try:
-                    payload = self._validated_payload(
-                        key, touch=True, commit=False
-                    )
+                    payload = self._validated_payload(key, touch=True)
                 except _CORRUPTION_ERRORS:
                     self._record_failure()
                     payload = None
@@ -342,18 +313,6 @@ class ExplanationStore:
             if found:
                 self._instruments.hits.inc(len(found))
         return found
-
-    def _put_row(self, row: tuple) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO explanations "
-            "(key, format_version, checksum, created, accessed, payload) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            row,
-        )
-        self._instruments.puts.inc()
-        self._evict_over_capacity()
-        self._conn.commit()
-        self._failure_streak = 0
 
     def _put_rows(self, rows: list[tuple]) -> None:
         self._conn.executemany(
@@ -394,11 +353,6 @@ class ExplanationStore:
                 return []
             return [row[0] for row in rows]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._conn.execute("DELETE FROM explanations")
-            self._conn.commit()
-
     def flush(self) -> None:
         """Commit and checkpoint the WAL into the main database file.
 
@@ -427,9 +381,7 @@ class ExplanationStore:
     # Internals (caller holds self._lock)
     # ------------------------------------------------------------------
 
-    def _validated_payload(
-        self, key: str, touch: bool, commit: bool = True
-    ) -> dict | None:
+    def _validated_payload(self, key: str, touch: bool) -> dict | None:
         row = self._conn.execute(
             "SELECT format_version, checksum, created, payload "
             "FROM explanations WHERE key = ?",
@@ -463,8 +415,6 @@ class ExplanationStore:
                 "UPDATE explanations SET accessed = ? WHERE key = ?",
                 (now, key),
             )
-            if commit:
-                self._conn.commit()
         self._failure_streak = 0
         return payload
 

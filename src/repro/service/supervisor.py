@@ -340,7 +340,6 @@ class ShardedService:
                 store_dir=None if store_dir is None else str(store_dir),
                 store_config=store_config,
                 heartbeat_interval=self.shard_config.heartbeat_interval,
-                metrics_enabled=self.metrics.enabled,
                 backend_address=backend_address,
                 backend_config=backend_config,
                 fingerprint=self.fingerprint,

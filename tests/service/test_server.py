@@ -7,8 +7,8 @@ import urllib.request
 
 import pytest
 
-from repro.bulk.warm import PRECOMPUTE_JOURNAL, precompute
-from repro.exceptions import CheckpointError
+from repro.bulk.source import select_pairs
+from repro.bulk.warm import precompute
 from repro.service.request import ExplainRequest
 from repro.service.server import handle_payload, serve_http, serve_stdio
 from repro.service.service import ExplanationService
@@ -164,13 +164,7 @@ class TestPrecompute:
         options.update(overrides)
         store = ExplanationStore(store_dir)
         with ExplanationService(matcher, store=store) as service:
-            report = precompute(
-                service,
-                dataset,
-                resume=resume,
-                journal_dir=store_dir,
-                **options,
-            )
+            report = precompute(service, dataset, resume=resume, **options)
         stats = service.stats
         store.close()
         return report, stats
@@ -184,10 +178,6 @@ class TestPrecompute:
         assert report.n_skipped == 0
         assert report.n_failed == 0
         assert stats.computed == 4
-        journal = (tmp_path / "s" / PRECOMPUTE_JOURNAL).read_text()
-        events = [json.loads(line) for line in journal.splitlines()]
-        assert events[0]["event"] == "config"
-        assert sum(e["event"] == "request" for e in events) == 4
 
     def test_resume_skips_warm_keys(self, beer_matcher, beer_dataset, tmp_path):
         self.warm(beer_matcher, beer_dataset, tmp_path / "s")
@@ -202,7 +192,7 @@ class TestPrecompute:
         self, beer_matcher, beer_dataset, tmp_path
     ):
         self.warm(beer_matcher, beer_dataset, tmp_path / "s")
-        # Journal says done, but the store lost an entry (e.g. eviction).
+        # The store lost an entry (e.g. eviction) since the last run.
         store = ExplanationStore(tmp_path / "s")
         victim = store.keys()[0]
         with __import__("sqlite3").connect(str(store.path)) as conn:
@@ -215,25 +205,44 @@ class TestPrecompute:
         assert report.n_submitted == 1
         assert report.n_skipped == 3
 
-    def test_resume_refuses_a_different_workload(
+    def test_resume_under_other_samples_submits_every_new_key(
         self, beer_matcher, beer_dataset, tmp_path
     ):
         self.warm(beer_matcher, beer_dataset, tmp_path / "s")
-        with pytest.raises(CheckpointError):
-            self.warm(
-                beer_matcher,
-                beer_dataset,
-                tmp_path / "s",
-                resume=True,
-                samples=SAMPLES * 2,
+        report, stats = self.warm(
+            beer_matcher,
+            beer_dataset,
+            tmp_path / "s",
+            resume=True,
+            samples=SAMPLES * 2,
+        )
+        assert report.n_submitted == 4
+        assert report.n_skipped == 0
+        assert stats.computed == 4
+
+    def test_resume_skips_a_key_warmed_by_serving(
+        self, beer_matcher, beer_dataset, tmp_path
+    ):
+        served = select_pairs(beer_dataset, 2, seed=0)[0]
+        store = ExplanationStore(tmp_path / "s")
+        with ExplanationService(beer_matcher, store=store) as service:
+            service.explain(
+                ExplainRequest(pair=served, method="single", samples=SAMPLES)
             )
+        store.close()
+        report, stats = self.warm(
+            beer_matcher, beer_dataset, tmp_path / "s", resume=True
+        )
+        assert report.n_skipped == 1
+        assert report.n_submitted == 3
+        assert stats.computed == 3
 
     def test_without_resume_journal_is_rewritten(
         self, beer_matcher, beer_dataset, tmp_path
     ):
         self.warm(beer_matcher, beer_dataset, tmp_path / "s")
         report, stats = self.warm(beer_matcher, beer_dataset, tmp_path / "s")
-        # Fresh journal: nothing is "done", but the store still answers.
+        # Nothing is skipped, but the store answers every warm key.
         assert report.n_submitted == 4
         assert stats.store_hits == 4
         assert stats.computed == 0

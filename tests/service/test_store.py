@@ -5,6 +5,7 @@ else — absent, expired, corrupt, truncated, stale-format — is deleted and
 reported as a miss so the service recomputes it.
 """
 
+import hashlib
 import json
 import sqlite3
 
@@ -33,6 +34,17 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
+
+
+def tamper(store, key: str, **columns) -> None:
+    """Overwrite columns of *key*'s row behind the store's back."""
+    sets = ", ".join(f"{name} = ?" for name in columns)
+    with sqlite3.connect(str(store.path)) as conn:
+        conn.execute(
+            f"UPDATE explanations SET {sets} WHERE key = ?",
+            (*columns.values(), key),
+        )
+        conn.commit()
 
 
 @pytest.fixture()
@@ -130,38 +142,29 @@ class TestTTL:
 
 
 class TestCorruption:
-    def _tamper(self, store, key: str, **columns) -> None:
-        sets = ", ".join(f"{name} = ?" for name in columns)
-        with sqlite3.connect(str(store.path)) as conn:
-            conn.execute(
-                f"UPDATE explanations SET {sets} WHERE key = ?",
-                (*columns.values(), key),
-            )
-            conn.commit()
-
     def test_bit_flip_detected(self, store):
         store.put("k1", payload_for(1))
         text = json.dumps(payload_for(999))
-        self._tamper(store, "k1", payload=text)
+        tamper(store, "k1", payload=text)
         assert store.get("k1") is None  # checksum mismatch, not wrong data
         assert store.stats.corruptions == 1
         assert len(store) == 0
 
     def test_truncated_payload_detected(self, store):
         store.put("k1", payload_for(1))
-        self._tamper(store, "k1", payload='{"format_version": 1, "ke')
+        tamper(store, "k1", payload='{"format_version": 1, "ke')
         assert store.get("k1") is None
         assert store.stats.corruptions == 1
 
     def test_stale_format_version_recomputed(self, store):
         store.put("k1", payload_for(1))
-        self._tamper(store, "k1", format_version=STORE_FORMAT_VERSION + 1)
+        tamper(store, "k1", format_version=STORE_FORMAT_VERSION + 1)
         assert store.get("k1") is None
         assert store.stats.corruptions == 1
 
     def test_corrupt_entry_can_be_rewritten(self, store):
         store.put("k1", payload_for(1))
-        self._tamper(store, "k1", payload="garbage")
+        tamper(store, "k1", payload="garbage")
         assert store.get("k1") is None
         store.put("k1", payload_for(1))
         assert store.get("k1") == payload_for(1)
@@ -274,6 +277,92 @@ class TestBatchWrites:
         store.close()
 
 
+#: Counter moves of one lookup of key "k", per state of its row.
+ROW_STATES = {
+    "valid": {"hits": 1},
+    "absent": {"misses": 1},
+    "ttl-expired": {"misses": 1, "expirations": 1},
+    "stale-format": {"misses": 1, "corruptions": 1},
+    "bad-checksum": {"misses": 1, "corruptions": 1},
+    "undecodable-json": {"misses": 1, "corruptions": 1},
+}
+READ_COUNTERS = ("hits", "misses", "expirations", "corruptions")
+
+
+def seed_row(store, clock, state: str) -> None:
+    """Leave the row of key "k" in *state* (one of :data:`ROW_STATES`)."""
+    if state == "absent":
+        return
+    store.put("k", payload_for(1))
+    if state == "ttl-expired":
+        clock.advance(61)
+    elif state == "stale-format":
+        tamper(store, "k", format_version=STORE_FORMAT_VERSION + 1)
+    elif state == "bad-checksum":
+        tamper(store, "k", checksum="0" * 64)
+    elif state == "undecodable-json":
+        text = '{"format_version": 1, "ke'
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        tamper(store, "k", payload=text, checksum=digest)
+
+
+class TestOnePath:
+    """get/put are one-key get_many/put_many: same result, same counters."""
+
+    @pytest.mark.parametrize("state", list(ROW_STATES))
+    def test_get_matches_get_many(self, tmp_path, state):
+        reads = {
+            "get": lambda store: store.get("k"),
+            "get_many": lambda store: store.get_many(["k"]).get("k"),
+        }
+        outcomes = {}
+        for name, read in reads.items():
+            clock = FakeClock()
+            with ExplanationStore(
+                tmp_path / name, StoreConfig(ttl_seconds=60.0), clock=clock
+            ) as store:
+                seed_row(store, clock, state)
+                before = store.stats
+                payload = read(store)
+                after = store.stats
+                moved = {
+                    counter: getattr(after, counter) - getattr(before, counter)
+                    for counter in READ_COUNTERS
+                }
+                outcomes[name] = (payload, moved, len(store))
+        assert outcomes["get"] == outcomes["get_many"]
+        payload, moved, _ = outcomes["get"]
+        assert payload == (payload_for(1) if state == "valid" else None)
+        expected = dict.fromkeys(READ_COUNTERS, 0) | ROW_STATES[state]
+        assert moved == expected
+
+    def test_put_matches_put_many(self, tmp_path):
+        writes = {
+            "put": lambda store: store.put("k", payload_for(1)),
+            "put_many": lambda store: store.put_many([("k", payload_for(1))]),
+        }
+        outcomes = {}
+        for name, write in writes.items():
+            clock = FakeClock()
+            with ExplanationStore(
+                tmp_path / name, StoreConfig(max_entries=1), clock=clock
+            ) as store:
+                store.put_many([("old", payload_for(0))])
+                clock.advance(1)
+                write(store)
+                with sqlite3.connect(str(store.path)) as conn:
+                    rows = conn.execute(
+                        "SELECT * FROM explanations"
+                    ).fetchall()
+                outcomes[name] = (
+                    rows, store.stats.puts, store.stats.evictions
+                )
+        assert outcomes["put"] == outcomes["put_many"]
+        rows, puts, evictions = outcomes["put"]
+        assert [row[0] for row in rows] == ["k"]
+        assert (puts, evictions) == (2, 1)
+
+
 class TestIntrospection:
     def test_keys_most_recent_first(self, tmp_path):
         clock = FakeClock()
@@ -282,11 +371,6 @@ class TestIntrospection:
             clock.advance(1)
             store.put(f"k{index}", payload_for(index))
         assert store.keys() == ["k2", "k1", "k0"]
-
-    def test_clear(self, store):
-        store.put("k1", payload_for(1))
-        store.clear()
-        assert len(store) == 0
 
     def test_hit_rate(self, store):
         store.put("k1", payload_for(1))

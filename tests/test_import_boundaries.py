@@ -423,6 +423,7 @@ print(json.dumps(sorted(sys.modules)))
 
 SERVER_PROCESS = CLI_PROCESS.replace("repro.cli", "repro.service.server")
 SERVER_EXCLUDED = ("repro.evaluation", "repro.bulk", "repro.baselines")
+WARM_PROCESS = CLI_PROCESS.replace("repro.cli", "repro.bulk.warm")
 
 
 def _run_fresh(script: str, *args: str):
@@ -462,6 +463,12 @@ def test_serving_process_never_loads_scipy(beer_matcher, tmp_path):
 
 
 def test_http_front_end_loads_no_experiment_or_bulk_module():
-    # The ``serve`` child starts by importing the front ends; precompute
-    # lives in ``repro.bulk.warm``, which pulls in the experiment runner.
+    # The ``serve`` child starts by importing the front ends; the bulk
+    # runner and the ``precompute`` warmer live in ``repro.bulk``.
     assert _within(_run_fresh(SERVER_PROCESS), SERVER_EXCLUDED) == []
+
+
+def test_store_warmer_loads_no_evaluation_module():
+    # Warming needs the serving stack and the pair source only; the
+    # experiment runner and table renderers stay out of its process.
+    assert _within(_run_fresh(WARM_PROCESS), ("repro.evaluation",)) == []
