@@ -65,6 +65,7 @@ local rules, none of which touch the pipe path:
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import logging
 import pickle
@@ -241,6 +242,26 @@ class _ShardHandle:
         return max(0.0, now - reference)
 
 
+class _ShardBlobReader(pickle.Unpickler):
+    """Reads a matcher blob as a shard will, refusing ``__main__`` classes.
+
+    A shard never imports the launching script (see
+    :class:`~repro.service.transport._ShardPopen`), and a standing
+    ``serve-shard`` host's ``__main__`` is its own CLI, so a class from
+    the parent's ``__main__`` could only fail in every shard, restart by
+    restart, until ``ready_timeout``.
+    """
+
+    def find_class(self, module, name):
+        if module == "__main__":
+            raise ConfigurationError(
+                f"the matcher uses __main__.{name}, defined in the launching "
+                f"script, which a shard cannot import; move it into an "
+                f"importable module"
+            )
+        return super().find_class(module, name)
+
+
 class ShardedService:
     """N supervised shard processes behind the single-service surface.
 
@@ -325,7 +346,10 @@ class ShardedService:
 
         self._instruments = StatsInstruments(self.metrics, RouterStats, "router")
 
-        blob = None if matcher is None else pickle.dumps(matcher)
+        blob = None
+        if matcher is not None:
+            blob = pickle.dumps(matcher)
+            _ShardBlobReader(io.BytesIO(blob)).load()
         fleet_by_id = (
             {} if fleet is None
             else {entry.shard_id: entry for entry in fleet.shards}

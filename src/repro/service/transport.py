@@ -6,10 +6,13 @@ alive / kill / join).  This module factors that surface into
 :class:`ShardTransport` so the supervisor cannot tell *where* a shard
 runs:
 
-* :class:`PipeShardTransport` starts the shard as a local child process,
-  forked from a preloaded fork server, over a
-  :func:`multiprocessing.Pipe` — the pre-fleet message flow, which is
-  what keeps ``--shards N`` bit-identical.
+* :class:`PipeShardTransport` starts the shard as a local child process
+  over a :func:`multiprocessing.Pipe` — the pre-fleet message flow,
+  which is what keeps ``--shards N`` bit-identical.  The child is forked
+  from a fork server that has already imported the serving stack and
+  every matcher module (:data:`_PRELOAD`), and it never re-runs the
+  parent's main module (:class:`_ShardPopen`), so it is ready to
+  unpickle its matcher and serve at once.
 * :class:`TcpShardTransport` dials a standing ``serve-shard`` process on
   another machine and adopts it: the :class:`~repro.service.shard.ShardSpec`
   travels in the first frame, and from then on the exact same control
@@ -37,6 +40,7 @@ is :class:`FleetConfig`, loaded from the ``--fleet fleet.json`` file.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import multiprocessing
@@ -47,7 +51,15 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import forkserver
+from multiprocessing import (
+    context,
+    forkserver,
+    popen_forkserver,
+    reduction,
+    spawn,
+    util,
+)
+from multiprocessing.context import set_spawning_popen
 
 from repro.backends.protocol import read_frame, send_frame
 from repro.exceptions import BackendProtocolError, ConfigurationError
@@ -386,23 +398,22 @@ class ShardTransport:
         return self.kind
 
 
-#: The :mod:`multiprocessing` start method for pipe shards.  The
-#: supervisor restarts shards from a thread, and forking a threaded
-#: process can carry held locks (logging, BLAS) into the child — a
-#: deadlock class this subsystem exists to remove.  ``forkserver`` keeps
-#: that guarantee: the first pipe shard in a process starts one server
-#: with fork+exec, a fresh interpreter as under ``spawn``, and every
-#: later start and restart is a fork inside that single-purpose server,
-#: never of the supervisor.  The server's only extra threads are numpy's
-#: OpenBLAS pool, which OpenBLAS stops in its own ``pthread_atfork``
-#: handler.  The BLAS thread count is left alone on purpose: a different
-#: count can change the order of reductions, and so the weights.
-_START_METHOD = "forkserver"
-#: What the fork server imports once, so that each fork starts warm.
+#: What the fork server imports once, so that each fork starts warm: the
+#: shard's serving stack (which brings :mod:`repro.backends.client` for
+#: backend-mode shards) and every matcher module the CLI can serve, so
+#: that unpickling the matcher blob imports nothing after the fork.
 #: :func:`_ensure_fork_server` boots the server with the parent's
 #: ``sys.path``, so it preloads exactly what the supervisor can import.
 #: The server is process-global and exits with its parent.
-_PRELOAD = ["numpy", "repro.service.shard"]
+_PRELOAD = [
+    "numpy",
+    "repro.service.shard",
+    "repro.matchers.logistic",
+    "repro.matchers.boosting",
+    "repro.matchers.neural",
+    "repro.matchers.embedding",
+    "repro.matchers.rules",
+]
 #: Held around every fork-server boot: the launch threads of one fleet
 #: start their shards concurrently, and the boot edits the process-wide
 #: environment.
@@ -440,13 +451,75 @@ def _ensure_fork_server() -> None:
                 os.environ["PYTHONPATH"] = saved
 
 
+class _ShardPopen(popen_forkserver.Popen):
+    """CPython's fork-server launch, minus the parent's main module.
+
+    ``spawn.get_preparation_data`` tells every child to import the
+    parent's ``__main__`` (``init_main_from_path`` for a script,
+    ``init_main_from_name`` for ``python -m``), as ``spawn`` needs for
+    targets defined there.  A shard's target and spec live in
+    :mod:`repro`, so re-running the script, a drill, the ``repro-em``
+    console-script wrapper (and with it :mod:`repro.cli`) or a
+    ``python -m`` module only costs start time.  Preloading ``__main__``
+    in the server cannot help: ``ensure_running`` forwards only a
+    ``main_path`` key, which ``get_preparation_data`` never emits.
+    ``_launch`` is CPython's body with the two keys dropped;
+    ``TestForkServer`` checks that the rest still matches the running
+    interpreter's.
+    """
+
+    def _launch(self, process_obj):
+        prep_data = spawn.get_preparation_data(process_obj._name)
+        prep_data.pop("init_main_from_path", None)
+        prep_data.pop("init_main_from_name", None)
+        buf = io.BytesIO()
+        set_spawning_popen(self)
+        try:
+            reduction.dump(prep_data, buf)
+            reduction.dump(process_obj, buf)
+        finally:
+            set_spawning_popen(None)
+
+        self.sentinel, w = forkserver.connect_to_new_process(self._fds)
+        # Keep a duplicate of the data pipe's write end as a sentinel of the
+        # parent process used by the child process.
+        _parent_w = os.dup(w)
+        self.finalizer = util.Finalize(self, util.close_fds,
+                                       (_parent_w, self.sentinel))
+        with open(w, 'wb', closefd=True) as f:
+            f.write(buf.getbuffer())
+        self.pid = forkserver.read_signed(self.sentinel)
+
+
+class _ShardProcess(context.ForkServerProcess):
+    """How a pipe shard starts: forked by the fork server, main-less.
+
+    The supervisor restarts shards from a thread, and forking a threaded
+    process can carry held locks (logging, BLAS) into the child — a
+    deadlock class this subsystem exists to remove.  The ``forkserver``
+    start method keeps that guarantee: the first pipe shard in a process
+    starts one server with fork+exec, a fresh interpreter as under
+    ``spawn``, and every later start and restart is a fork inside that
+    single-purpose server, never of the supervisor.  The server's only
+    extra threads are numpy's OpenBLAS pool, which OpenBLAS stops in its
+    own ``pthread_atfork`` handler.  The BLAS thread count is left alone
+    on purpose: a different count can change the order of reductions,
+    and so the weights.  Only shards use this class; any other
+    ``forkserver`` process still imports the parent's main module.
+    """
+
+    @staticmethod
+    def _Popen(process_obj):
+        return _ShardPopen(process_obj)
+
+
 class PipeShardTransport(ShardTransport):
     """The in-process transport: fork a local child, talk over a duplex pipe.
 
     The pre-fleet shard lifecycle — same pipe, same kill/join semantics —
     so the ``--shards N`` path stays bit-identical.  The child is forked
-    from the process-global fork server (see :data:`_START_METHOD`), which
-    the first pipe shard in a process boots.
+    from the process-global fork server (see :class:`_ShardProcess`),
+    which the first pipe shard in a process boots.
     """
 
     kind = "pipe"
@@ -461,9 +534,8 @@ class PipeShardTransport(ShardTransport):
 
         del stop  # a local fork is effectively instant
         _ensure_fork_server()
-        ctx = multiprocessing.get_context(_START_METHOD)
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        process = _ShardProcess(
             target=shard_main,
             args=(spec, child_conn),
             name=f"repro-shard-{spec.shard_id}",

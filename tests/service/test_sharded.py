@@ -14,6 +14,7 @@ is in flight on a :class:`~repro.testing.faults.SlowMatcher`, or
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import signal
@@ -21,19 +22,25 @@ import subprocess
 import sys
 import threading
 import time
+from multiprocessing import popen_forkserver
 from pathlib import Path
 
 import pytest
 
 from repro.config import ServiceConfig, ShardConfig
-from repro.exceptions import ShardFailedError
+from repro.exceptions import ConfigurationError, ShardFailedError
+from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.service import (
     ExplainRequest,
     ExplanationService,
     ShardedService,
 )
 from repro.service.store import shard_store_dir
-from repro.service.transport import _ensure_fork_server
+from repro.service.transport import (
+    _PRELOAD,
+    _ShardPopen,
+    _ensure_fork_server,
+)
 from repro.testing.faults import SlowMatcher
 
 SAMPLES = 24
@@ -387,7 +394,7 @@ from repro.service.transport import PipeShardTransport
 
 PROBE = (
     "import json, sys; print('probe ' + json.dumps(sorted("
-    "m for m in ('numpy', 'repro.service.shard') if m in sys.modules"
+    "m for m in {preload!r} if m in sys.modules"
     ")), flush=True)"
 )
 
@@ -415,6 +422,39 @@ if __name__ == "__main__":
 """
 
 
+#: A parent module that records each run of itself, starts two shards,
+#: has one SIGKILLed and restarted, and closes the fleet.
+_MAIN_MARKER_SCRIPT = """
+import os, signal, time
+
+with open({marker!r}, "a") as handle:
+    handle.write(__name__ + "\\n")
+
+from repro.config import ShardConfig
+from repro.data.synthetic.magellan import load_dataset
+from repro.matchers.logistic import LogisticRegressionMatcher
+from repro.service import ShardedService
+
+if __name__ == "__main__":
+    matcher = LogisticRegressionMatcher().fit(
+        load_dataset("S-BR", seed=0, size_cap=60)
+    )
+    config = ShardConfig(
+        n_shards=2, heartbeat_interval=0.05, heartbeat_timeout=1.5,
+        check_interval=0.05, restart_backoff_base=0.05,
+    )
+    with ShardedService(matcher, shard_config=config) as service:
+        def shard():
+            return service.health()[1]["shards"]["0"]
+
+        os.kill(shard()["pid"], signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not (shard()["restarts"] == 1 and shard()["state"] == "live"):
+            assert time.monotonic() < deadline, "shard 0 never restarted"
+            time.sleep(0.02)
+"""
+
+
 class TestForkServer:
     def test_server_preloads_what_the_parent_found_at_run_time(
         self, tmp_path
@@ -425,7 +465,10 @@ class TestForkServer:
             if key != "PYTHONPATH"
         }
         result = subprocess.run(
-            [sys.executable, "-S", "-c", _PRELOAD_SCRIPT.format(src=str(src))],
+            [
+                sys.executable, "-S", "-c",
+                _PRELOAD_SCRIPT.format(src=str(src), preload=tuple(_PRELOAD)),
+            ],
             cwd=tmp_path, env=env, capture_output=True, text=True,
             timeout=120,
         )
@@ -434,7 +477,58 @@ class TestForkServer:
             line.split(" ", 1) for line in result.stdout.splitlines()
         )
         assert json.loads(lines["environ"]) is True
-        assert json.loads(lines["probe"]) == ["numpy", "repro.service.shard"]
+        assert json.loads(lines["probe"]) == sorted(_PRELOAD)
+
+    @pytest.mark.parametrize("launch", ["script", "module"])
+    def test_shards_never_run_the_parents_main_module(self, tmp_path, launch):
+        marker = tmp_path / "marker.txt"
+        (tmp_path / "parent.py").write_text(
+            _MAIN_MARKER_SCRIPT.format(marker=str(marker))
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        command = (
+            ["parent.py"] if launch == "script" else ["-m", "parent"]
+        )
+        result = subprocess.run(
+            [sys.executable, *command],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        # Two starts and a restart, and only the parent ran the module.
+        assert marker.read_text().splitlines() == ["__main__"]
+
+    def test_a_matcher_from_the_launching_script_is_refused_at_once(
+        self, beer_dataset, monkeypatch
+    ):
+        # No shard can import a class from the parent's ``__main__``; left
+        # to the shards it would fail restart after restart until
+        # ``ready_timeout``.
+        class ScriptMatcher(LogisticRegressionMatcher):
+            pass
+
+        ScriptMatcher.__module__ = "__main__"
+        ScriptMatcher.__qualname__ = "ScriptMatcher"
+        monkeypatch.setattr(
+            sys.modules["__main__"], "ScriptMatcher", ScriptMatcher,
+            raising=False,
+        )
+        matcher = ScriptMatcher().fit(beer_dataset)
+        started = time.monotonic()
+        with pytest.raises(ConfigurationError, match=r"__main__\.ScriptMatcher"):
+            ShardedService(
+                matcher,
+                shard_config=ShardConfig(n_shards=2, ready_timeout=30, **FAST),
+            )
+        assert time.monotonic() - started < 1.0
+
+    def test_shard_launch_is_cpythons_without_the_main_module(self):
+        ours = inspect.getsource(_ShardPopen._launch).splitlines()
+        cpython = inspect.getsource(popen_forkserver.Popen._launch)
+        assert [
+            line for line in ours if "init_main_from_" not in line
+        ] == cpython.splitlines()
 
     def test_concurrent_boots_restore_the_environment(self):
         # More launch threads than cores race through the boot helper,

@@ -23,12 +23,12 @@ Four rules:
   that needs one rebuilt pair takes a row of a batch.
 
 All four walk every module under ``src/repro`` with :mod:`ast` and check
-that every import spelling is caught.  A runtime test then builds a
-shard in a fresh interpreter from the shard module, the module a pipe
-shard's fork server preloads, and asserts a module budget: the package
-namespaces are lazy, so the shard loads none of the evaluation, bulk,
-baseline, blocking, synthetic-data, test-double or fleet-control
-modules.  The same interpreter then imports
+that every import spelling is caught.  A runtime test then imports
+every module a pipe shard's fork server preloads in a fresh interpreter,
+builds a shard there and asserts a module budget: the package
+namespaces are lazy, so neither the preload nor the shard loads any of
+the evaluation, bulk, baseline, blocking, synthetic-data, test-double or
+fleet-control modules.  The same interpreter then imports
 the serving entry points, computes a LIME and a SHAP explanation, and
 asserts that scipy was never loaded.  A fresh ``import repro.cli`` (the
 start of ``serve-shard`` and ``serve-matcher`` hosts) must load neither
@@ -48,6 +48,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.service.transport import _PRELOAD
 
 PACKAGE_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 FORBIDDEN = "repro.testing"
@@ -372,9 +374,12 @@ CLI_EXCLUDED = (
 )
 
 SERVING_PROCESS = """
+import importlib
 import json
 import sys
 
+for name in json.loads(sys.argv[2]):
+    importlib.import_module(name)
 from repro.service.shard import ShardSpec, build_shard_service
 
 with open(sys.argv[1], "rb") as handle:
@@ -448,8 +453,9 @@ def _within(modules, packages) -> list[str]:
 def test_serving_process_never_loads_scipy(beer_matcher, tmp_path):
     blob = tmp_path / "matcher.pkl"
     blob.write_bytes(pickle.dumps(beer_matcher))
-    report = _run_fresh(SERVING_PROCESS, str(blob))
-    # A started shard holds only the serving stack.
+    report = _run_fresh(SERVING_PROCESS, str(blob), json.dumps(_PRELOAD))
+    # A started shard, with all its fork server preloads, holds only the
+    # serving stack and the matchers.
     assert "repro.matchers.logistic" in report["shard"]
     assert _within(report["shard"], SHARD_EXCLUDED) == []
     # Both explainers really ran both generations, so the check covers them.
