@@ -28,12 +28,13 @@ locally with::
     PYTHONPATH=src python scripts/shard_drill.py
 
 ``--transport tcp`` runs the identical drill over the cross-host fleet
-path instead of spawned pipe shards: real ``serve-shard`` host processes
-on localhost, a ``--fleet`` supervisor dialing them over TCP, and a
-standby host that must adopt the victim's shard id after the SIGKILL
-(host loss, not crash-restart).  The two transports must behave
-identically from the outside — same zero-lost-request contract, same
-degraded-not-down reading, same clean drain.
+path instead of pipe shards forked from the fork server: real
+``serve-shard`` host processes on localhost, a ``--fleet`` supervisor
+dialing them over TCP, and a standby host that must adopt the victim's
+shard id after the SIGKILL (host loss, not crash-restart).  The two
+transports must behave identically from the outside — same
+zero-lost-request contract, same degraded-not-down reading, same clean
+drain.
 
 The drill also reports, without a bound, the start time: the seconds
 from fleet construction until every shard is ``live``, as the
@@ -259,9 +260,9 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=40)
     parser.add_argument(
         "--transport", choices=("pipe", "tcp"), default="pipe",
-        help="pipe: spawned shard processes (default); tcp: serve-shard "
-             "host processes behind --fleet, with a standby replacing "
-             "the killed host",
+        help="pipe: shard processes forked from the fork server "
+             "(default); tcp: serve-shard host processes behind --fleet, "
+             "with a standby replacing the killed host",
     )
     args = parser.parse_args(argv)
     failures: list[str] = []

@@ -13,7 +13,8 @@ Magellan recipe).  This package provides:
   for the "deep" matchers (DeepMatcher/DITTO) to demonstrate that Landmark
   Explanation is model-agnostic;
 * :class:`~repro.matchers.embedding.EmbeddingMatcher` — a token-embedding
-  matcher; its pooling matrix needs scipy, imported on first use only;
+  matcher; its pooling matrix needs scipy, which its first prediction
+  imports, so a process that serves it loads scipy (about 0.1 s);
 * :class:`~repro.matchers.boosting.GradientBoostedStumpsMatcher` —
   gradient-boosted decision stumps, a non-differentiable tree model;
 * :class:`~repro.matchers.rules.RuleBasedMatcher` — an intrinsically

@@ -9,10 +9,12 @@ runs:
 * :class:`PipeShardTransport` starts the shard as a local child process
   over a :func:`multiprocessing.Pipe` — the pre-fleet message flow,
   which is what keeps ``--shards N`` bit-identical.  The child is forked
-  from a fork server that has already imported the serving stack and
-  every matcher module (:data:`_PRELOAD`), and it never re-runs the
-  parent's main module (:class:`_ShardPopen`), so it is ready to
-  unpickle its matcher and serve at once.
+  from a fork server that has already imported the serving stack, this
+  module, every matcher module and what a first LIME or SHAP
+  explanation loads (:data:`_PRELOAD`), and it never re-runs the
+  parent's main module (:class:`_ShardPopen`), so from the fork to its
+  first explanation it imports no module (the embedding matcher's first
+  prediction still imports scipy).
 * :class:`TcpShardTransport` dials a standing ``serve-shard`` process on
   another machine and adopts it: the :class:`~repro.service.shard.ShardSpec`
   travels in the first frame, and from then on the exact same control
@@ -398,21 +400,38 @@ class ShardTransport:
         return self.kind
 
 
-#: What the fork server imports once, so that each fork starts warm: the
-#: shard's serving stack (which brings :mod:`repro.backends.client` for
-#: backend-mode shards) and every matcher module the CLI can serve, so
-#: that unpickling the matcher blob imports nothing after the fork.
+#: What the fork server imports once, so that a forked shard imports no
+#: module from the fork to its first LIME and SHAP explanation (the
+#: embedding matcher's first prediction still imports scipy).  These
+#: are fork-server-only on purpose: as top-level imports here they would
+#: also load in the ``serve`` child, which starts no shard.
 #: :func:`_ensure_fork_server` boots the server with the parent's
 #: ``sys.path``, so it preloads exactly what the supervisor can import.
 #: The server is process-global and exits with its parent.
 _PRELOAD = [
     "numpy",
+    # The shard's serving stack; brings repro.backends.client for
+    # backend-mode shards.
     "repro.service.shard",
+    # Unpickling the launch payload: the _ShardProcess object lives here.
+    "repro.service.transport",
+    # Unpickling the matcher blob: every matcher module the CLI serves.
     "repro.matchers.logistic",
     "repro.matchers.boosting",
     "repro.matchers.neural",
     "repro.matchers.embedding",
     "repro.matchers.rules",
+    # LandmarkExplainer._rng_for seeds each explanation's streams with
+    # np.random.SeedSequence; numpy loads numpy.random lazily.
+    "numpy.random",
+    # batch_similarity._bucketed calls np.unique, which in numpy 2.x
+    # checks np.ma.is_masked; numpy loads numpy.ma lazily.
+    "numpy.ma",
+    # batch_similarity._encode encodes strings as "utf-32-le"; the codec
+    # module loads on its first lookup.
+    "encodings.utf_32_le",
+    # build_landmark_explainer imports it for explainer="shap".
+    "repro.explainers.kernel_shap",
 ]
 #: Held around every fork-server boot: the launch threads of one fleet
 #: start their shards concurrently, and the boot edits the process-wide

@@ -455,6 +455,53 @@ if __name__ == "__main__":
 """
 
 
+#: A parent that adds the import probe to the fork server's preloads,
+#: then starts one pipe shard per CLI matcher in turn and waits for its
+#: ``ready``.  Every matcher but the embedding one (whose first
+#: prediction imports scipy) then computes a LIME and a SHAP
+#: explanation.  Prints each shard's matcher and pid; the probe prints
+#: what the shard imported since the fork at each message it sends.
+_FORK_IMPORTS_SCRIPT = """
+import json, pickle
+
+from repro.cli import _MATCHERS
+from repro.data.synthetic.magellan import load_dataset
+from repro.service import transport
+from repro.service.request import ExplainRequest
+from repro.service.shard import ShardSpec
+
+transport._PRELOAD.append({probe!r})
+
+
+def receive(conn, kind, rid=None):
+    while True:
+        message = conn.recv()
+        if message.get("kind") == kind and message.get("id") == rid:
+            return message
+
+
+if __name__ == "__main__":
+    dataset = load_dataset("S-BR", seed=0, size_cap=60)
+    for name, matcher_class in _MATCHERS.items():
+        matcher = matcher_class().fit(dataset)
+        shard = transport.PipeShardTransport()
+        conn = shard.launch(
+            ShardSpec(shard_id=0, matcher_blob=pickle.dumps(matcher))
+        )
+        receive(conn, "ready")
+        if name != "embedding":
+            for rid, explainer in enumerate(("lime", "shap")):
+                request = ExplainRequest(
+                    dataset.pairs[0], samples=32, explainer=explainer
+                )
+                conn.send({{"kind": "request", "id": rid, "request": request}})
+                assert receive(conn, "response", rid)["ok"]
+        print("shard " + json.dumps([name, shard.pid]), flush=True)
+        shard.kill()
+        shard.join(10)
+"""
+
+
 class TestForkServer:
     def test_server_preloads_what_the_parent_found_at_run_time(
         self, tmp_path
@@ -478,6 +525,47 @@ class TestForkServer:
         )
         assert json.loads(lines["environ"]) is True
         assert json.loads(lines["probe"]) == sorted(_PRELOAD)
+
+    def test_a_forked_shard_imports_nothing_after_the_fork(self, tmp_path):
+        # Each module a shard imports after the fork is start time paid
+        # again by every new or restarted shard; the server pays it once.
+        root = Path(__file__).resolve().parents[2]
+        result = subprocess.run(
+            [
+                sys.executable, "-c",
+                _FORK_IMPORTS_SCRIPT.format(probe=f"{__package__}.fork_probe"),
+            ],
+            cwd=tmp_path,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+            },
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        shards: dict[int, str] = {}
+        reports: list[tuple[int, str, list[str]]] = []
+        for line in result.stdout.splitlines():
+            tag, _, body = line.partition(" ")
+            if tag == "shard":
+                name, pid = json.loads(body)
+                shards[pid] = name
+            elif tag == "fork-probe":
+                reports.append(tuple(json.loads(body)))
+        imported: dict[str, dict[str, set[str]]] = {}
+        for pid, kind, modules in reports:
+            if kind in ("ready", "response"):
+                imported.setdefault(shards[pid], {}).setdefault(
+                    kind, set()
+                ).update(modules)
+        explained = {"ready": set(), "response": set()}
+        assert imported == {
+            "logistic": explained,
+            "mlp": explained,
+            "rules": explained,
+            "boosted": explained,
+            "embedding": {"ready": set()},
+        }
 
     @pytest.mark.parametrize("launch", ["script", "module"])
     def test_shards_never_run_the_parents_main_module(self, tmp_path, launch):

@@ -1,17 +1,19 @@
 """Import boundaries of ``src/repro``, checked by source walk and at run time.
 
-Four rules:
+Five rules:
 
 * Production modules never import the test doubles in ``repro.testing``.
   Fault injection lives outside the serving stack: a drill or test
   signals a process or mangles a TCP stream, and no serving module
   carries a hook for it.
 * No module imports scipy while it is itself being imported.  scipy
-  costs about a second of every process start, and no serving path
-  calls it, so its three callers (``attribute_correlation``,
-  ``record_stability`` and ``EmbeddingMatcher._averaging_matrix``)
-  import it inside the function.  An import under ``if TYPE_CHECKING:``
-  never runs and is allowed.
+  costs about a second of every process start, so its three callers
+  (``attribute_correlation``, ``record_stability`` and
+  ``EmbeddingMatcher._averaging_matrix``) import it inside the
+  function.  One of them is on a serving path: the embedding matcher's
+  first prediction imports ``scipy.sparse``, about 0.1 s in a serving
+  process, so the runtime check below covers the other CLI matchers.
+  An import under ``if TYPE_CHECKING:`` never runs and is allowed.
 * Only ``repro/obs/metrics.py`` creates instruments.  Every other module
   declares its counters as fields of a stats dataclass and binds them
   through ``StatsInstruments``, so no module calls ``.counter(``,
@@ -21,20 +23,28 @@ Four rules:
   ``repro/data/records.py``, which defines them, no module touches
   ``RecordPair.with_left``, ``with_right`` or ``with_side``; a caller
   that needs one rebuilt pair takes a row of a batch.
+* No module draws from numpy's global ``RandomState``: no
+  ``np.random.<legacy function>``, ``numpy.random.<legacy function>``
+  or ``from numpy.random import <legacy function>``.  A pipe shard's
+  fork server preloads ``numpy.random``, so every forked shard inherits
+  one global state; every stream in ``src`` is a seeded ``Generator``
+  (``default_rng``, ``SeedSequence`` and the bit generators are fine).
 
-All four walk every module under ``src/repro`` with :mod:`ast` and check
+All five walk every module under ``src/repro`` with :mod:`ast` and check
 that every import spelling is caught.  A runtime test then imports
 every module a pipe shard's fork server preloads in a fresh interpreter,
 builds a shard there and asserts a module budget: the package
 namespaces are lazy, so neither the preload nor the shard loads any of
 the evaluation, bulk, baseline, blocking, synthetic-data, test-double or
-fleet-control modules.  The same interpreter then imports
-the serving entry points, computes a LIME and a SHAP explanation, and
-asserts that scipy was never loaded.  A fresh ``import repro.cli`` (the
-start of ``serve-shard`` and ``serve-matcher`` hosts) must load neither
-the experiment runner, the table renderers, the baselines nor the
-summarizer, and a fresh ``import repro.service.server`` (the start of
-the ``serve`` child) no evaluation, bulk or baseline module.
+fleet-control modules.  The same interpreter then imports the serving
+entry points, computes a LIME and a SHAP explanation with the shard's
+matcher, and asserts that scipy was never loaded, once for each
+scipy-free CLI matcher (logistic, mlp, rules and boosted).  A fresh
+``import repro.cli`` (the start of ``serve-shard`` and ``serve-matcher``
+hosts) must load neither the experiment runner, the table renderers,
+the baselines nor the summarizer, and a fresh
+``import repro.service.server`` (the start of the ``serve`` child) no
+evaluation, bulk or baseline module.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import _MATCHERS
 from repro.service.transport import _PRELOAD
 
 PACKAGE_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -58,6 +69,23 @@ INSTRUMENT_FACTORIES = {"counter", "gauge", "histogram"}
 METRICS_MODULE = "repro.obs.metrics"
 PAIR_REBUILDERS = {"with_left", "with_right", "with_side"}
 PAIR_REBUILD_MODULES = {"repro.core.columnar", "repro.data.records"}
+NUMPY_NAMES = {"np", "numpy"}
+#: The functions of ``numpy.random`` that act on its global
+#: ``RandomState``; the seeded API (``default_rng``, ``SeedSequence``,
+#: ``Generator``, the bit generators) is not among them.
+GLOBAL_RNG_FUNCTIONS = frozenset({
+    "beta", "binomial", "bytes", "chisquare", "choice", "dirichlet",
+    "exponential", "f", "gamma", "geometric", "get_bit_generator",
+    "get_state", "gumbel", "hypergeometric", "laplace", "logistic",
+    "lognormal", "logseries", "multinomial", "multivariate_normal",
+    "negative_binomial", "noncentral_chisquare", "noncentral_f", "normal",
+    "pareto", "permutation", "poisson", "power", "rand", "randint", "randn",
+    "random", "random_integers", "random_sample", "ranf", "rayleigh",
+    "sample", "seed", "set_bit_generator", "set_state", "shuffle",
+    "standard_cauchy", "standard_exponential", "standard_gamma",
+    "standard_normal", "standard_t", "triangular", "uniform", "vonmises",
+    "wald", "weibull", "zipf",
+})
 
 
 def _module_name(path: Path) -> str:
@@ -355,6 +383,88 @@ def test_neighbouring_pair_names_are_not_flagged(source):
     assert not _pair_rebuilds(source)
 
 
+def _global_rng_uses(source: str) -> list[str]:
+    """``line:name`` of every ``np.random.<legacy>`` or ``numpy.random.<legacy>``
+    attribute, called or not, and every ``from numpy.random import <legacy>``."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in GLOBAL_RNG_FUNCTIONS
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "random"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in NUMPY_NAMES
+        ):
+            uses.append(f"{node.lineno}:{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            uses.extend(
+                f"{node.lineno}:{alias.name}"
+                for alias in node.names
+                if alias.name in GLOBAL_RNG_FUNCTIONS
+            )
+    return uses
+
+
+def test_no_module_uses_numpys_global_rng():
+    modules = sorted(PACKAGE_ROOT.rglob("*.py"))
+    assert len(modules) > 50, "the walk found too few modules"
+    offenders = {
+        str(path.relative_to(PACKAGE_ROOT.parent)): uses
+        for path in modules
+        if (uses := _global_rng_uses(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_the_legacy_list_covers_numpys_global_rng():
+    import numpy as np
+
+    bound = {
+        name for name in dir(np.random)
+        if isinstance(
+            getattr(getattr(np.random, name), "__self__", None),
+            np.random.RandomState,
+        )
+    }
+    assert bound, "numpy binds no function to its global RandomState"
+    assert bound <= GLOBAL_RNG_FUNCTIONS
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "np.random.seed(0)",
+        "x = numpy.random.rand(3)",
+        "from numpy.random import shuffle",
+        "from numpy.random import default_rng, choice as pick",
+        "def f(items):\n    return np.random.permutation(items)\n",
+        "draw = np.random.normal",
+    ],
+    ids=["np-call", "numpy-call", "from-import", "from-import-alias",
+         "function-body", "uncalled"],
+)
+def test_every_global_rng_spelling_is_caught(source):
+    assert _global_rng_uses(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "rng = np.random.default_rng(np.random.SeedSequence([0, 1]))",
+        "rng = numpy.random.Generator(numpy.random.PCG64(7))",
+        "from numpy.random import SeedSequence, Generator, Philox, SFC64",
+        "def f(rng: np.random.Generator):\n    return rng.random(3)\n",
+        "import random\nvalue = random.random()",
+        "values = rng.normal(size=3)",
+    ],
+    ids=["seeded-default-rng", "bit-generator", "from-import-modern",
+         "generator-method", "stdlib-random", "generator-normal"],
+)
+def test_seeded_generators_are_not_flagged(source):
+    assert not _global_rng_uses(source)
+
+
 SHARD_EXCLUDED = (
     "repro.evaluation",
     "repro.bulk",
@@ -366,6 +476,9 @@ SHARD_EXCLUDED = (
     "repro.service.fleet",
     "repro.service.server",
 )
+#: Every CLI matcher but the embedding one, whose first prediction
+#: imports ``scipy.sparse``.
+SCIPY_FREE_MATCHERS = ("logistic", "mlp", "rules", "boosted")
 CLI_EXCLUDED = (
     "repro.evaluation.runner",
     "repro.evaluation.tables",
@@ -376,6 +489,7 @@ CLI_EXCLUDED = (
 SERVING_PROCESS = """
 import importlib
 import json
+import pickle
 import sys
 
 for name in json.loads(sys.argv[2]):
@@ -396,12 +510,11 @@ import repro.service.server
 import repro.service.shard
 from repro.core.engine import PredictionEngine
 from repro.core.serialize import matcher_fingerprint
-from repro.matchers import LogisticRegressionMatcher
 from repro.service.request import ExplainRequest, request_key
 from repro.service.service import compute_explanation_payload
 
 dataset = repro.load_dataset("S-BR", seed=0, size_cap=60)
-matcher = LogisticRegressionMatcher().fit(dataset)
+matcher = pickle.loads(spec.matcher_blob)
 engine = PredictionEngine(matcher)
 fingerprint = matcher_fingerprint(matcher)
 generations = {}
@@ -450,20 +563,35 @@ def _within(modules, packages) -> list[str]:
     )
 
 
-def test_serving_process_never_loads_scipy(beer_matcher, tmp_path):
-    blob = tmp_path / "matcher.pkl"
-    blob.write_bytes(pickle.dumps(beer_matcher))
-    report = _run_fresh(SERVING_PROCESS, str(blob), json.dumps(_PRELOAD))
+def test_serving_process_never_loads_scipy(beer_dataset, tmp_path):
+    # Each scipy-free CLI matcher in its own fresh interpreter.
+    found = {}
+    for name in SCIPY_FREE_MATCHERS:
+        matcher_class = _MATCHERS[name]
+        blob = tmp_path / f"{name}.pkl"
+        blob.write_bytes(pickle.dumps(matcher_class().fit(beer_dataset)))
+        report = _run_fresh(SERVING_PROCESS, str(blob), json.dumps(_PRELOAD))
+        found[name] = {
+            "matcher module": matcher_class.__module__ in report["shard"],
+            "excluded": _within(report["shard"], SHARD_EXCLUDED),
+            "generations": report["generations"],
+            "scipy": report["scipy"],
+        }
     # A started shard, with all its fork server preloads, holds only the
-    # serving stack and the matchers.
-    assert "repro.matchers.logistic" in report["shard"]
-    assert _within(report["shard"], SHARD_EXCLUDED) == []
-    # Both explainers really ran both generations, so the check covers them.
-    assert report["generations"] == {
-        "lime": ["double", "single"],
-        "shap": ["double", "single"],
+    # serving stack and the matchers; both explainers really ran both
+    # generations, so the scipy check covers them.
+    assert found == {
+        name: {
+            "matcher module": True,
+            "excluded": [],
+            "generations": {
+                "lime": ["double", "single"],
+                "shap": ["double", "single"],
+            },
+            "scipy": [],
+        }
+        for name in SCIPY_FREE_MATCHERS
     }
-    assert report["scipy"] == []
     # ``serve-shard`` and ``serve-matcher`` hosts start through the CLI.
     assert _within(_run_fresh(CLI_PROCESS), CLI_EXCLUDED) == []
 
