@@ -37,6 +37,7 @@ families and the evaluations' token removals:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -197,15 +198,15 @@ def pairs_batch(pairs: Sequence[RecordPair]) -> ColumnarPairBatch:
             )
     columns: dict[tuple[str, str], ValueColumn] = {}
     for side in _SIDES:
-        entities = [pair.entity(side) for pair in pairs]
+        entities = list(map(operator.attrgetter(side), pairs))
         for attribute in attributes:
-            slots: dict[str, int] = {}
+            column = list(map(operator.itemgetter(attribute), entities))
+            values = list(dict.fromkeys(column))
+            slots = dict(zip(values, range(len(values))))
             index = np.fromiter(
-                (slots.setdefault(entity[attribute], len(slots))
-                 for entity in entities),
-                dtype=np.intp, count=len(entities),
+                map(slots.__getitem__, column), dtype=np.intp, count=len(column)
             )
-            columns[(side, attribute)] = ValueColumn(list(slots), index)
+            columns[(side, attribute)] = ValueColumn(values, index)
     return ColumnarPairBatch(template, columns, len(pairs))
 
 

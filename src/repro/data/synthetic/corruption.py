@@ -95,24 +95,39 @@ def corrupt_value(
             return str(int(round(drifted)))
         return value
 
-    words = value.split(" ")
-    last = len(words) - 1
     random = rng.random
-    token_drop, typo, abbreviation = config.token_drop, config.typo, config.abbreviation
+    typo, abbreviation = config.typo, config.abbreviation
+    if " " not in value:
+        # One word: never dropped, never swapped.
+        if random() < typo:
+            return _typo(value, rng)
+        if random() < abbreviation:
+            return _abbreviate(value, rng)
+        return value
+    words = value.split(" ")
+    last = words.pop()
+    token_drop = config.token_drop
     survivors: list[str] = []
-    for index, word in enumerate(words):
-        # Never drop below one word: an empty view of a populated attribute
-        # would look like dirty data rather than noise.  A word may be
-        # dropped only if something already survived or more words follow.
-        if last and (survivors or index < last) and random() < token_drop:
+    keep = survivors.append
+    for word in words:
+        if random() < token_drop:
             continue
         if random() < typo:
             word = _typo(word, rng)
         elif random() < abbreviation:
             word = _abbreviate(word, rng)
-        survivors.append(word)
+        keep(word)
+    # Never drop below one word: an empty view of a populated attribute
+    # would look like dirty data rather than noise.  The last word may be
+    # dropped only if an earlier one survived.
+    if not (survivors and random() < token_drop):
+        if random() < typo:
+            last = _typo(last, rng)
+        elif random() < abbreviation:
+            last = _abbreviate(last, rng)
+        keep(last)
     if len(survivors) >= 2 and random() < config.token_swap:
-        position = int(rng.integers(len(survivors) - 1))
+        position = rng.integers(len(survivors) - 1)
         survivors[position], survivors[position + 1] = (
             survivors[position + 1],
             survivors[position],

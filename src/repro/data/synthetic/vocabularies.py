@@ -242,8 +242,19 @@ BREWERY_SUFFIXES = (
 )
 
 
+_MODEL_LETTERS = "abcdefghjklmnprstuvwxz"
+_N_MODEL_LETTERS = len(_MODEL_LETTERS)
+
+#: The Walmart-Amazon brand pool, built once rather than per entity.
+_WA_BRANDS = ELECTRONICS_BRANDS + GENERAL_BRANDS
+_ELECTRONICS_BRAND_SET = frozenset(ELECTRONICS_BRANDS)
+
+# A scalar ``integers()`` draw is an ``np.int64``, which indexes a tuple or
+# a string and sizes a ``range`` as it is; only formatting converts it.
+
+
 def _choice(rng: np.random.Generator, pool: Sequence[str]) -> str:
-    return pool[int(rng.integers(len(pool)))]
+    return pool[rng.integers(len(pool))]
 
 
 def _person_name(rng: np.random.Generator) -> str:
@@ -251,16 +262,15 @@ def _person_name(rng: np.random.Generator) -> str:
 
 
 def _model_number(rng: np.random.Generator) -> str:
-    letters = "abcdefghjklmnprstuvwxz"
+    integers = rng.integers
     prefix = "".join(
-        letters[int(rng.integers(len(letters)))] for _ in range(int(rng.integers(2, 5)))
+        [_MODEL_LETTERS[integers(_N_MODEL_LETTERS)] for _ in range(integers(2, 5))]
     )
-    return f"{prefix}{int(rng.integers(100, 9999))}"
+    return f"{prefix}{int(integers(100, 9999))}"
 
 
 def _price(rng: np.random.Generator, low: float, high: float) -> str:
-    value = float(rng.uniform(low, high))
-    return f"{value:.2f}"
+    return f"{rng.uniform(low, high):.2f}"
 
 
 def _phone(rng: np.random.Generator) -> str:
@@ -325,8 +335,8 @@ def _similar_product_ag(rng: np.random.Generator, seed: Mapping[str, str]) -> En
 
 
 def _make_product_wa(rng: np.random.Generator) -> Entity:
-    brand = _choice(rng, ELECTRONICS_BRANDS + GENERAL_BRANDS)
-    if brand in ELECTRONICS_BRANDS:
+    brand = _choice(rng, _WA_BRANDS)
+    if brand in _ELECTRONICS_BRAND_SET:
         noun = _choice(rng, ELECTRONICS_NOUNS)
     else:
         noun = _choice(rng, GENERAL_NOUNS)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.text.normalize import (
     normalize_value,
+    normalize_values,
     normalize_whitespace,
     strip_accents,
     tokens_of,
@@ -106,6 +107,52 @@ class TestNormalizeValue:
         assert isinstance(result, str)
         if math.isnan(value):
             assert result == ""
+
+
+#: Spellings of a missing value in any case, beside near misses that must
+#: survive (padded, accented, or only null after normalization).
+NULL_LIKE = (
+    "nan", "NaN", "NAN", "None", "NONE", "null", "Null", "nULL",
+    " nan", "nan ", "nañ", "n-a-n", "(null)", "nonE!", "NaN NaN",
+)
+
+#: Final sigma and other characters whose case mapping looks at their
+#: neighbours, beside the batch separator (NUL) itself.
+CONTEXT = "ΣσςİIıΑΣ\x00"
+
+
+class TestNormalizeValues:
+    """The batched normalization equals normalize_value, value by value."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(alphabet=st.sampled_from(TRICKY) | st.characters(), max_size=30),
+                st.text(alphabet=TRICKY + CONTEXT + "aBc1 ", max_size=30),
+                st.sampled_from(NULL_LIKE),
+            ),
+            max_size=12,
+        )
+    )
+    def test_equals_value_by_value(self, values):
+        assert normalize_values(values) == [normalize_value(v) for v in values]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [""],
+            ["", "", ""],
+            list(NULL_LIKE),
+            ["Crème  Brûlée", "café", "ﬁle", "𝑨BC", "ÅNGSTRÖM"],
+            ["aΣ", "Σa", "ΑΣ", "σ", "ΣΣ ς"],
+            ["a\x1cb", "\x1d\x1e", "x\x1f", "  \t\n ", "\xa0\u3000y"],
+            ["a,,;;b", "--", "#%@", "x  --  y", "(a)[b]{c}"],
+            ["a\x00b", "c"],  # a value holding the separator itself
+        ],
+    )
+    def test_edge_batches(self, values):
+        assert normalize_values(values) == [normalize_value(v) for v in values]
 
 
 class TestTokensOf:
