@@ -15,7 +15,12 @@ Two questions about the backend layer, answered per matcher type:
 The parity check runs for *every* matcher type.  The throughput gate
 runs on the embedding matcher — the heaviest model here, standing in
 for the heavy matchers the shared-server deployment exists for — with
-concurrent callers, the shape service workers actually produce.  On a
+concurrent callers, the shape service workers actually produce.
+Both arms run against one server, timed alternately in ``REPEATS``
+pairs, and the gate reads the median of the pairs' ratios: a single
+timing of the in-process arm moved by half between runs, more than the
+gate's margin, and a slow spell of the host lands on both arms of a
+pair.  On a
 single-core machine the ratio is *reported* but not gated (the server
 process has no core of its own, so transport overhead cannot overlap
 with compute), mirroring ``bench_shards.py``.
@@ -33,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import threading
 import time
@@ -42,7 +48,6 @@ import numpy as np
 
 from repro.backends.client import RemoteBackend, RemoteBackendConfig
 from repro.backends.server import MatcherServer
-from repro.config import GuardConfig
 from repro.core.columnar import pairs_batch
 from repro.core.landmark import LandmarkExplainer
 from repro.core.serialize import dual_digest
@@ -53,6 +58,9 @@ from repro.matchers.embedding import EmbeddingMatcher
 from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.matchers.neural import MLPMatcher
 from repro.matchers.rules import RuleBasedMatcher
+
+#: Alternating (in-process, remote) timing pairs of the throughput gate.
+REPEATS = 10
 
 MATCHERS = {
     "logistic": LogisticRegressionMatcher,
@@ -112,23 +120,25 @@ def measure_throughput(matcher, pairs, rounds, chunk, callers, config):
     Both sides score the same columnar batch, the one payload a backend
     call carries.  Concurrent callers mimic the service's worker threads;
     the server-max *chunk* forces every call to split into pipelined
-    in-flight batches.
+    in-flight batches.  The arms alternate in ``REPEATS`` pairs against
+    one server; the ratio is the median of the pairs' ratios and the
+    rates are each arm's median.
     """
     batch = pairs_batch(list(pairs))
     local = matcher.predict_proba_columnar
-    local(batch)  # warm caches outside the timed region
-    local_seconds = _drive(local, batch, rounds, callers)
-
     with MatcherServer(matcher, max_batch_size=chunk, workers=4) as server:
         backend = RemoteBackend(server.address, config=config)
+        remote = backend.predict_proba_columnar
         try:
-            # Connect and verify parity outside the timed region.
-            assert np.array_equal(
-                backend.predict_proba_columnar(batch), local(batch)
-            ), "throughput batches diverged"
-            remote_seconds = _drive(
-                backend.predict_proba_columnar, batch, rounds, callers
+            # Connect, warm caches and verify parity outside the timing.
+            assert np.array_equal(remote(batch), local(batch)), (
+                "throughput batches diverged"
             )
+            timings = [
+                (_drive(local, batch, rounds, callers),
+                 _drive(remote, batch, rounds, callers))
+                for _ in range(REPEATS)
+            ]
         finally:
             backend.close()
     in_flight = max(1, -(-batch.n_rows // chunk))  # ceil: chunks per call
@@ -136,10 +146,11 @@ def measure_throughput(matcher, pairs, rounds, chunk, callers, config):
     return {
         "rows": rows,
         "callers": callers,
+        "repeats": REPEATS,
         "in_flight_batches": min(in_flight, config.max_in_flight),
-        "local_rows_per_s": rows / local_seconds,
-        "remote_rows_per_s": rows / remote_seconds,
-        "ratio": local_seconds / remote_seconds,
+        "local_rows_per_s": rows / statistics.median(l for l, _ in timings),
+        "remote_rows_per_s": rows / statistics.median(r for _, r in timings),
+        "ratio": statistics.median(l / r for l, r in timings),
     }
 
 
@@ -173,10 +184,7 @@ def main(argv=None):
         args.records, args.samples = 6, 32
         args.size_cap, args.rounds = 300, 20
 
-    config = RemoteBackendConfig(
-        connect_timeout=10.0, call_timeout=120.0,
-        guard=GuardConfig(max_retries=1, backoff=0.01, backoff_max=0.1),
-    )
+    config = RemoteBackendConfig(connect_timeout=10.0, call_timeout=120.0)
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     pairs = list(dataset)[: args.records]
     failures = []
@@ -210,8 +218,8 @@ def main(argv=None):
         f"throughput: in-process {throughput['local_rows_per_s']:.0f} rows/s, "
         f"remote {throughput['remote_rows_per_s']:.0f} rows/s "
         f"({throughput['in_flight_batches']} batches in flight, "
-        f"{args.callers} callers) -> ratio {throughput['ratio']:.2f}x "
-        f"(required: {args.min_ratio}x, "
+        f"{args.callers} callers) -> ratio {throughput['ratio']:.2f}x, "
+        f"median of {throughput['repeats']} pairs (required: {args.min_ratio}x, "
         f"{'gated' if gated else 'report-only on %d core(s)' % cores})"
     )
     if throughput["in_flight_batches"] < 2:

@@ -14,17 +14,17 @@ by request id, so one slow batch never convoys the others and the
 network round-trip overlaps with server compute — this is what keeps
 remote throughput within a small factor of in-process.
 
-**Fault semantics** reuse :class:`~repro.core.guard.MatcherGuard`
-wholesale: the whole multi-chunk round-trip is the guarded unit, so a
-failed attempt (connection refused, mid-frame disconnect, response
-timeout) is retried with deterministic backoff after an automatic
-reconnect, consecutive failures trip the breaker (fail-fast
-:class:`~repro.exceptions.BackendUnavailableError` until the half-open
-probe passes), and the ambient :class:`~repro.core.deadline.Deadline` is
-polled before the call, between retries, inside the backoff sleep and
-while waiting for responses.  Protocol violations
-(:class:`~repro.exceptions.BackendProtocolError`) fail fast without
-burning retries — a peer speaking garbage once is the wrong peer.
+**Fault semantics.**  The client is a transport with a breaker; the
+engine's guard (``EngineConfig.guard``, ``--max-retries``) owns retries
+for every matcher.  Each call is one wire attempt: reconnect if the
+connection is dead, send every chunk, wait for the responses within
+``call_timeout`` and the ambient :class:`~repro.core.deadline.Deadline`.
+A failure (refused, mid-frame disconnect, timeout) drops the connection
+and raises a retryable error, so the next attempt redials.  ``_BREAKER``,
+a retry-free :class:`~repro.core.guard.MatcherGuard`, counts failures and
+feeds ``/healthz``; while open it fails fast with a ``guard_no_retry``
+:class:`~repro.exceptions.BackendUnavailableError`, as a
+:class:`~repro.exceptions.BackendProtocolError` (the wrong peer) does.
 
 The server's model fingerprint is pinned at the first handshake; a
 reconnect that finds a *different* fingerprint refuses to proceed, since
@@ -37,7 +37,7 @@ import socket
 import threading
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -74,6 +74,10 @@ __all__ = ["RemoteBackendConfig", "RemoteBackend", "parse_address"]
 #: a deadline expiry or cancellation goes unnoticed mid-wait.
 _WAIT_SLICE = 0.05
 
+#: The client's breaker: no retries (the engine's guard owns them),
+#: engaged even at zero retries, the default trip and cooldown.
+_BREAKER = GuardConfig(always_active=True)
+
 #: Buckets for the per-call round-trip-time histogram (seconds).
 _RTT_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
@@ -100,21 +104,16 @@ class RemoteBackendConfig:
 
     Picklable by construction: a :class:`~repro.service.shard.ShardSpec`
     carries one into each shard process so every shard dials the same
-    server with the same policy.
+    server with the same timeouts and window.
     """
 
     #: Seconds to establish the TCP connection + handshake.
     connect_timeout: float = 10.0
-    #: Seconds one guarded round-trip may wait for its responses;
+    #: Seconds one round-trip may wait for its responses;
     #: ``None`` leaves only the ambient request deadline.
     call_timeout: float | None = 60.0
     #: Window: wire requests in flight on the connection at once.
     max_in_flight: int = 8
-    #: Retry and breaker policy.  Its ``call_timeout`` must stay ``None``:
-    #: the client bounds the response wait itself (``call_timeout`` above,
-    #: no sacrificial thread per call), and the guard's thread-based
-    #: timeout would double-count it.
-    guard: GuardConfig = field(default_factory=lambda: GuardConfig(max_retries=2))
 
     def __post_init__(self) -> None:
         if self.connect_timeout <= 0:
@@ -128,11 +127,6 @@ class RemoteBackendConfig:
         if self.max_in_flight < 1:
             raise ConfigurationError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}"
-            )
-        if self.guard.call_timeout is not None:
-            raise ConfigurationError(
-                "guard.call_timeout must be None; the response wait is "
-                "RemoteBackendConfig.call_timeout"
             )
 
 
@@ -212,7 +206,7 @@ class BackendStats:
     requests: int = stat("repro_backend_requests_total", "Wire requests sent")
     failures: int = stat(
         "repro_backend_failures_total",
-        "Round-trips that raised after all retries",
+        "Round-trips that raised",
     )
     reconnects: int = stat(
         "repro_backend_reconnects_total",
@@ -240,11 +234,12 @@ class BackendStats:
 
 
 class RemoteBackend(EntityMatcher):
-    """A matcher served over a socket, with MatcherGuard fault semantics.
+    """A matcher served over a socket: a transport with a breaker.
 
     Scores like any :class:`EntityMatcher`, bit-identical to the model in
     the server process; training is the server owner's decision, so
-    :meth:`fit` refuses.  Thread-safe: service workers may call
+    :meth:`fit` refuses.  Each call is one wire attempt; retries are the
+    wrapping engine's.  Thread-safe: service workers may call
     concurrently; their wire requests interleave on the shared
     connection and complete out of order.
     """
@@ -261,11 +256,9 @@ class RemoteBackend(EntityMatcher):
         self._instruments = StatsInstruments(
             registry, BackendStats, "backend", address="%s:%d" % self.address
         )
-        # Guard retries and trips export under the backend's own labels.
+        # Breaker counters export under the backend's own labels.
         self._guard = MatcherGuard(
-            # A transport fails on its own; the breaker must watch even
-            # when the caller asked for zero retries.
-            config=replace(self.config.guard, always_active=True),
+            config=_BREAKER,
             instruments=StatsInstruments(
                 registry, GuardStats, **self._instruments.labels
             ),
@@ -278,7 +271,7 @@ class RemoteBackend(EntityMatcher):
 
     @property
     def guard_stats(self) -> GuardStats:
-        """Retry / timeout / breaker counters of this client's guard."""
+        """Failure and breaker counters of this client's guard."""
         return self._guard.stats
 
     # -- matcher surface -----------------------------------------------
@@ -306,8 +299,7 @@ class RemoteBackend(EntityMatcher):
         conn = self._conn
         if conn is not None and not conn.dead:
             return conn.capabilities
-        # First contact (or reconnect) goes through the guard so startup
-        # against a still-booting server gets the same retry policy.
+        # First contact (or reconnect) counts against the breaker too.
         return self._guarded(None, 0).capabilities
 
     def health(self) -> dict:
@@ -337,19 +329,21 @@ class RemoteBackend(EntityMatcher):
     # -- guarded round-trips -------------------------------------------
 
     def _guarded(self, batch, size: int):
-        """One guarded round-trip scoring *batch*; ``None`` only connects
-        and returns the live connection."""
+        """One round-trip scoring *batch* behind the breaker; ``None``
+        only connects and returns the live connection."""
         try:
             return self._guard.call(self._roundtrip, batch, size)
         except MatcherUnavailableError as error:
             # The breaker lives in this client; surface it under the
             # backend taxonomy so /healthz and clients see the layer
-            # that actually failed.
+            # that actually failed; the engine must not retry it.
             self._instruments.failures.inc()
-            raise BackendUnavailableError(
+            unavailable = BackendUnavailableError(
                 f"matcher backend {self.address[0]}:{self.address[1]} "
                 f"unavailable: {error}"
-            ) from error
+            )
+            unavailable.guard_no_retry = True
+            raise unavailable from error
         except (BackendUnavailableError, MatcherTimeoutError,
                 BackendProtocolError):
             self._instruments.failures.inc()

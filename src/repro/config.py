@@ -71,10 +71,8 @@ class GuardConfig:
     #: Seed of the jitter stream (independent of every science RNG).
     seed: int = 0
     #: Engage the breaker/accounting even with no retries and no timeout.
-    #: The remote backend client sets this: a transport can fail on its
-    #: own (connection refused, peer gone), so the breaker must observe
-    #: failures even when the caller asked for zero retries — unlike the
-    #: in-process case, where an inactive guard is a pure pass-through.
+    #: The remote client's breaker sets this: a transport fails on its own
+    #: (connection refused, peer gone), even at zero retries.
     always_active: bool = False
 
     def __post_init__(self) -> None:

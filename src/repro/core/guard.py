@@ -5,9 +5,9 @@ and the matcher is a black box — increasingly a remote, slow, flaky one.
 A single hung or crashing call must not lose the run.  :class:`MatcherGuard`
 wraps matcher calls with three mechanisms:
 
-* **per-call timeout** — the call runs on a daemon thread and
-  :class:`~repro.exceptions.MatcherTimeoutError` is raised when it does not
-  return in time (the stuck thread is abandoned; it cannot block exit);
+* **per-call timeout** — the call runs on a daemon thread in the caller's
+  request scope and :class:`~repro.exceptions.MatcherTimeoutError` is
+  raised when it does not return in time (the stuck thread is abandoned);
 * **bounded retry** — up to ``max_retries`` re-invocations with exponential
   backoff and *deterministic* jitter (a dedicated seeded
   :class:`random.Random`, so retrying never touches the numpy streams the
@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 
 from repro.config import GuardConfig
-from repro.core.deadline import active_scope, checkpoint
+from repro.core.deadline import active_scope, checkpoint, request_scope
 from repro.exceptions import MatcherTimeoutError, MatcherUnavailableError
 from repro.obs.metrics import MetricsRegistry, StatsInstruments, stat
 from repro.obs.tracing import trace
@@ -83,7 +83,7 @@ class MatcherGuard:
     """Retry / timeout / circuit-breaker wrapper around matcher calls.
 
     Each :meth:`call` names the callable it guards (the engine passes its
-    backend's ``predict_proba_columnar``, the remote client its wire
+    matcher's ``predict_proba_columnar``, the remote client its wire
     round-trip); the policies, counters and breaker state are the
     guard's own.  *instruments* binds :class:`GuardStats` under the
     owner's labels (an engine's or a backend's); without it the guard
@@ -201,10 +201,14 @@ class MatcherGuard:
             return predict_fn(payload)
         box: dict[str, object] = {}
         done = threading.Event()
+        # The scope is thread-local: carry it, so an abandoned call still
+        # stops at the request's deadline or cancellation.
+        deadline, cancel = active_scope()
 
         def runner() -> None:
             try:
-                box["value"] = predict_fn(payload)
+                with request_scope(deadline, cancel):
+                    box["value"] = predict_fn(payload)
             except BaseException as error:  # noqa: BLE001 - relayed below
                 box["error"] = error
             finally:

@@ -180,12 +180,12 @@ class BackendError(ReproError):
 
 class BackendUnavailableError(BackendError):
     """The remote matcher backend cannot be reached: connection refused,
-    the connection died mid-call (and retries with reconnect were
-    exhausted), or the backend's circuit breaker is open.
+    the connection died mid-call, or the backend's circuit breaker is
+    open (then ``guard_no_retry`` is set: the engine does not retry it).
 
     Retryable: the reference server is supervised externally and the
-    client reconnects automatically, so by the time a client retries the
-    backend is typically back.
+    client reconnects on its next call, so by the time a client retries
+    the backend is typically back.
     """
 
     code = "backend_unavailable"

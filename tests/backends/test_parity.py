@@ -15,7 +15,6 @@ import pytest
 
 from repro.backends.client import RemoteBackend, RemoteBackendConfig
 from repro.backends.server import MatcherServer
-from repro.config import GuardConfig
 from repro.core.landmark import LandmarkExplainer
 from repro.core.serialize import dual_digest, dual_to_dict
 from repro.explainers.lime_text import LimeConfig
@@ -37,10 +36,7 @@ MATCHER_TYPES = {
     "embedding": EmbeddingMatcher,
 }
 
-CONFIG = RemoteBackendConfig(
-    connect_timeout=5.0, call_timeout=60.0,
-    guard=GuardConfig(max_retries=1, backoff=0.01, backoff_max=0.05),
-)
+CONFIG = RemoteBackendConfig(connect_timeout=5.0, call_timeout=60.0)
 
 
 def _explain(matcher, pair):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -29,10 +30,7 @@ from repro.exceptions import (
 from repro.obs.metrics import MetricsRegistry
 
 #: Client config tuned for tests: fast failure, no long waits.
-FAST_CONFIG = RemoteBackendConfig(
-    connect_timeout=2.0, call_timeout=10.0,
-    guard=GuardConfig(max_retries=1, backoff=0.01, backoff_max=0.05),
-)
+FAST_CONFIG = RemoteBackendConfig(connect_timeout=2.0, call_timeout=10.0)
 
 
 _NAMED = PairSchema(("name",))
@@ -121,18 +119,19 @@ class TestParseAddress:
 
 
 class TestConfig:
-    def test_default_guard_policy_and_refused_guard_timeout(self):
+    def test_client_guard_is_a_fixed_breaker(self):
         backend = RemoteBackend(("127.0.0.1", 1))
         try:
-            # The policy the client ran before the guard knobs nested.
+            # No retries and no timeout of its own (the engine's guard
+            # retries, call_timeout bounds the wait); the default breaker.
             assert backend._guard.config == GuardConfig(
-                max_retries=2, call_timeout=None, trip_after=5, cooldown=8,
+                max_retries=0, call_timeout=None, trip_after=5, cooldown=8,
                 backoff=0.05, backoff_max=2.0, seed=0, always_active=True,
             )
         finally:
             backend.close()
-        with pytest.raises(ConfigurationError, match="guard.call_timeout"):
-            RemoteBackendConfig(guard=GuardConfig(call_timeout=1.0))
+        fields = {field.name for field in dataclasses.fields(RemoteBackendConfig)}
+        assert fields == {"connect_timeout", "call_timeout", "max_in_flight"}
 
 
 class TestHandshake:

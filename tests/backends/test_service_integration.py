@@ -13,9 +13,9 @@ import pickle
 
 import pytest
 
-from repro.backends.client import RemoteBackend, RemoteBackendConfig
+from repro.backends.client import _BREAKER, RemoteBackend, RemoteBackendConfig
 from repro.backends.server import MatcherServer
-from repro.config import GuardConfig, ServiceConfig, ShardConfig
+from repro.config import ServiceConfig, ShardConfig
 from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import (
     ArtifactMismatchError,
@@ -36,10 +36,7 @@ FAST_SHARDS = dict(
     restart_backoff_max=1.0,
 )
 
-CONFIG = RemoteBackendConfig(
-    connect_timeout=5.0, call_timeout=60.0,
-    guard=GuardConfig(max_retries=1, backoff=0.01, backoff_max=0.05),
-)
+CONFIG = RemoteBackendConfig(connect_timeout=5.0, call_timeout=60.0)
 
 
 def _spec(**overrides) -> ShardSpec:
@@ -135,29 +132,28 @@ class TestServiceHealth:
         with MatcherServer(beer_matcher) as server:
             backend = RemoteBackend(
                 server.address,
-                config=RemoteBackendConfig(
-                    connect_timeout=2.0, call_timeout=5.0,
-                    guard=GuardConfig(
-                        backoff=0.01, backoff_max=0.02, trip_after=1, cooldown=2
-                    ),
-                ),
+                config=RemoteBackendConfig(connect_timeout=2.0, call_timeout=5.0),
             )
             with ExplanationService(backend) as service:
                 status, healthy = service.health()
                 assert status == 200
                 assert healthy["ok"] is True
                 assert healthy["backend"]["available"] is True
-                # Kill the server and trip the breaker with one request.
+                # Kill the server; with no engine retries each failed
+                # request is one failed call, so trip_after requests
+                # (distinct keys, nothing coalesces) trip the breaker.
                 server.close()
-                request = ExplainRequest(
-                    pair=match_pair, method="single", samples=SAMPLES
-                )
-                future = service.submit(request)
-                with pytest.raises(Exception) as info:
-                    future.result(timeout=60)
-                assert getattr(info.value, "code", "") in (
-                    "backend_unavailable", "explanation_error",
-                )
+                for extra in range(_BREAKER.trip_after):
+                    request = ExplainRequest(
+                        pair=match_pair, method="single",
+                        samples=SAMPLES + extra,
+                    )
+                    future = service.submit(request)
+                    with pytest.raises(Exception) as info:
+                        future.result(timeout=60)
+                    assert getattr(info.value, "code", "") in (
+                        "backend_unavailable", "explanation_error",
+                    )
                 status, sick = service.health()
                 assert status == 503
                 assert sick["degraded"] == "backend_unavailable"

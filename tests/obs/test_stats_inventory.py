@@ -135,7 +135,7 @@ CONTROL_INVENTORY = sorted(
         ("repro_backend_batch_width", "histogram", "Rows per wire request",
          [BACKEND]),
         ("repro_backend_failures_total", "counter",
-         "Round-trips that raised after all retries", [BACKEND]),
+         "Round-trips that raised", [BACKEND]),
         ("repro_backend_inflight", "gauge",
          "Wire requests currently awaiting a response", [BACKEND]),
         ("repro_backend_reconnects_total", "counter",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 import time
 
 import numpy as np
@@ -23,6 +24,13 @@ from repro.config import (
     METHOD_DOUBLE,
     METHOD_LIME,
     METHOD_SINGLE,
+)
+from repro.core.deadline import (
+    CancelToken,
+    Deadline,
+    active_scope,
+    checkpoint,
+    request_scope,
 )
 from repro.core.guard import GuardConfig, GuardStats, MatcherGuard
 from repro.evaluation.ledger import (
@@ -123,6 +131,40 @@ class TestMatcherGuard:
         assert time.perf_counter() - started < 2.0
         assert guard.stats.guard_timeouts == 1
         assert guard.stats.guard_failures == 1
+
+    def test_timed_call_runs_in_the_callers_request_scope(self):
+        seen = []
+
+        def fn(pairs):
+            seen.append(active_scope())
+            return np.zeros(len(pairs))
+
+        deadline, token = Deadline.after(30), CancelToken()
+        guard = MatcherGuard(GuardConfig(call_timeout=5.0))
+        with request_scope(deadline, token):
+            guard.call(fn, [0], 1)
+        assert seen == [(deadline, token)]
+
+    def test_abandoned_call_stops_at_its_request_cancellation(self):
+        stopped = threading.Event()
+
+        def fn(pairs):
+            try:
+                for _ in range(100):  # 5 s unless the scope stops it
+                    checkpoint("slow matcher")
+                    time.sleep(0.05)
+                return np.zeros(len(pairs))
+            finally:
+                stopped.set()
+
+        token = CancelToken()
+        guard = MatcherGuard(GuardConfig(call_timeout=0.05, trip_after=10))
+        with request_scope(Deadline.never(), token):
+            with pytest.raises(MatcherTimeoutError):
+                guard.call(fn, [0], 1)
+        token.cancel()
+        # The abandoned runner sees the cancellation, not just its loop.
+        assert stopped.wait(2.0)
 
     def test_circuit_trips_cools_down_and_recovers(self):
         calls = {"n": 0}

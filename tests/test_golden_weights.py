@@ -15,6 +15,13 @@ themselves: one digest per cell of a fixed grid.
   writes them for a landmark side.
 - 64 samples, seed 0.
 
+The remote half re-derives a slice of the grid through a
+:class:`~repro.backends.client.RemoteBackend` against an in-process
+:class:`~repro.backends.server.MatcherServer`: S-WA, the first record of
+each label, Single and Double LIME.  Those 4 cells must equal the file
+when explained through a :class:`LandmarkExplainer` and through an
+:class:`~repro.service.service.ExplanationService`.
+
 Regenerate the golden (only for a deliberate change of the weights, and
 say why in CHANGES.md) with::
 
@@ -29,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.backends.client import RemoteBackend
+from repro.backends.server import MatcherServer
 from repro.baselines.mojito import MojitoCopyExplainer, MojitoDropExplainer
 from repro.core.landmark import LandmarkExplainer
 from repro.core.serialize import _canonical_json, _explanation_to_dict, dual_digest
@@ -37,6 +46,8 @@ from repro.data.synthetic.magellan import load_dataset
 from repro.explainers.kernel_shap import KernelShapExplainer
 from repro.explainers.lime_text import LimeConfig
 from repro.matchers.logistic import LogisticRegressionMatcher
+from repro.service.request import ExplainRequest
+from repro.service.service import ExplanationService
 
 GOLDEN = Path(__file__).parent / "golden" / "weights.json"
 REGENERATE = "PYTHONPATH=src python tests/test_golden_weights.py"
@@ -45,6 +56,8 @@ DATASETS = ("S-BR", "S-WA", "S-IA")
 RECORDS_PER_LABEL = 2
 N_SAMPLES = 64
 SEED = 0
+GENERATIONS = ("single", "double")
+REMOTE_DATASET = "S-WA"
 
 
 def _explanation_digest(explanation) -> str:
@@ -83,7 +96,7 @@ def golden_cells() -> dict[str, str]:
         }
         for pair in _records(dataset):
             prefix = f"{code}/{pair.pair_id}"
-            for generation in ("single", "double"):
+            for generation in GENERATIONS:
                 for name, explainer in landmark.items():
                     dual = explainer.explain(pair, generation)
                     cells[f"{prefix}/{generation}-{name}"] = dual_digest(dual)
@@ -111,6 +124,37 @@ def test_weights_match_golden():
         + "\n".join(moved)
         + f"\nif the change is deliberate, regenerate with: {REGENERATE}"
     )
+
+
+def test_remote_weights_match_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["cells"]
+    dataset = load_dataset(REMOTE_DATASET, seed=SEED, size_cap=500)
+    matcher = LogisticRegressionMatcher().fit(dataset)
+    pairs = [next(pair for pair in dataset if pair.label == label)
+             for label in (MATCH, NON_MATCH)]
+    cells = [(pair, generation, f"{REMOTE_DATASET}/{pair.pair_id}/{generation}-lime")
+             for pair in pairs for generation in GENERATIONS]
+    expected = {cell: golden[cell] for _, _, cell in cells}
+    with MatcherServer(matcher) as server:
+        backend = RemoteBackend(server.address)
+        try:
+            explainer = LandmarkExplainer(
+                backend, lime_config=LimeConfig(n_samples=N_SAMPLES), seed=SEED
+            )
+            direct = {cell: dual_digest(explainer.explain(pair, generation))
+                      for pair, generation, cell in cells}
+        finally:
+            backend.close()
+        with ExplanationService(RemoteBackend(server.address)) as service:
+            served = {
+                pair.pair_id: service.explain(ExplainRequest(
+                    pair=pair, method="both", samples=N_SAMPLES, seed=SEED
+                ))["digests"]
+                for pair in pairs
+            }
+    assert direct == expected
+    assert {cell: served[pair.pair_id][generation]
+            for pair, generation, cell in cells} == expected
 
 
 if __name__ == "__main__":

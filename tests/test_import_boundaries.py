@@ -1,6 +1,6 @@
 """Import boundaries of ``src/repro``, checked by source walk and at run time.
 
-Five rules:
+Six rules:
 
 * Production modules never import the test doubles in ``repro.testing``.
   Fault injection lives outside the serving stack: a drill or test
@@ -29,8 +29,13 @@ Five rules:
   fork server preloads ``numpy.random``, so every forked shard inherits
   one global state; every stream in ``src`` is a seeded ``Generator``
   (``default_rng``, ``SeedSequence`` and the bit generators are fine).
+* A matcher call has one retry owner, the engine's guard.  Only
+  ``repro/core/engine.py`` and ``repro/backends/client.py`` (whose guard
+  is a fixed breaker) construct a ``MatcherGuard``, and no dataclass but
+  ``EngineConfig`` has a ``GuardConfig`` field, so no second retry
+  policy can be configured beside ``EngineConfig.guard``.
 
-All five walk every module under ``src/repro`` with :mod:`ast` and check
+All six walk every module under ``src/repro`` with :mod:`ast` and check
 that every import spelling is caught.  A runtime test then imports
 every module a pipe shard's fork server preloads in a fresh interpreter,
 builds a shard there and asserts a module budget: the package
@@ -70,6 +75,13 @@ METRICS_MODULE = "repro.obs.metrics"
 PAIR_REBUILDERS = {"with_left", "with_right", "with_side"}
 PAIR_REBUILD_MODULES = {"repro.core.columnar", "repro.data.records"}
 NUMPY_NAMES = {"np", "numpy"}
+#: ``(module, owner)`` pairs allowed a guard: the engine's and the
+#: client's ``MatcherGuard`` constructions, and ``EngineConfig.guard``.
+RETRY_OWNERS = {
+    ("repro.core.engine", "MatcherGuard"),
+    ("repro.backends.client", "MatcherGuard"),
+    ("repro.config", "EngineConfig.guard"),
+}
 #: The functions of ``numpy.random`` that act on its global
 #: ``RandomState``; the seeded API (``default_rng``, ``SeedSequence``,
 #: ``Generator``, the bit generators) is not among them.
@@ -463,6 +475,91 @@ def test_every_global_rng_spelling_is_caught(source):
 )
 def test_seeded_generators_are_not_flagged(source):
     assert not _global_rng_uses(source)
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute an expression spells, string
+    annotations included."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            try:
+                names |= _names(ast.parse(child.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _retry_owners(source: str) -> list[str]:
+    """``line:MatcherGuard`` of every guard construction and
+    ``line:Class.field`` of every dataclass field typed ``GuardConfig``."""
+    owners = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "MatcherGuard" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            owners.append(f"{node.lineno}:MatcherGuard")
+        elif isinstance(node, ast.ClassDef) and any(
+            "dataclass" in _names(decorator)
+            for decorator in node.decorator_list
+        ):
+            owners.extend(
+                f"{item.lineno}:{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and "GuardConfig" in _names(item.annotation)
+            )
+    return owners
+
+
+def test_one_retry_owner():
+    modules = sorted(PACKAGE_ROOT.rglob("*.py"))
+    assert len(modules) > 50, "the walk found too few modules"
+    found = {
+        (_module_name(path), owner.partition(":")[2])
+        for path in modules
+        for owner in _retry_owners(path.read_text(encoding="utf-8"))
+    }
+    assert found == RETRY_OWNERS
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "guard = MatcherGuard(config)",
+        "self._guard = guard_module.MatcherGuard(config=c, instruments=i)",
+        "@dataclass(frozen=True)\nclass C:\n    guard: GuardConfig = field()\n",
+        "@dataclasses.dataclass\nclass C:\n    retry: GuardConfig | None = None\n",
+        "@dataclass\nclass C:\n    retry: 'GuardConfig' = None\n",
+        "@dataclass\nclass C:\n    retry: Optional[config.GuardConfig] = None\n",
+    ],
+    ids=["call", "attribute-call", "frozen-field", "optional-field",
+         "string-annotation", "qualified-annotation"],
+)
+def test_every_retry_owner_spelling_is_caught(source):
+    assert _retry_owners(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "guard.call(fn, batch, 1)",
+        "state = MatcherGuard.state",
+        "@dataclass\nclass C:\n    guard_stats: GuardStats = None\n",
+        "class C:\n    guard: GuardConfig = None\n",
+        "def f(guard: GuardConfig):\n    return guard\n",
+        "config = GuardConfig(max_retries=2)",
+    ],
+    ids=["guard-call", "attribute-read", "other-field-type",
+         "plain-class", "parameter", "config-value"],
+)
+def test_neighbouring_guard_uses_are_not_flagged(source):
+    assert not _retry_owners(source)
 
 
 SHARD_EXCLUDED = (
