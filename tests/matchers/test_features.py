@@ -24,6 +24,7 @@ from repro.data.schema import PairSchema
 from repro.data.synthetic.magellan import load_dataset
 from repro.matchers import features as feature_module
 from repro.matchers.boosting import GradientBoostedStumpsMatcher
+from repro.matchers.embedding import EmbeddingMatcher
 from repro.matchers.features import (
     BASE_MEASURES,
     PairFeatureExtractor,
@@ -282,6 +283,27 @@ LOGISTIC_FINGERPRINTS = {
     "S-IA": "2fd99f6fd8d16d23d45beb9bd1b1c3b34ab7e875670bb32b5fe2ab753ad34603",
 }
 
+#: ``matcher_fingerprint`` and the sha256 of ``predict_proba(dataset.pairs)``
+#: for the other trainable matchers, each fitted on S-BR (seed 0, 400
+#: pairs).  Like the logistic pins they depend on BLAS.
+OTHER_MATCHER_PINS = {
+    "mlp": (
+        lambda: MLPMatcher(epochs=60),
+        "1dcf4e6583f691a9cef332c327ab57f39e043f043fbf9a3c7fc0e9d9944f9b27",
+        "b6f0046db2b799046b9024fa3ce1a661093aa6f0763604872d69922d13320070",
+    ),
+    "boosting": (
+        lambda: GradientBoostedStumpsMatcher(n_stumps=20),
+        "652eef4780e040fdcb912835bfbc0211228ff81eed78ff54c465e877ba03499c",
+        "29af596cbd273c7ea073c06d422cc9402eb0c0d05eaa8376e56cf2c24ac1d71d",
+    ),
+    "embedding": (
+        lambda: EmbeddingMatcher(epochs=30),
+        "14785e71cf085bdddec3e25d2c35c1e166cf5f22a1cd8e4dbccac651ebb3c20a",
+        "d8e67d44b2ddc785b6ae058d244c4029ad9f9c55ed73d7bd6d48cd284bbad26e",
+    ),
+}
+
 
 #: Child-process script: the S-WA training feature digest, then the
 #: dispatched SIMD extensions that are still switched on.
@@ -341,6 +363,15 @@ class TestTrainedModels:
     @pytest.mark.parametrize("code", ["S-BR", "S-IA"])
     def test_full_size_model_fingerprints_are_pinned(self, code):
         assert matcher_fingerprint(pinned_model(code)) == LOGISTIC_FINGERPRINTS[code]
+
+    @pytest.mark.parametrize("name", sorted(OTHER_MATCHER_PINS))
+    def test_other_matchers_are_pinned(self, name):
+        make_matcher, fingerprint, scores = OTHER_MATCHER_PINS[name]
+        dataset = load_dataset("S-BR", seed=0, size_cap=400)
+        matcher = make_matcher().fit(dataset)
+        assert matcher_fingerprint(matcher) == fingerprint
+        probabilities = matcher.predict_proba(dataset.pairs)
+        assert hashlib.sha256(probabilities.tobytes()).hexdigest() == scores
 
     def test_features_equal_on_baseline_simd_loops(self):
         # Features use no BLAS, only elementwise numpy loops, so their bits
