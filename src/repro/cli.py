@@ -764,9 +764,12 @@ def _build_service(args: argparse.Namespace):
     return service, store, dataset, defaults
 
 
-def _write_service_stats(service, store_dir: Path | None) -> None:
+def _write_service_artifacts(service, store_dir: Path | None) -> None:
+    """``service_stats.json`` and ``metrics.json`` of a closed service."""
     if store_dir is None:
         return
+    import json
+
     from repro.evaluation.persistence import save_service_stats
 
     # In fleet mode the store partitions live on the shard hosts, so
@@ -774,6 +777,14 @@ def _write_service_stats(service, store_dir: Path | None) -> None:
     Path(store_dir).mkdir(parents=True, exist_ok=True)
     path = Path(store_dir) / "service_stats.json"
     save_service_stats(service.stats_payload(), path)
+    print(f"wrote {path}", file=sys.stderr)
+    # service.metrics_json() is fleet-aware: sharded, it merges every
+    # shard's final families next to the router's own.
+    path = Path(store_dir) / "metrics.json"
+    path.write_text(
+        json.dumps(service.metrics_json(), indent=2, sort_keys=True),
+        encoding="utf-8",
+    )
     print(f"wrote {path}", file=sys.stderr)
 
 
@@ -835,24 +846,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         print(service.stats.summary(), file=sys.stderr)
-        _write_service_stats(service, args.store_dir)
-        metrics_path = (
-            Path(args.store_dir) / "metrics.json"
-            if args.store_dir is not None else None
-        )
-        _obs_finish(args, service.metrics, None)
-        if metrics_path is not None:
-            # service.metrics_json() is fleet-aware: sharded, it merges
-            # every shard's final families next to the router's own.
-            import json as _json
-
-            metrics_path.write_text(
-                _json.dumps(
-                    service.metrics_json(), indent=2, sort_keys=True
-                ),
-                encoding="utf-8",
-            )
-            print(f"wrote {metrics_path}", file=sys.stderr)
+        _write_service_artifacts(service, args.store_dir)
+        _obs_finish(args, service.metrics)
         if store is not None:
             store.close()
     return 0
@@ -949,12 +944,8 @@ def _cmd_precompute(args: argparse.Namespace) -> int:
         service.close()
     print(report.summary())
     print(service.stats.summary())
-    _write_service_stats(service, args.store_dir)
-    metrics_path = (
-        Path(args.store_dir) / "metrics.json"
-        if args.store_dir is not None else None
-    )
-    _obs_finish(args, service.metrics, metrics_path)
+    _write_service_artifacts(service, args.store_dir)
+    _obs_finish(args, service.metrics)
     if store is not None:
         store.close()
     return 0 if report.n_failed == 0 else 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import sys
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -46,7 +47,8 @@ FORMAT_VERSION = 1
 MATCHER_FORMAT_VERSION = 1
 
 
-def _pair_to_dict(pair: RecordPair) -> dict:
+def pair_to_dict(pair: RecordPair) -> dict:
+    """*pair* as the JSON object explanations and request keys embed."""
     return {
         "attributes": list(pair.schema.attributes),
         "left": dict(pair.left),
@@ -136,7 +138,7 @@ def dual_to_dict(dual: DualExplanation) -> dict:
     """A JSON-serializable view of a dual explanation."""
     return {
         "format_version": FORMAT_VERSION,
-        "pair": _pair_to_dict(dual.pair),
+        "pair": pair_to_dict(dual.pair),
         "left_landmark": _side_to_dict(dual.left_landmark),
         "right_landmark": _side_to_dict(dual.right_landmark),
     }
@@ -189,7 +191,7 @@ def pair_digest(pair: RecordPair) -> str:
     seeds the per-pair perturbation streams, so two pairs with equal values
     but different ids can legitimately explain differently).
     """
-    blob = _canonical_json(_pair_to_dict(pair)).encode("utf-8")
+    blob = _canonical_json(pair_to_dict(pair)).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -259,14 +261,30 @@ def _canonical_state(value, depth: int = 0):
     return repr(value)
 
 
+def remote_backend(matcher):
+    """*matcher* if it is a :class:`~repro.backends.client.RemoteBackend`.
+
+    Looked up in :data:`sys.modules`: an instance implies its module is
+    loaded, so an in-process caller never imports the socket client.
+    """
+    client = sys.modules.get("repro.backends.client")
+    if client is not None and isinstance(matcher, client.RemoteBackend):
+        return matcher
+    return None
+
+
 def matcher_fingerprint(matcher: EntityMatcher) -> str:
     """A stable hex digest of a matcher's class and learned state.
 
     Two matcher objects with the same class and equal trained parameters
     fingerprint identically across processes; retraining on different data
     (or changing a hyper-parameter) changes the fingerprint.  The serving
-    layer keys cached explanations on this digest.
+    layer keys cached explanations on this digest.  A remote backend
+    holds no weights: it is identified by the fingerprint its server
+    advertised at handshake, so its keys equal a local deployment's.
     """
+    if remote_backend(matcher) is not None:
+        return matcher.capabilities().fingerprint
     cls = type(matcher)
     state = (f"{cls.__module__}.{cls.__qualname__}", _canonical_state(matcher))
     blob = pickle.dumps(state, protocol=4)
@@ -278,8 +296,14 @@ def save_matcher(matcher: EntityMatcher, path: str | Path) -> str:
 
     The artifact embeds the fingerprint, which :func:`load_matcher`
     re-derives and verifies — a corrupted or tampered artifact fails to
-    load instead of silently serving wrong probabilities.
+    load instead of silently serving wrong probabilities.  A remote
+    backend is refused: its weights live in the server's process.
     """
+    if remote_backend(matcher) is not None:
+        raise ArtifactError(
+            "a remote backend holds no weights to save; save the matcher "
+            "in the process that serves it"
+        )
     fingerprint = matcher_fingerprint(matcher)
     envelope = {
         "format_version": MATCHER_FORMAT_VERSION,

@@ -7,6 +7,9 @@ Magellan recipe).  This package provides:
 * :class:`~repro.matchers.features.PairFeatureExtractor` — per-attribute
   similarity features with a feature → attribute group map (Table 3 needs
   the model's attribute-level weights);
+* :class:`~repro.matchers.base.FeatureMatcher` — the skeleton of the
+  models over those features: the label checks, the extractor, the
+  fitted check and the pair-list ``predict_proba``;
 * :class:`~repro.matchers.logistic.LogisticRegressionMatcher` — from-scratch
   L2-regularized logistic regression fit by IRLS;
 * :class:`~repro.matchers.neural.MLPMatcher` — a small numpy MLP standing in
@@ -29,6 +32,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "EmbeddingMatcher": ".embedding",
     "EntityMatcher": ".base",
+    "FeatureMatcher": ".base",
     "GradientBoostedStumpsMatcher": ".boosting",
     "LogisticRegressionMatcher": ".logistic",
     "MLPMatcher": ".neural",

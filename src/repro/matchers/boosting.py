@@ -18,17 +18,13 @@ The implementation is classic gradient boosting with the logistic loss:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.columnar import ColumnarPairBatch, pairs_batch
-from repro.data.records import EMDataset, RecordPair
-from repro.exceptions import DatasetError, ModelNotFittedError
-from repro.matchers.base import EntityMatcher
+from repro.core.columnar import ColumnarPairBatch
+from repro.matchers.base import FeatureMatcher, class_weights, sigmoid
 from repro.matchers.features import PairFeatureExtractor
-from repro.matchers.logistic import _sigmoid
 
 #: Newton leaf values are clipped to this magnitude for stability.
 _MAX_LEAF = 4.0
@@ -48,7 +44,7 @@ class Stump:
         return np.where(goes_left, self.left_value, self.right_value)
 
 
-class GradientBoostedStumpsMatcher(EntityMatcher):
+class GradientBoostedStumpsMatcher(FeatureMatcher):
     """Boosted-stump classifier on per-attribute similarity features."""
 
     def __init__(
@@ -127,22 +123,8 @@ class GradientBoostedStumpsMatcher(EntityMatcher):
             return Stump(feature=0, threshold=0.0, left_value=0.0, right_value=0.0)
         return Stump(*best)
 
-    def fit(self, dataset: EMDataset) -> "GradientBoostedStumpsMatcher":
-        if len(dataset) < 2:
-            raise DatasetError("need at least 2 pairs to fit")
-        labels = dataset.labels.astype(np.float64)
-        if labels.min() == labels.max():
-            raise DatasetError("training data contains a single class")
-        self.extractor = PairFeatureExtractor(dataset.schema)
-        features = self.extractor.transform(dataset.pairs)
-
-        sample_weights = np.ones(len(labels))
-        if self.balanced:
-            n_match = labels.sum()
-            n_non_match = len(labels) - n_match
-            sample_weights[labels == 1] = len(labels) / (2.0 * n_match)
-            sample_weights[labels == 0] = len(labels) / (2.0 * n_non_match)
-
+    def _train(self, features: np.ndarray, labels: np.ndarray) -> None:
+        sample_weights = class_weights(labels, self.balanced)
         positive = float((sample_weights * labels).sum())
         negative = float((sample_weights * (1.0 - labels)).sum())
         self.prior_ = float(np.log(max(positive, 1e-12) / max(negative, 1e-12)))
@@ -151,45 +133,28 @@ class GradientBoostedStumpsMatcher(EntityMatcher):
         scores = np.full(len(labels), self.prior_)
         self.stumps_ = []
         for _ in range(self.n_stumps):
-            probabilities = _sigmoid(scores)
+            probabilities = sigmoid(scores)
             gradient = sample_weights * (labels - probabilities)
             curvature = sample_weights * probabilities * (1.0 - probabilities)
             stump = self._fit_stump(features, gradient, curvature, thresholds)
             self.stumps_.append(stump)
             scores = scores + self.learning_rate * stump.predict(features)
-        return self
 
     # ------------------------------------------------------------------
 
-    def _require_fitted(self) -> PairFeatureExtractor:
-        if self.extractor is None or not self.stumps_:
-            raise ModelNotFittedError(
-                "GradientBoostedStumpsMatcher used before fit()"
-            )
-        return self.extractor
-
-    def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        if not pairs:
-            self._require_fitted()
-            return np.empty(0, dtype=np.float64)
-        return self.predict_proba_columnar(pairs_batch(list(pairs)))
-
     def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
-        extractor = self._require_fitted()
-        if batch.n_rows == 0:
-            return np.empty(0, dtype=np.float64)
-        features = extractor.transform_columnar(batch)
+        features = self._require_fitted().transform_columnar(batch)
         # Stump predictions are np.where lookups — row-independent, so
         # scores are bit-identical whatever batch shape carries a row.
         scores = np.full(features.shape[0], self.prior_)
         for stump in self.stumps_:
             scores += self.learning_rate * stump.predict(features)
-        return _sigmoid(scores)
+        return sigmoid(scores)
 
     def feature_usage(self) -> dict[str, int]:
         """How often each feature was chosen by a stump (a crude global
         importance, handy for sanity-checking against Table 3)."""
-        names = self._require_fitted().feature_names
+        names = self.feature_names
         usage: dict[str, int] = {}
         for stump in self.stumps_:
             name = names[stump.feature]

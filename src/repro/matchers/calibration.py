@@ -22,9 +22,8 @@ import numpy as np
 
 from repro.data.records import EMDataset, RecordPair
 from repro.exceptions import ConfigurationError, ModelNotFittedError
-from repro.matchers.base import EntityMatcher
+from repro.matchers.base import EntityMatcher, sigmoid
 from repro.matchers.evaluate import quality_from_predictions
-from repro.matchers.logistic import _sigmoid
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class PlattCalibrator(EntityMatcher):
         a, b = 1.0, 0.0
         for _ in range(self.max_iter):
             logits = a * scores + b
-            probabilities = _sigmoid(logits)
+            probabilities = sigmoid(logits)
             gradient_a = float(np.sum((probabilities - targets) * scores))
             gradient_b = float(np.sum(probabilities - targets))
             curvature = probabilities * (1.0 - probabilities)
@@ -138,4 +137,4 @@ class PlattCalibrator(EntityMatcher):
         if self.a_ is None:
             raise ModelNotFittedError("PlattCalibrator used before fit()")
         scores = self._logit(self.base.predict_proba(pairs))
-        return _sigmoid(self.a_ * scores + self.b_)
+        return sigmoid(self.a_ * scores + self.b_)

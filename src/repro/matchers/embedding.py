@@ -31,9 +31,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.data.records import EMDataset, RecordPair
-from repro.exceptions import DatasetError, ModelNotFittedError
-from repro.matchers.base import EntityMatcher, batch_matmul
-from repro.matchers.logistic import _sigmoid
+from repro.exceptions import ModelNotFittedError
+from repro.matchers.base import (
+    EntityMatcher,
+    batch_matmul,
+    class_weights,
+    sigmoid,
+    training_labels,
+)
 from repro.text.normalize import tokens_of
 
 if TYPE_CHECKING:
@@ -144,11 +149,7 @@ class EmbeddingMatcher(EntityMatcher):
     # ------------------------------------------------------------------
 
     def fit(self, dataset: EMDataset) -> "EmbeddingMatcher":
-        if len(dataset) < 2:
-            raise DatasetError("need at least 2 pairs to fit")
-        labels = dataset.labels.astype(np.float64)
-        if labels.min() == labels.max():
-            raise DatasetError("training data contains a single class")
+        labels = training_labels(dataset)
         self.attributes_ = dataset.schema.attributes
         self.vocabulary_ = self._build_vocabulary(dataset)
         rng = np.random.default_rng(self.seed)
@@ -165,12 +166,7 @@ class EmbeddingMatcher(EntityMatcher):
         self._w_out = rng.uniform(-limit, limit, size=self.hidden_size)
         self._b_out = 0.0
 
-        sample_weights = np.ones(len(labels))
-        if self.balanced:
-            n_match = labels.sum()
-            n_non_match = len(labels) - n_match
-            sample_weights[labels == 1] = len(labels) / (2.0 * n_match)
-            sample_weights[labels == 0] = len(labels) / (2.0 * n_non_match)
+        sample_weights = class_weights(labels, self.balanced)
         sample_weights = sample_weights / sample_weights.sum()
 
         pooling = self._averaging_matrix(dataset.pairs)
@@ -191,7 +187,7 @@ class EmbeddingMatcher(EntityMatcher):
             features, left, right = self._pair_features(pooling, n_pairs)
             hidden = np.tanh(features @ self._w_hidden + self._b_hidden)
             logits = hidden @ self._w_out + self._b_out
-            probabilities = _sigmoid(logits)
+            probabilities = sigmoid(logits)
             clipped = np.clip(probabilities, 1e-12, 1 - 1e-12)
             loss = -np.sum(
                 sample_weights
@@ -255,7 +251,7 @@ class EmbeddingMatcher(EntityMatcher):
         hidden = np.tanh(batch_matmul(features, self._w_hidden) + self._b_hidden)
         # Row-wise output reduction: batch-shape-independent scoring (the
         # prediction engine's equivalence bar).
-        return _sigmoid((hidden * self._w_out).sum(axis=1) + self._b_out)
+        return sigmoid((hidden * self._w_out).sum(axis=1) + self._b_out)
 
     @property
     def vocabulary_size(self) -> int:

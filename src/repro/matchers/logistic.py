@@ -13,28 +13,14 @@ evaluation needs — comparable magnitudes across features, so per-attribute
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.core.columnar import ColumnarPairBatch, pairs_batch
-from repro.data.records import EMDataset, RecordPair
-from repro.exceptions import DatasetError, ModelNotFittedError
-from repro.matchers.base import EntityMatcher
+from repro.core.columnar import ColumnarPairBatch
+from repro.matchers.base import FeatureMatcher, class_weights, sigmoid
 from repro.matchers.features import PairFeatureExtractor
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
-
-
-class LogisticRegressionMatcher(EntityMatcher):
+class LogisticRegressionMatcher(FeatureMatcher):
     """Logistic regression over per-attribute similarity features."""
 
     def __init__(
@@ -61,33 +47,10 @@ class LogisticRegressionMatcher(EntityMatcher):
     # Training
     # ------------------------------------------------------------------
 
-    def fit(self, dataset: EMDataset) -> "LogisticRegressionMatcher":
-        if len(dataset) < 2:
-            raise DatasetError("need at least 2 pairs to fit")
-        labels = dataset.labels
-        if labels.min() == labels.max():
-            raise DatasetError("training data contains a single class")
-        self.extractor = PairFeatureExtractor(dataset.schema)
-        features = self.extractor.transform(dataset.pairs)
-        self._mean = features.mean(axis=0)
-        scale = features.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        self._scale = scale
-        standardized = (features - self._mean) / self._scale
-
-        sample_weights = np.ones(len(labels), dtype=np.float64)
-        if self.balanced:
-            # Inverse-frequency weights: the match class is rare in every
-            # benchmark dataset and would otherwise be drowned out.
-            n_match = labels.sum()
-            n_non_match = len(labels) - n_match
-            sample_weights[labels == 1] = len(labels) / (2.0 * n_match)
-            sample_weights[labels == 0] = len(labels) / (2.0 * n_non_match)
-
+    def _train(self, features: np.ndarray, labels: np.ndarray) -> None:
         self.coef_, self.intercept_, self.n_iter_ = self._irls(
-            standardized, labels.astype(np.float64), sample_weights
+            self._standardize(features), labels, class_weights(labels, self.balanced)
         )
-        return self
 
     def _irls(
         self,
@@ -104,7 +67,7 @@ class LogisticRegressionMatcher(EntityMatcher):
         iteration = 0
         for iteration in range(1, self.max_iter + 1):
             logits = design @ weights
-            probabilities = _sigmoid(logits)
+            probabilities = sigmoid(logits)
             gradient = design.T @ (sample_weights * (target - probabilities))
             gradient -= ridge @ weights
             curvature = sample_weights * probabilities * (1.0 - probabilities)
@@ -125,36 +88,17 @@ class LogisticRegressionMatcher(EntityMatcher):
     # Inference
     # ------------------------------------------------------------------
 
-    def _require_fitted(self) -> PairFeatureExtractor:
-        if self.extractor is None or self.coef_ is None:
-            raise ModelNotFittedError("LogisticRegressionMatcher used before fit()")
-        return self.extractor
-
-    def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        if not pairs:
-            self._require_fitted()
-            return np.empty(0, dtype=np.float64)
-        return self.predict_proba_columnar(pairs_batch(list(pairs)))
-
     def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
-        extractor = self._require_fitted()
-        if batch.n_rows == 0:
-            return np.empty(0, dtype=np.float64)
-        features = extractor.transform_columnar(batch)
-        standardized = (features - self._mean) / self._scale
+        standardized = self._standardized_features(batch)
         # Row-wise reduction rather than a BLAS matvec: dgemv may pick a
         # different summation order per batch shape, and the prediction
         # engine's bit-for-bit equivalence guarantee needs every row to
         # score identically whatever batch it rides in.
-        return _sigmoid((standardized * self.coef_).sum(axis=1) + self.intercept_)
+        return sigmoid((standardized * self.coef_).sum(axis=1) + self.intercept_)
 
     # ------------------------------------------------------------------
     # Introspection (Table 3 needs this)
     # ------------------------------------------------------------------
-
-    @property
-    def feature_names(self) -> list[str]:
-        return self._require_fitted().feature_names
 
     def attribute_weights(self) -> dict[str, float]:
         """Attribute importance: Σ|coef| over each attribute's feature group.

@@ -12,19 +12,14 @@ From the explainer's point of view it is just another black box with a
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.core.columnar import ColumnarPairBatch, pairs_batch
-from repro.data.records import EMDataset, RecordPair
-from repro.exceptions import DatasetError, ModelNotFittedError
-from repro.matchers.base import EntityMatcher, batch_matmul
+from repro.core.columnar import ColumnarPairBatch
+from repro.matchers.base import FeatureMatcher, batch_matmul, class_weights, sigmoid
 from repro.matchers.features import PairFeatureExtractor
-from repro.matchers.logistic import _sigmoid
 
 
-class MLPMatcher(EntityMatcher):
+class MLPMatcher(FeatureMatcher):
     """Feed-forward network: features → hidden tanh layers → sigmoid."""
 
     def __init__(
@@ -66,29 +61,12 @@ class MLPMatcher(EntityMatcher):
         # Row-wise output reduction keeps each row's score independent of
         # the batch shape (see the prediction engine's equivalence bar).
         logits = (hidden * self._weights[-1][:, 0]).sum(axis=1)
-        probabilities = _sigmoid(logits + self._biases[-1][0])
+        probabilities = sigmoid(logits + self._biases[-1][0])
         return probabilities, activations
 
-    def fit(self, dataset: EMDataset) -> "MLPMatcher":
-        if len(dataset) < 2:
-            raise DatasetError("need at least 2 pairs to fit")
-        labels = dataset.labels.astype(np.float64)
-        if labels.min() == labels.max():
-            raise DatasetError("training data contains a single class")
-        self.extractor = PairFeatureExtractor(dataset.schema)
-        features = self.extractor.transform(dataset.pairs)
-        self._mean = features.mean(axis=0)
-        scale = features.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        self._scale = scale
-        standardized = (features - self._mean) / self._scale
-
-        sample_weights = np.ones(len(labels))
-        if self.balanced:
-            n_match = labels.sum()
-            n_non_match = len(labels) - n_match
-            sample_weights[labels == 1] = len(labels) / (2.0 * n_match)
-            sample_weights[labels == 0] = len(labels) / (2.0 * n_non_match)
+    def _train(self, features: np.ndarray, labels: np.ndarray) -> None:
+        standardized = self._standardize(features)
+        sample_weights = class_weights(labels, self.balanced)
         sample_weights = sample_weights / sample_weights.sum()
 
         rng = np.random.default_rng(self.seed)
@@ -143,24 +121,7 @@ class MLPMatcher(EntityMatcher):
                 self._biases[layer_index] -= self.learning_rate * (
                     m_b[layer_index] / correction1
                 ) / (np.sqrt(v_b[layer_index] / correction2) + eps)
-        return self
-
-    def _require_fitted(self) -> PairFeatureExtractor:
-        if self.extractor is None or not self._weights:
-            raise ModelNotFittedError("MLPMatcher used before fit()")
-        return self.extractor
-
-    def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        if not pairs:
-            self._require_fitted()
-            return np.empty(0, dtype=np.float64)
-        return self.predict_proba_columnar(pairs_batch(list(pairs)))
 
     def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
-        extractor = self._require_fitted()
-        if batch.n_rows == 0:
-            return np.empty(0, dtype=np.float64)
-        features = extractor.transform_columnar(batch)
-        standardized = (features - self._mean) / self._scale
-        probabilities, _ = self._forward(standardized)
+        probabilities, _ = self._forward(self._standardized_features(batch))
         return probabilities

@@ -9,7 +9,7 @@ acknowledged with an ``adopted`` frame before the service build so the
 supervisor can bound the handshake round-trip — after which the exact
 pipe control protocol (request / cancel / drain / metrics / stats /
 heartbeat / response) flows as ``RSF1`` frames through the shared
-:class:`~repro.service.shard._ShardWorker` loop.
+:class:`~repro.service.shard.ShardWorker` loop.
 
 Lifecycle rules, chosen for partition tolerance:
 
@@ -46,7 +46,7 @@ import socket
 import threading
 
 from repro.exceptions import error_code
-from repro.service.shard import ShardSpec, _ShardWorker, build_shard_service
+from repro.service.shard import ShardSpec, ShardWorker, build_shard_service
 from repro.service.transport import (
     SHARD_PROTOCOL_VERSION,
     FrameConnection,
@@ -199,7 +199,7 @@ class ShardServer:
             self.address, spec.shard_id, peer,
             "warm" if self.warm_reuses > warm_before else "cold",
         )
-        worker = _ShardWorker(spec, conn, service, on_disconnect="keep")
+        worker = ShardWorker(spec, conn, service, on_disconnect="keep")
         reason = worker.run()
         conn.close()
         with self._lock:

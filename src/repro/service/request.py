@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from repro.core.serialize import _pair_to_dict
+from repro.core.serialize import pair_to_dict
 from repro.data.records import RecordPair
 from repro.data.schema import PairSchema
 from repro.exceptions import ConfigurationError, ServiceError
@@ -87,7 +87,7 @@ def request_key(matcher_fingerprint: str, request: ExplainRequest) -> str:
     """
     payload = {
         "matcher": matcher_fingerprint,
-        "pair": _pair_to_dict(request.pair),
+        "pair": pair_to_dict(request.pair),
         "method": request.method,
         "samples": request.samples,
         "explainer": request.explainer,

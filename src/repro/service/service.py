@@ -50,7 +50,6 @@ from __future__ import annotations
 import itertools
 import math
 import queue
-import sys
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
@@ -61,7 +60,12 @@ from repro.config import ServiceConfig
 from repro.core.deadline import CancelToken, Deadline, request_scope
 from repro.core.engine import EngineConfig, PredictionEngine
 from repro.core.landmark import LandmarkExplainer
-from repro.core.serialize import dual_digest, dual_to_dict, matcher_fingerprint
+from repro.core.serialize import (
+    dual_digest,
+    dual_to_dict,
+    matcher_fingerprint,
+    remote_backend,
+)
 from repro.exceptions import (
     DeadlineExceededError,
     RequestCancelledError,
@@ -353,18 +357,6 @@ def _settle(
         pass
 
 
-def _remote_backend(matcher):
-    """*matcher* if it is a :class:`~repro.backends.client.RemoteBackend`.
-
-    Looked up in :data:`sys.modules`: an instance implies its module is
-    loaded, so an in-process service never imports the socket client.
-    """
-    client = sys.modules.get("repro.backends.client")
-    if client is not None and isinstance(matcher, client.RemoteBackend):
-        return matcher
-    return None
-
-
 class ExplanationService:
     """Worker-pool front-end serving landmark explanations.
 
@@ -403,13 +395,8 @@ class ExplanationService:
         self.engine = PredictionEngine(
             matcher, engine_config, metrics=self.metrics
         )
-        # In-process the fingerprint is computed from the live object; a
-        # remote backend pins the one its server advertised at handshake.
-        self._remote = _remote_backend(matcher)
-        if self._remote is None:
-            self.fingerprint = matcher_fingerprint(matcher)
-        else:
-            self.fingerprint = self._remote.capabilities().fingerprint
+        self._remote = remote_backend(matcher)
+        self.fingerprint = matcher_fingerprint(matcher)
         self._instruments = StatsInstruments(
             self.metrics, ServiceStats, "service"
         )

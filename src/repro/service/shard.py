@@ -33,7 +33,7 @@ child  →   drained     drain summary + final stats; the process exits next
 The same message protocol runs unchanged over a framed TCP connection
 when the shard is a standing ``serve-shard`` process on another host
 (:mod:`repro.service.fleet` / :mod:`repro.service.transport`); only the
-disconnect policy differs — see :class:`_ShardWorker`.
+disconnect policy differs — see :class:`ShardWorker`.
 
 Crash semantics: a *pipe* shard never tries to outlive a broken pipe —
 when the parent disappears (EOF on the control pipe) the shard drains
@@ -158,7 +158,7 @@ def shard_main(spec: ShardSpec, conn) -> None:
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     service, store = build_shard_service(spec)
-    worker = _ShardWorker(spec, conn, service)
+    worker = ShardWorker(spec, conn, service)
     try:
         worker.run()
     finally:
@@ -214,7 +214,7 @@ def _build_matcher_source(spec: ShardSpec, registry: MetricsRegistry):
     return matcher
 
 
-class _ShardWorker:
+class ShardWorker:
     """The shard-side control loop around one inner service.
 
     Transport-agnostic: ``conn`` is either the child end of a duplex

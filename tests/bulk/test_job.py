@@ -10,7 +10,10 @@ import json
 
 import pytest
 
+from repro.backends.client import RemoteBackend
+from repro.backends.server import MatcherServer
 from repro.bulk import BULK_JOURNAL, BulkJob, BulkJobSpec, DatasetSource
+from repro.core.serialize import matcher_fingerprint
 from repro.core.summarize import summarize_explanations
 from repro.evaluation.ledger import KIND_SKIPPED
 from repro.evaluation.persistence import read_journal
@@ -61,6 +64,26 @@ class TestBulkJobRun:
         expected = reference_summary(job)
         assert report.summary.to_payload() == expected.to_payload()
         assert "bulk job: 4 pairs in 2 chunks" in report.render(5)
+
+    def test_a_remote_backend_mints_the_local_models_keys(
+        self, beer_dataset, beer_matcher, tmp_path
+    ):
+        # The client is identified by the fingerprint its server
+        # advertised, so a job over it hits what a local job stored.
+        local = make_job(beer_dataset, beer_matcher, tmp_path, "shared")
+        local.run()
+        local.store.close()
+        with MatcherServer(beer_matcher) as server:
+            backend = RemoteBackend(server.address)
+            try:
+                remote = make_job(beer_dataset, backend, tmp_path, "shared")
+                report = remote.run()
+                remote.store.close()
+            finally:
+                backend.close()
+        assert remote.fingerprint == matcher_fingerprint(beer_matcher)
+        assert report.n_dedup_hits == 4
+        assert report.n_computed == 0
 
     def test_runs_without_a_store(self, beer_dataset, beer_matcher, tmp_path):
         source = DatasetSource(beer_dataset, per_label=2, seed=0)

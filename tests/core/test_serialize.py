@@ -124,6 +124,16 @@ class TestMatcherArtifacts:
         assert path.exists()
         assert len(fingerprint) == 64
 
+    def test_a_remote_backend_is_not_saved(self, tmp_path):
+        from repro.backends.client import RemoteBackend
+        from repro.core.serialize import save_matcher
+        from repro.exceptions import ArtifactError
+
+        backend = RemoteBackend(("127.0.0.1", 9))
+        with pytest.raises(ArtifactError, match="remote backend"):
+            save_matcher(backend, tmp_path / "matcher.pkl")
+        assert not (tmp_path / "matcher.pkl").exists()
+
     def test_missing_artifact(self, tmp_path):
         from repro.core.serialize import load_matcher
         from repro.exceptions import ArtifactError

@@ -6,23 +6,24 @@ import pytest
 from repro.data.records import EMDataset, MATCH, NON_MATCH, RecordPair
 from repro.data.schema import PairSchema
 from repro.exceptions import DatasetError, ModelNotFittedError
+from repro.matchers.base import sigmoid
 from repro.matchers.evaluate import evaluate_matcher
-from repro.matchers.logistic import LogisticRegressionMatcher, _sigmoid
+from repro.matchers.logistic import LogisticRegressionMatcher
 
 
 class TestSigmoid:
     def test_midpoint(self):
-        assert _sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
+        assert sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
 
     def test_extremes_are_stable(self):
-        values = _sigmoid(np.array([-1000.0, 1000.0]))
+        values = sigmoid(np.array([-1000.0, 1000.0]))
         assert values[0] == pytest.approx(0.0)
         assert values[1] == pytest.approx(1.0)
         assert np.all(np.isfinite(values))
 
     def test_monotonic(self):
         grid = np.linspace(-5, 5, 50)
-        values = _sigmoid(grid)
+        values = sigmoid(grid)
         assert np.all(np.diff(values) > 0)
 
 

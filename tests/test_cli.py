@@ -364,6 +364,27 @@ class TestPrecomputeCommand:
         assert payload["service"]["computed"] == 2
         assert payload["store"]["puts"] == 2
 
+    def test_sharded_run_writes_fleet_wide_metrics(self, tmp_path):
+        import json
+
+        store_dir = tmp_path / "store"
+        code = main(
+            [
+                "precompute", "--dataset", "S-BR", "--size-cap", "60",
+                "--per-label", "2", "--shards", "2",
+                "--store-dir", str(store_dir),
+            ]
+        )
+        assert code == 0
+        document = json.loads((store_dir / "metrics.json").read_text())
+        shards = {
+            sample["labels"].get("shard")
+            for family in document["metrics"]
+            if family["name"].startswith("repro_engine_")
+            for sample in family["samples"]
+        }
+        assert shards == {"0", "1"}
+
 
 class TestBulkCommand:
     def test_bulk_run_report_and_warm_dedup(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Import boundaries of ``src/repro``, checked by source walk and at run time.
 
-Six rules:
+Seven rules:
 
 * Production modules never import the test doubles in ``repro.testing``.
   Fault injection lives outside the serving stack: a drill or test
@@ -34,8 +34,12 @@ Six rules:
   is a fixed breaker) construct a ``MatcherGuard``, and no dataclass but
   ``EngineConfig`` has a ``GuardConfig`` field, so no second retry
   policy can be configured beside ``EngineConfig.guard``.
+* No module imports an underscore name from another ``repro`` module.
+  A name another module needs is public, so the module that owns it
+  states the decision it makes once (the trainable matchers share
+  ``repro.matchers.base.sigmoid``, not a private helper of one of them).
 
-All six walk every module under ``src/repro`` with :mod:`ast` and check
+All seven walk every module under ``src/repro`` with :mod:`ast` and check
 that every import spelling is caught.  A runtime test then imports
 every module a pipe shard's fork server preloads in a fresh interpreter,
 builds a shard there and asserts a module budget: the package
@@ -132,6 +136,15 @@ def _import_time_nodes(tree: ast.Module):
             stack.append(child)
 
 
+def _from_target(node: ast.ImportFrom, package: str) -> str:
+    """The absolute module a ``from ... import`` statement reads from."""
+    if not node.level:
+        return node.module
+    parts = package.split(".")
+    base = ".".join(parts[: len(parts) - node.level + 1])
+    return f"{base}.{node.module}" if node.module else base
+
+
 def _imported_modules(
     source: str, module: str, is_package: bool, *, import_time_only: bool = False
 ) -> set[str]:
@@ -147,12 +160,7 @@ def _imported_modules(
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                parts = package.split(".")
-                base = ".".join(parts[: len(parts) - node.level + 1])
-                target = f"{base}.{node.module}" if node.module else base
-            else:
-                target = node.module
+            target = _from_target(node, package)
             found.add(target)
             # ``from repro import testing`` names the package as a member.
             found.update(f"{target}.{alias.name}" for alias in node.names)
@@ -560,6 +568,75 @@ def test_every_retry_owner_spelling_is_caught(source):
 )
 def test_neighbouring_guard_uses_are_not_flagged(source):
     assert not _retry_owners(source)
+
+
+def _private_imports(source: str, module: str, is_package: bool) -> list[str]:
+    """``line:module.name`` of every underscore name *source* imports from
+    another ``repro`` module (dunder names are not private)."""
+    package = module if is_package else module.rpartition(".")[0]
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        target = _from_target(node, package)
+        if target == module or not (
+            target == "repro" or target.startswith("repro.")
+        ):
+            continue
+        found.extend(
+            f"{node.lineno}:{target}.{alias.name}"
+            for alias in node.names
+            if alias.name.startswith("_")
+            and not (alias.name.startswith("__") and alias.name.endswith("__"))
+        )
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    modules = sorted(PACKAGE_ROOT.rglob("*.py"))
+    assert len(modules) > 50, "the walk found too few modules"
+    offenders = {
+        str(path.relative_to(PACKAGE_ROOT.parent)): names
+        for path in modules
+        if (names := _private_imports(
+            path.read_text(encoding="utf-8"),
+            _module_name(path),
+            path.name == "__init__.py",
+        ))
+    }
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from repro.matchers.logistic import _sigmoid",
+        "from repro.service.shard import ShardSpec, _ShardWorker as Worker",
+        "from ..core.serialize import _canonical_json",
+        "from . import _helpers",
+        "def f():\n    from repro.core.engine import _EngineMatcher\n",
+    ],
+    ids=["absolute", "aliased-among-public", "relative", "relative-sibling",
+         "function-local"],
+)
+def test_every_private_import_spelling_is_caught(source):
+    assert _private_imports(source, "repro.service.request", False)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from repro.core.serialize import pair_to_dict",
+        "from repro._lazy import lazy_exports",
+        "from numpy.core import _multiarray_umath",
+        "from repro import __version__",
+        "from __future__ import annotations",
+    ],
+    ids=["public-name", "public-name-of-private-module", "other-package",
+         "dunder", "future"],
+)
+def test_public_and_foreign_imports_are_not_flagged(source):
+    assert not _private_imports(source, "repro.service.request", False)
 
 
 SHARD_EXCLUDED = (
